@@ -47,14 +47,7 @@ from .io import (
     read_graph_file,
     write_graph_file,
 )
-from .matmul import (
-    BACKENDS,
-    INT64_MAX,
-    BenchResult,
-    OverflowGuardError,
-    bench_multiply,
-    multiply,
-)
+from .matmul import INT64_MAX, OverflowGuardError, multiply
 from .probabilistic import (
     PairedRun,
     RandomSubstitution,
@@ -73,8 +66,6 @@ from .probabilistic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKENDS",
-    "BenchResult",
     "CoherenceReport",
     "CoherenceWitness",
     "ColorMatrix",
@@ -93,7 +84,6 @@ __all__ = [
     "StoppingPolicy",
     "ValueMatrix",
     "WlResult",
-    "bench_multiply",
     "check_coherent",
     "classical_closure",
     "classical_step",

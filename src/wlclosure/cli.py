@@ -22,9 +22,9 @@ import numpy as np
 from .classical import classical_closure, classical_step
 from .coherence import fixture_names, make_fixture, verify_coherent
 from .graph import (
-    ColorMatrix,
     InputError,
     is_color_isomorphism,
+    normalize_by_value,
     rainbow_refine,
 )
 from .io import (
@@ -175,9 +175,10 @@ def cmd_isopair(args) -> int:
             "(certified non-isomorphic at the refinement level)"
         )
         return 0
-    # one shared value-rank map keeps matching ids matching on both sides
-    a = ColorMatrix(np.searchsorted(ids_a, raw_a) + 1, len(ids_a))
-    b = ColorMatrix(np.searchsorted(ids_a, raw_b) + 1, len(ids_a))
+    # equal vocabularies make the by-value renumbering one shared map
+    a = normalize_by_value(raw_a)
+    b = normalize_by_value(raw_b)
+    del raw_a, raw_b
     params = RunParams(args.m, StoppingPolicy.practical(args.k), seed)
     run = paired_closure(a, b, params)
     diverged_at = None

@@ -30,7 +30,7 @@ def _as_grid(raw) -> np.ndarray:
         raise InputError(f"expected a non-empty square grid, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise InputError(f"expected integer entries, got dtype {arr.dtype}")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def _first_occurrence_relabel(flat: np.ndarray) -> tuple[np.ndarray, int]:

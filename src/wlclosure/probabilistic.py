@@ -113,9 +113,16 @@ def draw_substitution(r: int, m: int, rng: np.random.Generator) -> RandomSubstit
     return RandomSubstitution(m, left, right)
 
 
-def numeric_product(
-    x: ColorMatrix, sub: RandomSubstitution, backend: str = "blocked"
-) -> ValueMatrix:
+def _gather(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """``table[cells - 1]`` as float64, gathered from a float64 copy of the
+    table with a leading 0, so no int64 temporary the size of ``cells`` is
+    made.  Values up to ``m`` are exact floats: the guard on ``n * m**2``
+    keeps ``m`` below 2**32.  The copy is freed on return, before the other
+    table's is made, which matters when a table has one entry per cell."""
+    return np.concatenate(([0.0], table))[cells]
+
+
+def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> ValueMatrix:
     """Exact product of the substituted row and column matrices.
 
     Entry ``(u, v)`` is the sum over ``w`` of ``left[c(u, w)] * right[c(w, v)]``,
@@ -128,10 +135,7 @@ def numeric_product(
         raise OverflowGuardError(
             f"n * m**2 = {x.n * sub.m**2} exceeds int64 max {INT64_MAX}"
         )
-    left_cells = sub.left[x.cells - 1]
-    right_cells = sub.right[x.cells - 1]
-    product = multiply(left_cells, right_cells, backend=backend)
-    del left_cells, right_cells
+    product = multiply(_gather(sub.left, x.cells), _gather(sub.right, x.cells))
     lo, hi = int(product.min()), int(product.max())
     if lo < x.n or hi > x.n * sub.m**2:
         raise RefinementInvariantError(
@@ -140,17 +144,13 @@ def numeric_product(
     return ValueMatrix(product)
 
 
-def probabilistic_step(
-    x: ColorMatrix, m: int, rng: np.random.Generator, backend: str = "blocked"
-) -> RefinementOutcome:
+def probabilistic_step(x: ColorMatrix, m: int, rng: np.random.Generator) -> RefinementOutcome:
     """One randomized refinement pass with a fresh substitution."""
     sub = draw_substitution(x.r, m, rng)
-    return refine_by(x, numeric_product(x, sub, backend=backend).cells)
+    return refine_by(x, numeric_product(x, sub).cells)
 
 
-def probabilistic_closure(
-    x: ColorMatrix, params: RunParams, backend: str = "blocked"
-) -> WlResult:
+def probabilistic_closure(x: ColorMatrix, params: RunParams) -> WlResult:
     """Randomized refinement run from ``x`` to its (probable) closure.
 
     Identical inputs and params reproduce the identical result, trace and
@@ -164,7 +164,7 @@ def probabilistic_closure(
     if policy.kind == "theoretical":
         budget = iteration_budget(x.n, policy.growth_constant)
         for _ in range(budget):
-            outcome = probabilistic_step(current, params.m, rng, backend=backend)
+            outcome = probabilistic_step(current, params.m, rng)
             trace.append(outcome.result.r)
             current = outcome.result
         return WlResult(current, budget, tuple(trace), "budget_exhausted")
@@ -173,7 +173,7 @@ def probabilistic_closure(
     while quiet < policy.patience:
         if len(trace) > cap:
             raise RefinementInvariantError("run did not stabilize within its structural cap")
-        outcome = probabilistic_step(current, params.m, rng, backend=backend)
+        outcome = probabilistic_step(current, params.m, rng)
         trace.append(outcome.result.r)
         quiet = 0 if outcome.refined else quiet + 1
         current = outcome.result
@@ -253,9 +253,7 @@ def _loop_mapping(a: ColorMatrix, b: ColorMatrix) -> tuple[int, ...] | None:
     return tuple(position[c] for c in loops_a)
 
 
-def paired_closure(
-    x: ColorMatrix, y: ColorMatrix, params: RunParams, backend: str = "blocked"
-) -> PairedRun:
+def paired_closure(x: ColorMatrix, y: ColorMatrix, params: RunParams) -> PairedRun:
     """Refine two same-size colorings in lockstep on one random stream.
 
     Every iteration draws a single substitution sized for the larger color
@@ -279,8 +277,8 @@ def paired_closure(
     def one_iteration() -> bool:
         nonlocal a, b
         sub = draw_substitution(max(a.r, b.r), params.m, rng)
-        out_a = refine_by(a, numeric_product(a, sub, backend=backend).cells)
-        out_b = refine_by(b, numeric_product(b, sub, backend=backend).cells)
+        out_a = refine_by(a, numeric_product(a, sub).cells)
+        out_b = refine_by(b, numeric_product(b, sub).cells)
         a = out_a.result
         b = out_b.result
         trace_a.append(a.r)

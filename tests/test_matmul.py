@@ -1,11 +1,11 @@
-"""Tests for the exact integer multiplication backends."""
+"""Tests for the exact integer matrix product."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from wlclosure import BACKENDS, INT64_MAX, InputError, OverflowGuardError, bench_multiply, multiply
+from wlclosure import InputError, OverflowGuardError, multiply
 
 from oracles import python_matmul
 
@@ -14,9 +14,8 @@ def test_identity_and_zero():
     a = np.arange(1, 10, dtype=np.int64).reshape(3, 3)
     eye = np.eye(3, dtype=np.int64)
     zero = np.zeros((3, 3), dtype=np.int64)
-    for backend in BACKENDS:
-        assert np.array_equal(multiply(a, eye, backend=backend), a)
-        assert np.array_equal(multiply(a, zero, backend=backend), zero)
+    assert np.array_equal(multiply(a, eye), a)
+    assert np.array_equal(multiply(a, zero), zero)
 
 
 def test_frozen_2x2_product():
@@ -25,16 +24,36 @@ def test_frozen_2x2_product():
     assert multiply(a, b).tolist() == [[41, 31], [31, 41]]
 
 
+def _near_bound(rng, shape, limit, signed_rows):
+    """Entries within 1% of ``limit`` with ``max|entry| == limit``.  Signs are
+    fixed per row (or all positive), so partial sums of a product grow all the
+    way to its magnitude bound instead of cancelling."""
+    out = rng.integers(limit - limit // 100, limit, size=shape, dtype=np.int64, endpoint=True)
+    out[0, 0] = limit
+    if signed_rows:
+        out *= rng.choice(np.array([-1, 1], dtype=np.int64), size=(shape[0], 1))
+    return out
+
+
 @pytest.mark.parametrize("shape", [(1, 1, 1), (5, 7, 3), (64, 64, 64), (65, 100, 33), (130, 64, 129)])
 def test_backends_bit_identical(shape):
+    """Bit-identical to Python integers for small entries and for magnitude
+    bounds ``k * max|a| * max|b|`` at and just above 2**53, where one float64
+    GEMM gives way to the limb split of the left or the right factor."""
     rows, inner, cols = shape
     rng = np.random.default_rng(rows * 1000 + inner)
     a = rng.integers(-(10**6), 10**6, size=(rows, inner), dtype=np.int64)
     b = rng.integers(-(10**6), 10**6, size=(inner, cols), dtype=np.int64)
-    naive = multiply(a, b, backend="naive")
-    blocked = multiply(a, b, backend="blocked")
-    assert naive.dtype == blocked.dtype == np.int64
-    assert np.array_equal(naive, blocked)
+    cases = [(a, b)]
+    for max_a in (2**27 + 5, 2**13 + 1):  # above the limit, a is split, then b
+        at_limit = 2**53 // (inner * max_a)
+        for max_b in (at_limit, at_limit + 1):
+            cases.append((_near_bound(rng, (rows, inner), max_a, True),
+                          _near_bound(rng, (inner, cols), max_b, False)))
+    for a, b in cases:
+        out = multiply(a, b)
+        assert out.dtype == np.int64
+        assert out.tolist() == python_matmul(a.tolist(), b.tolist())
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -44,8 +63,7 @@ def test_matches_python_oracle(seed):
     a = rng.integers(-50, 50, size=(n, n), dtype=np.int64)
     b = rng.integers(-50, 50, size=(n, n), dtype=np.int64)
     expected = python_matmul(a.tolist(), b.tolist())
-    for backend in BACKENDS:
-        assert multiply(a, b, backend=backend).tolist() == expected
+    assert multiply(a, b).tolist() == expected
 
 
 def test_near_limit_products_are_exact():
@@ -57,14 +75,26 @@ def test_near_limit_products_are_exact():
     assert out.tolist() == [[2 * wide * wide]]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_overflow_guard_refuses_risky_products(backend):
+def _padded(a, rows, cols):
+    """``a`` in the bottom-right corner of a zero matrix with ``rows`` extra
+    rows and ``cols`` extra columns."""
+    a = np.asarray(a, dtype=np.int64)
+    out = np.zeros((a.shape[0] + rows, a.shape[1] + cols), dtype=np.int64)
+    out[rows:, cols:] = a
+    return out
+
+
+@pytest.mark.parametrize("pad", [0, 130], ids=["naive", "blocked"])
+def test_overflow_guard_refuses_risky_products(pad):
+    """Refused alone (``naive``) and with the risky entries last in operands
+    spanning several 64-row blocks (``blocked``); the padding adds outer rows
+    and columns only, so the bound is the same."""
     over = 3037000500
     with pytest.raises(OverflowGuardError):
-        multiply([[over]], [[over]], backend=backend)
+        multiply(_padded([[over]], pad, 0), _padded([[over]], 0, pad))
     wide = 2**31
     with pytest.raises(OverflowGuardError):
-        multiply([[wide, wide]], [[wide], [wide]], backend=backend)
+        multiply(_padded([[wide, wide]], pad, 0), _padded([[wide], [wide]], 0, pad))
 
 
 def test_guard_accounts_for_negative_extremes():
@@ -77,8 +107,6 @@ def test_shape_errors():
         multiply(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
     with pytest.raises(InputError):
         multiply(np.zeros(3, dtype=np.int64), np.zeros((3, 3), dtype=np.int64))
-    with pytest.raises(InputError):
-        multiply(np.zeros((2, 2), dtype=np.int64), np.zeros((2, 2), dtype=np.int64), backend="fast")
 
 
 def test_accepts_nested_lists_and_returns_int64():
@@ -86,11 +114,3 @@ def test_accepts_nested_lists_and_returns_int64():
     assert out.dtype == np.int64
     assert out.tolist() == [[19, 22], [43, 50]]
 
-
-def test_bench_multiply_smoke():
-    rows = bench_multiply([8, 16], backend="naive", repetitions=2, seed=1)
-    assert [row.n for row in rows] == [8, 16]
-    assert all(row.seconds_median > 0 for row in rows)
-    assert all(row.backend == "naive" and row.repetitions == 2 for row in rows)
-    with pytest.raises(InputError):
-        bench_multiply([8], repetitions=0)

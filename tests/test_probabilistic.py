@@ -35,7 +35,7 @@ from wlclosure import (
     validate,
 )
 
-from oracles import random_grid
+from oracles import python_matmul, random_grid
 
 
 def test_draw_substitution_is_reproducible_and_ordered():
@@ -99,12 +99,14 @@ def test_numeric_product_entries_stay_in_guaranteed_range(seed):
 
 
 def test_numeric_product_backends_bit_identical():
+    """Matches Python integers with n * m**2 below 2**53 and above it (limb split)."""
     rng = np.random.default_rng(2)
     x = validate(random_grid(rng, 70, 4))
-    sub = draw_substitution(x.r, 1000, np.random.default_rng(3))
-    blocked = numeric_product(x, sub, backend="blocked")
-    naive = numeric_product(x, sub, backend="naive")
-    assert np.array_equal(blocked.cells, naive.cells)
+    for m in (1000, 2**28):
+        sub = draw_substitution(x.r, m, np.random.default_rng(3))
+        left = sub.left[x.cells - 1].tolist()
+        right = sub.right[x.cells - 1].tolist()
+        assert numeric_product(x, sub).cells.tolist() == python_matmul(left, right)
 
 
 def test_numeric_product_overflow_guard():
