@@ -44,7 +44,11 @@ class WlResult:
     """Outcome of a full refinement run.
 
     ``trace[i]`` is the class count after step ``i + 1``; ``stopping_reason``
-    is ``"stable"`` or ``"budget_exhausted"``.
+    is ``"stable"`` (a step split nothing, or ``patience`` Monte Carlo steps
+    in a row did not), ``"budget_exhausted"`` (the theoretical policy ran its
+    whole budget) or ``"discrete"`` (a Monte Carlo run reached ``n**2``
+    classes, after which no step can split; exact, since Monte Carlo
+    iterates are never finer than the closure).
     """
 
     closure: ColorMatrix

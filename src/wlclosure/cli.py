@@ -82,14 +82,16 @@ def cmd_close(args) -> int:
         policy = _policy_from_args(args)
         result = probabilistic_closure(x, RunParams(args.m, policy, seed))
         probabilistic_m = args.m
+        # a discrete closure is exact: no split can have been missed
+        exact = result.stopping_reason == "discrete"
         if policy.kind == "theoretical":
             policy_desc = f"theoretical C={policy.growth_constant:g}"
-            bound = error_bound(x.n, args.m, policy.growth_constant)
+            bound = 0.0 if exact else error_bound(x.n, args.m, policy.growth_constant)
             error_note = ("error_bound", f"{bound:.6e}")
             notes = ("iteration budget scales with a configured constant, not a derived one",)
         else:
             policy_desc = f"practical k={policy.patience}"
-            miss = (2.0 / args.m) ** policy.patience
+            miss = 0.0 if exact else (2.0 / args.m) ** policy.patience
             error_note = ("miss_probability_per_refinement", f"{miss:.6e}")
     timings.append(("closure", (time.perf_counter() - started) * 1000.0))
 

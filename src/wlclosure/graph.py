@@ -18,6 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
+INT64_MAX = 2**63 - 1
+
 
 class InputError(ValueError):
     """Malformed input: non-square grid, bad entries, or size mismatch."""
@@ -44,22 +46,51 @@ def _first_occurrence_relabel(flat: np.ndarray) -> tuple[np.ndarray, int]:
     return rank_by_first[inverse] + 1, len(uniq)
 
 
+def _dense_rank(values: np.ndarray, out: np.ndarray) -> int:
+    """Write the 1-based dense rank of each entry of ``values`` into ``out``.
+
+    Equal values share a rank and ranks follow value order, contiguous
+    ``1..count``; returns ``count``.  ``out`` may be ``values`` itself.  One
+    ``argsort``; the sorted copy then holds the ranks before they are
+    scattered back, so the working set is three arrays the size of
+    ``values``.
+    """
+    order = np.argsort(values)
+    ranked = values[order]
+    starts = np.empty(len(ranked), dtype=bool)
+    starts[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    np.copyto(ranked, starts)
+    del starts
+    np.cumsum(ranked, out=ranked)  # int64 in place: a bool input would be cast to a temporary
+    out[order] = ranked
+    return int(ranked[-1])
+
+
 def _lex_rank(primary: np.ndarray, secondary: np.ndarray) -> tuple[np.ndarray, int]:
     """Rank (primary, secondary) pairs lexicographically, 1-based.
 
-    Equal pairs get equal ranks; ranks are contiguous 1..count.
+    Equal pairs get equal ranks; ranks are contiguous 1..count.  ``primary``
+    holds non-negative color ids no larger than its length; ``secondary``
+    holds any int64 values.  Each pair is packed into the single int64 key
+    ``primary * span + (secondary - min)``, which orders like the pair as
+    long as ``(max primary + 1) * span`` fits in int64 (``span`` is the
+    secondary's value range).  Otherwise the secondary is first replaced by
+    its dense rank ``1..span``, which keeps its order and shrinks ``span`` to
+    at most the length; the key ``primary * span + rank`` then lies in
+    ``(primary * span, (primary + 1) * span]``, so it still orders like the
+    pair, and the bound on ``primary`` keeps it inside int64.
     """
-    order = np.lexsort((secondary, primary))
-    sp = primary[order]
-    ss = secondary[order]
-    starts = np.empty(len(order), dtype=bool)
-    starts[0] = True
-    np.logical_or(sp[1:] != sp[:-1], ss[1:] != ss[:-1], out=starts[1:])
-    del sp, ss  # keep the working set small at closure scale
-    ranks_sorted = np.cumsum(starts)
-    ranks = np.empty_like(ranks_sorted)
-    ranks[order] = ranks_sorted
-    return ranks, int(ranks_sorted[-1])
+    lo = int(secondary.min())
+    span = int(secondary.max()) - lo + 1
+    if (int(primary.max()) + 1) * span <= INT64_MAX:
+        key = primary * span
+        key += secondary - lo
+    else:
+        key = np.empty(len(secondary), dtype=np.int64)
+        span = _dense_rank(secondary, key)
+        key += primary * span
+    return key, _dense_rank(key, key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,28 +193,19 @@ def rainbow_refine(x: ColorMatrix) -> ColorMatrix:
     return ColorMatrix(ranks.reshape(x.n, x.n), r_new)
 
 
-def refine_by(x: ColorMatrix, values) -> RefinementOutcome:
-    """Split the classes of ``x`` by a matrix of per-cell values.
+def refine_by(x: ColorMatrix, values: np.ndarray) -> RefinementOutcome:
+    """Split the classes of ``x`` by a matrix of per-cell integer values.
 
     New colors are the lexicographic ranks of ``(old color, value)`` pairs,
     so the result always refines ``x`` and never merges classes.  Cells of
-    the same old color with equal values stay together.  ``values`` may be an
-    integer ndarray (fast path) or any square nest of mutually comparable
-    values.
+    the same old color with equal values stay together.  ``values`` must be
+    an integer ndarray of the same shape as ``x.cells``.
     """
-    if isinstance(values, np.ndarray) and np.issubdtype(values.dtype, np.integer):
-        if values.shape != x.cells.shape:
-            raise InputError(f"value matrix shape {values.shape} != {x.cells.shape}")
-        ranks, r_new = _lex_rank(x.cells.ravel(), values.ravel().astype(np.int64, copy=False))
-    else:
-        if len(values) != x.n or any(len(row) != x.n for row in values):
-            raise InputError("value matrix must be square and match the coloring")
-        old_flat = x.cells.ravel().tolist()
-        val_flat = [v for row in values for v in row]
-        pairs = list(zip(old_flat, val_flat))
-        rank_of = {pair: i + 1 for i, pair in enumerate(sorted(set(pairs)))}
-        ranks = np.fromiter((rank_of[p] for p in pairs), dtype=np.int64, count=len(pairs))
-        r_new = len(rank_of)
+    if not isinstance(values, np.ndarray) or not np.issubdtype(values.dtype, np.integer):
+        raise InputError("values must be an integer ndarray")
+    if values.shape != x.cells.shape:
+        raise InputError(f"value matrix shape {values.shape} != {x.cells.shape}")
+    ranks, r_new = _lex_rank(x.cells.ravel(), values.ravel().astype(np.int64, copy=False))
     result = ColorMatrix(ranks.reshape(x.n, x.n), r_new)
     parents = np.zeros(r_new + 1, dtype=np.int64)
     parents[ranks] = x.cells.ravel()

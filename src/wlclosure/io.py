@@ -85,6 +85,14 @@ def read_graph_file(path) -> ColorMatrix:
     return parse_graph_text(text)
 
 
+def _in_first_occurrence_order(cells: np.ndarray) -> bool:
+    """True when the colors already are the canonical ``1..r`` by first
+    occurrence: the first cell is 1 and each cell exceeds the running maximum
+    of the cells before it by at most one.  Much cheaper than renumbering."""
+    flat = cells.ravel()
+    return bool(flat[0] == 1 and (flat[1:] <= np.maximum.accumulate(flat)[:-1] + 1).all())
+
+
 def format_graph_text(x: ColorMatrix, canonical: bool = True) -> str:
     """Serialize a coloring; by default colors are canonically renumbered.
 
@@ -93,7 +101,7 @@ def format_graph_text(x: ColorMatrix, canonical: bool = True) -> str:
     paired run (ids compare by value across the two files there, and the
     canonical renumbering depends on where colors first occur).
     """
-    out = validate(x.cells) if canonical else x
+    out = validate(x.cells) if canonical and not _in_first_occurrence_order(x.cells) else x
     lines = [f"{HEADER_TAG} {out.n} {out.r}"]
     lines.extend(" ".join(str(int(c)) for c in row) for row in out.cells)
     return "\n".join(lines) + "\n"

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import InputError
+from .graph import INT64_MAX, InputError
 
-INT64_MAX = 2**63 - 1
 FLOAT64_EXACT = 2**53
 _CAST_ROWS = 64
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -63,7 +64,9 @@ class StoppingPolicy:
     progress; ``practical`` stops after ``patience`` consecutive iterations
     without a split (each missed split survives one such iteration with
     probability at most ``2/m``, so the miss probability decays as
-    ``(2/m)**patience``).
+    ``(2/m)**patience``).  Under either policy a run stops early, with
+    reason ``"discrete"`` and no chance of error, once its coloring is
+    discrete: with ``n**2`` classes no step can split anything.
     """
 
     kind: str
@@ -150,46 +153,86 @@ def probabilistic_step(x: ColorMatrix, m: int, rng: np.random.Generator) -> Refi
     return refine_by(x, numeric_product(x, sub).cells)
 
 
+def _is_discrete(x: ColorMatrix) -> bool:
+    """Every cell has its own color, so no refinement step can split a class."""
+    return x.r == x.n * x.n
+
+
+def _lockstep(
+    inputs: tuple[ColorMatrix, ...],
+    params: RunParams,
+    observe: Callable[[tuple[ColorMatrix, ...]], None] | None = None,
+) -> tuple[tuple[ColorMatrix, ...], tuple[tuple[int, ...], ...], str]:
+    """Rainbow-refine same-size colorings, then refine them in lockstep.
+
+    Each iteration draws one substitution sized for the largest color count
+    and applies it to every coloring; ``observe`` sees the rainbow-refined
+    start and the colorings after each iteration.  Before each iteration the
+    run stops with ``"discrete"`` once every coloring is discrete; otherwise
+    the theoretical policy stops after its budget and the practical one
+    after ``patience`` iterations in which nothing split.  Returns the final
+    colorings, one class-count trace per coloring, and the stopping reason.
+    Only the current colorings are kept, not the start.
+    """
+    rng = np.random.default_rng(params.seed)
+    policy = params.policy
+    n = inputs[0].n
+    budget = iteration_budget(n, policy.growth_constant)
+    cap = (n * n + 2) * (policy.patience + 1) * len(inputs)
+    current = tuple(rainbow_refine(x) for x in inputs)
+    traces: tuple[list[int], ...] = tuple([] for _ in inputs)
+    steps = quiet = 0
+    while True:
+        if observe is not None:
+            observe(current)
+        if all(_is_discrete(c) for c in current):
+            reason = "discrete"
+            break
+        if policy.kind == "theoretical":
+            if steps == budget:
+                reason = "budget_exhausted"
+                break
+        elif quiet == policy.patience:
+            reason = "stable"
+            break
+        elif steps > cap:
+            raise RefinementInvariantError("run did not stabilize within its structural cap")
+        sub = draw_substitution(max(c.r for c in current), params.m, rng)
+        outcomes = [refine_by(c, numeric_product(c, sub).cells) for c in current]
+        current = tuple(out.result for out in outcomes)
+        for trace, c in zip(traces, current):
+            trace.append(c.r)
+        steps += 1
+        quiet = 0 if any(out.refined for out in outcomes) else quiet + 1
+    return current, tuple(tuple(t) for t in traces), reason
+
+
 def probabilistic_closure(x: ColorMatrix, params: RunParams) -> WlResult:
     """Randomized refinement run from ``x`` to its (probable) closure.
 
     Identical inputs and params reproduce the identical result, trace and
     all.  The practical policy can stop early only by missing a split for
-    ``patience`` consecutive independent iterations.
+    ``patience`` consecutive independent iterations.  A ``"discrete"`` stop
+    is exact: every iterate is at most as fine as the exact closure, so a
+    discrete iterate is the closure.
     """
-    rng = np.random.default_rng(params.seed)
-    current = rainbow_refine(x)
-    trace: list[int] = []
-    policy = params.policy
-    if policy.kind == "theoretical":
-        budget = iteration_budget(x.n, policy.growth_constant)
-        for _ in range(budget):
-            outcome = probabilistic_step(current, params.m, rng)
-            trace.append(outcome.result.r)
-            current = outcome.result
-        return WlResult(current, budget, tuple(trace), "budget_exhausted")
-    cap = (x.n * x.n + 2) * (policy.patience + 1)
-    quiet = 0
-    while quiet < policy.patience:
-        if len(trace) > cap:
-            raise RefinementInvariantError("run did not stabilize within its structural cap")
-        outcome = probabilistic_step(current, params.m, rng)
-        trace.append(outcome.result.r)
-        quiet = 0 if outcome.refined else quiet + 1
-        current = outcome.result
-    return WlResult(current, len(trace), tuple(trace), "stable")
+    (closure,), (trace,), reason = _lockstep((x,), params)
+    return WlResult(closure, len(trace), trace, reason)
 
 
 def check_coherent(x: ColorMatrix, m: int, trials: int, rng: np.random.Generator) -> bool:
     """Fast coherence test: does any of ``trials`` random passes split a class?
 
-    A coloring that is not already rainbow is reported not coherent without
+    A coloring that is not already rainbow is reported not coherent, and a
+    discrete one (which is rainbow and cannot split) coherent, both without
     sampling.  For coherent inputs the answer is always ``True``; for others
     each trial fails to notice a split with probability at most ``2/m``, so
     a wrong ``True`` occurs with probability at most ``(2/m)**trials``.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
+    if _is_discrete(x):
+        return True
     if not is_rainbow(x):
         return False
     for _ in range(trials):
@@ -228,7 +271,9 @@ class PairedRun:
     vertex bijection read off the loop colors when both closures are
     discrete, else ``None``.  ``counts_trace[i]`` holds both sides' per-color
     cell counts after ``i`` steps (entry 0 is the rainbow-refined start);
-    isomorphic inputs produce identical count vectors at every step.
+    isomorphic inputs produce identical count vectors at every step.  Both
+    results share the stopping reason and iteration count; the run stops
+    with ``"discrete"`` once both sides are discrete.
     """
 
     first: WlResult
@@ -261,53 +306,18 @@ def paired_closure(x: ColorMatrix, y: ColorMatrix, params: RunParams) -> PairedR
     sides keep receiving the same random values.  Isomorphic inputs (written
     with a shared color vocabulary) then follow identical trajectories, and
     a divergence of the per-color count vectors certifies that no refinement
-    run can treat the inputs alike.
+    run can treat the inputs alike.  The run stops with ``"discrete"`` once
+    both sides are discrete.
     """
     if x.n != y.n:
         raise InputError("paired inputs must have the same size")
-    rng = np.random.default_rng(params.seed)
-    a = rainbow_refine(x)
-    b = rainbow_refine(y)
-    trace_a: list[int] = []
-    trace_b: list[int] = []
-    counts: list[tuple[tuple[int, ...], tuple[int, ...]]] = [
-        (color_counts(a), color_counts(b))
-    ]
-
-    def one_iteration() -> bool:
-        nonlocal a, b
-        sub = draw_substitution(max(a.r, b.r), params.m, rng)
-        out_a = refine_by(a, numeric_product(a, sub).cells)
-        out_b = refine_by(b, numeric_product(b, sub).cells)
-        a = out_a.result
-        b = out_b.result
-        trace_a.append(a.r)
-        trace_b.append(b.r)
-        counts.append((color_counts(a), color_counts(b)))
-        return out_a.refined or out_b.refined
-
-    policy = params.policy
-    if policy.kind == "theoretical":
-        budget = iteration_budget(x.n, policy.growth_constant)
-        for _ in range(budget):
-            one_iteration()
-        reason = "budget_exhausted"
-        iterations = budget
-    else:
-        cap = (x.n * x.n + 2) * (policy.patience + 1) * 2
-        quiet = 0
-        while quiet < policy.patience:
-            if len(trace_a) > cap:
-                raise RefinementInvariantError(
-                    "paired run did not stabilize within its structural cap"
-                )
-            quiet = 0 if one_iteration() else quiet + 1
-        reason = "stable"
-        iterations = len(trace_a)
-
+    counts: list[tuple[tuple[int, ...], ...]] = []
+    (a, b), (trace_a, trace_b), reason = _lockstep(
+        (x, y), params, lambda pair: counts.append(tuple(color_counts(c) for c in pair))
+    )
     return PairedRun(
-        WlResult(a, iterations, tuple(trace_a), reason),
-        WlResult(b, iterations, tuple(trace_b), reason),
+        WlResult(a, len(trace_a), trace_a, reason),
+        WlResult(b, len(trace_b), trace_b, reason),
         _loop_mapping(a, b),
         tuple(counts),
     )

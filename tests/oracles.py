@@ -51,6 +51,29 @@ def brute_closure(grid: list[list[int]]) -> list[list[int]]:
         current = following
 
 
+def sorted_tuple_ranks(pairs: list[tuple]) -> list[int]:
+    """1-based rank of each pair among the distinct pairs in sorted order."""
+    rank_of = {pair: i + 1 for i, pair in enumerate(sorted(set(pairs)))}
+    return [rank_of[pair] for pair in pairs]
+
+
+def python_refine_by(colors, values) -> tuple[bool, list[list[int]], list[int]]:
+    """Split a color grid by per-cell values, ranking (old color, value) tuples.
+
+    ``values`` may be any square nest of mutually comparable values, e.g.
+    fingerprint tuples.  Returns whether the class count grew, the new grid
+    (colors ``1..count`` in pair order) and, per new color, the old color it
+    was split from.
+    """
+    n = len(colors)
+    pairs = [(int(colors[u][v]), values[u][v]) for u in range(n) for v in range(n)]
+    ranks = sorted_tuple_ranks(pairs)
+    parent_of = {rank: old for rank, (old, _) in zip(ranks, pairs)}
+    grid = [ranks[u * n : (u + 1) * n] for u in range(n)]
+    refined = len(parent_of) > len(set(parent_of.values()))
+    return refined, grid, [parent_of[c] for c in range(1, len(parent_of) + 1)]
+
+
 def partition_of(grid) -> tuple[tuple[int, ...], ...]:
     """Partition as sorted tuples of flat cell indexes; ignores color names."""
     classes: dict[int, list[int]] = {}

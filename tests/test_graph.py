@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from wlclosure import graph
 from wlclosure import (
     ColorMatrix,
     InputError,
@@ -21,7 +22,13 @@ from wlclosure import (
     validate,
 )
 
-from oracles import brute_rainbow, partition_of, random_grid
+from oracles import (
+    brute_rainbow,
+    partition_of,
+    python_refine_by,
+    random_grid,
+    sorted_tuple_ranks,
+)
 
 
 def test_validate_renumbers_first_occurrence():
@@ -158,9 +165,10 @@ def test_refine_by_generic_values_match_ndarray_path():
     x = validate(random_grid(rng, 6, 3))
     values = rng.integers(0, 3, size=(6, 6), dtype=np.int64)
     fast = refine_by(x, values)
-    slow = refine_by(x, [[int(v) for v in row] for row in values])
-    assert fast.result.cells.tolist() == slow.result.cells.tolist()
-    assert fast.old_to_new.tolist() == slow.old_to_new.tolist()
+    refined, grid, parents = python_refine_by(x.cells.tolist(), values.tolist())
+    assert fast.result.cells.tolist() == grid
+    assert fast.refined == refined
+    assert fast.old_to_new.tolist() == parents
 
 
 def test_refine_by_rejects_shape_mismatch():
@@ -169,6 +177,68 @@ def test_refine_by_rejects_shape_mismatch():
         refine_by(x, np.zeros((3, 3), dtype=np.int64))
     with pytest.raises(InputError):
         refine_by(x, [[1, 2, 3], [4, 5, 6]])
+
+
+def test_refine_by_takes_only_integer_ndarrays():
+    x = validate([[1, 2], [2, 1]])
+    with pytest.raises(InputError):
+        refine_by(x, [[1, 2], [2, 1]])
+    with pytest.raises(InputError):
+        refine_by(x, np.ones((2, 2)))
+
+
+_TOP = 2**63 - 1  # 7 * 1317624576693539401
+_SPAN_AT_TOP = _TOP // 7
+
+
+def _rank_case(name):
+    rng = np.random.default_rng(77)
+    if name == "random":
+        return rng.integers(1, 6, 300), rng.integers(-4, 5, 300), 1
+    if name == "bound_at_int64_max":
+        # (max primary + 1) * span == 2**63 - 1: the packed key just fits
+        lo = -5
+        secondary = np.array([lo, lo + _SPAN_AT_TOP - 1, 0, lo, 17, lo + _SPAN_AT_TOP - 1])
+        return np.array([6, 1, 6, 6, 0, 1]), secondary, 1
+    if name == "bound_above_int64_max":
+        lo = -5
+        secondary = np.array([lo, lo + _SPAN_AT_TOP, 0, lo, 17, lo + _SPAN_AT_TOP])
+        return np.array([6, 1, 6, 6, 0, 1]), secondary, 2
+    if name == "negative_and_equal":
+        return np.array([2, 2, 1, 1, 2, 1, 2]), np.array([-7, -7, 3, -7, 3, -2**63, 3]), 2
+    if name == "one_cell":
+        return np.array([1]), np.array([-9]), 1
+    if name == "discrete_primary_small_values":
+        return rng.permutation(400) + 1, rng.integers(0, 1000, 400), 1
+    if name == "discrete_primary_large_values":
+        return rng.permutation(400) + 1, rng.integers(-2**62, 2**62, 400), 2
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "random",
+        "bound_at_int64_max",
+        "bound_above_int64_max",
+        "negative_and_equal",
+        "one_cell",
+        "discrete_primary_small_values",
+        "discrete_primary_large_values",
+    ],
+)
+def test_lex_rank_matches_sorted_tuple_ranks(name, monkeypatch):
+    """Direct key (one sort) and dense-rank fallback (two sorts) rank alike."""
+    primary, secondary, sorts = _rank_case(name)
+    primary, secondary = primary.astype(np.int64), secondary.astype(np.int64)
+    calls = []
+    real = graph._dense_rank
+    monkeypatch.setattr(graph, "_dense_rank", lambda v, out: calls.append(1) or real(v, out))
+    ranks, count = graph._lex_rank(primary, secondary)
+    expected = sorted_tuple_ranks(list(zip(primary.tolist(), secondary.tolist())))
+    assert ranks.tolist() == expected
+    assert count == max(expected)
+    assert len(calls) == sorts
 
 
 def test_is_refinement_basic_direction():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wlclosure import (
+    ColorMatrix,
     GraphFileError,
     classical_closure,
     format_graph_text,
@@ -34,6 +35,21 @@ def test_round_trip_is_canonical(seed):
     back = parse_graph_text(text)
     assert is_same_partition(back, x)
     assert format_graph_text(back) == text
+
+
+@pytest.mark.parametrize(
+    "cells, expected",
+    [
+        ([[1, 2], [2, 3]], "1 2\n2 3"),  # already canonical: written as stored
+        ([[1, 3], [3, 2]], "1 2\n2 3"),  # 3 appears before 2
+        ([[2, 1], [1, 2]], "1 2\n2 1"),  # first cell is not 1
+        ([[1, 1], [3, 2]], "1 1\n2 3"),
+    ],
+)
+def test_format_writes_first_occurrence_order(cells, expected):
+    x = ColorMatrix(np.array(cells), int(np.max(cells)))
+    assert format_graph_text(x) == f"wlgraph 2 {x.r}\n{expected}\n"
+    assert format_graph_text(x) == format_graph_text(validate(x.cells))
 
 
 def test_parse_ignores_comments_and_blank_lines():
@@ -129,13 +145,29 @@ def test_cli_close_mc_matches_exact_and_reproduces(tmp_path, capsys):
     assert "policy: practical k=3" in first_out
     assert "m: 1000000" in first_out
     assert "seed: 7" in first_out
-    assert "miss_probability_per_refinement: 8.000000e-18" in first_out
+    # random input: discrete after one step, so the closure is exact
+    assert "stopping_reason: discrete" in first_out
+    assert "miss_probability_per_refinement: 0.000000e+00" in first_out
     closure = read_graph_file(out_path)
     assert is_same_partition(closure, classical_closure(x).closure)
 
     code, second_out, _ = run_cli(capsys, "close", str(path), "--seed", "7", "--out", str(out_path))
     assert code == 0
     assert strip_wall_lines(second_out) == strip_wall_lines(first_out)
+
+
+def test_cli_close_mc_reports_miss_probability_unless_discrete(tmp_path, capsys):
+    path, _ = write_fixture(tmp_path, "path", 6)
+    code, out, _ = run_cli(capsys, "close", str(path), "--seed", "7")
+    assert code == 0
+    assert "stopping_reason: stable" in out
+    assert "miss_probability_per_refinement: 8.000000e-18" in out
+    x = validate(random_grid(np.random.default_rng(21), 12, 3))
+    write_graph_file(path, x)
+    code, out, _ = run_cli(capsys, "close", str(path), "--policy", "theoretical", "--seed", "7")
+    assert code == 0
+    assert "stopping_reason: discrete" in out
+    assert "error_bound: 0.000000e+00" in out
 
 
 def test_cli_close_theoretical_reports_bound(tmp_path, capsys):

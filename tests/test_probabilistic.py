@@ -35,7 +35,15 @@ from wlclosure import (
     validate,
 )
 
+from wlclosure import probabilistic
+
 from oracles import python_matmul, random_grid
+
+BOTH_POLICIES = pytest.mark.parametrize(
+    "policy",
+    [StoppingPolicy.practical(3), StoppingPolicy.theoretical(1.0)],
+    ids=["practical", "theoretical"],
+)
 
 
 def test_draw_substitution_is_reproducible_and_ordered():
@@ -164,7 +172,7 @@ def test_probabilistic_closure_matches_classical_partition(seed):
     mc = probabilistic_closure(x, RunParams(10**6, StoppingPolicy.practical(3), seed))
     exact = classical_closure(x)
     assert is_same_partition(mc.closure, exact.closure)
-    assert mc.stopping_reason == "stable"
+    assert mc.stopping_reason == ("discrete" if mc.closure.r == n * n else "stable")
 
 
 def test_probabilistic_closure_reproducible():
@@ -177,13 +185,48 @@ def test_probabilistic_closure_reproducible():
 
 
 def test_theoretical_policy_runs_exactly_the_budget():
-    x = validate(random_grid(np.random.default_rng(8), 6, 2))
+    """The whole budget runs unless the coloring turns discrete first."""
     params = RunParams(10**6, StoppingPolicy.theoretical(0.5), 3)
-    res = probabilistic_closure(x, params)
     budget = iteration_budget(6, 0.5)
+    x = make_fixture("path", 6)
+    res = probabilistic_closure(x, params)
     assert res.iterations == budget == len(res.trace)
     assert res.stopping_reason == "budget_exhausted"
     assert is_same_partition(res.closure, classical_closure(x).closure)
+    x = validate(random_grid(np.random.default_rng(8), 6, 2))
+    res = probabilistic_closure(x, params)
+    assert res.iterations == len(res.trace) < budget
+    assert res.stopping_reason == "discrete"
+    assert is_same_partition(res.closure, classical_closure(x).closure)
+
+
+@BOTH_POLICIES
+def test_discrete_exit_returns_the_closure_of_a_run_without_it(policy, monkeypatch):
+    x = validate(random_grid(np.random.default_rng(15), 10, 3))
+    params = RunParams(10**6, policy, 4)
+    res = probabilistic_closure(x, params)
+    assert res.stopping_reason == "discrete"
+    assert res.closure.r == 100 and res.trace[-1] == 100
+    assert res.iterations == len(res.trace) and 100 not in res.trace[:-1]
+    monkeypatch.setattr(probabilistic, "_is_discrete", lambda c: False)
+    full = probabilistic_closure(x, params)
+    assert full.stopping_reason != "discrete"
+    assert full.iterations > res.iterations
+    assert full.trace[: res.iterations] == res.trace
+    assert full.closure.cells.tolist() == res.closure.cells.tolist()
+
+
+@BOTH_POLICIES
+def test_single_vertex_runs_zero_steps(policy):
+    x = validate([[4]])
+    res = probabilistic_closure(x, RunParams(10**6, policy, 0))
+    assert (res.iterations, res.trace, res.stopping_reason) == (0, (), "discrete")
+    assert res.closure.cells.tolist() == [[1]]
+    run = paired_closure(x, x, RunParams(10**6, policy, 0))
+    assert run.first.iterations == run.second.iterations == 0
+    assert run.first.stopping_reason == "discrete"
+    assert len(run.counts_trace) == 1
+    assert run.mapping == (0,)
 
 
 def test_practical_policy_counts_quiet_iterations():
@@ -216,6 +259,18 @@ def test_check_coherent_rejects_non_rainbow_without_sampling():
     x = validate([[1, 1], [1, 1]])
     rng = np.random.default_rng(12)
     assert not check_coherent(x, 10**6, 3, rng)
+    untouched = np.random.default_rng(12)
+    assert rng.integers(0, 2**32) == untouched.integers(0, 2**32)
+
+
+def test_check_coherent_accepts_discrete_input_without_sampling():
+    x = probabilistic_closure(
+        validate(random_grid(np.random.default_rng(16), 8, 3)),
+        RunParams(10**6, StoppingPolicy.practical(3), 1),
+    ).closure
+    assert x.r == 64
+    rng = np.random.default_rng(12)
+    assert check_coherent(x, 10**6, 3, rng)
     untouched = np.random.default_rng(12)
     assert rng.integers(0, 2**32) == untouched.integers(0, 2**32)
 
@@ -290,6 +345,26 @@ def test_paired_closure_unpacks_as_three_tuple():
     # an asymmetric graph against itself: discrete closure, identity mapping
     assert first.closure.r == 36
     assert mapping == (0, 1, 2, 3, 4, 5)
+
+
+def test_paired_closure_stops_once_both_sides_are_discrete():
+    rng = np.random.default_rng(17)
+    x = validate(random_grid(rng, 64, 3))
+    y = permute_vertices(x, rng.permutation(64))
+    run = paired_closure(x, y, RunParams(10**6, StoppingPolicy.practical(3), 6))
+    assert len(run.counts_trace) == 2
+    assert run.first.trace == run.second.trace == (64 * 64,)
+    assert run.first.stopping_reason == run.second.stopping_reason == "discrete"
+    assert is_color_isomorphism(x, y, run.mapping)
+
+
+def test_paired_closure_runs_on_while_one_side_is_not_discrete():
+    x = validate(random_grid(np.random.default_rng(18), 6, 3))
+    y = make_fixture("path", 6)
+    run = paired_closure(x, y, RunParams(10**6, StoppingPolicy.practical(2), 3))
+    assert run.first.closure.r == 36 and run.second.closure.r < 36
+    assert run.first.stopping_reason == "stable"
+    assert run.first.trace[-3:] == (36, 36, 36)
 
 
 def test_paired_closure_divergence_for_cycle_vs_path():
