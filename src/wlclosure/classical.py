@@ -1,4 +1,4 @@
-"""Exact refinement of colored complete digraphs to their coherent closure.
+"""Exact refinement of colored complete digraphs, and the refinement driver.
 
 One refinement step gives every cell ``(u, v)`` the multiset of color pairs
 ``{(c(u, w), c(w, v)) : w}`` -- the cell's row column against the other
@@ -6,23 +6,31 @@ cell's column, read through every intermediate vertex -- and splits classes
 whose cells disagree.  Iterating until no class splits yields the coarsest
 coloring that is stable under this product, the coherent closure.
 
-The step has two equivalent implementations: :func:`noncommutative_product`
-materializes the fingerprints as sorted pair/count tuples (clear, small-n),
-while :func:`classical_step` packs each fingerprint into a run-length byte
-string built from sorted numeric pair codes.  Byte order equals tuple order,
-so both rank classes identically; tests hold the two paths against each
-other.
+:func:`classical_step` packs each fingerprint into a run-length byte string
+built from sorted numeric pair codes; byte order equals the order of the
+sorted pair/count tuples, which a pure-Python reference in the tests
+materializes.  :func:`refine_lockstep` is the one loop that drives every
+refinement run, exact or Monte Carlo, single or paired: the kind of step is
+its parameter.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import ColorMatrix, InputError, RefinementOutcome, rainbow_refine, refine_by
+from .graph import (
+    ColorMatrix,
+    InputError,
+    RefinementOutcome,
+    color_counts,
+    is_discrete,
+    rainbow_refine,
+    refine_by,
+)
 
 _CHUNK_TARGET_BYTES = 32 * 2**20
 
@@ -32,23 +40,16 @@ class RefinementInvariantError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FingerprintMatrix:
-    """Per-cell fingerprints: ``cells[u][v]`` is a sorted tuple of ``((left, right), count)``."""
-
-    n: int
-    cells: tuple
-
-
-@dataclass(frozen=True)
 class WlResult:
     """Outcome of a full refinement run.
 
     ``trace[i]`` is the class count after step ``i + 1``; ``stopping_reason``
-    is ``"stable"`` (a step split nothing, or ``patience`` Monte Carlo steps
-    in a row did not), ``"budget_exhausted"`` (the theoretical policy ran its
-    whole budget) or ``"discrete"`` (a Monte Carlo run reached ``n**2``
-    classes, after which no step can split; exact, since Monte Carlo
-    iterates are never finer than the closure).
+    is ``"stable"`` (the exact step split nothing, or ``patience`` Monte
+    Carlo steps in a row did not), ``"budget_exhausted"`` (the theoretical
+    policy ran its whole budget) or ``"discrete"`` (the run reached ``n**2``
+    classes, checked before every step, after which no step can split).  A
+    discrete stop is exact in either mode: Monte Carlo iterates are never
+    finer than the closure, so a discrete iterate is the closure.
     """
 
     closure: ColorMatrix
@@ -57,23 +58,59 @@ class WlResult:
     stopping_reason: str
 
 
-def noncommutative_product(x: ColorMatrix) -> FingerprintMatrix:
-    """Fingerprint every cell by its multiset of (row color, column color) pairs.
+def _counts_agree(colorings: tuple[ColorMatrix, ...]) -> bool:
+    """All colorings have the same cell count per color id."""
+    first, *rest = colorings
+    return all(color_counts(c) == color_counts(first) for c in rest)
 
-    Pure-Python reference path, quadratic memory in the worst case; intended
-    for small inputs and differential tests.
+
+def refine_lockstep(
+    inputs: tuple[ColorMatrix, ...],
+    step: Callable[[tuple[ColorMatrix, ...]], Sequence[RefinementOutcome]],
+    patience: int,
+    budget: int | None = None,
+) -> tuple[tuple[WlResult, ...], tuple[int, ...], tuple[bool, ...]]:
+    """Rainbow-refine same-size colorings, then refine them in lockstep.
+
+    ``step`` maps the current colorings to one refinement outcome each.
+    Before each step the run stops with ``"discrete"`` once every coloring
+    is discrete, then with ``"budget_exhausted"`` after ``budget`` steps,
+    then with ``"stable"`` after ``patience`` steps in a row in which no
+    coloring split.  Returns one result per input, the class counts of the
+    rainbow-refined start, and per iteration (entry 0 the start) whether all
+    colorings had the same cell count per color id.  Only the current
+    colorings are kept, not the start.
     """
-    n = x.n
-    grid = x.cells.tolist()
-    columns = [list(col) for col in zip(*grid)]
-    rows = []
-    for u in range(n):
-        row = []
-        for v in range(n):
-            counts = Counter(zip(grid[u], columns[v]))
-            row.append(tuple(sorted(counts.items())))
-        rows.append(tuple(row))
-    return FingerprintMatrix(n, tuple(rows))
+    n = inputs[0].n
+    # Each coloring splits at most n**2 - 1 times and a run of quiet steps
+    # stops at ``patience``, so no valid run takes more steps than this.
+    cap = len(inputs) * n * n * patience
+    current = tuple(rainbow_refine(x) for x in inputs)
+    start = tuple(c.r for c in current)
+    traces: tuple[list[int], ...] = tuple([] for _ in inputs)
+    agree = [_counts_agree(current)]
+    steps = quiet = 0
+    while True:
+        if all(is_discrete(c) for c in current):
+            reason = "discrete"
+            break
+        if steps == budget:
+            reason = "budget_exhausted"
+            break
+        if quiet == patience:
+            reason = "stable"
+            break
+        if steps > cap:
+            raise RefinementInvariantError("run did not stabilize within its structural cap")
+        outcomes = step(current)
+        current = tuple(out.result for out in outcomes)
+        for trace, c in zip(traces, current):
+            trace.append(c.r)
+        agree.append(_counts_agree(current))
+        steps += 1
+        quiet = 0 if any(out.refined for out in outcomes) else quiet + 1
+    results = tuple(WlResult(c, steps, tuple(t), reason) for c, t in zip(current, traces))
+    return results, start, tuple(agree)
 
 
 def _fingerprint_keys(x: ColorMatrix) -> list[bytes]:
@@ -114,24 +151,19 @@ def classical_step(x: ColorMatrix) -> RefinementOutcome:
     return refine_by(x, values.reshape(x.n, x.n))
 
 
+def _classical_steps(colorings: tuple[ColorMatrix, ...]) -> list[RefinementOutcome]:
+    return [classical_step(c) for c in colorings]
+
+
 def classical_closure(x: ColorMatrix) -> WlResult:
     """Refine ``x`` (after rainbow preprocessing) until no class splits.
 
-    Every step strictly grows the class count or stops the run, so at most
-    ``n**2`` steps can refine; exceeding that bound raises
-    :class:`RefinementInvariantError`.
+    The exact mode of :func:`refine_lockstep`: patience 1, no budget.  A
+    discrete coloring stops the run before another step, since it cannot
+    split.
     """
-    current = rainbow_refine(x)
-    trace: list[int] = []
-    while True:
-        if len(trace) > current.n * current.n + 1:
-            raise RefinementInvariantError("refinement did not stabilize within n^2 steps")
-        outcome = classical_step(current)
-        trace.append(outcome.result.r)
-        if not outcome.refined:
-            break
-        current = outcome.result
-    return WlResult(current, len(trace), tuple(trace), "stable")
+    (result,), _, _ = refine_lockstep((x,), _classical_steps, patience=1)
+    return result
 
 
 def iteration_budget(n: int, growth_constant: float = 1.0) -> int:

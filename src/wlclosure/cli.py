@@ -184,12 +184,12 @@ def cmd_isopair(args) -> int:
     params = RunParams(args.m, StoppingPolicy.practical(args.k), seed)
     run = paired_closure(a, b, params)
     diverged_at = None
-    for i, (counts_a, counts_b) in enumerate(run.counts_trace):
+    for i, (classes_a, classes_b, agree) in enumerate(run.iteration_trace):
         marker = ""
-        if counts_a != counts_b and diverged_at is None:
+        if not agree and diverged_at is None:
             diverged_at = i
             marker = "  <- diverged"
-        print(f"iteration {i}: classes {len(counts_a)} | {len(counts_b)}{marker}")
+        print(f"iteration {i}: classes {classes_a} | {classes_b}{marker}")
     if diverged_at is not None:
         print(
             f"color multisets diverge at iteration {diverged_at} "

@@ -131,24 +131,10 @@ class ColorMatrix:
 
 @dataclass(frozen=True)
 class RefinementOutcome:
-    """Result of one refinement pass.
-
-    ``refined`` is true when the class count grew.  ``old_to_new`` is a
-    read-only int64 array; ``old_to_new[c - 1]`` names the input color that
-    output color ``c`` was split from.
-    """
+    """Result of one refinement pass; ``refined`` is true when the class count grew."""
 
     refined: bool
     result: ColorMatrix
-    old_to_new: np.ndarray
-
-
-@dataclass(frozen=True)
-class PartitionView:
-    """Shape of a coloring's cell partition: class count and sorted class sizes."""
-
-    class_count: int
-    class_sizes: tuple[int, ...]
 
 
 def validate(raw) -> ColorMatrix:
@@ -206,12 +192,7 @@ def refine_by(x: ColorMatrix, values: np.ndarray) -> RefinementOutcome:
     if values.shape != x.cells.shape:
         raise InputError(f"value matrix shape {values.shape} != {x.cells.shape}")
     ranks, r_new = _lex_rank(x.cells.ravel(), values.ravel().astype(np.int64, copy=False))
-    result = ColorMatrix(ranks.reshape(x.n, x.n), r_new)
-    parents = np.zeros(r_new + 1, dtype=np.int64)
-    parents[ranks] = x.cells.ravel()
-    parents = parents[1:]
-    parents.setflags(write=False)
-    return RefinementOutcome(r_new > x.r, result, parents)
+    return RefinementOutcome(r_new > x.r, ColorMatrix(ranks.reshape(x.n, x.n), r_new))
 
 
 def is_refinement(fine: ColorMatrix, coarse: ColorMatrix) -> bool:
@@ -236,6 +217,11 @@ def is_same_partition(x: ColorMatrix, y: ColorMatrix) -> bool:
     return bool(np.array_equal(a, b))
 
 
+def is_discrete(x: ColorMatrix) -> bool:
+    """Every cell has its own color, so no refinement step can split a class."""
+    return x.r == x.n * x.n
+
+
 def is_rainbow(x: ColorMatrix) -> bool:
     """Check the two structural preconditions of a refinement run.
 
@@ -251,15 +237,9 @@ def is_rainbow(x: ColorMatrix) -> bool:
     return len(pairs) == x.r
 
 
-def partition_view(x: ColorMatrix) -> PartitionView:
-    counts = np.bincount(x.cells.ravel(), minlength=x.r + 1)[1:]
-    return PartitionView(x.r, tuple(sorted(int(c) for c in counts)))
-
-
 def color_counts(x: ColorMatrix) -> tuple[int, ...]:
     """Cell count per color id, indexed by ``color - 1``."""
-    counts = np.bincount(x.cells.ravel(), minlength=x.r + 1)[1:]
-    return tuple(int(c) for c in counts)
+    return tuple(np.bincount(x.cells.ravel(), minlength=x.r + 1)[1:].tolist())
 
 
 def _as_permutation(mapping: Sequence[int], n: int) -> np.ndarray:

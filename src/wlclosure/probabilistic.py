@@ -19,20 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .classical import WlResult, RefinementInvariantError, iteration_budget
-from .graph import (
-    ColorMatrix,
-    InputError,
-    RefinementOutcome,
-    color_counts,
-    is_rainbow,
-    rainbow_refine,
-    refine_by,
-)
+from .classical import RefinementInvariantError, WlResult, iteration_budget, refine_lockstep
+from .graph import ColorMatrix, InputError, RefinementOutcome, is_discrete, is_rainbow, refine_by
 from .matmul import INT64_MAX, OverflowGuardError, multiply
 
 
@@ -43,17 +34,6 @@ class RandomSubstitution:
     m: int
     left: np.ndarray
     right: np.ndarray
-
-
-@dataclass(frozen=True)
-class ValueMatrix:
-    """Numeric product of one substitution round; entries lie in ``[n, n * m**2]``."""
-
-    cells: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.cells.shape[0]
 
 
 @dataclass(frozen=True)
@@ -125,12 +105,13 @@ def _gather(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], table))[cells]
 
 
-def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> ValueMatrix:
+def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     """Exact product of the substituted row and column matrices.
 
     Entry ``(u, v)`` is the sum over ``w`` of ``left[c(u, w)] * right[c(w, v)]``,
-    a number in ``[n, n * m**2]``; the bound is checked up front against the
-    int64 range and the run aborts rather than wrap.
+    a number in ``[n, n * m**2]``, returned as an int64 matrix; the bound is
+    checked up front against the int64 range and the run aborts rather than
+    wrap.
     """
     if sub.left.shape[0] < x.r or sub.right.shape[0] < x.r:
         raise InputError("substitution covers fewer colors than the input uses")
@@ -144,67 +125,41 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> ValueMatrix:
         raise RefinementInvariantError(
             f"product entries [{lo}, {hi}] left the guaranteed range"
         )
-    return ValueMatrix(product)
+    return product
+
+
+def _substitution_steps(m: int, rng: np.random.Generator):
+    """A driver step: one fresh substitution, sized for the largest color
+    count, applied to every coloring, so color ids that agree across
+    colorings receive the same random values."""
+
+    def step(colorings: tuple[ColorMatrix, ...]) -> list[RefinementOutcome]:
+        sub = draw_substitution(max(c.r for c in colorings), m, rng)
+        return [refine_by(c, numeric_product(c, sub)) for c in colorings]
+
+    return step
 
 
 def probabilistic_step(x: ColorMatrix, m: int, rng: np.random.Generator) -> RefinementOutcome:
     """One randomized refinement pass with a fresh substitution."""
-    sub = draw_substitution(x.r, m, rng)
-    return refine_by(x, numeric_product(x, sub).cells)
+    (outcome,) = _substitution_steps(m, rng)((x,))
+    return outcome
 
 
-def _is_discrete(x: ColorMatrix) -> bool:
-    """Every cell has its own color, so no refinement step can split a class."""
-    return x.r == x.n * x.n
+def _monte_carlo_run(
+    inputs: tuple[ColorMatrix, ...], params: RunParams
+) -> tuple[tuple[WlResult, ...], tuple[int, ...], tuple[bool, ...]]:
+    """:func:`refine_lockstep` with Monte Carlo steps on the seeded stream.
 
-
-def _lockstep(
-    inputs: tuple[ColorMatrix, ...],
-    params: RunParams,
-    observe: Callable[[tuple[ColorMatrix, ...]], None] | None = None,
-) -> tuple[tuple[ColorMatrix, ...], tuple[tuple[int, ...], ...], str]:
-    """Rainbow-refine same-size colorings, then refine them in lockstep.
-
-    Each iteration draws one substitution sized for the largest color count
-    and applies it to every coloring; ``observe`` sees the rainbow-refined
-    start and the colorings after each iteration.  Before each iteration the
-    run stops with ``"discrete"`` once every coloring is discrete; otherwise
-    the theoretical policy stops after its budget and the practical one
-    after ``patience`` iterations in which nothing split.  Returns the final
-    colorings, one class-count trace per coloring, and the stopping reason.
-    Only the current colorings are kept, not the start.
+    The theoretical policy runs its budget: a patience equal to the budget
+    never stops a run first.  The practical policy has no budget.
     """
-    rng = np.random.default_rng(params.seed)
     policy = params.policy
-    n = inputs[0].n
-    budget = iteration_budget(n, policy.growth_constant)
-    cap = (n * n + 2) * (policy.patience + 1) * len(inputs)
-    current = tuple(rainbow_refine(x) for x in inputs)
-    traces: tuple[list[int], ...] = tuple([] for _ in inputs)
-    steps = quiet = 0
-    while True:
-        if observe is not None:
-            observe(current)
-        if all(_is_discrete(c) for c in current):
-            reason = "discrete"
-            break
-        if policy.kind == "theoretical":
-            if steps == budget:
-                reason = "budget_exhausted"
-                break
-        elif quiet == policy.patience:
-            reason = "stable"
-            break
-        elif steps > cap:
-            raise RefinementInvariantError("run did not stabilize within its structural cap")
-        sub = draw_substitution(max(c.r for c in current), params.m, rng)
-        outcomes = [refine_by(c, numeric_product(c, sub).cells) for c in current]
-        current = tuple(out.result for out in outcomes)
-        for trace, c in zip(traces, current):
-            trace.append(c.r)
-        steps += 1
-        quiet = 0 if any(out.refined for out in outcomes) else quiet + 1
-    return current, tuple(tuple(t) for t in traces), reason
+    step = _substitution_steps(params.m, np.random.default_rng(params.seed))
+    if policy.kind == "practical":
+        return refine_lockstep(inputs, step, policy.patience)
+    budget = iteration_budget(inputs[0].n, policy.growth_constant)
+    return refine_lockstep(inputs, step, budget, budget)
 
 
 def probabilistic_closure(x: ColorMatrix, params: RunParams) -> WlResult:
@@ -216,8 +171,8 @@ def probabilistic_closure(x: ColorMatrix, params: RunParams) -> WlResult:
     is exact: every iterate is at most as fine as the exact closure, so a
     discrete iterate is the closure.
     """
-    (closure,), (trace,), reason = _lockstep((x,), params)
-    return WlResult(closure, len(trace), trace, reason)
+    (result,), _, _ = _monte_carlo_run((x,), params)
+    return result
 
 
 def check_coherent(x: ColorMatrix, m: int, trials: int, rng: np.random.Generator) -> bool:
@@ -231,7 +186,7 @@ def check_coherent(x: ColorMatrix, m: int, trials: int, rng: np.random.Generator
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
-    if _is_discrete(x):
+    if is_discrete(x):
         return True
     if not is_rainbow(x):
         return False
@@ -269,17 +224,18 @@ class PairedRun:
 
     Unpacks as ``(first, second, mapping)``.  ``mapping`` is a candidate
     vertex bijection read off the loop colors when both closures are
-    discrete, else ``None``.  ``counts_trace[i]`` holds both sides' per-color
-    cell counts after ``i`` steps (entry 0 is the rainbow-refined start);
-    isomorphic inputs produce identical count vectors at every step.  Both
-    results share the stopping reason and iteration count; the run stops
-    with ``"discrete"`` once both sides are discrete.
+    discrete, else ``None``.  ``iteration_trace[i]`` is ``(classes of
+    first, classes of second, counts agree)`` after ``i`` steps (entry 0 is
+    the rainbow-refined start), where ``counts agree`` says whether both
+    sides had the same cell count per color id; isomorphic inputs agree at
+    every step.  Both results share the stopping reason and iteration count;
+    the run stops with ``"discrete"`` once both sides are discrete.
     """
 
     first: WlResult
     second: WlResult
     mapping: tuple[int, ...] | None
-    counts_trace: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    iteration_trace: tuple[tuple[int, int, bool], ...]
 
     def __iter__(self):
         yield self.first
@@ -311,13 +267,6 @@ def paired_closure(x: ColorMatrix, y: ColorMatrix, params: RunParams) -> PairedR
     """
     if x.n != y.n:
         raise InputError("paired inputs must have the same size")
-    counts: list[tuple[tuple[int, ...], ...]] = []
-    (a, b), (trace_a, trace_b), reason = _lockstep(
-        (x, y), params, lambda pair: counts.append(tuple(color_counts(c) for c in pair))
-    )
-    return PairedRun(
-        WlResult(a, len(trace_a), trace_a, reason),
-        WlResult(b, len(trace_b), trace_b, reason),
-        _loop_mapping(a, b),
-        tuple(counts),
-    )
+    (first, second), (start_a, start_b), agree = _monte_carlo_run((x, y), params)
+    classes = zip((start_a, *first.trace), (start_b, *second.trace), agree)
+    return PairedRun(first, second, _loop_mapping(first.closure, second.closure), tuple(classes))

@@ -8,6 +8,7 @@ the two is meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,28 @@ def brute_rainbow(grid: list[list[int]]) -> list[list[int]]:
             keys[(u, v)] = (grid[u][v], sentinel if u == v else grid[v][u])
     ranked = {key: i + 1 for i, key in enumerate(sorted(set(keys.values())))}
     return [[ranked[keys[(u, v)]] for v in range(n)] for u in range(n)]
+
+
+@dataclass(frozen=True)
+class FingerprintMatrix:
+    """Per-cell fingerprints: ``cells[u][v]`` is a sorted tuple of ``((left, right), count)``."""
+
+    n: int
+    cells: tuple
+
+
+def noncommutative_product(grid: list[list[int]]) -> FingerprintMatrix:
+    """Fingerprint every cell by its multiset of (row color, column color) pairs."""
+    n = len(grid)
+    columns = [list(col) for col in zip(*grid)]
+    rows = []
+    for u in range(n):
+        row = []
+        for v in range(n):
+            counts = Counter(zip(grid[u], columns[v]))
+            row.append(tuple(sorted(counts.items())))
+        rows.append(tuple(row))
+    return FingerprintMatrix(n, tuple(rows))
 
 
 def brute_step(grid: list[list[int]]) -> tuple[bool, list[list[int]]]:
@@ -57,21 +80,18 @@ def sorted_tuple_ranks(pairs: list[tuple]) -> list[int]:
     return [rank_of[pair] for pair in pairs]
 
 
-def python_refine_by(colors, values) -> tuple[bool, list[list[int]], list[int]]:
+def python_refine_by(colors, values) -> tuple[bool, list[list[int]]]:
     """Split a color grid by per-cell values, ranking (old color, value) tuples.
 
     ``values`` may be any square nest of mutually comparable values, e.g.
-    fingerprint tuples.  Returns whether the class count grew, the new grid
-    (colors ``1..count`` in pair order) and, per new color, the old color it
-    was split from.
+    fingerprint tuples.  Returns whether the class count grew and the new
+    grid (colors ``1..count`` in pair order).
     """
     n = len(colors)
     pairs = [(int(colors[u][v]), values[u][v]) for u in range(n) for v in range(n)]
     ranks = sorted_tuple_ranks(pairs)
-    parent_of = {rank: old for rank, (old, _) in zip(ranks, pairs)}
     grid = [ranks[u * n : (u + 1) * n] for u in range(n)]
-    refined = len(parent_of) > len(set(parent_of.values()))
-    return refined, grid, [parent_of[c] for c in range(1, len(parent_of) + 1)]
+    return len(set(ranks)) > len({old for old, _ in pairs}), grid
 
 
 def partition_of(grid) -> tuple[tuple[int, ...], ...]:

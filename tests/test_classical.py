@@ -5,26 +5,31 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wlclosure import (
+from wlclosure import classical
+from wlclosure.classical import classical_closure, classical_step, iteration_budget
+from wlclosure.coherence import make_fixture, verify_coherent
+from wlclosure.graph import (
     InputError,
-    classical_closure,
-    classical_step,
+    is_discrete,
     is_refinement,
     is_same_partition,
-    iteration_budget,
-    make_fixture,
-    noncommutative_product,
     permute_vertices,
     rainbow_refine,
     validate,
-    verify_coherent,
 )
 
-from oracles import brute_closure, brute_step, partition_of, python_refine_by, random_grid
+from oracles import (
+    brute_closure,
+    brute_step,
+    noncommutative_product,
+    partition_of,
+    python_refine_by,
+    random_grid,
+)
 
 
 def test_noncommutative_product_frozen_2x2():
-    fp = noncommutative_product(validate([[1, 2], [2, 1]]))
+    fp = noncommutative_product([[1, 2], [2, 1]])
     assert fp.n == 2
     assert fp.cells[0][0] == (((1, 1), 1), ((2, 2), 1))
     assert fp.cells[0][1] == (((1, 2), 1), ((2, 1), 1))
@@ -33,13 +38,13 @@ def test_noncommutative_product_frozen_2x2():
 
 
 def test_noncommutative_product_uniform_counts():
-    fp = noncommutative_product(validate([[1, 1], [1, 1]]))
+    fp = noncommutative_product([[1, 1], [1, 1]])
     assert fp.cells[0][0] == (((1, 1), 2),)
     assert fp.cells[1][0] == (((1, 1), 2),)
 
 
 def test_noncommutative_product_single_vertex():
-    fp = noncommutative_product(validate([[1]]))
+    fp = noncommutative_product([[1]])
     assert fp.cells == (((((1, 1), 1),),),)
 
 
@@ -52,10 +57,10 @@ def test_classical_step_equals_literal_fingerprint_refinement(seed):
     if seed % 2:
         x = rainbow_refine(x)
     fast = classical_step(x)
-    refined, grid, parents = python_refine_by(x.cells.tolist(), noncommutative_product(x).cells)
-    assert fast.result.cells.tolist() == grid
+    grid = x.cells.tolist()
+    refined, expected = python_refine_by(grid, noncommutative_product(grid).cells)
+    assert fast.result.cells.tolist() == expected
     assert fast.refined == refined
-    assert fast.old_to_new.tolist() == parents
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -91,6 +96,24 @@ def test_classical_closure_single_vertex_is_input():
     res = classical_closure(validate([[1]]))
     assert res.closure.cells.tolist() == [[1]]
     assert res.closure.r == 1
+    # one cell is already discrete: the run takes no step
+    assert (res.iterations, res.trace, res.stopping_reason) == (0, (), "discrete")
+
+
+def test_classical_closure_stops_once_discrete(monkeypatch):
+    """A random n=64 input is discrete after one step, so the run stops there
+    with the closure that iterating ``classical_step`` by hand reaches."""
+    x = validate(random_grid(np.random.default_rng(19), 64, 3))
+    res = classical_closure(x)
+    assert (res.iterations, res.trace, res.stopping_reason) == (1, (64 * 64,), "discrete")
+    current = rainbow_refine(x)
+    while (out := classical_step(current)).refined:
+        current = out.result
+    assert res.closure.cells.tolist() == current.cells.tolist()
+    monkeypatch.setattr(classical, "is_discrete", lambda c: False)
+    full = classical_closure(x)
+    assert (full.iterations, full.trace, full.stopping_reason) == (2, (4096, 4096), "stable")
+    assert full.closure.cells.tolist() == res.closure.cells.tolist()
 
 
 def test_classical_closure_path3_splits_middle_vertex():
@@ -125,11 +148,15 @@ def test_classical_closure_is_a_fixed_point(seed):
 def test_classical_closure_trace_monotone_and_refining(seed):
     rng = np.random.default_rng(800 + seed)
     x = validate(random_grid(rng, int(rng.integers(2, 16)), 2))
+    start = rainbow_refine(x)
     res = classical_closure(x)
-    assert res.iterations == len(res.trace) >= 1
-    assert all(a <= b for a, b in zip(res.trace, res.trace[1:]))
-    assert res.trace[-1] == res.closure.r
-    assert is_refinement(res.closure, rainbow_refine(x))
+    # a discrete start takes no step; any other run takes at least one
+    assert res.iterations == len(res.trace) >= (0 if is_discrete(start) else 1)
+    counts = (start.r, *res.trace)
+    assert all(a <= b for a, b in zip(counts, counts[1:]))
+    assert counts[-1] == res.closure.r
+    assert res.stopping_reason == ("discrete" if is_discrete(res.closure) else "stable")
+    assert is_refinement(res.closure, start)
 
 
 @pytest.mark.parametrize("seed", range(8))

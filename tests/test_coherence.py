@@ -7,18 +7,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wlclosure import (
-    InputError,
-    classical_closure,
-    classical_step,
-    fixture_names,
-    is_rainbow,
-    make_fixture,
-    permute_vertices,
-    rainbow_refine,
-    validate,
-    verify_coherent,
-)
+from wlclosure.classical import classical_closure, classical_step
+from wlclosure.coherence import fixture_names, make_fixture, verify_coherent
+from wlclosure.graph import InputError, is_rainbow, permute_vertices, rainbow_refine, validate
 
 from oracles import random_grid
 

@@ -5,17 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wlclosure import (
-    ColorMatrix,
+from wlclosure.classical import classical_closure
+from wlclosure.coherence import make_fixture
+from wlclosure.graph import ColorMatrix, is_same_partition, permute_vertices, validate
+from wlclosure.io import (
     GraphFileError,
-    classical_closure,
     format_graph_text,
     input_digest,
-    is_same_partition,
-    make_fixture,
     parse_graph_text,
     read_graph_file,
-    validate,
     write_graph_file,
 )
 from wlclosure.cli import main
@@ -131,6 +129,18 @@ def test_cli_close_exact(tmp_path, capsys):
     assert is_same_partition(closure, classical_closure(x).closure)
 
 
+def test_cli_close_exact_stops_discrete_on_random_input(tmp_path, capsys):
+    x = validate(random_grid(np.random.default_rng(23), 12, 3))
+    path = tmp_path / "g.wl"
+    write_graph_file(path, x)
+    code, out, _ = run_cli(capsys, "close", str(path), "--mode", "exact")
+    assert code == 0
+    assert "stopping_reason: discrete" in out
+    assert "iterations: 1" in out
+    assert "trace: 144" in out.splitlines()
+    assert "classes_out: 144" in out
+
+
 def test_cli_close_mc_matches_exact_and_reproduces(tmp_path, capsys):
     rng = np.random.default_rng(21)
     x = validate(random_grid(rng, 12, 3))
@@ -221,8 +231,6 @@ def test_cli_check_exit_codes(tmp_path, capsys):
 
 
 def test_cli_isopair_verified_mapping(tmp_path, capsys):
-    from wlclosure import permute_vertices
-
     rng = np.random.default_rng(31)
     x = validate(random_grid(rng, 9, 3))
     y = permute_vertices(x, rng.permutation(9))

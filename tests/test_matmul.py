@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wlclosure import InputError, OverflowGuardError, multiply
+from wlclosure.graph import InputError
+from wlclosure.matmul import OverflowGuardError, multiply
 
 from oracles import python_matmul
 

@@ -9,33 +9,32 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wlclosure import (
+from wlclosure import classical
+from wlclosure.classical import classical_closure, classical_step, iteration_budget
+from wlclosure.coherence import make_fixture
+from wlclosure.graph import (
     ColorMatrix,
     InputError,
-    OverflowGuardError,
+    is_color_isomorphism,
+    is_refinement,
+    is_same_partition,
+    permute_vertices,
+    rainbow_refine,
+    validate,
+)
+from wlclosure.matmul import OverflowGuardError
+from wlclosure.probabilistic import (
     RandomSubstitution,
     RunParams,
     StoppingPolicy,
     check_coherent,
-    classical_closure,
-    classical_step,
     draw_substitution,
     error_bound,
-    is_refinement,
-    is_color_isomorphism,
-    is_same_partition,
-    iteration_budget,
-    make_fixture,
     numeric_product,
     paired_closure,
-    permute_vertices,
     probabilistic_closure,
     probabilistic_step,
-    rainbow_refine,
-    validate,
 )
-
-from wlclosure import probabilistic
 
 from oracles import python_matmul, random_grid
 
@@ -82,17 +81,17 @@ def test_numeric_product_frozen_example():
     x = ColorMatrix(np.array([[2, 1], [1, 2]]), 2)
     sub_left = np.array([3, 5], dtype=np.int64)
     sub_right = np.array([2, 7], dtype=np.int64)
-    vm = numeric_product(x, RandomSubstitution(10, sub_left, sub_right))
-    assert vm.cells.tolist() == [[41, 31], [31, 41]]
-    assert vm.n == 2
+    product = numeric_product(x, RandomSubstitution(10, sub_left, sub_right))
+    assert product.tolist() == [[41, 31], [31, 41]]
+    assert product.dtype == np.int64
 
 
 def test_numeric_product_uniform_is_constant():
     x = validate([[1] * 3] * 3)
-    vm = numeric_product(
+    product = numeric_product(
         x, RandomSubstitution(10, np.array([4], dtype=np.int64), np.array([9], dtype=np.int64))
     )
-    assert (vm.cells == 3 * 4 * 9).all()
+    assert (product == 3 * 4 * 9).all()
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -101,9 +100,9 @@ def test_numeric_product_entries_stay_in_guaranteed_range(seed):
     n = int(rng.integers(1, 20))
     m = int(rng.integers(2, 1000))
     x = validate(random_grid(rng, n, int(rng.integers(1, 6))))
-    vm = numeric_product(x, draw_substitution(x.r, m, rng))
-    assert int(vm.cells.min()) >= n
-    assert int(vm.cells.max()) <= n * m * m
+    product = numeric_product(x, draw_substitution(x.r, m, rng))
+    assert int(product.min()) >= n
+    assert int(product.max()) <= n * m * m
 
 
 def test_numeric_product_backends_bit_identical():
@@ -114,7 +113,7 @@ def test_numeric_product_backends_bit_identical():
         sub = draw_substitution(x.r, m, np.random.default_rng(3))
         left = sub.left[x.cells - 1].tolist()
         right = sub.right[x.cells - 1].tolist()
-        assert numeric_product(x, sub).cells.tolist() == python_matmul(left, right)
+        assert numeric_product(x, sub).tolist() == python_matmul(left, right)
 
 
 def test_numeric_product_overflow_guard():
@@ -208,7 +207,7 @@ def test_discrete_exit_returns_the_closure_of_a_run_without_it(policy, monkeypat
     assert res.stopping_reason == "discrete"
     assert res.closure.r == 100 and res.trace[-1] == 100
     assert res.iterations == len(res.trace) and 100 not in res.trace[:-1]
-    monkeypatch.setattr(probabilistic, "_is_discrete", lambda c: False)
+    monkeypatch.setattr(classical, "is_discrete", lambda c: False)
     full = probabilistic_closure(x, params)
     assert full.stopping_reason != "discrete"
     assert full.iterations > res.iterations
@@ -225,7 +224,7 @@ def test_single_vertex_runs_zero_steps(policy):
     run = paired_closure(x, x, RunParams(10**6, policy, 0))
     assert run.first.iterations == run.second.iterations == 0
     assert run.first.stopping_reason == "discrete"
-    assert len(run.counts_trace) == 1
+    assert run.iteration_trace == ((1, 1, True),)
     assert run.mapping == (0,)
 
 
@@ -329,8 +328,8 @@ def test_paired_closure_isomorphic_inputs_run_identically(seed):
     perm = rng.permutation(n)
     y = permute_vertices(x, perm)
     run = paired_closure(x, y, RunParams(10**6, StoppingPolicy.practical(3), seed))
-    for counts_x, counts_y in run.counts_trace:
-        assert counts_x == counts_y
+    for classes_x, classes_y, agree in run.iteration_trace:
+        assert agree and classes_x == classes_y
     assert run.first.trace == run.second.trace
     if run.mapping is not None:
         assert is_color_isomorphism(x, y, run.mapping)
@@ -352,7 +351,7 @@ def test_paired_closure_stops_once_both_sides_are_discrete():
     x = validate(random_grid(rng, 64, 3))
     y = permute_vertices(x, rng.permutation(64))
     run = paired_closure(x, y, RunParams(10**6, StoppingPolicy.practical(3), 6))
-    assert len(run.counts_trace) == 2
+    assert run.iteration_trace == ((run.iteration_trace[0][0],) * 2 + (True,), (4096, 4096, True))
     assert run.first.trace == run.second.trace == (64 * 64,)
     assert run.first.stopping_reason == run.second.stopping_reason == "discrete"
     assert is_color_isomorphism(x, y, run.mapping)
@@ -373,7 +372,8 @@ def test_paired_closure_divergence_for_cycle_vs_path():
         make_fixture("path", 5),
         RunParams(10**6, StoppingPolicy.practical(3), 2),
     )
-    assert run.counts_trace[0][0] != run.counts_trace[0][1]
+    assert not run.iteration_trace[0][2]
+    assert len(run.iteration_trace) == run.first.iterations + 1
     assert run.mapping is None
 
 
