@@ -33,7 +33,7 @@ from .io import (
     format_graph_text,
     input_digest,
     read_graph_file,
-    parse_graph_raw,
+    read_graph_raw,
     write_graph_file,
 )
 from .matmul import OverflowGuardError
@@ -152,13 +152,8 @@ def cmd_isopair(args) -> int:
     """Color ids compare by value across the two files: a pair produced from
     one graph (e.g. by permuting vertices) must be written with a shared
     vocabulary, see ``format_graph_text(..., canonical=False)``."""
-    try:
-        with open(args.first, "r", encoding="ascii") as handle:
-            raw_a = parse_graph_raw(handle.read())
-        with open(args.second, "r", encoding="ascii") as handle:
-            raw_b = parse_graph_raw(handle.read())
-    except OSError as exc:
-        raise GraphFileError(str(exc)) from exc
+    raw_a = read_graph_raw(args.first)
+    raw_b = read_graph_raw(args.second)
     if raw_a.shape != raw_b.shape:
         raise GraphFileError(
             f"input size mismatch: {raw_a.shape[0]} vs {raw_b.shape[0]} vertices"

@@ -32,18 +32,56 @@ def _as_grid(raw) -> np.ndarray:
         raise InputError(f"expected a non-empty square grid, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise InputError(f"expected integer entries, got dtype {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+    # int32 grids (the parser's, when every id fits) are read as they are
+    return arr if arr.dtype == np.int32 else arr.astype(np.int64, copy=False)
+
+
+def _id_presence(flat: np.ndarray) -> np.ndarray | None:
+    """Table ``seen`` with ``seen[i]`` true when id ``i`` occurs in ``flat``.
+
+    Built only for dense ids -- non-negative and at most ``len(flat)``, so the
+    table takes at most one byte per entry; ``None`` for sparse ids.
+    """
+    hi = int(flat.max())
+    if flat.min() < 0 or hi > len(flat):
+        return None
+    seen = np.zeros(hi + 1, dtype=bool)
+    seen[flat] = True
+    return seen
+
+
+def count_distinct(flat: np.ndarray) -> int:
+    """Number of distinct values; a sort only for sparse ids."""
+    seen = _id_presence(flat)
+    return len(np.unique(flat)) if seen is None else int(np.count_nonzero(seen))
 
 
 def _first_occurrence_relabel(flat: np.ndarray) -> tuple[np.ndarray, int]:
     """Renumber values to 1..r in order of first appearance.
 
-    Returns the relabeled array and the number of distinct values.
+    Returns the relabeled int64 array and the number of distinct values.
+    Dense ids need no sort of the cells: when every cell is distinct the
+    labels are the positions; otherwise ``np.minimum.at`` finds each id's
+    first position and one ``argsort`` over the ``r`` distinct ids ranks
+    them.  Sparse ids fall back to ``np.unique``.
     """
-    uniq, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    # rank of each distinct value by its first position in the array
-    rank_by_first = np.argsort(np.argsort(first))
-    return rank_by_first[inverse] + 1, len(uniq)
+    size = len(flat)
+    seen = _id_presence(flat)
+    if seen is None:
+        uniq, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+        # rank of each distinct value by its first position in the array
+        rank_by_first = np.argsort(np.argsort(first))
+        return rank_by_first[inverse] + 1, len(uniq)
+    r = int(np.count_nonzero(seen))
+    if r == size:
+        return np.arange(1, size + 1, dtype=np.int64), r
+    ids = np.flatnonzero(seen)
+    del seen
+    first = np.full(int(ids[-1]) + 1, size, dtype=np.int64)
+    np.minimum.at(first, flat, np.arange(size))
+    # ``first`` becomes the label table; entries of absent ids are never read
+    first[ids[np.argsort(first[ids])]] = np.arange(1, r + 1)
+    return first[flat], r
 
 
 def _dense_rank(values: np.ndarray, out: np.ndarray) -> int:
@@ -116,11 +154,8 @@ class ColorMatrix:
             cells = self.cells
         if self.r < 1:
             raise InputError(f"color count must be >= 1, got {self.r}")
-        try:
-            counts = np.bincount(cells.ravel(), minlength=self.r + 1)
-        except ValueError as exc:  # negative entries
-            raise InputError("color ids must be positive") from exc
-        if len(counts) != self.r + 1 or counts[0] != 0 or not counts[1:].all():
+        seen = _id_presence(cells.ravel())  # None: a negative id, or more ids than cells
+        if seen is None or len(seen) != self.r + 1 or seen[0] or np.count_nonzero(seen) != self.r:
             raise InputError(f"colors must be exactly 1..{self.r}, all used")
         cells.setflags(write=False)
 
@@ -161,8 +196,13 @@ def normalize_by_value(raw) -> ColorMatrix:
     arr = _as_grid(raw)
     if arr.min() <= 0:
         raise InputError("color ids must be positive")
-    uniq, inverse = np.unique(arr.ravel(), return_inverse=True)
-    return ColorMatrix((inverse + 1).reshape(arr.shape), len(uniq))
+    flat = arr.ravel()
+    seen = _id_presence(flat)
+    if seen is None:
+        uniq, inverse = np.unique(flat, return_inverse=True)
+        return ColorMatrix((inverse + 1).reshape(arr.shape), len(uniq))
+    rank = np.cumsum(seen)  # rank[i]: distinct ids <= i
+    return ColorMatrix(rank[flat].reshape(arr.shape), int(rank[-1]))
 
 
 def rainbow_refine(x: ColorMatrix) -> ColorMatrix:

@@ -1,10 +1,16 @@
 """Graph file format and run reports.
 
-A graph file is plain text: a header line ``wlgraph <n> <r>``, then ``n``
-rows of ``n`` positive integers.  Lines starting with ``#`` are comments and
-blank lines are ignored.  The writer always emits the canonical form --
-colors renumbered ``1..r`` in first-occurrence order, no comments -- so a
+A graph file is ASCII text: a header line ``wlgraph <n> <r>``, then ``n``
+rows of ``n`` color ids.  An id is a run of ASCII digits with a value from 1
+to 2**63 - 1; ids and header fields are separated by spaces or tabs, and
+lines end in ``\n``, ``\r\n`` or ``\r``.  Lines whose first non-blank
+character is ``#`` are comments; comments and blank lines are ignored.  The
+writer always emits the canonical form -- colors renumbered ``1..r`` in
+first-occurrence order, single spaces, ``\n`` line ends, no comments -- so a
 parse/write round trip is bit-stable after one canonicalization.
+
+Both directions are vectorized over blocks of rows of about
+``_BLOCK_CELLS`` cells, so their working set stays a few MiB at any n.
 
 Run reports are ``key: value`` lines in a fixed order.  Wall-time keys are
 prefixed ``wall_`` and grouped last; everything above them is byte-identical
@@ -15,82 +21,235 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import tempfile
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .graph import ColorMatrix, InputError, validate
+from .graph import INT64_MAX, ColorMatrix, InputError, count_distinct, validate
 
 HEADER_TAG = "wlgraph"
+_BLOCK_CELLS = 1 << 15
+_INT32_MAX = 2**31 - 1
+_MAX_DIGITS = len(str(INT64_MAX))  # 19
+
+_NOT_BLANK = re.compile(rb"[^ \t]")
+_FIELD = re.compile(rb"[^ \t]+")
 
 
 class GraphFileError(InputError):
     """The text does not encode a valid colored complete digraph."""
 
 
-def parse_graph_raw(text: str) -> np.ndarray:
-    """Parse to the raw color grid, validated but not renumbered."""
-    lines = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            lines.append(stripped)
-    if not lines:
-        raise GraphFileError("empty input")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != HEADER_TAG:
-        raise GraphFileError(f"header must be '{HEADER_TAG} <n> <r>', got {lines[0]!r}")
-    try:
-        n, r = int(head[1]), int(head[2])
-    except ValueError as exc:
-        raise GraphFileError(f"bad header numbers in {lines[0]!r}") from exc
+def _content_lines(data: bytes) -> list[tuple[int, int]]:
+    """Spans of the ``\n``-separated lines that are neither blank nor
+    comments, leading blanks cut."""
+    spans = []
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start)
+        if end < 0:
+            end = len(data)
+        first = _NOT_BLANK.search(data, start, end)
+        if first is not None:
+            if data[first.start()] != ord("#"):
+                spans.append((first.start(), end))
+            elif not data[start:end].isascii():
+                raise GraphFileError("comment line has a non-ASCII byte")
+        start = end + 1
+    return spans
+
+
+def _parse_header(line: bytes) -> tuple[int, int]:
+    fields = _FIELD.findall(line)
+    shown = line.decode("ascii", "replace").rstrip(" \t")
+    if len(fields) != 3 or fields[0] != HEADER_TAG.encode():
+        raise GraphFileError(f"header must be '{HEADER_TAG} <n> <r>', got {shown!r}")
+    if not (fields[1].isdigit() and fields[2].isdigit()):
+        raise GraphFileError(f"bad header numbers in {shown!r}")
+    n, r = int(fields[1]), int(fields[2])
     if n < 1 or r < 1:
         raise GraphFileError(f"header sizes must be positive, got n={n} r={r}")
-    if len(lines) != n + 1:
-        raise GraphFileError(f"expected {n} rows, found {len(lines) - 1}")
-    grid = np.empty((n, n), dtype=np.int64)
-    for i, line in enumerate(lines[1:]):
-        tokens = line.split()
-        if len(tokens) != n:
-            raise GraphFileError(f"row {i} has {len(tokens)} entries, expected {n}")
-        try:
-            grid[i] = [int(t) for t in tokens]
-        except ValueError as exc:
-            raise GraphFileError(f"row {i} has a non-integer entry") from exc
+    return n, r
+
+
+def _decode_rows(chunk: bytes, n: int, first_row: int) -> np.ndarray:
+    """Ids of consecutive rows joined by ``\n``, row-major, as uint64.
+
+    An entry is a maximal run of bytes that are not blanks or row ends, as
+    ``str.split`` would cut it; a row must have ``n`` entries, each a run of
+    ASCII digits worth at most ``2**63 - 1``.  The first failing row is
+    named, its entry count checked before its bytes, as a row-by-row parse
+    would.
+    """
+    buf = np.frombuffer(chunk, dtype=np.uint8)
+    digits = buf - np.uint8(ord("0"))  # wraps for bytes below '0'
+    row_end = buf == ord("\n")
+    in_entry = ~((buf == ord(" ")) | (buf == ord("\t")) | row_end)
+    bounds = np.flatnonzero(np.diff(in_entry, prepend=False, append=False))
+    starts, ends = bounds[0::2], bounds[1::2]
+    row_ends = np.flatnonzero(row_end)
+    counts = np.diff(np.searchsorted(starts, row_ends), prepend=0, append=len(starts))
+    bad_count = np.flatnonzero(counts != n)
+    bad_byte = np.flatnonzero(in_entry & (digits > 9))
+    count_row = int(bad_count[0]) if len(bad_count) else None
+    byte_row = int(np.searchsorted(row_ends, bad_byte[0])) if len(bad_byte) else None
+    if count_row is not None and (byte_row is None or count_row <= byte_row):
+        raise GraphFileError(
+            f"row {first_row + count_row} has {counts[count_row]} entries, expected {n}"
+        )
+    if byte_row is not None:
+        raise GraphFileError(f"row {first_row + byte_row} has a non-integer entry")
+    # the last (at most 19) digits of each entry right-aligned in a window,
+    # the bytes before its first digit zeroed, then Horner over the columns
+    lengths = ends - starts
+    width = min(int(lengths.max()), _MAX_DIGITS)
+    padded = np.concatenate((np.zeros(width, dtype=np.uint8), digits))
+    columns = np.lib.stride_tricks.sliding_window_view(padded, width)[ends]
+    columns[np.arange(width) < (width - lengths)[:, None]] = 0
+    del padded
+    values = np.zeros(len(ends), dtype=np.uint64)
+    for column in columns.T:
+        values *= np.uint64(10)
+        values += column
+    if width == _MAX_DIGITS:
+        # 19 digits fit uint64; any digits before them must be leading zeros
+        big = values > INT64_MAX
+        longer = np.flatnonzero(lengths > _MAX_DIGITS)
+        if len(longer):
+            nonzero = np.concatenate(([0], np.cumsum(digits != 0)))
+            big[longer] |= nonzero[ends[longer] - _MAX_DIGITS] > nonzero[starts[longer]]
+        big = np.flatnonzero(big)
+        if len(big):
+            raise GraphFileError(
+                f"row {first_row + int(big[0]) // n} has a color id above 2^63-1"
+            )
+    return values
+
+
+def parse_graph_raw(text: str | bytes) -> np.ndarray:
+    """Parse to the raw color grid, validated but not renumbered.
+
+    The grid is int32 when every id fits, else int64.  A ``str`` is read as
+    its UTF-8 bytes, so a non-ASCII character is an invalid byte.
+    """
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    if b"\r" in data:  # a line end too; "\r\n" then reads as a line end and a blank line
+        data = data.replace(b"\r", b"\n")
+    spans = _content_lines(data)
+    if not spans:
+        raise GraphFileError("empty input")
+    n, r = _parse_header(data[slice(*spans[0])])
+    if len(spans) != n + 1:
+        raise GraphFileError(f"expected {n} rows, found {len(spans) - 1}")
+    # a row of n entries spans at least 2n - 1 bytes; a body too short for
+    # that has a short row, which decoding names before any grid is needed
+    grid = None
+    if sum(e - s for s, e in spans[1:]) >= n * (2 * n - 1):
+        grid = np.empty((n, n), dtype=np.int32)
+    rows = max(1, _BLOCK_CELLS // n)
+    for top in range(0, n, rows):
+        block = spans[1 + top : 1 + top + rows]
+        values = _decode_rows(b"\n".join([data[s:e] for s, e in block]), n, top)
+        if grid is None:
+            continue
+        if grid.dtype == np.int32 and values.max() > _INT32_MAX:
+            grid = grid.astype(np.int64)
+        grid[top : top + len(block)] = values.reshape(len(block), n)
     if grid.min() <= 0:
         raise GraphFileError("color ids must be positive")
-    distinct = len(np.unique(grid))
+    distinct = count_distinct(grid.ravel())
     if distinct != r:
         raise GraphFileError(f"header declares {r} colors, grid uses {distinct}")
     return grid
 
 
-def parse_graph_text(text: str) -> ColorMatrix:
-    """Parse and canonicalize a graph file's content."""
+def _canonical(raw: np.ndarray) -> ColorMatrix:
     try:
-        return validate(parse_graph_raw(text))
+        return validate(raw)
     except GraphFileError:
         raise
     except InputError as exc:
         raise GraphFileError(str(exc)) from exc
 
 
-def read_graph_file(path) -> ColorMatrix:
+def parse_graph_text(text: str | bytes) -> ColorMatrix:
+    """Parse and canonicalize a graph file's content."""
+    return _canonical(parse_graph_raw(text))
+
+
+def read_graph_raw(path) -> np.ndarray:
+    """Read a graph file to its raw grid, see :func:`parse_graph_raw`."""
     try:
-        with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise GraphFileError(f"cannot read {path}: {exc}") from exc
-    return parse_graph_text(text)
+    return parse_graph_raw(data)
+
+
+def read_graph_file(path) -> ColorMatrix:
+    # the file's bytes are released before the grid is renumbered
+    return _canonical(read_graph_raw(path))
 
 
 def _in_first_occurrence_order(cells: np.ndarray) -> bool:
     """True when the colors already are the canonical ``1..r`` by first
     occurrence: the first cell is 1 and each cell exceeds the running maximum
-    of the cells before it by at most one.  Much cheaper than renumbering."""
+    of the cells before it by at most one.  Much cheaper than renumbering;
+    checked a block at a time."""
     flat = cells.ravel()
-    return bool(flat[0] == 1 and (flat[1:] <= np.maximum.accumulate(flat)[:-1] + 1).all())
+    top = 0
+    for start in range(0, len(flat), _BLOCK_CELLS):
+        block = flat[start : start + _BLOCK_CELLS]
+        bound = np.maximum.accumulate(block)
+        np.maximum(bound, top, out=bound)
+        if block[0] > top + 1 or (block[1:] > bound[:-1] + 1).any():
+            return False
+        top = int(bound[-1])
+    return True
+
+
+def _encode_rows(rows: np.ndarray) -> np.ndarray:
+    """ASCII text of a block of rows of positive ids, as a uint8 array.
+
+    Each id is cut into a right-aligned column of decimal digits by
+    ``divmod`` (on int32 when the ids fit); a column before an id's first
+    digit is pad and masked out.  Ids are separated by one space and each
+    row ends in ``\n``.
+    """
+    hi = int(rows.max())
+    width = len(str(hi))
+    quotient = rows.astype(np.int32 if hi <= _INT32_MAX else np.int64)
+    digit = np.empty_like(quotient)
+    text = np.empty(rows.shape + (width + 1,), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    for column in range(width - 1, -1, -1):
+        if column < width - 1:  # ids are positive: the last column is never pad
+            np.not_equal(quotient, 0, out=keep[..., column])
+        np.divmod(quotient, 10, out=(quotient, digit))
+        text[..., column] = digit
+    text[..., :width] += ord("0")
+    text[..., width] = ord(" ")
+    text[:, -1, width] = ord("\n")
+    return text[keep]
+
+
+def _canonical_chunks(x: ColorMatrix, canonical: bool = True) -> Iterator[bytes | np.ndarray]:
+    """The file text of ``x`` as ASCII chunks: the header, then blocks of rows.
+
+    With ``canonical`` (the default) colors are first renumbered ``1..r``
+    in first-occurrence order; the chunks are bytes-like, for a binary
+    file, a hash or ``b"".join``.
+    """
+    if canonical and not _in_first_occurrence_order(x.cells):
+        x = validate(x.cells)
+    yield f"{HEADER_TAG} {x.n} {x.r}\n".encode("ascii")
+    rows = max(1, _BLOCK_CELLS // x.n)
+    for top in range(0, x.n, rows):
+        yield _encode_rows(x.cells[top : top + rows])
 
 
 def format_graph_text(x: ColorMatrix, canonical: bool = True) -> str:
@@ -101,22 +260,16 @@ def format_graph_text(x: ColorMatrix, canonical: bool = True) -> str:
     paired run (ids compare by value across the two files there, and the
     canonical renumbering depends on where colors first occur).
     """
-    out = validate(x.cells) if canonical and not _in_first_occurrence_order(x.cells) else x
-    lines = [f"{HEADER_TAG} {out.n} {out.r}"]
-    lines.extend(" ".join(str(int(c)) for c in row) for row in out.cells)
-    return "\n".join(lines) + "\n"
+    return b"".join(_canonical_chunks(x, canonical)).decode("ascii")
 
 
 def write_graph_file(path, x: ColorMatrix, canonical: bool = True) -> None:
     """Write atomically: the file appears complete or not at all."""
-    text = format_graph_text(x, canonical=canonical)
     directory = os.path.dirname(os.path.abspath(path))
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="ascii", dir=directory, delete=False, suffix=".tmp"
-    )
+    handle = tempfile.NamedTemporaryFile("wb", dir=directory, delete=False, suffix=".tmp")
     try:
         with handle:
-            handle.write(text)
+            handle.writelines(_canonical_chunks(x, canonical))
         os.replace(handle.name, path)
     except BaseException:
         os.unlink(handle.name)
@@ -124,8 +277,11 @@ def write_graph_file(path, x: ColorMatrix, canonical: bool = True) -> None:
 
 
 def input_digest(x: ColorMatrix) -> str:
-    """SHA-256 of the canonical text form."""
-    return hashlib.sha256(format_graph_text(x).encode("ascii")).hexdigest()
+    """SHA-256 of the canonical text form, hashed as it is encoded."""
+    digest = hashlib.sha256()
+    for chunk in _canonical_chunks(x):
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 @dataclass

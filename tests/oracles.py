@@ -111,3 +111,61 @@ def python_matmul(a, b) -> list[list[int]]:
         [sum(row[t] * b[t][j] for t in range(inner)) for j in range(cols)]
         for row in a
     ]
+
+
+def python_first_occurrence_relabel(flat) -> tuple[list[int], int]:
+    """Labels 1..r by first position, from a sorted dict of first positions."""
+    first: dict[int, int] = {}
+    for i, value in enumerate(flat):
+        first.setdefault(int(value), i)
+    label = {value: k + 1 for k, value in enumerate(sorted(first, key=first.__getitem__))}
+    return [label[int(value)] for value in flat], len(label)
+
+
+def python_format_graph_text(grid, canonical: bool = True) -> str:
+    """Writer reference: header, then each row's ids joined by single spaces.
+
+    ``canonical`` renumbers ids 1..r by first occurrence (row-major);
+    otherwise ids are written as given, which may be any positive ints.
+    """
+    rows = [[int(c) for c in row] for row in grid]
+    if canonical:
+        label: dict[int, int] = {}
+        for row in rows:
+            for c in row:
+                label.setdefault(c, len(label) + 1)
+        rows = [[label[c] for c in row] for row in rows]
+    r = len({c for row in rows for c in row})
+    lines = [f"wlgraph {len(rows)} {r}"]
+    lines.extend(" ".join(str(c) for c in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def python_parse_graph_raw(text: str) -> list[list[int]]:
+    """Reader reference, token by token with ``int()``; raises ValueError.
+
+    Agrees with the file grammar on valid files only: ``int()`` also takes
+    signs, underscores and non-ASCII digits, which the grammar rejects.
+    """
+    lines = []
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            lines.append(stripped)
+    if not lines:
+        raise ValueError("empty input")
+    head = lines[0].split()
+    if len(head) != 3 or head[0] != "wlgraph":
+        raise ValueError(f"bad header {lines[0]!r}")
+    n, r = int(head[1]), int(head[2])
+    if len(lines) != n + 1:
+        raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
+    grid = []
+    for i, line in enumerate(lines[1:]):
+        tokens = line.split()
+        if len(tokens) != n:
+            raise ValueError(f"row {i} has {len(tokens)} entries, expected {n}")
+        grid.append([int(t) for t in tokens])
+    if min(min(row) for row in grid) <= 0 or len({c for row in grid for c in row}) != r:
+        raise ValueError("bad color ids")
+    return grid

@@ -24,6 +24,7 @@ from wlclosure.graph import (
 from oracles import (
     brute_rainbow,
     partition_of,
+    python_first_occurrence_relabel,
     python_refine_by,
     random_grid,
     sorted_tuple_ranks,
@@ -73,6 +74,11 @@ def test_colormatrix_requires_contiguous_colors():
         ColorMatrix(np.array([[1, 3], [3, 1]]), 3)
     with pytest.raises(InputError):
         ColorMatrix(np.array([[1, 2], [2, 1]]), 1)
+    for cells, r in [([[0, 1], [2, 3]], 3), ([[-1, 1], [2, 3]], 3), ([[1, 5], [5, 1]], 5),
+                     ([[1, 2], [2, 1]], 5), ([[1, 2**62], [2, 1]], 2**62)]:
+        with pytest.raises(InputError):
+            ColorMatrix(np.array(cells), r)
+    assert ColorMatrix(np.array([[4, 2], [3, 1]]), 4).r == 4
 
 
 def test_colormatrix_cells_are_read_only():
@@ -260,6 +266,51 @@ def test_is_refinement_size_mismatch():
         is_refinement(validate([[1]]), validate([[1, 2], [2, 1]]))
 
 
+def _relabel_case(name):
+    rng = np.random.default_rng(61)
+    if name == "dense_small_ids":
+        return rng.integers(1, 6, 500)
+    if name == "dense_small_ids_int32":
+        return rng.integers(2, 9, 500).astype(np.int32)
+    if name == "all_distinct":
+        return rng.permutation(400) + 1
+    if name == "half_merged":
+        return rng.permutation(400) // 2 + 1
+    if name == "sparse_near_2_62":
+        return rng.integers(2**62 - 50, 2**62 + 50, 300)
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["dense_small_ids", "dense_small_ids_int32", "all_distinct", "half_merged", "sparse_near_2_62"],
+)
+def test_first_occurrence_relabel_matches_sorted_dict_oracle(name):
+    flat = _relabel_case(name)
+    labels, r = graph._first_occurrence_relabel(flat)
+    expected, expected_r = python_first_occurrence_relabel(flat.tolist())
+    assert labels.dtype == np.int64
+    assert labels.tolist() == expected and r == expected_r
+    # sparse ids take the np.unique path; every other case a presence table
+    assert (graph._id_presence(flat) is None) == (name == "sparse_near_2_62")
+    if name == "all_distinct":
+        assert labels.tolist() == list(range(1, len(flat) + 1))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_is_same_partition_matches_partition_oracle(seed):
+    rng = np.random.default_rng(800 + seed)
+    n = int(rng.integers(1, 12))
+    x = validate(random_grid(rng, n, int(rng.integers(1, 5))))
+    renamed = ColorMatrix(rng.permutation(x.r)[x.cells - 1] + 1, x.r)
+    split = refine_by(x, rng.integers(0, 2, size=(n, n), dtype=np.int64)).result
+    discrete = validate(rng.permutation(n * n).reshape(n, n) + 1)
+    for y in (x, renamed, split, discrete):
+        expected = partition_of(x.cells.tolist()) == partition_of(y.cells.tolist())
+        assert is_same_partition(x, y) == is_same_partition(y, x) == expected
+    assert is_same_partition(x, renamed)
+
+
 def test_is_same_partition_ignores_color_names():
     x = validate([[1, 2], [2, 1]])
     y = ColorMatrix(np.array([[2, 1], [1, 2]]), 2)
@@ -279,6 +330,12 @@ def test_partition_view_and_counts():
 def test_normalize_by_value_sorts_by_original_id():
     a = normalize_by_value([[9, 5], [5, 9]])
     assert a.cells.tolist() == [[2, 1], [1, 2]]
+    assert normalize_by_value(np.array([[9, 5], [5, 9]], dtype=np.int32)).cells.tolist() == [
+        [2, 1],
+        [1, 2],
+    ]
+    sparse = normalize_by_value([[2**62 + 9, 5], [5, 2**62 + 9]])
+    assert sparse.cells.tolist() == [[2, 1], [1, 2]] and sparse.r == 2
     b = validate([[9, 5], [5, 9]])
     assert b.cells.tolist() == [[1, 2], [2, 1]]
     assert is_same_partition(a, b)

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from wlclosure import io as wio
 from wlclosure.classical import classical_closure
 from wlclosure.coherence import make_fixture
 from wlclosure.graph import ColorMatrix, is_same_partition, permute_vertices, validate
@@ -12,13 +18,16 @@ from wlclosure.io import (
     GraphFileError,
     format_graph_text,
     input_digest,
+    parse_graph_raw,
     parse_graph_text,
     read_graph_file,
     write_graph_file,
 )
 from wlclosure.cli import main
 
-from oracles import random_grid
+from oracles import python_format_graph_text, python_parse_graph_raw, random_grid
+
+INT64_MAX = 2**63 - 1
 
 
 def strip_wall_lines(text: str) -> str:
@@ -75,11 +84,177 @@ def test_parse_renumbers_noncanonical_colors():
         "wlgraph 2 2\n0 1\n1 0\n",
         "wlgraph 2 3\n1 2\n2 1\n",
         "wlgraph 2 1\n1 2\n2 1\n",
+        # an entry is a run of ASCII digits: no sign, underscore or other digits
+        "wlgraph 2 2\n+1 2\n2 1\n",
+        "wlgraph 2 3\n1 2\n2 1_0\n",
+        "wlgraph 2 2\n1 2\n2 \u0661\n",
+        "wlgraph +2 2\n1 2\n2 1\n",
+        "wlgraph 2 2_0\n1 2\n2 1\n",
+        # separators are spaces and tabs; line ends are \n, \r\n and \r
+        "wlgraph 2 2\n1\u20032\n2 1\n",
+        "wlgraph 2 2\n1 2\x0c\n2 1\n",
+        "wlgraph 2 2\n1 2\x0b2 1\n",
+        "wlgraph 2 2\n1 2\n2 1\x00\n",
+        # the file is ASCII, comments included
+        "wlgraph 2 2\n1 2\n2 1\n# caf\u00e9\n",
+        "wlgraph 2 2\n1 2\n2 1\u00e9\n",
+        # ids above 2**63 - 1
+        "wlgraph 2 2\n9223372036854775808 1\n1 1\n",
+        "wlgraph 2 2\n1 1\n1 99999999999999999999\n",
+        "wlgraph 2 2\n1 1\n1 100000000000000000000000001\n",
     ],
 )
 def test_parse_rejects_malformed_files(text):
     with pytest.raises(GraphFileError):
         parse_graph_text(text)
+    with pytest.raises(GraphFileError):
+        parse_graph_raw(text.encode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("wlgraph 3 2\n1 2 1\n2 1 2\n1 +2 1\n", "row 2 has a non-integer entry"),
+        ("wlgraph 3 2\n1 2 1\n2 1\n1 x 1 1\n", "row 1 has 2 entries, expected 3"),
+        # a row's entry count is checked before its bytes
+        ("wlgraph 3 2\n1 2 1\n2 1 x 1\n1 2 1\n", "row 1 has 4 entries, expected 3"),
+        ("wlgraph 2 2\n1 2\n2 9223372036854775808\n", "row 1 has a color id above 2^63-1"),
+        ("wlgraph two 2\n1 2\n2 1\n", "bad header numbers in 'wlgraph two 2'"),
+    ],
+)
+def test_parse_errors_name_the_row(text, message):
+    with pytest.raises(GraphFileError, match=re.escape(message)):
+        parse_graph_raw(text)
+
+
+def test_parse_errors_name_rows_past_the_first_block():
+    n = 300
+    rows = [" ".join(["1"] * n)] * n
+    rows[250] = rows[250][:-1] + "z"
+    with pytest.raises(GraphFileError, match="row 250 has a non-integer entry"):
+        parse_graph_raw(f"wlgraph {n} 1\n" + "\n".join(rows) + "\n")
+
+
+def test_parse_names_a_short_row_before_allocating_the_header_size():
+    # n = 100000 would be a 40 GB grid; the 200 KB body cannot hold it
+    text = "wlgraph 100000 1\n" + "1\n" * 100000
+    with pytest.raises(GraphFileError, match="row 0 has 1 entries, expected 100000"):
+        parse_graph_raw(text)
+
+
+def test_parse_accepts_ids_up_to_int64_max():
+    text = f"wlgraph 2 2\n{INT64_MAX} 1\n1 000000000000000000000000{INT64_MAX}\n"
+    raw = parse_graph_raw(text)
+    assert raw.dtype == np.int64
+    assert raw.tolist() == [[INT64_MAX, 1], [1, INT64_MAX]]
+    assert parse_graph_text(text).cells.tolist() == [[1, 2], [2, 1]]
+
+
+def _wide_grid(rng, n, digits):
+    """Ids of 1..``digits`` digits, the widest present: sparse, as stored by value."""
+    top = min(10**digits - 1, INT64_MAX)
+    grid = rng.integers(10 ** (digits - 1), top, size=(n, n), dtype=np.int64, endpoint=True)
+    grid //= 10 ** rng.integers(0, digits, size=(n, n))
+    grid[0, 0] = top
+    return grid
+
+
+@pytest.mark.parametrize("digits", range(1, 20))
+def test_encoder_and_decoder_match_python_oracles_at_every_width(digits):
+    grid = _wide_grid(np.random.default_rng(digits), 9, digits)
+    expected = python_format_graph_text(grid, canonical=False)
+    body = wio._encode_rows(grid).tobytes().decode("ascii")
+    assert expected.endswith("\n" + body)
+    raw = parse_graph_raw(expected)
+    assert raw.tolist() == python_parse_graph_raw(expected) == grid.tolist()
+    assert raw.dtype == (np.int32 if grid.max() <= 2**31 - 1 else np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+@pytest.mark.parametrize("kind", ["three_colors", "discrete", "relabeled"])
+def test_format_matches_row_join_oracle(n, kind):
+    rng = np.random.default_rng(n)
+    if kind == "three_colors":
+        x = validate(random_grid(rng, n, 3))
+    elif kind == "discrete":
+        x = validate(rng.permutation(n * n).reshape(n, n) + 1)
+    else:  # ids stored out of first-occurrence order
+        y = validate(random_grid(rng, n, 5))
+        x = ColorMatrix((y.r + 1 - y.cells).copy(), y.r)
+    if n == 300:  # rows per text block do not divide n
+        assert n % max(1, wio._BLOCK_CELLS // n)
+    for canonical in (True, False):
+        expected = python_format_graph_text(x.cells, canonical=canonical)
+        assert format_graph_text(x, canonical=canonical) == expected
+    assert input_digest(x) == hashlib.sha256(
+        python_format_graph_text(x.cells).encode("ascii")
+    ).hexdigest()
+
+
+@pytest.mark.parametrize("n", [1, 5, 300])
+def test_parse_matches_token_oracle_with_comments_blank_lines_and_line_ends(n):
+    rng = np.random.default_rng(40 + n)
+    grid = _wide_grid(rng, n, 6)
+    grid[rng.random((n, n)) < 0.5] = 7
+    r = len(np.unique(grid))
+    ends = ["\n", "\r\n", "\r"]
+    lines = ["# leading comment", "", f"  wlgraph\t{n}  {r}\t"]
+    for row in grid.tolist():
+        if rng.random() < 0.3:
+            lines.append(rng.choice(["  # a comment 1 2 3", "#", "\t ", ""]))
+        seps = rng.choice([" ", "\t", "  ", " \t "], size=n)
+        lines.append(rng.choice(["", " ", "\t"]) + "".join(f"{c}{s}" for c, s in zip(row, seps)))
+    text = "".join(line + rng.choice(ends) for line in lines) + "# trailing comment"
+    raw = parse_graph_raw(text)
+    assert raw.tolist() == python_parse_graph_raw(text) == grid.tolist()
+    assert parse_graph_raw(text.encode("ascii")).tolist() == grid.tolist()
+
+
+# SHA-256 of the canonical text, as computed by the row-join writer: the
+# digest a report prints must not change with the encoder
+@pytest.mark.parametrize(
+    "make, hexdigest",
+    [
+        (
+            lambda: make_fixture("petersen"),
+            "471fea84f1994b161cf6123f90baaaaa096c50a6fc9e87def3aa491a6c71a1b0",
+        ),
+        (
+            lambda: make_fixture("cycle5"),
+            "f5ad46da69f24b84ee1565e3f59c40654887e3827eff0749e4ebcfd1eb4d45e2",
+        ),
+        (
+            lambda: validate(np.random.default_rng(2024).integers(1, 6, size=(40, 40))),
+            "bd63955a877cb0aeab8c0363dd6c6a3bad0f79d71ec2bc296ffb2fe33e0d36d3",
+        ),
+        (
+            lambda: validate(np.random.default_rng(7).permutation(300 * 300).reshape(300, 300) + 1),
+            "eb730c5ee103995387a935674a00c15a000567b06d8e473e15f0bbc869d3160c",
+        ),
+    ],
+)
+def test_input_digest_is_pinned(make, hexdigest):
+    assert input_digest(make()) == hexdigest
+
+
+def test_text_layers_working_set_is_block_bounded(tmp_path):
+    """Writing, reading and hashing a discrete n=1024 coloring together stay
+    within two n x n int64 grids, the read-back coloring included."""
+    n = 1024
+    x = ColorMatrix(np.random.default_rng(3).permutation(n * n).reshape(n, n) + 1, n * n)
+    path = tmp_path / "discrete.wl"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write_graph_file(path, x)
+        back = read_graph_file(path)
+        digest = input_digest(back)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.r == n * n and back.cells[-1, -1] == n * n
+    assert digest == input_digest(x)
+    assert peak <= 2 * n * n * 8, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_write_and_read_file(tmp_path):
@@ -261,6 +436,35 @@ def test_cli_isopair_divergence(tmp_path, capsys):
     assert code == 0
     assert "color multisets diverge at iteration 0" in out
     assert "certified non-isomorphic" in out
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        b"wlgraph 2 2\n9223372036854775808 1\n1 1\n",
+        b"wlgraph 2 2\n1 2\n2 1\xe9\n",
+        b"# \xff\nwlgraph 2 2\n1 2\n2 1\n",
+    ],
+)
+@pytest.mark.parametrize("command", ["close", "check", "isopair"])
+def test_cli_bad_bytes_and_huge_ids_exit_2(tmp_path, capsys, command, bad):
+    path = tmp_path / "bad.wl"
+    path.write_bytes(bad)
+    argv = [command, str(path)]
+    if command == "isopair":
+        good, _ = write_fixture(tmp_path, "trivial", 2)
+        argv.append(str(good))
+    code, _, err = run_cli(capsys, *argv, "--seed", "1")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_cli_accepts_ids_up_to_int64_max(tmp_path, capsys):
+    path = tmp_path / "top.wl"
+    path.write_text(f"wlgraph 2 2\n{INT64_MAX} 1\n1 {INT64_MAX}\n")
+    code, out, _ = run_cli(capsys, "close", str(path), "--mode", "exact", "--print-closure")
+    assert code == 0
+    assert "  1 2\n  2 1\n" in out
 
 
 def test_cli_isopair_size_mismatch_exits_2(tmp_path, capsys):
