@@ -6,17 +6,37 @@ cell's column, read through every intermediate vertex -- and splits classes
 whose cells disagree.  Iterating until no class splits yields the coarsest
 coloring that is stable under this product, the coherent closure.
 
-:func:`classical_step` packs each fingerprint into a run-length byte string
-built from sorted numeric pair codes; byte order equals the order of the
-sorted pair/count tuples, which a pure-Python reference in the tests
-materializes.  :func:`refine_lockstep` is the one loop that drives every
-refinement run, exact or Monte Carlo, single or paired: the kind of step is
-its parameter.
+:func:`classical_step` numbers the new classes by ``(old color, sorted
+run-length fingerprint)``, the fingerprint read as ``(code, count)`` words
+with ``code = c(u, w) * (r + 1) + c(w, v)``; the tests hold it against a
+reference that builds those words as one byte string per cell.  Here no
+object is built per cell.  Each cell becomes one fixed-width row: its old
+color, then its n sorted codes, every code equal to its left neighbour
+replaced by the sentinel ``(r + 1)**2``, larger than any code.  Rows are
+big-endian int16, int32 or int64 (the narrowest that holds the sentinel)
+and every entry is positive, so ``memcmp`` order is numeric order.  It is
+also the fingerprint order: at the first run where two fingerprints
+differ, either the codes differ at a shared run start, or the shorter run
+meets its next code where the longer one meets the sentinel, and the
+shorter run sorts first in both.  Equal rows are equal fingerprints.  One
+argsort of the rows viewed as ``np.void`` ranks them.
+
+Cells are taken in batches of whole old classes in ascending color order,
+so a new id is the ids used by earlier batches plus a rank in the batch.  A
+batch holds at most ``_CHUNK_TARGET_BYTES`` of rows, or one class that
+needs more alone; the step's working set is about that plus a few n**2
+index arrays.  Before a batch is built its working set is estimated, and
+above half of physical memory the step raises :class:`ResourceGuardError`
+(``wlclosure`` exits 4) instead of running out of memory.
+
+:func:`refine_lockstep` is the one loop that drives every refinement run,
+exact or Monte Carlo, single or paired: the kind of step is its parameter.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,14 +49,23 @@ from .graph import (
     color_counts,
     is_discrete,
     rainbow_refine,
-    refine_by,
 )
 
-_CHUNK_TARGET_BYTES = 32 * 2**20
+# fingerprint rows in one batch of an exact step; one larger class is its own batch
+_CHUNK_TARGET_BYTES = 8 * 2**20
+# rows built or compared at a time inside a batch
+_BLOCK_BYTES = 2**20
+# int64 arrays per cell beside the rows: the step's class order, ids and class
+# ends, and a batch's old colors, row order, ranks and scatter index
+_CELL_INDEX_BYTES = 40
 
 
 class RefinementInvariantError(RuntimeError):
     """Internal error: a refinement run violated its structural bounds."""
+
+
+class ResourceGuardError(RuntimeError):
+    """An exact step would need more memory than its budget allows."""
 
 
 @dataclass(frozen=True)
@@ -113,42 +142,122 @@ def refine_lockstep(
     return results, start, tuple(agree)
 
 
-def _fingerprint_keys(x: ColorMatrix) -> list[bytes]:
-    """Fingerprints as packed byte strings, row-major.
+def _memory_budget() -> int | None:
+    """Bytes one exact step may plan to hold: half of physical memory.
 
-    Each pair ``(left, right)`` becomes the code ``left * (r + 1) + right``;
-    per cell the sorted codes are run-length encoded and serialized as
-    big-endian u64 ``code, count`` words.  Lexicographic byte order of the
-    result matches lexicographic order of the sorted pair/count tuples.
+    ``None`` where the platform does not report its page count.
     """
-    n = x.n
-    base = x.r + 1
-    cells = x.cells
-    mirror = cells.T
-    rows_per_chunk = max(1, _CHUNK_TARGET_BYTES // (n * n * 8))
-    keys: list[bytes] = []
-    for u0 in range(0, n, rows_per_chunk):
-        u1 = min(u0 + rows_per_chunk, n)
-        codes = cells[u0:u1, None, :] * base + mirror[None, :, :]
-        codes.sort(axis=2)
-        for row in codes.reshape(-1, n):
-            starts = np.empty(n, dtype=bool)
-            starts[0] = True
-            np.not_equal(row[1:], row[:-1], out=starts[1:])
-            idx = np.flatnonzero(starts)
-            words = np.empty(2 * len(idx), dtype=np.uint64)
-            words[0::2] = row[idx]
-            words[1::2] = np.diff(idx, append=n)
-            keys.append(words.astype(">u8").tobytes())
-    return keys
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _row_dtype(r: int) -> np.dtype:
+    """Narrowest of int16, int32, int64 that holds the sentinel ``(r + 1)**2``.
+
+    ``r <= n**2``, so int64 suffices for any grid that fits in memory.
+    """
+    sentinel = (r + 1) ** 2
+    for dtype in (np.int16, np.int32):
+        if sentinel <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def _fill_rows(rows, cells, mirror, batch, old, base) -> None:
+    """Write the comparable fingerprint rows of the cells ``batch`` into ``rows``.
+
+    Row ``i`` is ``old[i]`` followed by the sorted pair codes
+    ``cells[u, w] * base + mirror[v, w]`` of cell ``(u, v) = divmod(batch[i],
+    n)``, where each code equal to its left neighbour is replaced by the
+    sentinel ``base**2``.  ``rows`` is big-endian, so byte order is numeric
+    order.  Built ``_BLOCK_BYTES`` of rows at a time.
+    """
+    n = len(cells)
+    block = max(1, _BLOCK_BYTES // rows.strides[0])
+    for s in range(0, len(batch), block):
+        u, v = np.divmod(batch[s : s + block], n)
+        codes = np.take(cells, u, axis=0)
+        codes *= base
+        codes += np.take(mirror, v, axis=0)
+        codes.sort(axis=1)
+        flat = codes.ravel()
+        run = np.empty_like(flat)  # base**2 where a code continues a run, else 0
+        run[0] = 0
+        np.equal(flat[1:], flat[:-1], out=run[1:], casting="unsafe")
+        run[::n] = 0  # a row's first code starts a run
+        run *= base * base
+        np.maximum(flat, run, out=flat)
+        rows[s : s + block, 0] = old[s : s + block]
+        rows[s : s + block, 1:] = codes
+
+
+def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the rows in byte order: the row order, and each sorted row's
+    1-based dense rank (equal rows share one)."""
+    keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
+    order = np.argsort(keys)
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[0] = 1
+    block = max(1, _BLOCK_BYTES // rows.strides[0])
+    for s in range(1, len(keys), block):
+        ranked = np.take(rows, order[s - 1 : s + block], axis=0).view(keys.dtype).ravel()
+        ranks[s : s + block] = ranked[1:] != ranked[:-1]
+    np.cumsum(ranks, out=ranks)
+    return order, ranks
 
 
 def classical_step(x: ColorMatrix) -> RefinementOutcome:
-    """Split the classes of ``x`` by exact cell fingerprints."""
-    keys = _fingerprint_keys(x)
-    rank_of = {key: i + 1 for i, key in enumerate(sorted(set(keys)))}
-    values = np.fromiter((rank_of[k] for k in keys), dtype=np.int64, count=len(keys))
-    return refine_by(x, values.reshape(x.n, x.n))
+    """Split the classes of ``x`` by exact cell fingerprints.
+
+    New ids are the ranks of ``(old color, fingerprint)``: the cells are
+    taken one batch of whole old classes at a time, in ascending color
+    order, each batch's rows (see :func:`_fill_rows`) are ranked in byte
+    order, and a batch's ids start after the previous batch's.  A batch
+    holds at most ``_CHUNK_TARGET_BYTES`` of rows, or one class that alone
+    needs more.  A batch whose estimated working set, with the step's
+    n**2 arrays, exceeds :func:`_memory_budget` raises
+    :class:`ResourceGuardError` before anything is allocated for it.
+    """
+    n, r = x.n, x.r
+    dtype = _row_dtype(r)
+    row_bytes = (n + 1) * dtype.itemsize
+    per_cell = row_bytes + _CELL_INDEX_BYTES
+    # n**2 arrays, the narrow copies of the cells, and one block's temporaries
+    fixed = n * n * (_CELL_INDEX_BYTES + 2 * dtype.itemsize) + 4 * _BLOCK_BYTES
+    budget = _memory_budget()
+    cap = max(1, _CHUNK_TARGET_BYTES // row_bytes)
+
+    flat = x.cells.ravel()
+    by_class = np.argsort(flat, kind="stable")
+    class_ends = np.cumsum(np.bincount(flat, minlength=r + 1)[1:])
+    cells = x.cells.astype(dtype)
+    mirror = np.ascontiguousarray(cells.T)
+    ids = np.empty(n * n, dtype=np.int64)
+    start = offset = 0
+    while start < n * n:
+        # the most whole classes from ``start`` within ``cap`` cells, at least one
+        first = np.searchsorted(class_ends, start, side="right")
+        last = np.searchsorted(class_ends, start + cap, side="right")
+        end = int(class_ends[max(last, first + 1) - 1])
+        estimate = fixed + (end - start) * per_cell
+        if budget is not None and estimate > budget:
+            raise ResourceGuardError(
+                f"exact step needs about {estimate / 2**20:.0f} MiB for a batch of "
+                f"{end - start} cells at n={n}, over the {budget / 2**20:.0f} MiB budget "
+                "(half of physical memory)"
+            )
+        batch = by_class[start:end]
+        rows = np.empty((end - start, n + 1), dtype=dtype.newbyteorder(">"))
+        _fill_rows(rows, cells, mirror, batch, flat[batch], r + 1)
+        order, ranks = _rank_rows(rows)
+        del rows
+        ranks += offset
+        ids[batch[order]] = ranks
+        offset = int(ranks[-1])
+        start = end
+    return RefinementOutcome(offset > r, ColorMatrix(ids.reshape(n, n), offset))
 
 
 def _classical_steps(colorings: tuple[ColorMatrix, ...]) -> list[RefinementOutcome]:

@@ -7,7 +7,8 @@ divergence or a candidate vertex mapping), ``bench`` (per-size step and
 closure timings) and ``gen`` (write named fixtures).
 
 Exit codes: 0 success (for ``check``: coherent), 1 ``check`` found the input
-not coherent, 2 malformed input or arguments, 3 overflow guard abort.
+not coherent, 2 malformed input or arguments, 3 overflow guard abort, 4 an
+exact step would exceed its memory budget.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import time
 
 import numpy as np
 
-from .classical import classical_closure, classical_step
+from .classical import ResourceGuardError, classical_closure, classical_step
 from .coherence import fixture_names, make_fixture, verify_coherent
 from .graph import (
     InputError,
+    _id_presence,
     is_color_isomorphism,
     normalize_by_value,
     rainbow_refine,
@@ -148,6 +150,13 @@ def cmd_check(args) -> int:
     return 0 if verdict else 1
 
 
+def _distinct_ids(raw) -> np.ndarray:
+    """Sorted distinct ids of a raw grid; a sort only for sparse ids."""
+    flat = raw.ravel()
+    seen = _id_presence(flat)
+    return np.unique(flat) if seen is None else np.flatnonzero(seen)
+
+
 def cmd_isopair(args) -> int:
     """Color ids compare by value across the two files: a pair produced from
     one graph (e.g. by permuting vertices) must be written with a shared
@@ -164,7 +173,7 @@ def cmd_isopair(args) -> int:
     print(f"k: {args.k}")
     print(f"seed: {seed}")
 
-    ids_a, ids_b = np.unique(raw_a), np.unique(raw_b)
+    ids_a, ids_b = _distinct_ids(raw_a), _distinct_ids(raw_b)
     if not np.array_equal(ids_a, ids_b):
         print(f"iteration 0: color vocabularies differ ({len(ids_a)} vs {len(ids_b)} ids)")
         print(
@@ -330,6 +339,9 @@ def main(argv=None) -> int:
     except OverflowGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ResourceGuardError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -117,13 +117,22 @@ def _lex_rank(primary: np.ndarray, secondary: np.ndarray) -> tuple[np.ndarray, i
     its dense rank ``1..span``, which keeps its order and shrinks ``span`` to
     at most the length; the key ``primary * span + rank`` then lies in
     ``(primary * span, (primary + 1) * span]``, so it still orders like the
-    pair, and the bound on ``primary`` keeps it inside int64.
+    pair, and the bound on ``primary`` keeps it inside int64.  When the
+    packed key range ``(max primary + 1) * span`` is at most the length (few
+    colors, as in rainbow preprocessing) the keys are ranked through a
+    presence table and its ``cumsum`` instead of a sort.
     """
     lo = int(secondary.min())
     span = int(secondary.max()) - lo + 1
-    if (int(primary.max()) + 1) * span <= INT64_MAX:
+    key_range = (int(primary.max()) + 1) * span
+    if key_range <= INT64_MAX:
         key = primary * span
         key += secondary - lo
+        if key_range <= len(key):
+            seen = np.zeros(key_range, dtype=bool)
+            seen[key] = True
+            rank = np.cumsum(seen)  # rank[k]: distinct keys <= k
+            return rank[key], int(rank[-1])
     else:
         key = np.empty(len(secondary), dtype=np.int64)
         span = _dense_rank(secondary, key)

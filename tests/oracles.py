@@ -94,6 +94,44 @@ def python_refine_by(colors, values) -> tuple[bool, list[list[int]]]:
     return len(set(ranks)) > len({old for old, _ in pairs}), grid
 
 
+def fingerprint_keys(cells: np.ndarray, r: int) -> list[bytes]:
+    """Per-cell fingerprints as packed byte strings, row-major.
+
+    Each pair ``(left, right)`` becomes the code ``left * (r + 1) + right``;
+    per cell the sorted codes are run-length encoded and serialized as
+    big-endian u64 ``code, count`` words, so byte order is the order of the
+    sorted pair/count tuples.  One ``bytes`` object per cell: a reference,
+    not a fast path.
+    """
+    n = len(cells)
+    base = r + 1
+    mirror = cells.T
+    keys: list[bytes] = []
+    for u in range(n):
+        codes = cells[u, None, :] * base + mirror
+        codes.sort(axis=1)
+        for row in codes:
+            starts = np.empty(n, dtype=bool)
+            starts[0] = True
+            np.not_equal(row[1:], row[:-1], out=starts[1:])
+            idx = np.flatnonzero(starts)
+            words = np.empty(2 * len(idx), dtype=np.uint64)
+            words[0::2] = row[idx]
+            words[1::2] = np.diff(idx, append=n)
+            keys.append(words.astype(">u8").tobytes())
+    return keys
+
+
+def fingerprint_step(cells: np.ndarray, r: int) -> tuple[bool, np.ndarray]:
+    """One exact step: rank ``(old color, fingerprint bytes)`` through a
+    sorted dict.  Returns whether the class count grew and the new grid."""
+    n = len(cells)
+    cells = np.asarray(cells, dtype=np.int64)
+    pairs = list(zip(cells.ravel().tolist(), fingerprint_keys(cells, r)))
+    ranks = sorted_tuple_ranks(pairs)
+    return max(ranks) > r, np.array(ranks, dtype=np.int64).reshape(n, n)
+
+
 def partition_of(grid) -> tuple[tuple[int, ...], ...]:
     """Partition as sorted tuples of flat cell indexes; ignores color names."""
     classes: dict[int, list[int]] = {}

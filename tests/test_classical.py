@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,7 @@ from wlclosure.graph import (
 from oracles import (
     brute_closure,
     brute_step,
+    fingerprint_step,
     noncommutative_product,
     partition_of,
     python_refine_by,
@@ -192,3 +197,153 @@ def test_iteration_budget_rejects_bad_arguments():
         iteration_budget(0)
     with pytest.raises(InputError):
         iteration_budget(4, 0.0)
+
+
+# --- the row kernel against the byte-key fingerprint reference ------------
+
+
+def _assert_matches_fingerprint_reference(x):
+    out = classical_step(x)
+    refined, expected = fingerprint_step(x.cells, x.r)
+    assert out.result.cells.tolist() == expected.tolist()
+    assert out.refined == refined
+
+
+@pytest.mark.parametrize("rainbow", [False, True])
+@pytest.mark.parametrize("n", range(1, 41))
+def test_classical_step_matches_fingerprint_reference(n, rainbow):
+    rng = np.random.default_rng(1000 + n)
+    x = validate(random_grid(rng, n, int(rng.integers(1, 8))))
+    _assert_matches_fingerprint_reference(rainbow_refine(x) if rainbow else x)
+
+
+def test_classical_step_matches_fingerprint_reference_on_every_path_step():
+    n = 40
+    x = permute_vertices(make_fixture("path", n), np.random.default_rng(7).permutation(n))
+    current = rainbow_refine(x)
+    steps = 0
+    while True:
+        _assert_matches_fingerprint_reference(current)
+        out = classical_step(current)
+        steps += 1
+        if not out.refined:
+            break
+        current = out.result
+    assert steps >= 5 and current.r == n * n // 2
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        ("trivial", 1),
+        ("trivial", 5),
+        ("cyclic", 6),
+        ("path", 9),
+        ("cycle5",),
+        ("petersen",),
+        ("random", 12, 3, 4),
+    ],
+)
+def test_classical_step_matches_fingerprint_reference_on_fixtures(fixture):
+    x = make_fixture(*fixture)
+    _assert_matches_fingerprint_reference(x)
+    _assert_matches_fingerprint_reference(rainbow_refine(x))
+
+
+def test_classical_step_int32_rows_match_fingerprint_reference():
+    x = validate(random_grid(np.random.default_rng(31), 30, 900))
+    assert x.r > 180 and classical._row_dtype(x.r) == np.int32  # (181 + 1)**2 > 2**15 - 1
+    _assert_matches_fingerprint_reference(x)
+    _assert_matches_fingerprint_reference(rainbow_refine(x))
+
+
+def test_classical_step_int64_rows_match_fingerprint_reference():
+    """n=216 is the smallest size with more than 46,340 colors, where
+    (r + 1)**2 no longer fits in int32: a permutation with 300 pairs merged."""
+    n, merged = 216, 300
+    flat = np.random.default_rng(32).permutation(n * n) + 1
+    flat[:merged] = flat[merged : 2 * merged]
+    x = validate(flat.reshape(n, n))
+    assert x.r == n * n - merged and classical._row_dtype(x.r) == np.int64
+    _assert_matches_fingerprint_reference(x)
+
+
+def test_row_dtype_is_the_narrowest_that_holds_the_sentinel():
+    assert classical._row_dtype(1) == np.int16
+    assert classical._row_dtype(180) == np.int16  # 181**2 == 32761
+    assert classical._row_dtype(181) == np.int32
+    assert classical._row_dtype(46339) == np.int32  # 46340**2 < 2**31
+    assert classical._row_dtype(46340) == np.int64
+
+
+@pytest.mark.parametrize("block_bytes", [1, 3 * 9 * 2, 2**20])
+def test_classical_step_batches_and_blocks_match_fingerprint_reference(monkeypatch, block_bytes):
+    """A budget of about three classes' rows: classes share batches, the
+    largest class is a batch of its own over the budget, and blocks split
+    batches at every size from one row up."""
+    x = rainbow_refine(validate(random_grid(np.random.default_rng(34), 8, 3)))
+    counts = np.bincount(x.cells.ravel())[1:]
+    assert counts.max() > 3 * counts.min()
+    budget = 3 * counts.min() * (x.n + 1) * 2  # int16 rows of n + 1 entries
+    monkeypatch.setattr(classical, "_CHUNK_TARGET_BYTES", budget)
+    monkeypatch.setattr(classical, "_BLOCK_BYTES", block_bytes)
+    batches = []
+    real = classical._fill_rows
+
+    def spy(rows, cells, mirror, batch, old, base):
+        batches.append((rows.nbytes, len(np.unique(old))))
+        real(rows, cells, mirror, batch, old, base)
+
+    monkeypatch.setattr(classical, "_fill_rows", spy)
+    _assert_matches_fingerprint_reference(x)
+    assert len(batches) > 2
+    assert any(classes > 1 for _, classes in batches)
+    assert any(nbytes > budget and classes == 1 for nbytes, classes in batches)
+    assert sum(classes for _, classes in batches) == x.r
+
+
+def test_classical_step_working_set_is_batch_bounded():
+    """One step on rainbow(random(256, 3)), whose classes are ~5,000 cells,
+    stays within 64 MiB; the per-cell byte-key step peaked at 158 MiB."""
+    x = rainbow_refine(validate(random_grid(np.random.default_rng(3), 256, 3)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = classical_step(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert is_discrete(out.result)
+    assert peak <= 64 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_resource_guard_estimate_tracks_the_traced_peak(monkeypatch):
+    """The guard's estimate is within [1, 2] times the real traced peak: a
+    budget of 0.9 x the peak refuses the step, one of 2 x the peak admits it."""
+    x = rainbow_refine(permute_vertices(make_fixture("path", 96), np.arange(96)[::-1]))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        expected = classical_step(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(classical, "_memory_budget", lambda: int(0.9 * peak))
+    with pytest.raises(classical.ResourceGuardError, match="MiB"):
+        classical_step(x)
+    monkeypatch.setattr(classical, "_memory_budget", lambda: 2 * peak)
+    assert classical_step(x).result.cells.tolist() == expected.result.cells.tolist()
+
+
+def test_resource_guard_refuses_a_batch_over_budget(monkeypatch):
+    x = make_fixture("path", 12)
+    monkeypatch.setattr(classical, "_memory_budget", lambda: 1000)
+    with pytest.raises(classical.ResourceGuardError, match="n=12"):
+        classical_closure(x)
+    monkeypatch.setattr(classical, "_memory_budget", lambda: None)
+    assert classical_closure(x).stopping_reason == "stable"
+
+
+def test_memory_budget_is_half_of_physical_memory():
+    budget = classical._memory_budget()
+    assert budget is None or budget == os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2

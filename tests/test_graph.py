@@ -194,7 +194,17 @@ _SPAN_AT_TOP = _TOP // 7
 def _rank_case(name):
     rng = np.random.default_rng(77)
     if name == "random":
-        return rng.integers(1, 6, 300), rng.integers(-4, 5, 300), 1
+        # key range (5 + 1) * 9 = 54 <= 300 cells: a presence table, no sort
+        return rng.integers(1, 6, 300), rng.integers(-4, 5, 300), 0
+    if name == "table_range_at_cell_count":
+        # (max primary + 1) * span == 6 * 10 == 60 cells
+        primary, secondary = rng.integers(0, 6, 60), rng.integers(-3, 7, 60)
+        primary[:2], secondary[:2] = 5, (-3, 6)
+        return primary, secondary, 0
+    if name == "table_range_above_cell_count":
+        primary, secondary = rng.integers(0, 6, 59), rng.integers(-3, 7, 59)
+        primary[:2], secondary[:2] = 5, (-3, 6)
+        return primary, secondary, 1
     if name == "bound_at_int64_max":
         # (max primary + 1) * span == 2**63 - 1: the packed key just fits
         lo = -5
@@ -219,6 +229,8 @@ def _rank_case(name):
     "name",
     [
         "random",
+        "table_range_at_cell_count",
+        "table_range_above_cell_count",
         "bound_at_int64_max",
         "bound_above_int64_max",
         "negative_and_equal",
@@ -228,7 +240,8 @@ def _rank_case(name):
     ],
 )
 def test_lex_rank_matches_sorted_tuple_ranks(name, monkeypatch):
-    """Direct key (one sort) and dense-rank fallback (two sorts) rank alike."""
+    """Presence table (no sort), direct key (one sort) and dense-rank
+    fallback (two sorts) rank alike."""
     primary, secondary, sorts = _rank_case(name)
     primary, secondary = primary.astype(np.int64), secondary.astype(np.int64)
     calls = []

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from wlclosure import classical, cli
 from wlclosure import io as wio
 from wlclosure.classical import classical_closure
 from wlclosure.coherence import make_fixture
@@ -391,6 +392,15 @@ def test_cli_close_overflow_exits_3(tmp_path, capsys):
     assert "int64" in err
 
 
+def test_cli_close_exact_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch):
+    path, _ = write_fixture(tmp_path, "path", 6)
+    monkeypatch.setattr(classical, "_memory_budget", lambda: 1000)
+    code, out, err = run_cli(capsys, "close", str(path), "--mode", "exact")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: exact step needs about ") and "n=6" in err
+
+
 def test_cli_check_exit_codes(tmp_path, capsys):
     coherent_path, _ = write_fixture(tmp_path, "cyclic", 7, filename="c.wl")
     code, out, _ = run_cli(capsys, "check", str(coherent_path), "--seed", "5", "--exact")
@@ -427,6 +437,49 @@ def test_cli_isopair_vocabulary_mismatch_diverges_up_front(tmp_path, capsys):
     assert code == 0
     assert "color vocabularies differ" in out
     assert "color multisets diverge at iteration 0" in out
+
+
+@pytest.mark.parametrize(
+    "ids_a, ids_b, expected",
+    [
+        ([1, 2], [1, 2], None),
+        ([1, 2], [1, 3], (2, 2)),
+        ([1, 2], [1, 2, 3], (2, 3)),
+        ([1, 4], [4, 1], None),  # a presence table per side
+        ([1, 2], [1, 10**12], (2, 2)),  # dense against sparse
+        ([10**12, 5], [5, 10**12], None),  # both sparse: np.unique
+        ([10**12, 5], [5, 10**12 + 1], (2, 2)),
+        ([10**12, 5, 6], [5, 10**12], (3, 2)),
+    ],
+)
+def test_distinct_ids_match_unique_oracle(ids_a, ids_b, expected):
+    n = 3
+    a = np.resize(np.array(ids_a, dtype=np.int64), n * n).reshape(n, n)
+    b = np.resize(np.array(ids_b, dtype=np.int64), n * n).reshape(n, n)
+    for raw in (a, b, a.astype(np.int32) if a.max() < 2**31 else a):  # the parser's int32 grids
+        assert cli._distinct_ids(raw).tolist() == np.unique(raw).tolist()
+    ua, ub = cli._distinct_ids(a), cli._distinct_ids(b)
+    assert (None if np.array_equal(ua, ub) else (len(ua), len(ub))) == expected
+
+
+@pytest.mark.parametrize(
+    "second, line",
+    [
+        ("wlgraph 2 3\n1 2\n3 1\n", "iteration 0: color vocabularies differ (2 vs 3 ids)"),
+        ("wlgraph 2 2\n1 7\n7 1\n", "iteration 0: color vocabularies differ (2 vs 2 ids)"),
+        (
+            "wlgraph 2 3\n1 2\n99999999999 1\n",
+            "iteration 0: color vocabularies differ (2 vs 3 ids)",
+        ),
+    ],
+)
+def test_cli_isopair_vocabulary_line(tmp_path, capsys, second, line):
+    pa, pb = tmp_path / "a.wl", tmp_path / "b.wl"
+    pa.write_text("wlgraph 2 2\n1 2\n2 1\n")
+    pb.write_text(second)
+    code, out, _ = run_cli(capsys, "isopair", str(pa), str(pb), "--seed", "1")
+    assert code == 0
+    assert out.splitlines()[4] == line
 
 
 def test_cli_isopair_divergence(tmp_path, capsys):
