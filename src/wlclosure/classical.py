@@ -235,12 +235,11 @@ def classical_step(x: ColorMatrix) -> RefinementOutcome:
     cells = x.cells.astype(dtype)
     mirror = np.ascontiguousarray(cells.T)
     ids = np.empty(n * n, dtype=np.int64)
-    start = offset = 0
-    while start < n * n:
-        # the most whole classes from ``start`` within ``cap`` cells, at least one
-        first = np.searchsorted(class_ends, start, side="right")
-        last = np.searchsorted(class_ends, start + cap, side="right")
-        end = int(class_ends[max(last, first + 1) - 1])
+    first = start = offset = 0  # next class, its first cell in ``by_class``, ids used
+    while first < r:
+        # the most whole classes from ``first`` within ``cap`` cells, at least one
+        last = max(int(np.searchsorted(class_ends, start + cap, side="right")), first + 1)
+        end = int(class_ends[last - 1])
         estimate = fixed + (end - start) * per_cell
         if budget is not None and estimate > budget:
             raise ResourceGuardError(
@@ -256,7 +255,7 @@ def classical_step(x: ColorMatrix) -> RefinementOutcome:
         ranks += offset
         ids[batch[order]] = ranks
         offset = int(ranks[-1])
-        start = end
+        first, start = last, end
     return RefinementOutcome(offset > r, ColorMatrix(ids.reshape(n, n), offset))
 
 
