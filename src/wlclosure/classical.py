@@ -65,7 +65,7 @@ class RefinementInvariantError(RuntimeError):
 
 
 class ResourceGuardError(RuntimeError):
-    """An exact step would need more memory than its budget allows."""
+    """A refinement run or step would need more memory than its budget allows."""
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,17 @@ def _memory_budget() -> int | None:
         return None
 
 
+def guard_memory(estimate: int, what: str, detail: str) -> None:
+    """Raise :class:`ResourceGuardError` when ``what`` would need more than
+    :func:`_memory_budget`, ``estimate`` bytes; ``detail`` sizes the work."""
+    budget = _memory_budget()
+    if budget is not None and estimate > budget:
+        raise ResourceGuardError(
+            f"{what} needs about {estimate / 2**20:.0f} MiB {detail}, over the "
+            f"{budget / 2**20:.0f} MiB budget (half of physical memory)"
+        )
+
+
 def _row_dtype(r: int) -> np.dtype:
     """Narrowest of int16, int32, int64 that holds the sentinel ``(r + 1)**2``.
 
@@ -218,7 +229,8 @@ def classical_step(x: ColorMatrix) -> RefinementOutcome:
     holds at most ``_CHUNK_TARGET_BYTES`` of rows, or one class that alone
     needs more.  A batch whose estimated working set, with the step's
     n**2 arrays, exceeds :func:`_memory_budget` raises
-    :class:`ResourceGuardError` before anything is allocated for it.
+    :class:`ResourceGuardError` (:func:`guard_memory`) before anything is
+    allocated for it.
     """
     n, r = x.n, x.r
     dtype = _row_dtype(r)
@@ -226,7 +238,6 @@ def classical_step(x: ColorMatrix) -> RefinementOutcome:
     per_cell = row_bytes + _CELL_INDEX_BYTES
     # n**2 arrays, the narrow copies of the cells, and one block's temporaries
     fixed = n * n * (_CELL_INDEX_BYTES + 2 * dtype.itemsize) + 4 * _BLOCK_BYTES
-    budget = _memory_budget()
     cap = max(1, _CHUNK_TARGET_BYTES // row_bytes)
 
     flat = x.cells.ravel()
@@ -240,13 +251,11 @@ def classical_step(x: ColorMatrix) -> RefinementOutcome:
         # the most whole classes from ``first`` within ``cap`` cells, at least one
         last = max(int(np.searchsorted(class_ends, start + cap, side="right")), first + 1)
         end = int(class_ends[last - 1])
-        estimate = fixed + (end - start) * per_cell
-        if budget is not None and estimate > budget:
-            raise ResourceGuardError(
-                f"exact step needs about {estimate / 2**20:.0f} MiB for a batch of "
-                f"{end - start} cells at n={n}, over the {budget / 2**20:.0f} MiB budget "
-                "(half of physical memory)"
-            )
+        guard_memory(
+            fixed + (end - start) * per_cell,
+            "exact step",
+            f"for a batch of {end - start} cells at n={n}",
+        )
         batch = by_class[start:end]
         rows = np.empty((end - start, n + 1), dtype=dtype.newbyteorder(">"))
         _fill_rows(rows, cells, mirror, batch, flat[batch], r + 1)

@@ -8,7 +8,7 @@ closure timings) and ``gen`` (write named fixtures).
 
 Exit codes: 0 success (for ``check``: coherent), 1 ``check`` found the input
 not coherent, 2 malformed input or arguments, 3 overflow guard abort, 4 an
-exact step would exceed its memory budget.
+exact step or a Monte Carlo run would exceed its memory budget.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .graph import (
     _id_presence,
     is_color_isomorphism,
     normalize_by_value,
+    permute_vertices,
     rainbow_refine,
 )
 from .io import (
@@ -226,29 +227,39 @@ def cmd_bench(args) -> int:
     seed = args.seed if args.seed is not None else _fresh_seed()
     print(f"mode: {args.mode}")
     print(f"seed: {seed}")
-    print(f"{'n':>6} {'step_ms':>12} {'closure_ms':>12} {'iterations':>10}")
+    print(f"{'n':>6} {'input':>6} {'step_ms':>12} {'closure_ms':>12} {'iterations':>10}")
     for n in sizes:
-        x = rainbow_refine(make_fixture("random", n, 2, seed + n))
-        rng = np.random.default_rng(seed)
-        samples = []
-        for _ in range(args.reps):
+        # random is discrete after a step or two; a permuted path's closure has
+        # n**2/2 classes and takes several steps, so it times the rank layer too
+        path_order = np.random.default_rng(seed + n).permutation(n)
+        inputs = (
+            ("random", make_fixture("random", n, 2, seed + n)),
+            ("path", permute_vertices(make_fixture("path", n), path_order)),
+        )
+        for name, raw in inputs:
+            x = rainbow_refine(raw)
+            rng = np.random.default_rng(seed)
+            samples = []
+            for _ in range(args.reps):
+                started = time.perf_counter()
+                if args.mode == "mc":
+                    probabilistic_step(x, args.m, rng)
+                else:
+                    classical_step(x)
+                samples.append((time.perf_counter() - started) * 1000.0)
+            samples.sort()
+            step_ms = samples[len(samples) // 2]
             started = time.perf_counter()
             if args.mode == "mc":
-                probabilistic_step(x, args.m, rng)
+                result = probabilistic_closure(
+                    x, RunParams(args.m, StoppingPolicy.practical(3), seed)
+                )
             else:
-                classical_step(x)
-            samples.append((time.perf_counter() - started) * 1000.0)
-        samples.sort()
-        step_ms = samples[len(samples) // 2]
-        started = time.perf_counter()
-        if args.mode == "mc":
-            result = probabilistic_closure(
-                x, RunParams(args.m, StoppingPolicy.practical(3), seed)
+                result = classical_closure(x)
+            closure_ms = (time.perf_counter() - started) * 1000.0
+            print(
+                f"{n:>6} {name:>6} {step_ms:>12.3f} {closure_ms:>12.3f} {result.iterations:>10}"
             )
-        else:
-            result = classical_closure(x)
-        closure_ms = (time.perf_counter() - started) * 1000.0
-        print(f"{n:>6} {step_ms:>12.3f} {closure_ms:>12.3f} {result.iterations:>10}")
     return 0
 
 

@@ -19,6 +19,9 @@ from typing import Sequence
 import numpy as np
 
 INT64_MAX = 2**63 - 1
+_UINT64_RANGE = 2**64
+# cells handled at a time by the rank passes
+_RANK_BLOCK = 2**14
 
 
 class InputError(ValueError):
@@ -84,60 +87,150 @@ def _first_occurrence_relabel(flat: np.ndarray) -> tuple[np.ndarray, int]:
     return first[flat], r
 
 
-def _dense_rank(values: np.ndarray, out: np.ndarray) -> int:
-    """Write the 1-based dense rank of each entry of ``values`` into ``out``.
-
-    Equal values share a rank and ranks follow value order, contiguous
-    ``1..count``; returns ``count``.  ``out`` may be ``values`` itself.  One
-    ``argsort``; the sorted copy then holds the ranks before they are
-    scattered back, so the working set is three arrays the size of
-    ``values``.
-    """
-    order = np.argsort(values)
-    ranked = values[order]
-    starts = np.empty(len(ranked), dtype=bool)
-    starts[0] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
-    np.copyto(ranked, starts)
-    del starts
-    np.cumsum(ranked, out=ranked)  # int64 in place: a bool input would be cast to a temporary
+def _argsort_rank(key: np.ndarray, out: np.ndarray) -> int:
+    """:func:`_dense_rank` by one ``argsort``: three arrays the size of ``key``."""
+    order = np.argsort(key)
+    ranked = key[order]
+    # run starts in place, from the back, so each block still reads its
+    # left neighbour unchanged
+    for s in reversed(range(1, len(ranked), _RANK_BLOCK)):
+        e = min(s + _RANK_BLOCK, len(ranked))
+        ranked[s:e] = ranked[s:e] != ranked[s - 1 : e - 1]
+    ranked[0] = 1
+    np.cumsum(ranked, out=ranked)
     out[order] = ranked
     return int(ranked[-1])
+
+
+def _sorted_words(key: np.ndarray, shift: int, ib: int) -> np.ndarray:
+    """The words ``(key >> shift) << ib | index``, sorted."""
+    words = np.empty(len(key), dtype=np.uint64)
+    for s in range(0, len(key), _RANK_BLOCK):
+        part = words[s : s + _RANK_BLOCK]
+        np.right_shift(key[s : s + _RANK_BLOCK], shift, out=part)
+        part <<= ib
+        part |= np.arange(s, s + len(part), dtype=np.uint64)
+    words.sort()
+    return words
+
+
+def _rank_words(words: np.ndarray, key: np.ndarray, shift: int, ib: int) -> int | None:
+    """Turn each sorted word into ``rank << ib | index``; return the count.
+
+    With ``shift == 0`` the high parts are the keys.  Otherwise the keys
+    are gathered in word order, one block at a time; a block whose keys
+    decrease is sorted by key (it holds the same cells either way), and
+    ``None`` is returned, with ``words`` partly rewritten, when a block's
+    first key is below the previous block's last.
+    """
+    mask = np.uint64((1 << ib) - 1)
+    count, last = 0, None  # ranks given so far, and the key ranked last
+    for s in range(0, len(words), _RANK_BLOCK):
+        part = words[s : s + _RANK_BLOCK]
+        index = part & mask
+        ranked = key[index.view(np.int64)] if shift else part >> ib
+        if shift and np.any(ranked[1:] < ranked[:-1]):
+            by_key = np.argsort(ranked)
+            part[:] = part[by_key]
+            index, ranked = index[by_key], ranked[by_key]
+        if shift and last is not None and ranked[0] < last:
+            return None
+        rank = np.empty(len(part), dtype=np.uint64)
+        rank[0] = last is None or ranked[0] != last
+        np.not_equal(ranked[1:], ranked[:-1], out=rank[1:])
+        np.cumsum(rank, out=rank)
+        rank += np.uint64(count)
+        count, last = int(rank[-1]), ranked[-1]
+        rank <<= ib
+        np.bitwise_or(rank, index, out=part)
+    return count
+
+
+def _dense_rank(key: np.ndarray, top: int, out: np.ndarray) -> int:
+    """Write the 1-based dense rank of each entry of ``key`` into ``out``.
+
+    ``key`` is uint64 with entries at most ``top``; ``out`` is an integer
+    array and may be ``key`` itself.  Equal keys share a rank and ranks
+    follow key order, contiguous ``1..count``; returns ``count``.
+
+    No ``argsort`` in the common case.  With ``ib`` the bit width of a cell
+    index and ``shift`` the fewest low key bits to drop so ``ib`` more fit
+    in 64, each cell becomes the word ``(key >> shift) << ib | index``.
+    Words are distinct, so one ``np.sort`` orders the cells by ``(key >>
+    shift, index)``.  With ``shift == 0`` that is key order, and
+    neighbouring high parts give the ranks.  Otherwise the keys are
+    gathered in that order, one ``_RANK_BLOCK`` of cells at a time.  Only
+    keys that share their top bits can be out of order; a block where they
+    are is sorted by key.  If then no block starts below the previous
+    block's last key, the cells are in key order, which is all dense ranks
+    need (they depend only on which keys are equal, not on the order among
+    them); else the ranks come from :func:`_argsort_rank`.  The sorted
+    words take ``rank << ib | index`` in place and are scattered into
+    ``out``.  The working set is ``key``, the words and a block of
+    temporaries; the fallback's is three arrays.
+    """
+    ib = (len(key) - 1).bit_length()
+    if ib >= 32:  # a rank and an index no longer share a word
+        return _argsort_rank(key, out)
+    shift = max(0, top.bit_length() - (64 - ib))
+    words = _sorted_words(key, shift, ib)
+    count = _rank_words(words, key, shift, ib)
+    if count is None:
+        del words
+        return _argsort_rank(key, out)
+    mask = np.uint64((1 << ib) - 1)
+    for s in range(0, len(words), _RANK_BLOCK):
+        part = words[s : s + _RANK_BLOCK]
+        out[(part & mask).view(np.int64)] = part >> ib
+    return count
+
+
+def _add_scaled(key: np.ndarray, primary: np.ndarray, scale: int) -> None:
+    """``key += primary * scale`` in uint64, ``_RANK_BLOCK`` cells at a time."""
+    scale = np.uint64(scale)
+    for s in range(0, len(key), _RANK_BLOCK):
+        key[s : s + _RANK_BLOCK] += primary[s : s + _RANK_BLOCK].view(np.uint64) * scale
 
 
 def _lex_rank(primary: np.ndarray, secondary: np.ndarray) -> tuple[np.ndarray, int]:
     """Rank (primary, secondary) pairs lexicographically, 1-based.
 
-    Equal pairs get equal ranks; ranks are contiguous 1..count.  ``primary``
-    holds non-negative color ids no larger than its length; ``secondary``
-    holds any int64 values.  Each pair is packed into the single int64 key
-    ``primary * span + (secondary - min)``, which orders like the pair as
-    long as ``(max primary + 1) * span`` fits in int64 (``span`` is the
-    secondary's value range).  Otherwise the secondary is first replaced by
-    its dense rank ``1..span``, which keeps its order and shrinks ``span`` to
-    at most the length; the key ``primary * span + rank`` then lies in
-    ``(primary * span, (primary + 1) * span]``, so it still orders like the
-    pair, and the bound on ``primary`` keeps it inside int64.  When the
-    packed key range ``(max primary + 1) * span`` is at most the length (few
-    colors, as in rainbow preprocessing) the keys are ranked through a
-    presence table and its ``cumsum`` instead of a sort.
+    Equal pairs get equal ranks; ranks are contiguous 1..count, returned as
+    int64.  ``primary`` holds non-negative int64 color ids no larger than its
+    length; ``secondary`` holds any int64 values.  Each pair is packed into
+    the single uint64 key ``primary * span + (secondary - min)``, which
+    orders like the pair as long as the key range ``(max primary + 1) *
+    span`` is at most ``2**64`` (``span`` is the secondary's value range).
+    Otherwise the secondary is first replaced by its dense rank ``1..span``,
+    which keeps its order and shrinks ``span`` to at most the length; the
+    key ``primary * span + rank`` then lies in ``(primary * span, (primary +
+    1) * span]``, so it still orders like the pair, and the bound on
+    ``primary`` keeps it inside uint64.  When the key range is at most the
+    length (few colors, as in rainbow preprocessing) the keys are ranked
+    through a presence table and its ``cumsum`` instead of a sort.
     """
     lo = int(secondary.min())
     span = int(secondary.max()) - lo + 1
     key_range = (int(primary.max()) + 1) * span
-    if key_range <= INT64_MAX:
-        key = primary * span
-        key += secondary - lo
+    # uint64 arithmetic wraps modulo 2**64, which leaves every key in
+    # [0, 2**64) exact; a span of 2**64 (read as 0) occurs only with every
+    # primary 0
+    key = np.empty(len(primary), dtype=np.uint64)
+    np.subtract(secondary.view(np.uint64), np.uint64(lo % _UINT64_RANGE), out=key)
+    if key_range <= _UINT64_RANGE:
+        _add_scaled(key, primary, span % _UINT64_RANGE)
         if key_range <= len(key):
             seen = np.zeros(key_range, dtype=bool)
             seen[key] = True
             rank = np.cumsum(seen)  # rank[k]: distinct keys <= k
             return rank[key], int(rank[-1])
+        top = key_range - 1
     else:
-        key = np.empty(len(secondary), dtype=np.int64)
-        span = _dense_rank(secondary, key)
-        key += primary * span
-    return key, _dense_rank(key, key)
+        span = _dense_rank(key, span - 1, key)
+        _add_scaled(key, primary, span)
+        top = (int(primary.max()) + 1) * span
+    count = _dense_rank(key, top, key)
+    return key.view(np.int64), count
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,6 +321,22 @@ def rainbow_refine(x: ColorMatrix) -> ColorMatrix:
     return ColorMatrix(ranks.reshape(x.n, x.n), r_new)
 
 
+def _constant_per_class(old: np.ndarray, value: np.ndarray, r: int) -> bool:
+    """True when all cells of each class of ``old`` (ids ``1..r``) share a value.
+
+    Each cell's value is scattered to its class's entry; whichever write
+    lands, every cell then equals its class's entry exactly when each class
+    is constant.  Compared ``_RANK_BLOCK`` cells at a time, stopping at the
+    first block with a difference.
+    """
+    rep = np.empty(r + 1, dtype=value.dtype)
+    rep[old] = value
+    return all(
+        np.array_equal(rep[old[s : s + _RANK_BLOCK]], value[s : s + _RANK_BLOCK])
+        for s in range(0, len(old), _RANK_BLOCK)
+    )
+
+
 def refine_by(x: ColorMatrix, values: np.ndarray) -> RefinementOutcome:
     """Split the classes of ``x`` by a matrix of per-cell integer values.
 
@@ -240,7 +349,12 @@ def refine_by(x: ColorMatrix, values: np.ndarray) -> RefinementOutcome:
         raise InputError("values must be an integer ndarray")
     if values.shape != x.cells.shape:
         raise InputError(f"value matrix shape {values.shape} != {x.cells.shape}")
-    ranks, r_new = _lex_rank(x.cells.ravel(), values.ravel().astype(np.int64, copy=False))
+    old = x.cells.ravel()
+    value = values.ravel().astype(np.int64, copy=False)
+    if _constant_per_class(old, value, x.r):
+        # the rank of (old, constant) over the ids 1..r is old itself
+        return RefinementOutcome(False, x)
+    ranks, r_new = _lex_rank(old, value)
     return RefinementOutcome(r_new > x.r, ColorMatrix(ranks.reshape(x.n, x.n), r_new))
 
 
@@ -248,10 +362,8 @@ def is_refinement(fine: ColorMatrix, coarse: ColorMatrix) -> bool:
     """True when every class of ``fine`` lies inside a single class of ``coarse``."""
     if fine.n != coarse.n:
         raise InputError("colorings have different sizes")
-    pairs = np.unique(
-        np.stack([fine.cells.ravel(), coarse.cells.ravel()], axis=1), axis=0
-    )
-    return len(pairs) == fine.r
+    # as many distinct (fine, coarse) pairs as fine classes
+    return _lex_rank(fine.cells.ravel(), coarse.cells.ravel())[1] == fine.r
 
 
 def is_same_partition(x: ColorMatrix, y: ColorMatrix) -> bool:
@@ -277,13 +389,12 @@ def is_rainbow(x: ColorMatrix) -> bool:
     Diagonal (loop) colors must not appear off the diagonal, and the color of
     ``(u, v)`` must determine the color of ``(v, u)``.
     """
-    diag = x.cells.diagonal()
-    if x.n > 1:
-        off = x.cells[~np.eye(x.n, dtype=bool)]
-        if np.intersect1d(diag, off).size:
-            return False
-    pairs = np.unique(np.stack([x.cells.ravel(), x.cells.T.ravel()], axis=1), axis=0)
-    return len(pairs) == x.r
+    is_loop = np.zeros(x.r + 1, dtype=bool)
+    is_loop[x.cells.diagonal()] = True
+    if np.count_nonzero(is_loop[x.cells]) != x.n:  # a loop color off the diagonal
+        return False
+    # as many distinct (color, reverse color) pairs as colors
+    return _lex_rank(x.cells.ravel(), x.cells.T.ravel())[1] == x.r
 
 
 def color_counts(x: ColorMatrix) -> tuple[int, ...]:

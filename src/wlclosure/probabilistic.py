@@ -22,9 +22,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import RefinementInvariantError, WlResult, iteration_budget, refine_lockstep
+from .classical import (
+    RefinementInvariantError,
+    WlResult,
+    guard_memory,
+    iteration_budget,
+    refine_lockstep,
+)
 from .graph import ColorMatrix, InputError, RefinementOutcome, is_discrete, is_rainbow, refine_by
 from .matmul import INT64_MAX, OverflowGuardError, multiply
+
+# Bytes per cell a Monte Carlo run may hold: each coloring's input, current
+# and next cells, plus one step's two float64 operands, its product and the
+# rank layer's two buffers (sort words, or the fallback's order and ranks).
+_COLORING_CELL_BYTES = 24
+_STEP_CELL_BYTES = 40
+
+
+def _guard_monte_carlo(n: int, colorings: int) -> None:
+    """Refuse a run whose estimated n**2 working set exceeds the memory budget."""
+    estimate = n * n * (_COLORING_CELL_BYTES * colorings + _STEP_CELL_BYTES)
+    guard_memory(estimate, "Monte Carlo run", f"at n={n}")
 
 
 @dataclass(frozen=True)
@@ -152,8 +170,11 @@ def _monte_carlo_run(
     """:func:`refine_lockstep` with Monte Carlo steps on the seeded stream.
 
     The theoretical policy runs its budget: a patience equal to the budget
-    never stops a run first.  The practical policy has no budget.
+    never stops a run first.  The practical policy has no budget.  A run
+    whose estimated working set exceeds the memory budget raises
+    :class:`~wlclosure.classical.ResourceGuardError` before it starts.
     """
+    _guard_monte_carlo(inputs[0].n, len(inputs))
     policy = params.policy
     step = _substitution_steps(params.m, np.random.default_rng(params.seed))
     if policy.kind == "practical":
@@ -190,6 +211,7 @@ def check_coherent(x: ColorMatrix, m: int, trials: int, rng: np.random.Generator
         return True
     if not is_rainbow(x):
         return False
+    _guard_monte_carlo(x.n, 1)
     for _ in range(trials):
         if probabilistic_step(x, m, rng).refined:
             return False

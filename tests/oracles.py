@@ -80,6 +80,23 @@ def sorted_tuple_ranks(pairs: list[tuple]) -> list[int]:
     return [rank_of[pair] for pair in pairs]
 
 
+def brute_is_rainbow(grid) -> bool:
+    """No loop color off the diagonal, and each color fixes its reverse's."""
+    n = len(grid)
+    loops = {grid[u][u] for u in range(n)}
+    if any(grid[u][v] in loops for u in range(n) for v in range(n) if u != v):
+        return False
+    pairs = {(grid[u][v], grid[v][u]) for u in range(n) for v in range(n)}
+    return len(pairs) == len({c for row in grid for c in row})
+
+
+def brute_is_refinement(fine, coarse) -> bool:
+    """Every class of ``fine`` lies inside one class of ``coarse``."""
+    flat_fine = [c for row in fine for c in row]
+    pairs = set(zip(flat_fine, [c for row in coarse for c in row]))
+    return len(pairs) == len(set(flat_fine))
+
+
 def python_refine_by(colors, values) -> tuple[bool, list[list[int]]]:
     """Split a color grid by per-cell values, ranking (old color, value) tuples.
 

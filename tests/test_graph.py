@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from wlclosure import graph
+from wlclosure.coherence import make_fixture
 from wlclosure.graph import (
     ColorMatrix,
     InputError,
@@ -22,6 +26,8 @@ from wlclosure.graph import (
 )
 
 from oracles import (
+    brute_is_rainbow,
+    brute_is_refinement,
     brute_rainbow,
     partition_of,
     python_first_occurrence_relabel,
@@ -189,39 +195,88 @@ def test_refine_by_takes_only_integer_ndarrays():
 
 _TOP = 2**63 - 1  # 7 * 1317624576693539401
 _SPAN_AT_TOP = _TOP // 7
+# 16 cells take 4 index bits, so keys of up to 60 bits pack without a shift
+_PACKED_CELLS = 16
+
+
+def _packed_case(bits, secondary):
+    """Primary 0 and the given secondary, padded to ``_PACKED_CELLS`` cells
+    with 0 and ``2**bits - 1``, so the key range is exactly ``2**bits``."""
+    tail = [0, 2**bits - 1] * _PACKED_CELLS
+    secondary = list(secondary) + tail[: _PACKED_CELLS - len(secondary)]
+    return np.zeros(_PACKED_CELLS, dtype=np.int64), np.array(secondary, dtype=np.uint64).view(np.int64)
 
 
 def _rank_case(name):
+    """(primary, secondary, packed sorts, argsort fallbacks) of one case."""
     rng = np.random.default_rng(77)
     if name == "random":
         # key range (5 + 1) * 9 = 54 <= 300 cells: a presence table, no sort
-        return rng.integers(1, 6, 300), rng.integers(-4, 5, 300), 0
+        return rng.integers(1, 6, 300), rng.integers(-4, 5, 300), 0, 0
     if name == "table_range_at_cell_count":
         # (max primary + 1) * span == 6 * 10 == 60 cells
         primary, secondary = rng.integers(0, 6, 60), rng.integers(-3, 7, 60)
         primary[:2], secondary[:2] = 5, (-3, 6)
-        return primary, secondary, 0
+        return primary, secondary, 0, 0
     if name == "table_range_above_cell_count":
         primary, secondary = rng.integers(0, 6, 59), rng.integers(-3, 7, 59)
         primary[:2], secondary[:2] = 5, (-3, 6)
-        return primary, secondary, 1
+        return primary, secondary, 1, 0
     if name == "bound_at_int64_max":
-        # (max primary + 1) * span == 2**63 - 1: the packed key just fits
+        # (max primary + 1) * span == 2**63 - 1: one packed sort of 63-bit
+        # keys, by their top 61 bits
         lo = -5
         secondary = np.array([lo, lo + _SPAN_AT_TOP - 1, 0, lo, 17, lo + _SPAN_AT_TOP - 1])
-        return np.array([6, 1, 6, 6, 0, 1]), secondary, 1
+        return np.array([6, 1, 6, 6, 0, 1]), secondary, 1, 0
     if name == "bound_above_int64_max":
+        # a key range of 2**63 + 6 still fits uint64: no dense-rank pre-pass
         lo = -5
         secondary = np.array([lo, lo + _SPAN_AT_TOP, 0, lo, 17, lo + _SPAN_AT_TOP])
-        return np.array([6, 1, 6, 6, 0, 1]), secondary, 2
+        return np.array([6, 1, 6, 6, 0, 1]), secondary, 1, 0
     if name == "negative_and_equal":
-        return np.array([2, 2, 1, 1, 2, 1, 2]), np.array([-7, -7, 3, -7, 3, -2**63, 3]), 2
+        # key range 3 * (2**63 + 4) > 2**64: the secondary is dense-ranked first
+        return np.array([2, 2, 1, 1, 2, 1, 2]), np.array([-7, -7, 3, -7, 3, -2**63, 3]), 2, 0
     if name == "one_cell":
-        return np.array([1]), np.array([-9]), 1
+        return np.array([1]), np.array([-9]), 1, 0
     if name == "discrete_primary_small_values":
-        return rng.permutation(400) + 1, rng.integers(0, 1000, 400), 1
+        return rng.permutation(400) + 1, rng.integers(0, 1000, 400), 1, 0
     if name == "discrete_primary_large_values":
-        return rng.permutation(400) + 1, rng.integers(-2**62, 2**62, 400), 2
+        return rng.permutation(400) + 1, rng.integers(-2**62, 2**62, 400), 2, 0
+    if name == "packed_single_pass":
+        # 60 key bits + 4 index bits: the keys themselves are sorted, so 1
+        # before 0 and 2**60 - 1 before 2**60 - 2 need no argsort
+        secondary = [1, 0, 2**60 - 1, 2**60 - 2, 2**59, 5, 2**59, 4]
+        return (*_packed_case(60, secondary), 1, 0)
+    if name == "packed_top_bits_in_index_order":
+        # 61 key bits: the lowest is dropped; keys sharing the rest come in
+        # index order, so the sorted top bits are a sort of the keys
+        secondary = [2**60, 2**60 + 1, 2**61 - 2, 2**61 - 1, 6, 7, 2**60 - 1, 9]
+        return (*_packed_case(61, secondary), 1, 0)
+    if name == "packed_top_bits_reversed":
+        # 62 key bits: the lowest two are dropped; 7 and 4 share the rest in
+        # reverse index order, so the gathered keys decrease, and their
+        # block is sorted by key
+        secondary = [7, 4, 2**62 - 1, 2**61, 3, 2**61 + 3]
+        return (*_packed_case(62, secondary), 1, 0)
+    if name == "key_range_full_uint64":
+        # primary 0, secondary over all of int64: key range exactly 2**64
+        primary = np.zeros(300, dtype=np.int64)
+        secondary = rng.integers(-2**63, 2**63 - 1, 300, endpoint=True)
+        secondary[:3] = (-2**63, 2**63 - 1, 0)
+        return primary, secondary, 1, 0
+    if name == "key_range_between_2_63_and_2_64":
+        # 3 * (2**64 // 3): above 2**63, at most 2**64
+        span = 2**64 // 3
+        primary = rng.integers(0, 3, 300)
+        secondary = rng.integers(0, span, 300) - 2**62
+        primary[:2], secondary[:2] = 2, (-2**62, span - 1 - 2**62)
+        return primary, secondary, 1, 0
+    if name == "key_range_above_2_64":
+        # 2 * (2**63 + 1) = 2**64 + 2: the secondary is dense-ranked first
+        primary = rng.integers(0, 2, 300)
+        secondary = rng.integers(-2**62, 2**62, 300)
+        primary[0], secondary[:2] = 1, (-2**62, 2**63 - 2**62)
+        return primary, secondary, 2, 0
     raise AssertionError(name)
 
 
@@ -237,21 +292,84 @@ def _rank_case(name):
         "one_cell",
         "discrete_primary_small_values",
         "discrete_primary_large_values",
+        "packed_single_pass",
+        "packed_top_bits_in_index_order",
+        "packed_top_bits_reversed",
+        "key_range_full_uint64",
+        "key_range_between_2_63_and_2_64",
+        "key_range_above_2_64",
     ],
 )
 def test_lex_rank_matches_sorted_tuple_ranks(name, monkeypatch):
-    """Presence table (no sort), direct key (one sort) and dense-rank
-    fallback (two sorts) rank alike."""
-    primary, secondary, sorts = _rank_case(name)
+    """Presence table (no sort), direct key (one packed sort), dense-rank
+    pre-pass (two) and the argsort fallback rank alike."""
+    primary, secondary, sorts, fallbacks = _rank_case(name)
     primary, secondary = primary.astype(np.int64), secondary.astype(np.int64)
-    calls = []
-    real = graph._dense_rank
-    monkeypatch.setattr(graph, "_dense_rank", lambda v, out: calls.append(1) or real(v, out))
+    calls, fallback_calls = [], []
+    real, real_fallback = graph._dense_rank, graph._argsort_rank
+    monkeypatch.setattr(
+        graph, "_dense_rank", lambda key, top, out: calls.append(1) or real(key, top, out)
+    )
+    monkeypatch.setattr(
+        graph, "_argsort_rank", lambda key, out: fallback_calls.append(1) or real_fallback(key, out)
+    )
     ranks, count = graph._lex_rank(primary, secondary)
     expected = sorted_tuple_ranks(list(zip(primary.tolist(), secondary.tolist())))
+    assert ranks.dtype == np.int64
     assert ranks.tolist() == expected
     assert count == max(expected)
-    assert len(calls) == sorts
+    assert (len(calls), len(fallback_calls)) == (sorts, fallbacks)
+
+
+@pytest.mark.parametrize(
+    "cells, bits, shift",
+    [(16, 60, 0), (16, 61, 1), (16, 62, 2), (17, 59, 0), (17, 60, 1), (1, 64, 0), (2, 64, 1)],
+)
+def test_dense_rank_drops_the_fewest_key_bits(monkeypatch, cells, bits, shift):
+    """Key bits plus index bits up to 64 pack whole; beyond that, exactly
+    the excess low key bits are dropped."""
+    rng = np.random.default_rng(cells * 100 + bits)
+    key = rng.integers(0, 2**bits, cells, dtype=np.uint64, endpoint=False)
+    key[0] = 2**bits - 1
+    shifts = []
+    real = graph._rank_words
+    monkeypatch.setattr(
+        graph, "_rank_words", lambda w, k, sh, ib: shifts.append(sh) or real(w, k, sh, ib)
+    )
+    out = np.empty(cells, dtype=np.int64)
+    count = graph._dense_rank(key.copy(), 2**bits - 1, out)
+    expected = sorted_tuple_ranks([(k,) for k in key.tolist()])
+    assert out.tolist() == expected and count == max(expected)
+    assert shifts == [shift]
+
+
+@pytest.mark.parametrize(
+    "block, first, fallbacks",
+    [
+        (16, 0, 0),  # the reversed pair inside one block: the block is sorted
+        (2, 0, 0),
+        (1, 0, 1),  # each cell its own block: the pair straddles a boundary
+        (2, 1, 1),  # the pair at sorted positions 1 and 2, across blocks of 2
+        (3, 1, 0),
+    ],
+)
+def test_dense_rank_repairs_blocks_or_falls_back(monkeypatch, block, first, fallbacks):
+    """Top-bits pass (shift 2 on 16 cells): keys 7 and 4 share their top
+    bits in reverse index order at sorted positions ``first``, ``first + 1``."""
+    key = [2**62 - 16 + i for i in range(16)]  # ascending with the index: in order
+    key[first : first + 2] = [7, 4]
+    key[:first] = range(first)
+    key = np.array(key, dtype=np.uint64)
+    monkeypatch.setattr(graph, "_RANK_BLOCK", block)
+    calls = []
+    real = graph._argsort_rank
+    monkeypatch.setattr(graph, "_argsort_rank", lambda k, o: calls.append(1) or real(k, o))
+    out = np.empty(16, dtype=np.int64)
+    count = graph._dense_rank(key.copy(), 2**62 - 1, out)
+    expected = sorted_tuple_ranks([(k,) for k in key.tolist()])
+    assert out.tolist() == expected
+    assert count == 16
+    assert len(calls) == fallbacks
 
 
 def test_is_refinement_basic_direction():
@@ -277,6 +395,100 @@ def test_is_refinement_transitive_along_chains(seed):
 def test_is_refinement_size_mismatch():
     with pytest.raises(InputError):
         is_refinement(validate([[1]]), validate([[1, 2], [2, 1]]))
+
+
+def _rainbow_case(kind, seed):
+    rng = np.random.default_rng(400 + seed)
+    n = int(rng.integers(3, 12))
+    x = rainbow_refine(validate(random_grid(rng, n, int(rng.integers(1, 5)))))
+    cells = x.cells.copy()
+    u, v = rng.choice(np.arange(1, n), size=2, replace=False)
+    if kind == "loop_color_off_diagonal":
+        cells[u, v] = cells[u, u]
+    elif kind == "reverse_not_a_function":
+        # color c(0, 1) reverses to c(1, 0) there, and to a fresh color at (u, v)
+        cells[u, v], cells[v, u] = cells[0, 1], x.r + 1
+    return validate(cells)
+
+
+@pytest.mark.parametrize("kind", ["rainbow", "loop_color_off_diagonal", "reverse_not_a_function"])
+@pytest.mark.parametrize("seed", range(8))
+def test_is_rainbow_matches_set_oracle(kind, seed):
+    x = _rainbow_case(kind, seed)
+    expected = brute_is_rainbow(x.cells.tolist())
+    assert is_rainbow(x) == expected
+    assert expected == (kind == "rainbow")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_is_refinement_matches_set_oracle(seed):
+    rng = np.random.default_rng(500 + seed)
+    n = int(rng.integers(1, 10))
+    x = validate(random_grid(rng, n, int(rng.integers(1, 4))))
+    y = validate(random_grid(rng, n, int(rng.integers(1, 4))))
+    finer = refine_by(x, rng.integers(0, 3, size=(n, n), dtype=np.int64)).result
+    for fine, coarse in ((finer, x), (x, finer), (x, y), (y, x), (x, x)):
+        expected = brute_is_refinement(fine.cells.tolist(), coarse.cells.tolist())
+        assert is_refinement(fine, coarse) == expected
+    assert is_refinement(finer, x)
+
+
+def test_refine_by_quiet_step_returns_its_input(monkeypatch):
+    """Values constant on every class split nothing: the input comes back
+    as it is, without a rank."""
+    rng = np.random.default_rng(8)
+    x = rainbow_refine(validate(random_grid(rng, 9, 3)))
+    per_color = rng.integers(-10**12, 10**12, x.r + 1)
+    monkeypatch.setattr(graph, "_lex_rank", lambda *a: pytest.fail("ranked a quiet step"))
+    out = refine_by(x, per_color[x.cells])
+    assert out.result is x
+    assert not out.refined
+
+
+def test_refine_by_one_differing_cell_is_not_quiet():
+    rng = np.random.default_rng(9)
+    x = rainbow_refine(validate(random_grid(rng, 9, 3)))
+    values = np.zeros_like(x.cells)
+    for cell in (0, 40, 80):  # the first, a middle and the last cell
+        values.flat[cell] = 1
+        out = refine_by(x, values)
+        refined, grid = python_refine_by(x.cells.tolist(), values.tolist())
+        assert out.result.cells.tolist() == grid
+        assert out.refined == refined
+        values.flat[cell] = 0
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["packed", "argsort_fallback"])
+def test_refine_by_working_set_on_a_path_run(monkeypatch, fallback):
+    """Each refine_by of a Monte Carlo run on a permuted path(512) peaks at
+    most at the 6.25 MiB of the single-argsort ranking (three int64 arrays
+    of n**2 cells and a bool one), also when every step takes the argsort
+    fallback."""
+    from wlclosure.probabilistic import draw_substitution, numeric_product
+
+    n = 512
+    perm = np.random.default_rng(5).permutation(n)
+    x = rainbow_refine(permute_vertices(make_fixture("path", n), perm))
+    rng = np.random.default_rng(3001)
+    fallbacks = []
+    real = graph._argsort_rank
+    monkeypatch.setattr(graph, "_argsort_rank", lambda k, o: fallbacks.append(1) or real(k, o))
+    if fallback:
+        monkeypatch.setattr(graph, "_rank_words", lambda *args: None)
+    peaks = []
+    for _ in range(11):
+        values = numeric_product(x, draw_substitution(x.r, 10**6, rng))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = refine_by(x, values)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        x = out.result
+    assert x.r == n * n // 2
+    assert len(fallbacks) == (8 if fallback else 0)
+    assert max(peaks) <= 3 * 8 * n * n + n * n, [f"{p / 2**20:.2f}" for p in peaks]
 
 
 def _relabel_case(name):

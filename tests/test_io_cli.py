@@ -401,6 +401,22 @@ def test_cli_close_exact_over_memory_budget_exits_4(tmp_path, capsys, monkeypatc
     assert err.startswith("error: exact step needs about ") and "n=6" in err
 
 
+@pytest.mark.parametrize("command", ["close", "check", "isopair"])
+def test_cli_monte_carlo_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch, command):
+    path, _ = write_fixture(tmp_path, "cyclic", 7)
+    argv = [command, str(path)]
+    if command == "isopair":
+        argv.append(str(path))
+    monkeypatch.setattr(classical, "_memory_budget", lambda: 1000)
+    code, out, err = run_cli(capsys, *argv, "--seed", "1")
+    assert code == 4
+    assert err.startswith("error: Monte Carlo run needs about ") and "at n=7," in err
+    # no result is printed; isopair's header lines come before the run
+    assert "iteration" not in out and "coherent" not in out
+    monkeypatch.setattr(classical, "_memory_budget", lambda: None)
+    assert run_cli(capsys, *argv, "--seed", "1")[0] == 0
+
+
 def test_cli_check_exit_codes(tmp_path, capsys):
     coherent_path, _ = write_fixture(tmp_path, "cyclic", 7, filename="c.wl")
     code, out, _ = run_cli(capsys, "check", str(coherent_path), "--seed", "5", "--exact")
@@ -572,6 +588,10 @@ def test_cli_bench_smoke(capsys):
     assert lines[0] == "mode: mc"
     assert any(ln.strip().startswith("8 ") for ln in lines)
     assert any(ln.strip().startswith("16 ") for ln in lines)
+    rows = [ln.split() for ln in lines[3:]]
+    assert [row[:2] for row in rows] == [["8", "random"], ["8", "path"], ["16", "random"], ["16", "path"]]
+    # the permuted path refines over several steps
+    assert all(int(row[4]) > 1 for row in rows if row[1] == "path")
 
 
 def test_cli_bench_rejects_bad_sizes(capsys):

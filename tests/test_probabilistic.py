@@ -6,6 +6,9 @@ assertions leave five standard deviations of slack so they are stable.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -404,3 +407,50 @@ def test_closure_overflow_propagates():
     x = validate(random_grid(np.random.default_rng(9), 4, 2))
     with pytest.raises(OverflowGuardError):
         probabilistic_closure(x, RunParams(2**32, StoppingPolicy.practical(3), 0))
+
+
+def _traced_peak(run) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["single", "paired"])
+def test_monte_carlo_guard_estimate_tracks_the_traced_peak(monkeypatch, paired):
+    """The guard's estimate lies within [1, 2] times the traced peak of a
+    run on a permuted path(256) plus its inputs: a budget of 0.9 x that
+    refuses the run, one of 2 x admits it."""
+    n = 256
+    x = permute_vertices(make_fixture("path", n), np.random.default_rng(5).permutation(n))
+    params = RunParams(10**6, StoppingPolicy.practical(3), 1)
+    if paired:
+        run = lambda: paired_closure(x, x, params).first.closure  # noqa: E731
+    else:
+        run = lambda: probabilistic_closure(x, params).closure  # noqa: E731
+    expected = run()
+    held = _traced_peak(run) + (2 if paired else 1) * x.cells.nbytes
+    monkeypatch.setattr(classical, "_memory_budget", lambda: int(0.9 * held))
+    with pytest.raises(classical.ResourceGuardError, match=f"at n={n}"):
+        run()
+    monkeypatch.setattr(classical, "_memory_budget", lambda: 2 * held)
+    assert run().cells.tolist() == expected.cells.tolist()
+
+
+def test_monte_carlo_guard_refuses_runs_over_budget(monkeypatch):
+    x = make_fixture("cyclic", 9)
+    params = RunParams(10**6, StoppingPolicy.practical(3), 1)
+    monkeypatch.setattr(classical, "_memory_budget", lambda: 1000)
+    for run in (
+        lambda: probabilistic_closure(x, params),
+        lambda: paired_closure(x, x, params),
+        lambda: check_coherent(x, 10**6, 3, np.random.default_rng(1)),
+    ):
+        with pytest.raises(classical.ResourceGuardError, match="Monte Carlo run .* at n=9"):
+            run()
+    monkeypatch.setattr(classical, "_memory_budget", lambda: None)
+    assert probabilistic_closure(x, params).stopping_reason == "stable"
+    assert check_coherent(x, 10**6, 3, np.random.default_rng(1))
