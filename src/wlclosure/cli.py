@@ -20,11 +20,11 @@ import time
 
 import numpy as np
 
-from .classical import ResourceGuardError, classical_closure, classical_step
+from .classical import ResourceGuardError, classical_closure, classical_step, guard_memory
 from .coherence import fixture_names, make_fixture, verify_coherent
 from .graph import (
     InputError,
-    _id_presence,
+    distinct_ids,
     is_color_isomorphism,
     normalize_by_value,
     permute_vertices,
@@ -51,6 +51,8 @@ from .probabilistic import (
 )
 
 _SIZE_CAP = 4096
+# bytes per cell to build and write a fixture grid (traced: 16-39 at n=512, 1024)
+_GEN_CELL_BYTES = 40
 
 
 def _fresh_seed() -> int:
@@ -133,29 +135,19 @@ def cmd_check(args) -> int:
     seed = args.seed if args.seed is not None else _fresh_seed()
     rng = np.random.default_rng(seed)
     verdict = check_coherent(x, args.m, args.trials, rng)
+    report = verify_coherent(x) if args.exact else None
     print(f"input_sha256: {input_digest(x)}")
     print(f"m: {args.m}")
     print(f"trials: {args.trials}")
     print(f"seed: {seed}")
-    if args.exact:
-        report = verify_coherent(x)
-        if report.coherent:
-            print("exact: coherent")
-        else:
-            w = report.witness
-            detail = f"{w.kind} at cells {w.first_cell} / {w.second_cell}"
-            if w.pair is not None:
-                detail += f", pair {w.pair}"
-            print(f"exact: not coherent ({detail})")
+    if report is not None and report.coherent:
+        print("exact: coherent")
+    elif report is not None:
+        w = report.witness
+        pair = "" if w.pair is None else f", pair {w.pair}"
+        print(f"exact: not coherent ({w.kind} at cells {w.first_cell} / {w.second_cell}{pair})")
     print("coherent" if verdict else "not coherent (probabilistic)")
     return 0 if verdict else 1
-
-
-def _distinct_ids(raw) -> np.ndarray:
-    """Sorted distinct ids of a raw grid; a sort only for sparse ids."""
-    flat = raw.ravel()
-    seen = _id_presence(flat)
-    return np.unique(flat) if seen is None else np.flatnonzero(seen)
 
 
 def cmd_isopair(args) -> int:
@@ -174,7 +166,7 @@ def cmd_isopair(args) -> int:
     print(f"k: {args.k}")
     print(f"seed: {seed}")
 
-    ids_a, ids_b = _distinct_ids(raw_a), _distinct_ids(raw_b)
+    ids_a, ids_b = distinct_ids(raw_a.ravel()), distinct_ids(raw_b.ravel())
     if not np.array_equal(ids_a, ids_b):
         print(f"iteration 0: color vocabularies differ ({len(ids_a)} vs {len(ids_b)} ids)")
         print(
@@ -224,6 +216,8 @@ def cmd_bench(args) -> int:
         raise InputError("no sizes given")
     if any(n < 2 or n > _SIZE_CAP for n in sizes):
         raise InputError(f"sizes must lie in 2..{_SIZE_CAP}")
+    if args.reps < 1:
+        raise InputError(f"reps must be >= 1, got {args.reps}")
     seed = args.seed if args.seed is not None else _fresh_seed()
     print(f"mode: {args.mode}")
     print(f"seed: {seed}")
@@ -265,6 +259,8 @@ def cmd_bench(args) -> int:
 
 def cmd_gen(args) -> int:
     params = list(args.params)
+    if params and params[0] > 0:  # a sized fixture's first parameter is n
+        guard_memory(params[0] ** 2 * _GEN_CELL_BYTES, "gen", f"for a grid at n={params[0]}")
     if args.name == "random":
         if len(params) != 2:
             raise InputError("random fixture takes n and r")

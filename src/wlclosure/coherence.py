@@ -1,27 +1,27 @@
-"""Direct verification of the coherence axioms, plus named test fixtures.
+"""Vectorized verification of the coherence axioms, plus named test fixtures.
 
 A coloring is coherent when (a) loop colors never appear off the diagonal,
 (b) the color of an arc determines the color of its reverse arc, and (c) for
 any two cells of the same color and any color pair ``(i, j)``, the number of
 intermediate vertices ``w`` with ``c(u, w) = i`` and ``c(w, v) = j`` is the
-same.  This module checks the axioms by explicit counting -- dictionaries
-and Counters over the raw grid, nothing shared with the refinement engines
--- so it can serve as a second, independent oracle: a coloring passes here
-exactly when it is rainbow and no refinement step can split it.
-
-Violations come with a witness naming the offending cells (0-based vertex
-indices), found in row-major scan order, so a failed check is replayable by
-hand.
+same: exactly when it is rainbow and no refinement step can split it.  Axiom
+(c) is read off the exact step's fingerprint rows; the tests diff every
+report against a pure-Python counting oracle.  Witnesses name the offending
+cells (0-based vertex indices), found in row-major scan order, so a failed
+check is replayable by hand.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ColorMatrix, InputError, validate
+from .classical import _BLOCK_BYTES, _fill_rows, _row_dtype, guard_memory
+from .graph import ColorMatrix, InputError, first_positions, validate
+
+# bytes per cell at the peak: first cells, reverse colors, their gather (int64), a mask
+_CHECK_CELL_BYTES = 25
 
 
 @dataclass(frozen=True)
@@ -46,64 +46,67 @@ class CoherenceReport:
     witness: CoherenceWitness | None
 
 
+def _violation(kind: str, first: int, second: int, n: int, pair=None) -> CoherenceReport:
+    cells = divmod(int(first), n), divmod(int(second), n)
+    return CoherenceReport(False, CoherenceWitness(kind, *cells, pair))
+
+
 def verify_coherent(x: ColorMatrix) -> CoherenceReport:
-    """Check the three coherence axioms by direct counting, O(n^3) time."""
-    n = x.n
-    grid = x.cells.tolist()
-    columns = [list(col) for col in zip(*grid)]
+    """Check the three coherence axioms in order, O(n**3 log n) time.
 
-    loop_cell_of: dict[int, tuple[int, int]] = {}
-    for u in range(n):
-        loop_cell_of.setdefault(grid[u][u], (u, u))
-    for u in range(n):
-        for v in range(n):
-            if u != v and grid[u][v] in loop_cell_of:
-                witness = CoherenceWitness(
-                    "diagonal_overlap", loop_cell_of[grid[u][v]], (u, v)
-                )
-                return CoherenceReport(False, witness)
+    Each witness is the first offending cell in row-major order, against
+    the first loop of its color (``diagonal_overlap``) or the first cell of
+    its color.  Within one color two cells' rows (:func:`_fill_rows`) are
+    equal exactly when their multisets of pairs ``(c(u, w), c(w, v))`` are,
+    as a row holds the sorted codes; rows are compared ``_BLOCK_BYTES`` at a
+    time, each color's first cell skipped.  The ``pair`` is the smaller code
+    where the two cells' sorted codes first differ: the smallest pair whose
+    counts differ.  Above the memory budget :func:`guard_memory` raises first.
+    """
+    n, r = x.n, x.r
+    row_bytes = (n + 1) * _row_dtype(r).itemsize
+    block = min(max(1, _BLOCK_BYTES // row_bytes), n * n)
+    # the n**2 arrays, and two blocks of rows with three of temporaries
+    guard_memory(n * n * _CHECK_CELL_BYTES + 5 * block * row_bytes, "exact check", f"at n={n}")
+    flat = x.cells.ravel()
+    loops = x.cells.diagonal()
+    overlap = np.isin(x.cells, loops)
+    np.fill_diagonal(overlap, False)
+    if overlap.any():
+        k = int(np.argmax(overlap))
+        return _violation("diagonal_overlap", np.argmax(loops == flat[k]) * (n + 1), k, n)
+    ref = first_positions(flat, r)[flat]
+    reverse = x.cells.T.ravel()
+    split = reverse[ref] != reverse
+    if split.any():
+        k = int(np.argmax(split))
+        return _violation("transpose_split", ref[k], k, n)
+    del reverse, split
 
-    reverse_of: dict[int, int] = {}
-    seen_at: dict[int, tuple[int, int]] = {}
-    for u in range(n):
-        for v in range(n):
-            color, reverse = grid[u][v], grid[v][u]
-            if color not in reverse_of:
-                reverse_of[color] = reverse
-                seen_at[color] = (u, v)
-            elif reverse_of[color] != reverse:
-                witness = CoherenceWitness("transpose_split", seen_at[color], (u, v))
-                return CoherenceReport(False, witness)
-
-    class_sizes = Counter(c for row in grid for c in row)
-    reference: dict[int, Counter] = {}
-    ref_cell: dict[int, tuple[int, int]] = {}
-    for u in range(n):
-        for v in range(n):
-            color = grid[u][v]
-            if class_sizes[color] == 1:
-                continue
-            profile = Counter(zip(grid[u], columns[v]))
-            if color not in reference:
-                reference[color] = profile
-                ref_cell[color] = (u, v)
-            elif reference[color] != profile:
-                ref = reference[color]
-                pair = min(p for p in set(ref) | set(profile) if ref[p] != profile[p])
-                witness = CoherenceWitness(
-                    "profile_mismatch", ref_cell[color], (u, v), pair
-                )
-                return CoherenceReport(False, witness)
-
+    cells = x.cells.astype(_row_dtype(r))
+    mirror = np.ascontiguousarray(cells.T)
+    for s in range(0, n * n, block):
+        own = np.arange(s, min(s + block, n * n))
+        own = own[ref[own] != own]  # a color's first cell matches itself
+        if not len(own):
+            continue
+        rows = np.empty((2, len(own), n + 1), dtype=cells.dtype)
+        for i, batch in enumerate((own, ref[own])):
+            _fill_rows(rows[i], cells, mirror, batch, flat[own], r + 1)
+        differs = (rows[0] != rows[1]).any(axis=1)
+        if differs.any():
+            k = int(own[np.argmax(differs)])
+            codes = [x.cells[c // n] * (r + 1) + x.cells[:, c % n] for c in (ref[k], k)]
+            a, b = np.sort(codes, axis=1)
+            pair = divmod(int(np.minimum(a, b)[np.argmax(a != b)]), r + 1)
+            return _violation("profile_mismatch", ref[k], k, n, pair)
     return CoherenceReport(True, None)
 
 
 def _fixture_trivial(n: int) -> ColorMatrix:
     if n < 1:
         raise InputError("trivial fixture needs n >= 1")
-    grid = np.full((n, n), 2, dtype=np.int64)
-    np.fill_diagonal(grid, 1)
-    return validate(grid)
+    return validate(2 - np.eye(n, dtype=np.int64))
 
 
 def _fixture_cyclic(n: int) -> ColorMatrix:
@@ -117,30 +120,20 @@ def _fixture_path(n: int) -> ColorMatrix:
     if n < 2:
         raise InputError("path fixture needs n >= 2")
     u = np.arange(n)
-    dist = np.abs(u[None, :] - u[:, None])
-    grid = np.where(dist == 0, 1, np.where(dist == 1, 2, 3))
-    return validate(grid)
+    return validate(np.minimum(np.abs(u[None, :] - u[:, None]), 2) + 1)
 
 
 def _fixture_cycle5() -> ColorMatrix:
-    u = np.arange(5)
-    dist = (u[None, :] - u[:, None]) % 5
-    grid = np.where(dist == 0, 1, np.where((dist == 1) | (dist == 4), 2, 3))
-    return validate(grid)
+    dist = _fixture_cyclic(5).cells - 1  # (v - u) % 5
+    return validate(np.minimum(dist, 5 - dist) + 1)
 
 
 def _fixture_petersen() -> ColorMatrix:
-    vertices = [(a, b) for a in range(5) for b in range(a + 1, 5)]
-    n = len(vertices)
-    grid = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(vertices):
-        for j, q in enumerate(vertices):
-            if i == j:
-                grid[i, j] = 1
-            elif not set(p) & set(q):
-                grid[i, j] = 2
-            else:
-                grid[i, j] = 3
+    # vertices are the 2-subsets of 0..4, adjacent when disjoint
+    pairs = np.array([(a, b) for a in range(5) for b in range(a + 1, 5)])
+    meet = (pairs[:, None, :, None] == pairs[None, :, None, :]).any(axis=(2, 3))
+    grid = np.where(meet, 3, 2)
+    np.fill_diagonal(grid, 1)
     return validate(grid)
 
 

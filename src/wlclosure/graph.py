@@ -53,10 +53,23 @@ def _id_presence(flat: np.ndarray) -> np.ndarray | None:
     return seen
 
 
+def distinct_ids(flat: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of ``flat``; a sort only for sparse ids."""
+    seen = _id_presence(flat)
+    return np.unique(flat) if seen is None else np.flatnonzero(seen)
+
+
 def count_distinct(flat: np.ndarray) -> int:
-    """Number of distinct values; a sort only for sparse ids."""
+    """``len(distinct_ids(flat))`` without the ids: no array of them for dense ids."""
     seen = _id_presence(flat)
     return len(np.unique(flat)) if seen is None else int(np.count_nonzero(seen))
+
+
+def first_positions(flat: np.ndarray, top: int) -> np.ndarray:
+    """Position of each id ``0..top``'s first occurrence in ``flat``, else ``len(flat)``."""
+    first = np.full(top + 1, len(flat), dtype=np.int64)
+    np.minimum.at(first, flat, np.arange(len(flat)))
+    return first
 
 
 def _first_occurrence_relabel(flat: np.ndarray) -> tuple[np.ndarray, int]:
@@ -64,9 +77,9 @@ def _first_occurrence_relabel(flat: np.ndarray) -> tuple[np.ndarray, int]:
 
     Returns the relabeled int64 array and the number of distinct values.
     Dense ids need no sort of the cells: when every cell is distinct the
-    labels are the positions; otherwise ``np.minimum.at`` finds each id's
-    first position and one ``argsort`` over the ``r`` distinct ids ranks
-    them.  Sparse ids fall back to ``np.unique``.
+    labels are the positions; otherwise :func:`first_positions` finds each
+    id's first position and one ``argsort`` over the ``r`` distinct ids
+    ranks them.  Sparse ids fall back to ``np.unique``.
     """
     size = len(flat)
     seen = _id_presence(flat)
@@ -80,8 +93,7 @@ def _first_occurrence_relabel(flat: np.ndarray) -> tuple[np.ndarray, int]:
         return np.arange(1, size + 1, dtype=np.int64), r
     ids = np.flatnonzero(seen)
     del seen
-    first = np.full(int(ids[-1]) + 1, size, dtype=np.int64)
-    np.minimum.at(first, flat, np.arange(size))
+    first = first_positions(flat, int(ids[-1]))
     # ``first`` becomes the label table; entries of absent ids are never read
     first[ids[np.argsort(first[ids])]] = np.arange(1, r + 1)
     return first[flat], r
@@ -369,13 +381,12 @@ def is_refinement(fine: ColorMatrix, coarse: ColorMatrix) -> bool:
 def is_same_partition(x: ColorMatrix, y: ColorMatrix) -> bool:
     """True when the two colorings cut the cells into identical classes.
 
-    Color ids are ignored; only the grouping matters.
+    Color ids are ignored.  Equal class counts and ``x`` refining ``y`` make
+    the classes correspond one to one.
     """
     if x.n != y.n:
         raise InputError("colorings have different sizes")
-    a, _ = _first_occurrence_relabel(x.cells.ravel())
-    b, _ = _first_occurrence_relabel(y.cells.ravel())
-    return bool(np.array_equal(a, b))
+    return x.r == y.r and is_refinement(x, y)
 
 
 def is_discrete(x: ColorMatrix) -> bool:

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here sticks to plain Python containers -- Counters, dicts,
-nested lists -- and shares no code with the package, so agreement between
-the two is meaningful evidence rather than a tautology.
+nested lists -- and shares no logic with the package (only its result
+dataclasses), so agreement between the two is meaningful evidence rather
+than a tautology.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+
+from wlclosure.coherence import CoherenceReport, CoherenceWitness
 
 
 def random_grid(rng: np.random.Generator, n: int, r: int) -> np.ndarray:
@@ -224,3 +227,55 @@ def python_parse_graph_raw(text: str) -> list[list[int]]:
     if min(min(row) for row in grid) <= 0 or len({c for row in grid for c in row}) != r:
         raise ValueError("bad color ids")
     return grid
+
+
+def python_verify_coherent(x) -> CoherenceReport:
+    """Check the three coherence axioms by direct counting, O(n^3) time."""
+    n = x.n
+    grid = x.cells.tolist()
+    columns = [list(col) for col in zip(*grid)]
+
+    loop_cell_of: dict[int, tuple[int, int]] = {}
+    for u in range(n):
+        loop_cell_of.setdefault(grid[u][u], (u, u))
+    for u in range(n):
+        for v in range(n):
+            if u != v and grid[u][v] in loop_cell_of:
+                witness = CoherenceWitness(
+                    "diagonal_overlap", loop_cell_of[grid[u][v]], (u, v)
+                )
+                return CoherenceReport(False, witness)
+
+    reverse_of: dict[int, int] = {}
+    seen_at: dict[int, tuple[int, int]] = {}
+    for u in range(n):
+        for v in range(n):
+            color, reverse = grid[u][v], grid[v][u]
+            if color not in reverse_of:
+                reverse_of[color] = reverse
+                seen_at[color] = (u, v)
+            elif reverse_of[color] != reverse:
+                witness = CoherenceWitness("transpose_split", seen_at[color], (u, v))
+                return CoherenceReport(False, witness)
+
+    class_sizes = Counter(c for row in grid for c in row)
+    reference: dict[int, Counter] = {}
+    ref_cell: dict[int, tuple[int, int]] = {}
+    for u in range(n):
+        for v in range(n):
+            color = grid[u][v]
+            if class_sizes[color] == 1:
+                continue
+            profile = Counter(zip(grid[u], columns[v]))
+            if color not in reference:
+                reference[color] = profile
+                ref_cell[color] = (u, v)
+            elif reference[color] != profile:
+                ref = reference[color]
+                pair = min(p for p in set(ref) | set(profile) if ref[p] != profile[p])
+                witness = CoherenceWitness(
+                    "profile_mismatch", ref_cell[color], (u, v), pair
+                )
+                return CoherenceReport(False, witness)
+
+    return CoherenceReport(True, None)

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from wlclosure import classical, coherence
 from wlclosure.classical import classical_closure, classical_step
 from wlclosure.coherence import fixture_names, make_fixture, verify_coherent
 from wlclosure.graph import InputError, is_rainbow, permute_vertices, rainbow_refine, validate
 
-from oracles import random_grid
+from oracles import python_verify_coherent, random_grid
 
 
 def recount_pair(x, cell, pair):
@@ -117,7 +120,111 @@ def test_closures_pass_the_verifier():
     for seed in range(5):
         rng = np.random.default_rng(1700 + seed)
         x = validate(random_grid(rng, int(rng.integers(2, 24)), 3))
-        assert verify_coherent(classical_closure(x).closure).coherent
+        assert python_verify_coherent(classical_closure(x).closure).coherent
+
+
+GEN_FIXTURES = [
+    ("trivial", 6),
+    ("cyclic", 7),
+    ("path", 9),
+    ("cycle5",),
+    ("petersen",),
+    ("random", 8, 3, 11),
+    ("random", 12, 2, 12),
+]
+
+
+@pytest.mark.parametrize("args", GEN_FIXTURES)
+def test_package_report_equals_oracle_on_gen_fixtures(args):
+    x = make_fixture(*args)
+    assert verify_coherent(x) == python_verify_coherent(x)
+
+
+def _seeded_colorings(rng):
+    """Colorings that reach each verdict: raw grids mostly overlap the
+    diagonal, asymmetric grids with their own loop color split transposes,
+    symmetric ones with distinct loop colors mismatch profiles, and closures
+    are coherent."""
+    n, r = int(rng.integers(2, 11)), int(rng.integers(1, 5))
+    raw = random_grid(rng, n, r)
+    asymmetric = raw + 1
+    np.fill_diagonal(asymmetric, 1)
+    symmetric = np.triu(raw) + np.triu(raw, 1).T
+    np.fill_diagonal(symmetric, r + 1 + rng.integers(0, 2, size=n))
+    x = validate(raw)
+    return [x, validate(asymmetric), validate(symmetric), classical_closure(x).closure]
+
+
+def test_package_report_equals_oracle_on_seeded_colorings():
+    rng = np.random.default_rng(1800)
+    kinds = Counter()
+    for _ in range(200):
+        for x in _seeded_colorings(rng):
+            expected = python_verify_coherent(x)
+            assert verify_coherent(x) == expected, x.cells.tolist()
+            kinds[expected.witness.kind if expected.witness else "coherent"] += 1
+    assert set(kinds) == {"diagonal_overlap", "transpose_split", "profile_mismatch", "coherent"}
+    assert min(kinds.values()) >= 100, kinds
+
+
+@pytest.mark.parametrize("cells_per_block", [1, 3, 7])
+def test_profile_witness_past_a_block_boundary(monkeypatch, cells_per_block):
+    """Blocks of a few cells: every report still equals the oracle's, and
+    most witnesses lie past the first block.  The inputs are closures of
+    permuted paths, coherent and scanned to the end, and the same closures
+    with the class of one arc merged into its reverse's, which leaves a
+    profile mismatch somewhere in the grid."""
+    rng = np.random.default_rng(1900)
+    past_first_block = 0
+    for _ in range(30):
+        n = int(rng.integers(4, 12))
+        closure = classical_closure(permute_vertices(make_fixture("path", n), rng.permutation(n)))
+        cells = closure.closure.cells.copy()
+        cells[cells == cells[n - 2, n - 1]] = cells[n - 1, n - 2]
+        row_bytes = (n + 1) * classical._row_dtype(closure.closure.r).itemsize
+        monkeypatch.setattr(coherence, "_BLOCK_BYTES", cells_per_block * row_bytes)
+        for x in (closure.closure, validate(cells)):
+            report = verify_coherent(x)
+            assert report == python_verify_coherent(x)
+            if not report.coherent:
+                u, v = report.witness.second_cell
+                past_first_block += u * n + v >= cells_per_block
+    assert past_first_block >= 20
+
+
+def test_verifier_working_set_is_block_bounded():
+    """The check on a permuted path(1024) stays within 64 MiB traced; the
+    Counter verifier held one Counter per color, 752 MiB on a path(256)
+    closure."""
+    x = permute_vertices(make_fixture("path", 1024), np.random.default_rng(5).permutation(1024))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = verify_coherent(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.witness.kind == "profile_mismatch"
+    assert peak <= 64 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_verifier_guard_estimate_tracks_the_traced_peak(monkeypatch):
+    """The check's estimate is within [1, 2] times its traced peak on a
+    coherent input, which is scanned to the end: a budget of 0.9 x the peak
+    refuses it, one of 2 x the peak admits it."""
+    x = make_fixture("cyclic", 128)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert verify_coherent(x).coherent
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(classical, "_memory_budget", lambda: int(0.9 * peak))
+    with pytest.raises(classical.ResourceGuardError, match="exact check .* at n=128"):
+        verify_coherent(x)
+    monkeypatch.setattr(classical, "_memory_budget", lambda: 2 * peak)
+    assert verify_coherent(x).coherent
 
 
 def test_fixture_catalog_and_arity_errors():

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wlclosure import classical, cli
+from wlclosure import classical, graph
 from wlclosure import io as wio
 from wlclosure.classical import classical_closure
 from wlclosure.coherence import make_fixture
@@ -417,6 +417,67 @@ def test_cli_monte_carlo_over_memory_budget_exits_4(tmp_path, capsys, monkeypatc
     assert run_cli(capsys, *argv, "--seed", "1")[0] == 0
 
 
+def _check_exact_header(digest):
+    return f"input_sha256: {digest}\nm: 1000003\ntrials: 2\nseed: 7\n"
+
+
+@pytest.mark.parametrize(
+    "source, code, expected",
+    [
+        (
+            "wlgraph 3 2\n1 2 2\n2 2 2\n2 2 1\n",
+            1,
+            _check_exact_header("ca6c144abd0585065ac19e75a17c7133bb471570f72b6c68c4bd05d51b5467c7")
+            + "exact: not coherent (diagonal_overlap at cells (1, 1) / (0, 1))\n"
+            "not coherent (probabilistic)\n",
+        ),
+        (
+            "wlgraph 3 4\n1 2 2\n3 1 4\n2 4 1\n",
+            1,
+            _check_exact_header("ede9ce94757f2d7d62eed13820ae13fa47a7786105c0b530f5d2cbda338c7af2")
+            + "exact: not coherent (transpose_split at cells (0, 1) / (0, 2))\n"
+            "not coherent (probabilistic)\n",
+        ),
+        (
+            ("path", 6),
+            1,
+            _check_exact_header("21279ed23a1cb484cb172047955afb56868bf39031e76236a88aaef904e89d33")
+            + "exact: not coherent (profile_mismatch at cells (0, 2) / (0, 3), pair (2, 2))\n"
+            "not coherent (probabilistic)\n",
+        ),
+        (
+            ("petersen",),
+            0,
+            _check_exact_header("471fea84f1994b161cf6123f90baaaaa096c50a6fc9e87def3aa491a6c71a1b0")
+            + "exact: coherent\ncoherent\n",
+        ),
+    ],
+)
+def test_cli_check_exact_stdout_is_pinned(tmp_path, capsys, source, code, expected):
+    """One input per verdict of the exact check, with the stdout of the
+    Counter-based verifier the kernel replaced."""
+    if isinstance(source, str):
+        path = tmp_path / "g.wl"
+        path.write_text(source)
+    else:
+        path, _ = write_fixture(tmp_path, *source)
+    argv = ["check", str(path), "--exact", "--m", "1000003", "--trials", "2", "--seed", "7"]
+    assert run_cli(capsys, *argv) == (code, expected, "")
+
+
+def test_cli_check_exact_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch):
+    """A budget the Monte Carlo check fits in (about 256 KiB at n=64) but the
+    exact check's blocks of rows do not: exit 4 before any line is printed."""
+    path, _ = write_fixture(tmp_path, "cyclic", 64)
+    monkeypatch.setattr(classical, "_memory_budget", lambda: 2**20)
+    code, out, err = run_cli(capsys, "check", str(path), "--seed", "1")
+    assert code == 0
+    code, out, err = run_cli(capsys, "check", str(path), "--seed", "1", "--exact")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: exact check needs about ") and "at n=64," in err
+
+
 def test_cli_check_exit_codes(tmp_path, capsys):
     coherent_path, _ = write_fixture(tmp_path, "cyclic", 7, filename="c.wl")
     code, out, _ = run_cli(capsys, "check", str(coherent_path), "--seed", "5", "--exact")
@@ -473,8 +534,8 @@ def test_distinct_ids_match_unique_oracle(ids_a, ids_b, expected):
     a = np.resize(np.array(ids_a, dtype=np.int64), n * n).reshape(n, n)
     b = np.resize(np.array(ids_b, dtype=np.int64), n * n).reshape(n, n)
     for raw in (a, b, a.astype(np.int32) if a.max() < 2**31 else a):  # the parser's int32 grids
-        assert cli._distinct_ids(raw).tolist() == np.unique(raw).tolist()
-    ua, ub = cli._distinct_ids(a), cli._distinct_ids(b)
+        assert graph.distinct_ids(raw.ravel()).tolist() == np.unique(raw).tolist()
+    ua, ub = graph.distinct_ids(a.ravel()), graph.distinct_ids(b.ravel())
     assert (None if np.array_equal(ua, ub) else (len(ua), len(ub))) == expected
 
 
@@ -592,6 +653,31 @@ def test_cli_bench_smoke(capsys):
     assert [row[:2] for row in rows] == [["8", "random"], ["8", "path"], ["16", "random"], ["16", "path"]]
     # the permuted path refines over several steps
     assert all(int(row[4]) > 1 for row in rows if row[1] == "path")
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_cli_bench_rejects_reps_below_one(capsys, reps):
+    code, out, err = run_cli(capsys, "bench", "--sizes", "8", "--reps", reps)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: reps must be >= 1, got {reps}\n"
+
+
+def test_cli_gen_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch):
+    """The grid is estimated before it is built; no large grid is allocated."""
+    monkeypatch.setattr(classical, "_memory_budget", lambda: 1000)
+    target = tmp_path / "t.wl"
+    for argv in (["trivial", "6"], ["random", "6", "2", "--seed", "1", "--out", str(target)]):
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: gen needs about ") and "at n=6," in err
+    assert not target.exists()
+    # fixed-size fixtures and argument errors are not sized
+    assert run_cli(capsys, "gen", "petersen")[0] == 0
+    assert run_cli(capsys, "gen", "trivial", "0")[0] == 2
+    monkeypatch.setattr(classical, "_memory_budget", lambda: None)
+    assert run_cli(capsys, "gen", "trivial", "6")[0] == 0
 
 
 def test_cli_bench_rejects_bad_sizes(capsys):
