@@ -11,8 +11,8 @@ from .classical import ResourceGuardError, classical_closure
 from .coherence import make_fixture, verify_coherent
 from .graph import InputError, is_same_partition, validate
 from .io import GraphFileError, read_graph_file, write_graph_file
-from .matmul import OverflowGuardError
 from .probabilistic import (
+    OverflowGuardError,
     RunParams,
     StoppingPolicy,
     check_coherent,

@@ -283,6 +283,11 @@ def classical_closure(x: ColorMatrix) -> WlResult:
     return result
 
 
+def check_growth_constant(growth_constant: float) -> None:
+    if not (math.isfinite(growth_constant) and growth_constant > 0):
+        raise InputError(f"growth constant must be finite and positive, got {growth_constant}")
+
+
 def iteration_budget(n: int, growth_constant: float = 1.0) -> int:
     """Iteration allowance for a size-``n`` run: ``ceil(growth_constant * n * log2(n))``.
 
@@ -292,8 +297,7 @@ def iteration_budget(n: int, growth_constant: float = 1.0) -> int:
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    if growth_constant <= 0:
-        raise InputError(f"growth constant must be positive, got {growth_constant}")
+    check_growth_constant(growth_constant)
     if n == 1:
         return 1
     return math.ceil(growth_constant * n * math.log2(n))

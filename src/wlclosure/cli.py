@@ -39,8 +39,8 @@ from .io import (
     read_graph_raw,
     write_graph_file,
 )
-from .matmul import OverflowGuardError
 from .probabilistic import (
+    OverflowGuardError,
     RunParams,
     StoppingPolicy,
     check_coherent,
@@ -55,8 +55,13 @@ _SIZE_CAP = 4096
 _GEN_CELL_BYTES = 40
 
 
-def _fresh_seed() -> int:
-    return secrets.randbits(63)
+def _seed(args) -> int:
+    """``--seed``, which must not be negative, or a fresh one from OS entropy."""
+    if args.seed is None:
+        return secrets.randbits(63)
+    if args.seed < 0:
+        raise InputError(f"seed must be >= 0, got {args.seed}")
+    return args.seed
 
 
 def _policy_from_args(args) -> StoppingPolicy:
@@ -83,7 +88,7 @@ def cmd_close(args) -> int:
         probabilistic_m = None
         seed = None
     else:
-        seed = args.seed if args.seed is not None else _fresh_seed()
+        seed = _seed(args)
         policy = _policy_from_args(args)
         result = probabilistic_closure(x, RunParams(args.m, policy, seed))
         probabilistic_m = args.m
@@ -132,7 +137,7 @@ def cmd_close(args) -> int:
 
 def cmd_check(args) -> int:
     x, _ = _read_input(args.input)
-    seed = args.seed if args.seed is not None else _fresh_seed()
+    seed = _seed(args)
     rng = np.random.default_rng(seed)
     verdict = check_coherent(x, args.m, args.trials, rng)
     report = verify_coherent(x) if args.exact else None
@@ -160,7 +165,8 @@ def cmd_isopair(args) -> int:
         raise GraphFileError(
             f"input size mismatch: {raw_a.shape[0]} vs {raw_b.shape[0]} vertices"
         )
-    seed = args.seed if args.seed is not None else _fresh_seed()
+    seed = _seed(args)
+    params = RunParams(args.m, StoppingPolicy.practical(args.k), seed)
     print(f"n: {raw_a.shape[0]}")
     print(f"m: {args.m}")
     print(f"k: {args.k}")
@@ -178,7 +184,6 @@ def cmd_isopair(args) -> int:
     a = normalize_by_value(raw_a)
     b = normalize_by_value(raw_b)
     del raw_a, raw_b
-    params = RunParams(args.m, StoppingPolicy.practical(args.k), seed)
     run = paired_closure(a, b, params)
     diverged_at = None
     for i, (classes_a, classes_b, agree) in enumerate(run.iteration_trace):
@@ -218,7 +223,7 @@ def cmd_bench(args) -> int:
         raise InputError(f"sizes must lie in 2..{_SIZE_CAP}")
     if args.reps < 1:
         raise InputError(f"reps must be >= 1, got {args.reps}")
-    seed = args.seed if args.seed is not None else _fresh_seed()
+    seed = _seed(args)
     print(f"mode: {args.mode}")
     print(f"seed: {seed}")
     print(f"{'n':>6} {'input':>6} {'step_ms':>12} {'closure_ms':>12} {'iterations':>10}")
@@ -264,7 +269,7 @@ def cmd_gen(args) -> int:
     if args.name == "random":
         if len(params) != 2:
             raise InputError("random fixture takes n and r")
-        seed = args.seed if args.seed is not None else _fresh_seed()
+        seed = _seed(args)
         x = make_fixture("random", params[0], params[1], seed)
         seed_note = f"seed: {seed}\n"
     else:

@@ -25,18 +25,38 @@ import numpy as np
 from .classical import (
     RefinementInvariantError,
     WlResult,
+    check_growth_constant,
     guard_memory,
     iteration_budget,
     refine_lockstep,
 )
-from .graph import ColorMatrix, InputError, RefinementOutcome, is_discrete, is_rainbow, refine_by
-from .matmul import INT64_MAX, OverflowGuardError, multiply
+from .graph import (
+    INT64_MAX,
+    ColorMatrix,
+    InputError,
+    RefinementOutcome,
+    is_discrete,
+    is_rainbow,
+    refine_by,
+)
+
+FLOAT64_EXACT = 2**53
+_CAST_ROWS = 64
 
 # Bytes per cell a Monte Carlo run may hold: each coloring's input, current
 # and next cells, plus one step's two float64 operands, its product and the
 # rank layer's two buffers (sort words, or the fallback's order and ranks).
 _COLORING_CELL_BYTES = 24
 _STEP_CELL_BYTES = 40
+
+
+class OverflowGuardError(ArithmeticError):
+    """The requested product could exceed the int64 range."""
+
+
+def _check_m(m: int) -> None:
+    if m < 2:
+        raise InputError(f"m must be >= 2, got {m}")
 
 
 def _guard_monte_carlo(n: int, colorings: int) -> None:
@@ -74,8 +94,7 @@ class StoppingPolicy:
     def __post_init__(self) -> None:
         if self.kind not in ("theoretical", "practical"):
             raise InputError(f"unknown stopping policy kind {self.kind!r}")
-        if self.growth_constant <= 0:
-            raise InputError("growth constant must be positive")
+        check_growth_constant(self.growth_constant)
         if self.patience < 1:
             raise InputError("patience must be >= 1")
 
@@ -97,16 +116,16 @@ class RunParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise InputError(f"m must be >= 2, got {self.m}")
+        _check_m(self.m)
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
 def draw_substitution(r: int, m: int, rng: np.random.Generator) -> RandomSubstitution:
     """Draw fresh left and right families of uniform values in ``1..m``."""
     if r < 1:
         raise InputError(f"color count must be >= 1, got {r}")
-    if m < 2:
-        raise InputError(f"m must be >= 2, got {m}")
+    _check_m(m)
     if m > INT64_MAX:
         raise OverflowGuardError(f"m {m} exceeds the int64 value range")
     left = rng.integers(1, m + 1, size=r, dtype=np.int64)
@@ -123,6 +142,54 @@ def _gather(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], table))[cells]
 
 
+def _as_int64(c: np.ndarray) -> np.ndarray:
+    """Cast the integer-valued float64 matrix ``c`` to int64 in its own buffer.
+
+    ``copyto`` stages an overlapping source through a temporary, so casting a
+    block of rows at a time needs one block of extra memory, not a second
+    matrix.
+    """
+    out = c.view(np.int64)
+    for r0 in range(0, len(c), _CAST_ROWS):
+        np.copyto(out[r0:r0 + _CAST_ROWS], c[r0:r0 + _CAST_ROWS], casting="unsafe")
+    return out
+
+
+def multiply(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Exact int64 product of two ``n x n`` float64 tables of integers in ``1..m``.
+
+    The caller has checked ``n * m**2 <= 2**63 - 1``.  Why a float64 GEMM is
+    exact: every integer of magnitude at most ``2**53`` is a float64.  When
+    ``n * m**2 <= 2**53``, every product of two entries and every partial sum
+    is such an integer, so each floating-point operation is exact -- in any
+    summation order, with any thread count, with or without FMA -- and the
+    result is bit-reproducible across BLAS builds.  Above ``2**53`` the left
+    factor is split into base-``2**width`` digits (Ozaki, Ogita, Oishi & Rump,
+    Numer. Algorithms 59, 2012), with ``n * m * 2**width <= 2**53`` so each
+    digit's GEMM is again exact.  The number of GEMMs depends only on
+    ``(n, m)``.  Recombining from the top digit down, the running sum is
+    ``(a >> width * i) @ b``, never more than the full product, so the int64
+    shifts and sums do not wrap.
+    """
+    n = a.shape[1]
+    if n * m * m <= FLOAT64_EXACT:
+        return _as_int64(a @ b)
+    width = (FLOAT64_EXACT // (n * m)).bit_length() - 1
+    product = None
+    for i in reversed(range(-(-m.bit_length() // width))):
+        digits = a.astype(np.int64)
+        digits >>= width * i
+        digits &= (1 << width) - 1
+        digits = digits.astype(np.float64)
+        part = _as_int64(digits @ b)
+        if product is None:
+            product = part
+        else:
+            product <<= width
+            product += part
+    return product
+
+
 def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     """Exact product of the substituted row and column matrices.
 
@@ -137,7 +204,7 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
         raise OverflowGuardError(
             f"n * m**2 = {x.n * sub.m**2} exceeds int64 max {INT64_MAX}"
         )
-    product = multiply(_gather(sub.left, x.cells), _gather(sub.right, x.cells))
+    product = multiply(_gather(sub.left, x.cells), _gather(sub.right, x.cells), sub.m)
     lo, hi = int(product.min()), int(product.max())
     if lo < x.n or hi > x.n * sub.m**2:
         raise RefinementInvariantError(
@@ -207,6 +274,7 @@ def check_coherent(x: ColorMatrix, m: int, trials: int, rng: np.random.Generator
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
+    _check_m(m)
     if is_discrete(x):
         return True
     if not is_rainbow(x):
@@ -229,10 +297,8 @@ def error_bound(n: int, m: int, growth_constant: float = 1.0) -> float:
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    if m < 2:
-        raise InputError(f"m must be >= 2, got {m}")
-    if growth_constant <= 0:
-        raise InputError("growth constant must be positive")
+    _check_m(m)
+    check_growth_constant(growth_constant)
     if n == 1:
         return 0.0
     if m <= 2 * n**4:

@@ -685,3 +685,55 @@ def test_cli_bench_rejects_bad_sizes(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "bench", "--sizes", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["close", "check", "isopair", "bench", "gen"])
+def test_cli_negative_seed_exits_2(tmp_path, capsys, command):
+    """A negative seed is an input error in every subcommand, before any output;
+    for ``check`` that keeps it apart from the exit 1 of "not coherent"."""
+    path, _ = write_fixture(tmp_path, "cyclic", 5)
+    argv = {
+        "close": ["close", str(path)],
+        "check": ["check", str(path)],
+        "isopair": ["isopair", str(path), str(path)],
+        "bench": ["bench", "--sizes", "8", "--reps", "1"],
+        "gen": ["gen", "random", "6", "2", "--out", str(tmp_path / "r.wl")],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "r.wl").exists()
+
+
+@pytest.mark.parametrize("constant", ["inf", "-inf", "nan", "0"])
+def test_cli_close_non_finite_or_non_positive_C_exits_2(tmp_path, capsys, constant):
+    path, _ = write_fixture(tmp_path, "path", 6)
+    code, out, err = run_cli(
+        capsys, "close", str(path), "--policy", "theoretical", f"--C={constant}", "--seed", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: growth constant must be finite and positive")
+
+
+@pytest.mark.parametrize("grid", [[[1, 2], [3, 4]], [[1, 2], [2, 1]]], ids=["discrete", "rainbow"])
+def test_cli_check_m_below_2_exits_2_on_any_input(tmp_path, capsys, grid):
+    path = tmp_path / "g.wl"
+    write_graph_file(path, validate(grid))
+    code, out, err = run_cli(capsys, "check", str(path), "--m", "1", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: m must be >= 2, got 1\n"
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [(["--m", "1"], "m must be >= 2, got 1"), (["--k", "0"], "patience must be >= 1")],
+)
+def test_cli_isopair_validates_before_printing(tmp_path, capsys, option, message):
+    path, _ = write_fixture(tmp_path, "cyclic", 5)
+    code, out, err = run_cli(capsys, "isopair", str(path), str(path), *option, "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"

@@ -1,117 +1,99 @@
-"""Tests for the exact integer matrix product."""
+"""Tests for the exact product of the Monte Carlo step, diffed with Python integers."""
 
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 import pytest
 
-from wlclosure.graph import InputError
-from wlclosure.matmul import OverflowGuardError, multiply
+from wlclosure.graph import INT64_MAX
+from wlclosure.probabilistic import FLOAT64_EXACT, multiply
 
 from oracles import python_matmul
 
 
-def test_identity_and_zero():
-    a = np.arange(1, 10, dtype=np.int64).reshape(3, 3)
-    eye = np.eye(3, dtype=np.int64)
-    zero = np.zeros((3, 3), dtype=np.int64)
-    assert np.array_equal(multiply(a, eye), a)
-    assert np.array_equal(multiply(a, zero), zero)
+def _table(rng, n, low, high):
+    """An ``n x n`` float64 table of integers drawn from ``low..high``."""
+    return rng.integers(low, high, size=(n, n), endpoint=True).astype(np.float64)
 
 
-def test_frozen_2x2_product():
-    a = [[5, 3], [3, 5]]
-    b = [[7, 2], [2, 7]]
-    assert multiply(a, b).tolist() == [[41, 31], [31, 41]]
-
-
-def _near_bound(rng, shape, limit, signed_rows):
-    """Entries within 1% of ``limit`` with ``max|entry| == limit``.  Signs are
-    fixed per row (or all positive), so partial sums of a product grow all the
-    way to its magnitude bound instead of cancelling."""
-    out = rng.integers(limit - limit // 100, limit, size=shape, dtype=np.int64, endpoint=True)
-    out[0, 0] = limit
-    if signed_rows:
-        out *= rng.choice(np.array([-1, 1], dtype=np.int64), size=(shape[0], 1))
+def _near_m(rng, n, m):
+    """Entries within 1% of ``m`` and one equal to it, so the partial sums of
+    a product grow all the way to its bound ``n * m**2``."""
+    out = _table(rng, n, m - m // 100, m)
+    out[0, 0] = m
     return out
 
 
-@pytest.mark.parametrize("shape", [(1, 1, 1), (5, 7, 3), (64, 64, 64), (65, 100, 33), (130, 64, 129)])
-def test_backends_bit_identical(shape):
-    """Bit-identical to Python integers for small entries and for magnitude
-    bounds ``k * max|a| * max|b|`` at and just above 2**53, where one float64
-    GEMM gives way to the limb split of the left or the right factor."""
-    rows, inner, cols = shape
-    rng = np.random.default_rng(rows * 1000 + inner)
-    a = rng.integers(-(10**6), 10**6, size=(rows, inner), dtype=np.int64)
-    b = rng.integers(-(10**6), 10**6, size=(inner, cols), dtype=np.int64)
-    cases = [(a, b)]
-    for max_a in (2**27 + 5, 2**13 + 1):  # above the limit, a is split, then b
-        at_limit = 2**53 // (inner * max_a)
-        for max_b in (at_limit, at_limit + 1):
-            cases.append((_near_bound(rng, (rows, inner), max_a, True),
-                          _near_bound(rng, (inner, cols), max_b, False)))
-    for a, b in cases:
-        out = multiply(a, b)
-        assert out.dtype == np.int64
-        assert out.tolist() == python_matmul(a.tolist(), b.tolist())
+def _assert_exact(a, b, m):
+    out = multiply(a, b, m)
+    assert out.dtype == np.int64
+    expected = python_matmul(a.astype(np.int64).tolist(), b.astype(np.int64).tolist())
+    assert out.tolist() == expected
+
+
+def test_frozen_2x2_product():
+    a = np.array([[3.0, 5.0], [5.0, 3.0]])
+    b = np.array([[2.0, 7.0], [7.0, 2.0]])
+    assert multiply(a, b, 10).tolist() == [[41, 31], [31, 41]]
+
+
+@pytest.mark.parametrize("n", [2, 8, 32, 128])
+def test_bound_exactly_two_to_the_53_and_just_above(n):
+    """``n * m**2 == 2**53`` is one GEMM; ``m + 1`` is the smallest bound above
+    it and splits the left factor into digits."""
+    m = isqrt(FLOAT64_EXACT // n)
+    assert n * m * m == FLOAT64_EXACT
+    rng = np.random.default_rng(n)
+    for m_case in (m, m + 1):
+        _assert_exact(_near_m(rng, n, m_case), _near_m(rng, n, m_case), m_case)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 130])
+def test_int64_edge_with_every_entry_m(n):
+    """The largest ``m`` the ``n * m**2`` guard admits, every entry ``m``:
+    each product entry is the bound itself."""
+    m = isqrt(INT64_MAX // n)
+    assert n * m * m <= INT64_MAX < n * (m + 1) ** 2
+    full = np.full((n, n), float(m))
+    out = multiply(full, full, m)
+    assert out.dtype == np.int64
+    assert (out == n * m * m).all()
+    if n <= 3:
+        _assert_exact(full, full, m)
+
+
+@pytest.mark.parametrize("n, bits", [(3, 26), (9, 25), (130, 23)])
+def test_lower_digits_at_their_largest(n, bits):
+    """Left entries ``m = 2**bits - 1``: every digit but the top one is
+    ``2**width - 1``, so the digit GEMMs reach their bound ``n * m * 2**width``
+    and one width more would not be exact."""
+    m = 2**bits - 1
+    assert n * m * m > FLOAT64_EXACT
+    _assert_exact(np.full((n, n), float(m)), _near_m(np.random.default_rng(bits), n, m), m)
+
+
+@pytest.mark.parametrize("m", [1000, 2**26 + 3, 2**31 - 1])
+def test_draws_below_m(m):
+    """The digit split is planned from ``m``, not from the drawn values, so
+    tables whose maxima lie far below ``m`` still multiply exactly."""
+    rng = np.random.default_rng(m)
+    n = 40
+    _assert_exact(_table(rng, n, 1, max(2, m // 1000)), _table(rng, n, 1, m // 7), m)
+
+
+@pytest.mark.parametrize("m", [10**6, 2**25 + 1])
+def test_130_rows_span_several_cast_blocks(m):
+    """Rows are cast to int64 in blocks of 64: 130 rows end in a partial block,
+    on the one-GEMM path (``m = 10**6``) and the digit path."""
+    rng = np.random.default_rng(130)
+    _assert_exact(_table(rng, 130, 1, m), _near_m(rng, 130, m), m)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_matches_python_oracle(seed):
     rng = np.random.default_rng(1800 + seed)
     n = int(rng.integers(1, 12))
-    a = rng.integers(-50, 50, size=(n, n), dtype=np.int64)
-    b = rng.integers(-50, 50, size=(n, n), dtype=np.int64)
-    expected = python_matmul(a.tolist(), b.tolist())
-    assert multiply(a, b).tolist() == expected
-
-
-def test_near_limit_products_are_exact():
-    edge = 3037000499  # the largest x with x*x <= int64 max
-    out = multiply([[edge]], [[edge]])
-    assert out.tolist() == [[edge * edge]]
-    wide = 2**31 - 1
-    out = multiply([[wide, wide]], [[wide], [wide]])
-    assert out.tolist() == [[2 * wide * wide]]
-
-
-def _padded(a, rows, cols):
-    """``a`` in the bottom-right corner of a zero matrix with ``rows`` extra
-    rows and ``cols`` extra columns."""
-    a = np.asarray(a, dtype=np.int64)
-    out = np.zeros((a.shape[0] + rows, a.shape[1] + cols), dtype=np.int64)
-    out[rows:, cols:] = a
-    return out
-
-
-@pytest.mark.parametrize("pad", [0, 130], ids=["naive", "blocked"])
-def test_overflow_guard_refuses_risky_products(pad):
-    """Refused alone (``naive``) and with the risky entries last in operands
-    spanning several 64-row blocks (``blocked``); the padding adds outer rows
-    and columns only, so the bound is the same."""
-    over = 3037000500
-    with pytest.raises(OverflowGuardError):
-        multiply(_padded([[over]], pad, 0), _padded([[over]], 0, pad))
-    wide = 2**31
-    with pytest.raises(OverflowGuardError):
-        multiply(_padded([[wide, wide]], pad, 0), _padded([[wide], [wide]], 0, pad))
-
-
-def test_guard_accounts_for_negative_extremes():
-    with pytest.raises(OverflowGuardError):
-        multiply([[-3037000500]], [[3037000500]])
-
-
-def test_shape_errors():
-    with pytest.raises(InputError):
-        multiply(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
-    with pytest.raises(InputError):
-        multiply(np.zeros(3, dtype=np.int64), np.zeros((3, 3), dtype=np.int64))
-
-
-def test_accepts_nested_lists_and_returns_int64():
-    out = multiply([[1, 2], [3, 4]], [[5, 6], [7, 8]])
-    assert out.dtype == np.int64
-    assert out.tolist() == [[19, 22], [43, 50]]
-
+    m = int(rng.integers(2, 2**31))
+    _assert_exact(_table(rng, n, 1, m), _table(rng, n, 1, m), m)

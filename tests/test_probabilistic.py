@@ -25,8 +25,8 @@ from wlclosure.graph import (
     rainbow_refine,
     validate,
 )
-from wlclosure.matmul import OverflowGuardError
 from wlclosure.probabilistic import (
+    OverflowGuardError,
     RandomSubstitution,
     RunParams,
     StoppingPolicy,
@@ -248,6 +248,26 @@ def test_stopping_policy_and_params_validation():
         StoppingPolicy.theoretical(0.0)
     with pytest.raises(InputError):
         RunParams(1, StoppingPolicy.practical(3), 0)
+    with pytest.raises(InputError, match="seed must be >= 0"):
+        RunParams(10**6, StoppingPolicy.practical(3), -1)
+
+
+@pytest.mark.parametrize("constant", [float("inf"), float("-inf"), float("nan"), -1.0])
+def test_growth_constant_must_be_finite_and_positive(constant):
+    """NaN passes a plain ``<= 0`` test; infinity reaches ``math.ceil``."""
+    with pytest.raises(InputError):
+        StoppingPolicy.theoretical(constant)
+    with pytest.raises(InputError):
+        iteration_budget(10, constant)
+    with pytest.raises(InputError):
+        error_bound(10, 10**6, constant)
+
+
+@pytest.mark.parametrize("grid", [[[1, 2], [3, 4]], [[1, 1], [1, 1]], [[1, 2], [2, 1]]])
+def test_check_coherent_validates_m_before_its_shortcuts(grid):
+    """Discrete, non-rainbow and sampled inputs alike reject ``m < 2``."""
+    with pytest.raises(InputError, match="m must be >= 2"):
+        check_coherent(validate(grid), 1, 3, np.random.default_rng(0))
 
 
 def test_check_coherent_accepts_coherent_inputs_always():
