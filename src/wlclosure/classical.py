@@ -25,7 +25,8 @@ Cells are taken in batches of whole old classes in ascending color order,
 so a new id is the ids used by earlier batches plus a rank in the batch.  A
 batch holds at most ``_CHUNK_TARGET_BYTES`` of rows, or one class that
 needs more alone; the step's working set is about that plus a few n**2
-index arrays.  Before a batch is built its working set is estimated, and
+index arrays.  Every batch's rows go in one buffer sized for the largest
+batch.  Before the step allocates, that working set is estimated, and
 above half of physical memory the step raises :class:`ResourceGuardError`
 (``wlclosure`` exits 4) instead of running out of memory.
 
@@ -52,7 +53,7 @@ from .graph import (
 )
 
 # fingerprint rows in one batch of an exact step; one larger class is its own batch
-_CHUNK_TARGET_BYTES = 8 * 2**20
+_CHUNK_TARGET_BYTES = 2 * 2**20
 # rows built or compared at a time inside a batch
 _BLOCK_BYTES = 2**20
 # int64 arrays per cell beside the rows: the step's class order, ids and class
@@ -227,10 +228,10 @@ def classical_step(x: ColorMatrix) -> RefinementOutcome:
     order, each batch's rows (see :func:`_fill_rows`) are ranked in byte
     order, and a batch's ids start after the previous batch's.  A batch
     holds at most ``_CHUNK_TARGET_BYTES`` of rows, or one class that alone
-    needs more.  A batch whose estimated working set, with the step's
-    n**2 arrays, exceeds :func:`_memory_budget` raises
-    :class:`ResourceGuardError` (:func:`guard_memory`) before anything is
-    allocated for it.
+    needs more; every batch's rows go in one buffer sized for the largest.
+    When the estimated working set of the largest batch, with the step's
+    n**2 arrays, exceeds :func:`_memory_budget`, the step raises
+    :class:`ResourceGuardError` (:func:`guard_memory`) before it allocates.
     """
     n, r = x.n, x.r
     dtype = _row_dtype(r)
@@ -241,26 +242,29 @@ def classical_step(x: ColorMatrix) -> RefinementOutcome:
     cap = max(1, _CHUNK_TARGET_BYTES // row_bytes)
 
     flat = x.cells.ravel()
+    counts = np.bincount(flat, minlength=r + 1)[1:]
+    # a batch is at most ``cap`` cells or one class alone
+    largest = min(n * n, max(cap, int(counts.max())))
+    guard_memory(
+        fixed + largest * per_cell, "exact step", f"for a batch of {largest} cells at n={n}"
+    )
     by_class = np.argsort(flat, kind="stable")
-    class_ends = np.cumsum(np.bincount(flat, minlength=r + 1)[1:])
+    class_ends = np.cumsum(counts)
     cells = x.cells.astype(dtype)
     mirror = np.ascontiguousarray(cells.T)
     ids = np.empty(n * n, dtype=np.int64)
+    # one buffer holds every batch's rows: batches of varying size allocated
+    # in turn fragment the heap and can raise peak RSS by up to a batch
+    buffer = np.empty((largest, n + 1), dtype=dtype.newbyteorder(">"))
     first = start = offset = 0  # next class, its first cell in ``by_class``, ids used
     while first < r:
         # the most whole classes from ``first`` within ``cap`` cells, at least one
         last = max(int(np.searchsorted(class_ends, start + cap, side="right")), first + 1)
         end = int(class_ends[last - 1])
-        guard_memory(
-            fixed + (end - start) * per_cell,
-            "exact step",
-            f"for a batch of {end - start} cells at n={n}",
-        )
         batch = by_class[start:end]
-        rows = np.empty((end - start, n + 1), dtype=dtype.newbyteorder(">"))
+        rows = buffer[: end - start]
         _fill_rows(rows, cells, mirror, batch, flat[batch], r + 1)
         order, ranks = _rank_rows(rows)
-        del rows
         ranks += offset
         ids[batch[order]] = ranks
         offset = int(ranks[-1])

@@ -44,6 +44,7 @@ from .probabilistic import (
     RunParams,
     StoppingPolicy,
     check_coherent,
+    check_product_bound,
     error_bound,
     paired_closure,
     probabilistic_closure,
@@ -224,6 +225,9 @@ def cmd_bench(args) -> int:
     if args.reps < 1:
         raise InputError(f"reps must be >= 1, got {args.reps}")
     seed = _seed(args)
+    if args.mode == "mc":  # checked here so a bad --m prints nothing
+        params = RunParams(args.m, StoppingPolicy.practical(3), seed)
+        check_product_bound(max(sizes), args.m)
     print(f"mode: {args.mode}")
     print(f"seed: {seed}")
     print(f"{'n':>6} {'input':>6} {'step_ms':>12} {'closure_ms':>12} {'iterations':>10}")
@@ -250,9 +254,7 @@ def cmd_bench(args) -> int:
             step_ms = samples[len(samples) // 2]
             started = time.perf_counter()
             if args.mode == "mc":
-                result = probabilistic_closure(
-                    x, RunParams(args.m, StoppingPolicy.practical(3), seed)
-                )
+                result = probabilistic_closure(x, params)
             else:
                 result = classical_closure(x)
             closure_ms = (time.perf_counter() - started) * 1000.0

@@ -140,6 +140,8 @@ def _fixture_petersen() -> ColorMatrix:
 def _fixture_random(n: int, r: int, seed: int) -> ColorMatrix:
     if n < 1 or r < 1:
         raise InputError("random fixture needs n >= 1 and r >= 1")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return validate(rng.integers(1, r + 1, size=(n, n), dtype=np.int64))
 

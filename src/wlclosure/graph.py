@@ -204,22 +204,27 @@ def _add_scaled(key: np.ndarray, primary: np.ndarray, scale: int) -> None:
         key[s : s + _RANK_BLOCK] += primary[s : s + _RANK_BLOCK].view(np.uint64) * scale
 
 
-def _lex_rank(primary: np.ndarray, secondary: np.ndarray) -> tuple[np.ndarray, int]:
+def _lex_rank(
+    primary: np.ndarray, secondary: np.ndarray, key: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
     """Rank (primary, secondary) pairs lexicographically, 1-based.
 
     Equal pairs get equal ranks; ranks are contiguous 1..count, returned as
-    int64.  ``primary`` holds non-negative int64 color ids no larger than its
-    length; ``secondary`` holds any int64 values.  Each pair is packed into
-    the single uint64 key ``primary * span + (secondary - min)``, which
-    orders like the pair as long as the key range ``(max primary + 1) *
-    span`` is at most ``2**64`` (``span`` is the secondary's value range).
-    Otherwise the secondary is first replaced by its dense rank ``1..span``,
-    which keeps its order and shrinks ``span`` to at most the length; the
-    key ``primary * span + rank`` then lies in ``(primary * span, (primary +
-    1) * span]``, so it still orders like the pair, and the bound on
-    ``primary`` keeps it inside uint64.  When the key range is at most the
-    length (few colors, as in rainbow preprocessing) the keys are ranked
-    through a presence table and its ``cumsum`` instead of a sort.
+    int64 in ``key`` viewed as int64.  ``key`` is a uint64 buffer of the
+    pairs' length that the caller gives up, and may be ``secondary`` viewed
+    as uint64; by default a fresh one.  ``primary`` holds non-negative int64
+    color ids no larger than its length; ``secondary`` holds any int64
+    values.  Each pair is packed into the single uint64 key ``primary *
+    span + (secondary - min)``, which orders like the pair as long as the
+    key range ``(max primary + 1) * span`` is at most ``2**64`` (``span`` is
+    the secondary's value range).  Otherwise the secondary is first replaced
+    by its dense rank ``1..span``, which keeps its order and shrinks
+    ``span`` to at most the length; the key ``primary * span + rank`` then
+    lies in ``(primary * span, (primary + 1) * span]``, so it still orders
+    like the pair, and the bound on ``primary`` keeps it inside uint64.
+    When the key range is at most the length (few colors, as in rainbow
+    preprocessing) the keys are ranked through a presence table and its
+    ``cumsum`` instead of a sort.
     """
     lo = int(secondary.min())
     span = int(secondary.max()) - lo + 1
@@ -227,15 +232,18 @@ def _lex_rank(primary: np.ndarray, secondary: np.ndarray) -> tuple[np.ndarray, i
     # uint64 arithmetic wraps modulo 2**64, which leaves every key in
     # [0, 2**64) exact; a span of 2**64 (read as 0) occurs only with every
     # primary 0
-    key = np.empty(len(primary), dtype=np.uint64)
+    if key is None:
+        key = np.empty(len(primary), dtype=np.uint64)
     np.subtract(secondary.view(np.uint64), np.uint64(lo % _UINT64_RANGE), out=key)
     if key_range <= _UINT64_RANGE:
         _add_scaled(key, primary, span % _UINT64_RANGE)
         if key_range <= len(key):
             seen = np.zeros(key_range, dtype=bool)
             seen[key] = True
-            rank = np.cumsum(seen)  # rank[k]: distinct keys <= k
-            return rank[key], int(rank[-1])
+            rank = np.cumsum(seen, dtype=np.uint64)  # rank[k]: distinct keys <= k
+            for s in range(0, len(key), _RANK_BLOCK):
+                key[s : s + _RANK_BLOCK] = rank[key[s : s + _RANK_BLOCK]]
+            return key.view(np.int64), int(rank[-1])
         top = key_range - 1
     else:
         span = _dense_rank(key, span - 1, key)
@@ -329,7 +337,8 @@ def rainbow_refine(x: ColorMatrix) -> ColorMatrix:
     """
     mirror = x.cells.T.copy()
     np.fill_diagonal(mirror, x.r + 1)
-    ranks, r_new = _lex_rank(x.cells.ravel(), mirror.ravel())
+    # the keys, then the ranks, are built in the mirror copy
+    ranks, r_new = _lex_rank(x.cells.ravel(), mirror.ravel(), mirror.ravel().view(np.uint64))
     return ColorMatrix(ranks.reshape(x.n, x.n), r_new)
 
 
@@ -349,24 +358,36 @@ def _constant_per_class(old: np.ndarray, value: np.ndarray, r: int) -> bool:
     )
 
 
-def refine_by(x: ColorMatrix, values: np.ndarray) -> RefinementOutcome:
+def refine_by(
+    x: ColorMatrix, values: np.ndarray, *, out: np.ndarray | None = None
+) -> RefinementOutcome:
     """Split the classes of ``x`` by a matrix of per-cell integer values.
 
     New colors are the lexicographic ranks of ``(old color, value)`` pairs,
     so the result always refines ``x`` and never merges classes.  Cells of
     the same old color with equal values stay together.  ``values`` must be
-    an integer ndarray of the same shape as ``x.cells``.
+    an integer ndarray of the same shape as ``x.cells``; it is not written
+    to.  ``out``, a C-contiguous int64 array of that shape (``values``
+    itself included), is given up to the call: the rank key is built in it
+    and, when a class splits, the result's cells are ``out``.  By default a
+    fresh buffer is used.
     """
     if not isinstance(values, np.ndarray) or not np.issubdtype(values.dtype, np.integer):
         raise InputError("values must be an integer ndarray")
     if values.shape != x.cells.shape:
         raise InputError(f"value matrix shape {values.shape} != {x.cells.shape}")
+    if out is not None and not (
+        out.shape == x.cells.shape and out.dtype == np.int64 and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        raise InputError("out must be a writeable C-contiguous int64 array of the cells' shape")
     old = x.cells.ravel()
     value = values.ravel().astype(np.int64, copy=False)
     if _constant_per_class(old, value, x.r):
         # the rank of (old, constant) over the ids 1..r is old itself
         return RefinementOutcome(False, x)
-    ranks, r_new = _lex_rank(old, value)
+    key = None if out is None else out.ravel().view(np.uint64)
+    ranks, r_new = _lex_rank(old, value, key)
     return RefinementOutcome(r_new > x.r, ColorMatrix(ranks.reshape(x.n, x.n), r_new))
 
 

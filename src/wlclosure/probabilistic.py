@@ -42,12 +42,18 @@ from .graph import (
 
 FLOAT64_EXACT = 2**53
 _CAST_ROWS = 64
+# row blocks per product: each block's left factor is gathered, multiplied and
+# cast on its own, so only a quarter of the left factor is held at a time
+_PRODUCT_BLOCKS = 4
 
-# Bytes per cell a Monte Carlo run may hold: each coloring's input, current
-# and next cells, plus one step's two float64 operands, its product and the
-# rank layer's two buffers (sort words, or the fallback's order and ranks).
+# Bytes per cell a Monte Carlo run may hold.  Per coloring: its input, current
+# and next cells (the next cells are the step's product, ranked in place).
+# Per step, shared by paired colorings: the substitution's two int64 tables
+# and a float64 copy of one (at most one entry per cell each), the right
+# factor and one row block of the left factor.  The rank layer's sort words
+# take the place the factor and the copy held.
 _COLORING_CELL_BYTES = 24
-_STEP_CELL_BYTES = 40
+_STEP_CELL_BYTES = 3 * 8 + 8 + 8 // _PRODUCT_BLOCKS
 
 
 class OverflowGuardError(ArithmeticError):
@@ -57,6 +63,13 @@ class OverflowGuardError(ArithmeticError):
 def _check_m(m: int) -> None:
     if m < 2:
         raise InputError(f"m must be >= 2, got {m}")
+
+
+def check_product_bound(n: int, m: int) -> None:
+    """Raise :class:`OverflowGuardError` unless every product entry, at most
+    ``n * m**2``, fits int64."""
+    if n * m**2 > INT64_MAX:
+        raise OverflowGuardError(f"n * m**2 = {n * m**2} exceeds int64 max {INT64_MAX}")
 
 
 def _guard_monte_carlo(n: int, colorings: int) -> None:
@@ -133,32 +146,44 @@ def draw_substitution(r: int, m: int, rng: np.random.Generator) -> RandomSubstit
     return RandomSubstitution(m, left, right)
 
 
-def _gather(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """``table[cells - 1]`` as float64, gathered from a float64 copy of the
-    table with a leading 0, so no int64 temporary the size of ``cells`` is
-    made.  Values up to ``m`` are exact floats: the guard on ``n * m**2``
-    keeps ``m`` below 2**32.  The copy is freed on return, before the other
-    table's is made, which matters when a table has one entry per cell."""
-    return np.concatenate(([0.0], table))[cells]
+def _float_table(table: np.ndarray) -> np.ndarray:
+    """``table`` as float64 behind a leading 0, so ``_float_table(t)[cells]``
+    is ``t[cells - 1]`` with no int64 temporary the size of ``cells``.
+    Values up to ``m`` are exact floats: the guard on ``n * m**2`` keeps
+    ``m`` below 2**32."""
+    return np.concatenate(([0.0], table))
 
 
-def _as_int64(c: np.ndarray) -> np.ndarray:
-    """Cast the integer-valued float64 matrix ``c`` to int64 in its own buffer.
+def _gemm_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``a @ b`` of integer-valued float64 tables into the int64 array
+    ``out`` and return it.
 
-    ``copyto`` stages an overlapping source through a temporary, so casting a
-    block of rows at a time needs one block of extra memory, not a second
-    matrix.
+    The GEMM writes into ``out`` viewed as float64, which is then cast in
+    place.  ``copyto`` stages an overlapping source through a temporary, so
+    casting ``_CAST_ROWS`` rows at a time needs that many rows of extra
+    memory.
     """
-    out = c.view(np.int64)
+    c = out.view(np.float64)
+    np.matmul(a, b, out=c)
     for r0 in range(0, len(c), _CAST_ROWS):
         np.copyto(out[r0:r0 + _CAST_ROWS], c[r0:r0 + _CAST_ROWS], casting="unsafe")
     return out
 
 
-def multiply(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Exact int64 product of two ``n x n`` float64 tables of integers in ``1..m``.
+def _digit(a: np.ndarray, width: int, i: int) -> np.ndarray:
+    """Base-``2**width`` digit ``i`` of the integer-valued float64 table ``a``;
+    dividing by a power of two and the remainder are exact in float64."""
+    digits = np.floor_divide(a, float(1 << width * i))
+    return np.fmod(digits, float(1 << width), out=digits)
 
-    The caller has checked ``n * m**2 <= 2**63 - 1``.  Why a float64 GEMM is
+
+def multiply(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """Write the exact product of float64 tables of integers in ``1..m`` into
+    the int64 array ``out`` and return it.
+
+    ``a`` is a block of ``k`` rows of the left factor, ``b`` the whole
+    ``n x n`` right factor, ``out`` the ``k x n`` block of the product.  The
+    caller has checked ``n * m**2 <= 2**63 - 1``.  Why a float64 GEMM is
     exact: every integer of magnitude at most ``2**53`` is a float64.  When
     ``n * m**2 <= 2**53``, every product of two entries and every partial sum
     is such an integer, so each floating-point operation is exact -- in any
@@ -171,23 +196,16 @@ def multiply(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     ``(a >> width * i) @ b``, never more than the full product, so the int64
     shifts and sums do not wrap.
     """
-    n = a.shape[1]
+    n = b.shape[0]
     if n * m * m <= FLOAT64_EXACT:
-        return _as_int64(a @ b)
+        return _gemm_into(a, b, out)
     width = (FLOAT64_EXACT // (n * m)).bit_length() - 1
-    product = None
-    for i in reversed(range(-(-m.bit_length() // width))):
-        digits = a.astype(np.int64)
-        digits >>= width * i
-        digits &= (1 << width) - 1
-        digits = digits.astype(np.float64)
-        part = _as_int64(digits @ b)
-        if product is None:
-            product = part
-        else:
-            product <<= width
-            product += part
-    return product
+    top = -(-m.bit_length() // width) - 1
+    _gemm_into(_digit(a, width, top), b, out)
+    for i in reversed(range(top)):
+        out <<= width
+        out += _gemm_into(_digit(a, width, i), b, np.empty_like(out))
+    return out
 
 
 def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
@@ -196,15 +214,21 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     Entry ``(u, v)`` is the sum over ``w`` of ``left[c(u, w)] * right[c(w, v)]``,
     a number in ``[n, n * m**2]``, returned as an int64 matrix; the bound is
     checked up front against the int64 range and the run aborts rather than
-    wrap.
+    wrap.  The right factor is gathered once; the left factor is gathered
+    and multiplied in ``_PRODUCT_BLOCKS`` row blocks, each written straight
+    into its rows of the product.
     """
     if sub.left.shape[0] < x.r or sub.right.shape[0] < x.r:
         raise InputError("substitution covers fewer colors than the input uses")
-    if x.n * sub.m**2 > INT64_MAX:
-        raise OverflowGuardError(
-            f"n * m**2 = {x.n * sub.m**2} exceeds int64 max {INT64_MAX}"
-        )
-    product = multiply(_gather(sub.left, x.cells), _gather(sub.right, x.cells), sub.m)
+    check_product_bound(x.n, sub.m)
+    # the right table's float copy is freed before the left one is made,
+    # which matters when a table has one entry per cell
+    right = _float_table(sub.right)[x.cells]
+    left = _float_table(sub.left)
+    product = np.empty_like(x.cells)
+    rows = -(-x.n // _PRODUCT_BLOCKS)
+    for r0 in range(0, x.n, rows):
+        multiply(left[x.cells[r0:r0 + rows]], right, sub.m, product[r0:r0 + rows])
     lo, hi = int(product.min()), int(product.max())
     if lo < x.n or hi > x.n * sub.m**2:
         raise RefinementInvariantError(
@@ -220,7 +244,12 @@ def _substitution_steps(m: int, rng: np.random.Generator):
 
     def step(colorings: tuple[ColorMatrix, ...]) -> list[RefinementOutcome]:
         sub = draw_substitution(max(c.r for c in colorings), m, rng)
-        return [refine_by(c, numeric_product(c, sub)) for c in colorings]
+        outcomes = []
+        for c in colorings:
+            product = numeric_product(c, sub)
+            # the product becomes the rank key and then the new cells
+            outcomes.append(refine_by(c, product, out=product))
+        return outcomes
 
     return step
 

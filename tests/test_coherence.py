@@ -271,3 +271,9 @@ def test_random_fixture_is_seeded():
     c = make_fixture("random", 8, 3, 124)
     assert a.cells.tolist() == b.cells.tolist()
     assert a.cells.tolist() != c.cells.tolist()
+
+
+def test_random_fixture_rejects_a_negative_seed():
+    with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+        make_fixture("random", 4, 2, -1)
+    assert make_fixture("random", 4, 2, 0).n == 4

@@ -280,26 +280,26 @@ def _rank_case(name):
     raise AssertionError(name)
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "random",
-        "table_range_at_cell_count",
-        "table_range_above_cell_count",
-        "bound_at_int64_max",
-        "bound_above_int64_max",
-        "negative_and_equal",
-        "one_cell",
-        "discrete_primary_small_values",
-        "discrete_primary_large_values",
-        "packed_single_pass",
-        "packed_top_bits_in_index_order",
-        "packed_top_bits_reversed",
-        "key_range_full_uint64",
-        "key_range_between_2_63_and_2_64",
-        "key_range_above_2_64",
-    ],
-)
+_RANK_CASES = [
+    "random",
+    "table_range_at_cell_count",
+    "table_range_above_cell_count",
+    "bound_at_int64_max",
+    "bound_above_int64_max",
+    "negative_and_equal",
+    "one_cell",
+    "discrete_primary_small_values",
+    "discrete_primary_large_values",
+    "packed_single_pass",
+    "packed_top_bits_in_index_order",
+    "packed_top_bits_reversed",
+    "key_range_full_uint64",
+    "key_range_between_2_63_and_2_64",
+    "key_range_above_2_64",
+]
+
+
+@pytest.mark.parametrize("name", _RANK_CASES)
 def test_lex_rank_matches_sorted_tuple_ranks(name, monkeypatch):
     """Presence table (no sort), direct key (one packed sort), dense-rank
     pre-pass (two) and the argsort fallback rank alike."""
@@ -319,6 +319,20 @@ def test_lex_rank_matches_sorted_tuple_ranks(name, monkeypatch):
     assert ranks.tolist() == expected
     assert count == max(expected)
     assert (len(calls), len(fallback_calls)) == (sorts, fallbacks)
+
+
+@pytest.mark.parametrize("name", _RANK_CASES)
+def test_lex_rank_builds_key_and_ranks_in_the_secondary(name):
+    """Given the secondary itself as its key buffer, every path ranks in
+    place and returns the ranks in that buffer."""
+    primary, secondary, _, _ = _rank_case(name)
+    primary, secondary = primary.astype(np.int64), secondary.astype(np.int64)
+    expected = sorted_tuple_ranks(list(zip(primary.tolist(), secondary.tolist())))
+    ranks, count = graph._lex_rank(primary, secondary, secondary.view(np.uint64))
+    assert ranks.dtype == np.int64
+    assert np.shares_memory(ranks, secondary)
+    assert ranks.tolist() == expected
+    assert count == max(expected)
 
 
 @pytest.mark.parametrize(
@@ -443,6 +457,38 @@ def test_refine_by_quiet_step_returns_its_input(monkeypatch):
     out = refine_by(x, per_color[x.cells])
     assert out.result is x
     assert not out.refined
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_refine_by_never_writes_its_values(seed):
+    """``values`` is read-only here, so any write to it raises; its entries
+    are also compared with a copy."""
+    rng = np.random.default_rng(600 + seed)
+    n = int(rng.integers(2, 12))
+    x = validate(random_grid(rng, n, int(rng.integers(1, 4))))
+    values = rng.integers(-(2**62), 2**62, size=(n, n)) // int(rng.choice([1, 2**60]))
+    before = values.copy()
+    values.setflags(write=False)
+    out = refine_by(x, values)
+    assert np.array_equal(values, before)
+    refined, grid = python_refine_by(x.cells.tolist(), before.tolist())
+    assert (out.refined, out.result.cells.tolist()) == (refined, grid)
+
+
+def test_refine_by_ranks_into_the_buffer_it_is_given():
+    rng = np.random.default_rng(61)
+    x = rainbow_refine(validate(random_grid(rng, 10, 3)))
+    values = rng.integers(0, 5, size=(10, 10))
+    expected = refine_by(x, values)
+    buffer = values.copy()
+    out = refine_by(x, buffer, out=buffer)
+    assert out.refined
+    assert np.shares_memory(out.result.cells, buffer)
+    assert out.result.cells.tolist() == expected.result.cells.tolist()
+    wrong_dtype, wrong_shape = np.empty((10, 10), np.int32), np.empty((10, 11), np.int64)
+    for bad in (wrong_dtype, wrong_shape, np.empty((10, 10), np.int64).T, x.cells):
+        with pytest.raises(InputError):
+            refine_by(x, values, out=bad)
 
 
 def test_refine_by_one_differing_cell_is_not_quiet():

@@ -663,6 +663,17 @@ def test_cli_bench_rejects_reps_below_one(capsys, reps):
     assert err == f"error: reps must be >= 1, got {reps}\n"
 
 
+@pytest.mark.parametrize("m, code", [("1", 2), ("4294967296", 3)])
+def test_cli_bench_checks_m_before_any_output(capsys, m, code):
+    """``m`` below 2 is exit 2 and a product bound ``max(sizes) * m**2`` over
+    int64 is exit 3, both before the first line; exact mode ignores ``m``."""
+    argv = ("bench", "--sizes", "8", "--reps", "1", "--m", m, "--seed", "1")
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ")
+    assert run_cli(capsys, *argv, "--mode", "exact")[0] == 0
+
+
 def test_cli_gen_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch):
     """The grid is estimated before it is built; no large grid is allocated."""
     monkeypatch.setattr(classical, "_memory_budget", lambda: 1000)

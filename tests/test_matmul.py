@@ -7,10 +7,21 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from wlclosure.graph import INT64_MAX
-from wlclosure.probabilistic import FLOAT64_EXACT, multiply
+from wlclosure.graph import INT64_MAX, validate
+from wlclosure.probabilistic import (
+    _PRODUCT_BLOCKS,
+    FLOAT64_EXACT,
+    draw_substitution,
+    multiply,
+    numeric_product,
+)
 
-from oracles import python_matmul
+from oracles import python_matmul, random_grid
+
+
+def _multiply(a, b, m):
+    """``multiply`` of a whole left factor into a fresh product."""
+    return multiply(a, b, m, np.empty((len(a), b.shape[1]), dtype=np.int64))
 
 
 def _table(rng, n, low, high):
@@ -27,7 +38,7 @@ def _near_m(rng, n, m):
 
 
 def _assert_exact(a, b, m):
-    out = multiply(a, b, m)
+    out = _multiply(a, b, m)
     assert out.dtype == np.int64
     expected = python_matmul(a.astype(np.int64).tolist(), b.astype(np.int64).tolist())
     assert out.tolist() == expected
@@ -36,7 +47,7 @@ def _assert_exact(a, b, m):
 def test_frozen_2x2_product():
     a = np.array([[3.0, 5.0], [5.0, 3.0]])
     b = np.array([[2.0, 7.0], [7.0, 2.0]])
-    assert multiply(a, b, 10).tolist() == [[41, 31], [31, 41]]
+    assert _multiply(a, b, 10).tolist() == [[41, 31], [31, 41]]
 
 
 @pytest.mark.parametrize("n", [2, 8, 32, 128])
@@ -57,7 +68,7 @@ def test_int64_edge_with_every_entry_m(n):
     m = isqrt(INT64_MAX // n)
     assert n * m * m <= INT64_MAX < n * (m + 1) ** 2
     full = np.full((n, n), float(m))
-    out = multiply(full, full, m)
+    out = _multiply(full, full, m)
     assert out.dtype == np.int64
     assert (out == n * m * m).all()
     if n <= 3:
@@ -97,3 +108,32 @@ def test_matches_python_oracle(seed):
     n = int(rng.integers(1, 12))
     m = int(rng.integers(2, 2**31))
     _assert_exact(_table(rng, n, 1, m), _table(rng, n, 1, m), m)
+
+
+@pytest.mark.parametrize("m", [10**6, 2**25 + 1], ids=["one_gemm", "digits"])
+def test_row_block_is_written_in_place_and_returned(m):
+    """A block of left rows fills only its rows of ``out``, and ``multiply``
+    returns the very block it wrote."""
+    rng = np.random.default_rng(41)
+    n = 9
+    a, b = _table(rng, n, 1, m), _near_m(rng, n, m)
+    product = np.full((n, n), -1, dtype=np.int64)
+    block = product[2:7]
+    assert multiply(a[2:7], b, m, block) is block
+    expected = python_matmul(a.astype(np.int64).tolist(), b.astype(np.int64).tolist())
+    assert product[2:7].tolist() == expected[2:7]
+    assert (product[:2] == -1).all() and (product[7:] == -1).all()
+
+
+@pytest.mark.parametrize("n", [1, 3, 13, 70])
+@pytest.mark.parametrize("m", [1000, 2**28 + 5], ids=["one_gemm", "digits"])
+def test_blocked_product_matches_python_oracle(n, m):
+    """``numeric_product`` multiplies ``_PRODUCT_BLOCKS`` row blocks; at n = 13
+    and 70 the last block is short, and n = 1 and 3 have fewer rows than
+    blocks."""
+    rng = np.random.default_rng(n)
+    x = validate(random_grid(rng, n, 5))
+    sub = draw_substitution(x.r, m, rng)
+    assert (n * m * m > FLOAT64_EXACT) == (m > 1000)
+    expected = python_matmul(sub.left[x.cells - 1].tolist(), sub.right[x.cells - 1].tolist())
+    assert numeric_product(x, sub).tolist() == expected
