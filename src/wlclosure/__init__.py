@@ -7,12 +7,13 @@ the library API the README documents; everything else lives in the
 submodules.
 """
 
-from .classical import ResourceGuardError, classical_closure
+from .classical import classical_closure
 from .coherence import make_fixture, verify_coherent
 from .graph import InputError, is_same_partition, validate
 from .io import GraphFileError, read_graph_file, write_graph_file
 from .probabilistic import (
     OverflowGuardError,
+    ResourceGuardError,
     RunParams,
     StoppingPolicy,
     check_coherent,

@@ -1,275 +1,165 @@
-"""Exact refinement of colored complete digraphs, and the refinement driver.
+"""Exact refinement of colored complete digraphs: a checked product step.
 
 One refinement step gives every cell ``(u, v)`` the multiset of color pairs
-``{(c(u, w), c(w, v)) : w}`` -- the cell's row column against the other
-cell's column, read through every intermediate vertex -- and splits classes
-whose cells disagree.  Iterating until no class splits yields the coarsest
-coloring that is stable under this product, the coherent closure.
+``{(c(u, w), c(w, v)) : w}`` -- its fingerprint -- and splits classes whose
+cells disagree.  Iterating until no class splits yields the coherent closure.
 
-:func:`classical_step` numbers the new classes by ``(old color, sorted
-run-length fingerprint)``, the fingerprint read as ``(code, count)`` words
-with ``code = c(u, w) * (r + 1) + c(w, v)``; the tests hold it against a
-reference that builds those words as one byte string per cell.  Here no
-object is built per cell.  Each cell becomes one fixed-width row: its old
-color, then its n sorted codes, every code equal to its left neighbour
-replaced by the sentinel ``(r + 1)**2``, larger than any code.  Rows are
-big-endian int16, int32 or int64 (the narrowest that holds the sentinel)
-and every entry is positive, so ``memcmp`` order is numeric order.  It is
-also the fingerprint order: at the first run where two fingerprints
-differ, either the codes differ at a shared run start, or the shorter run
-meets its next code where the longer one meets the sentinel, and the
-shorter run sorts first in both.  Equal rows are equal fingerprints.  One
-argsort of the rows viewed as ``np.void`` ranks them.
+:func:`classical_step` is a Monte Carlo step under one fixed substitution,
+then a check.  Equal fingerprints always give equal products, so the exact
+partition refines the candidate classes, the ranks of ``(old color,
+product)``; the two are equal when each candidate class holds one
+fingerprint.  :func:`row_mismatches` checks that: each cell's row, its
+``n`` pair codes ``c(u, w) * (r + 1) + c(w, v)`` sorted, is compared with
+the row of its class's first cell, and equal rows are equal fingerprints.
+A differing row is a product collision (probability at most ``2/m`` for
+two fingerprints): only that candidate class is ranked by its rows and
+split.  The answer is always exact; only the time is random (a Las Vegas
+algorithm).  Products and rows move with the vertices, so the ids are
+canonical under vertex permutation.  The same kernel checks coherence axiom
+(c) in :func:`wlclosure.coherence.verify_coherent`.
 
-Cells are taken in batches of whole old classes in ascending color order,
-so a new id is the ids used by earlier batches plus a rank in the batch.  A
-batch holds at most ``_CHUNK_TARGET_BYTES`` of rows, or one class that
-needs more alone; the step's working set is about that plus a few n**2
-index arrays.  Every batch's rows go in one buffer sized for the largest
-batch.  Before the step allocates, that working set is estimated, and
-above half of physical memory the step raises :class:`ResourceGuardError`
-(``wlclosure`` exits 4) instead of running out of memory.
-
-:func:`refine_lockstep` is the one loop that drives every refinement run,
-exact or Monte Carlo, single or paired: the kind of step is its parameter.
+Before the step allocates, its working set -- a Monte Carlo step's plus the
+kernel's blocks -- is estimated, and above half of physical memory the step
+raises :class:`~wlclosure.probabilistic.ResourceGuardError` (``wlclosure``
+exits 4) instead of running out of memory.
 """
 
 from __future__ import annotations
 
-import math
-import os
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from math import isqrt
 
 import numpy as np
 
-from .graph import (
-    ColorMatrix,
-    InputError,
-    RefinementOutcome,
-    color_counts,
-    is_discrete,
-    rainbow_refine,
+from .graph import ColorMatrix, RefinementOutcome, first_positions, refine_by
+from .probabilistic import (
+    RandomSubstitution,
+    WlResult,
+    draw_substitution,
+    guard_memory,
+    monte_carlo_bytes,
+    numeric_product,
+    refine_lockstep,
 )
 
-# fingerprint rows in one batch of an exact step; one larger class is its own batch
-_CHUNK_TARGET_BYTES = 2 * 2**20
-# rows built or compared at a time inside a batch
+# seed of the exact step's substitution: any constant gives the same partitions
+_SEED = 0
+# rows built or compared at a time
 _BLOCK_BYTES = 2**20
-# int64 arrays per cell beside the rows: the step's class order, ids and class
-# ends, and a batch's old colors, row order, ranks and scatter index
-_CELL_INDEX_BYTES = 40
-
-
-class RefinementInvariantError(RuntimeError):
-    """Internal error: a refinement run violated its structural bounds."""
-
-
-class ResourceGuardError(RuntimeError):
-    """A refinement run or step would need more memory than its budget allows."""
-
-
-@dataclass(frozen=True)
-class WlResult:
-    """Outcome of a full refinement run.
-
-    ``trace[i]`` is the class count after step ``i + 1``; ``stopping_reason``
-    is ``"stable"`` (the exact step split nothing, or ``patience`` Monte
-    Carlo steps in a row did not), ``"budget_exhausted"`` (the theoretical
-    policy ran its whole budget) or ``"discrete"`` (the run reached ``n**2``
-    classes, checked before every step, after which no step can split).  A
-    discrete stop is exact in either mode: Monte Carlo iterates are never
-    finer than the closure, so a discrete iterate is the closure.
-    """
-
-    closure: ColorMatrix
-    iterations: int
-    trace: tuple[int, ...]
-    stopping_reason: str
-
-
-def _counts_agree(colorings: tuple[ColorMatrix, ...]) -> bool:
-    """All colorings have the same cell count per color id."""
-    first, *rest = colorings
-    return all(color_counts(c) == color_counts(first) for c in rest)
-
-
-def refine_lockstep(
-    inputs: tuple[ColorMatrix, ...],
-    step: Callable[[tuple[ColorMatrix, ...]], Sequence[RefinementOutcome]],
-    patience: int,
-    budget: int | None = None,
-) -> tuple[tuple[WlResult, ...], tuple[int, ...], tuple[bool, ...]]:
-    """Rainbow-refine same-size colorings, then refine them in lockstep.
-
-    ``step`` maps the current colorings to one refinement outcome each.
-    Before each step the run stops with ``"discrete"`` once every coloring
-    is discrete, then with ``"budget_exhausted"`` after ``budget`` steps,
-    then with ``"stable"`` after ``patience`` steps in a row in which no
-    coloring split.  Returns one result per input, the class counts of the
-    rainbow-refined start, and per iteration (entry 0 the start) whether all
-    colorings had the same cell count per color id.  Only the current
-    colorings are kept, not the start.
-    """
-    n = inputs[0].n
-    # Each coloring splits at most n**2 - 1 times and a run of quiet steps
-    # stops at ``patience``, so no valid run takes more steps than this.
-    cap = len(inputs) * n * n * patience
-    current = tuple(rainbow_refine(x) for x in inputs)
-    start = tuple(c.r for c in current)
-    traces: tuple[list[int], ...] = tuple([] for _ in inputs)
-    agree = [_counts_agree(current)]
-    steps = quiet = 0
-    while True:
-        if all(is_discrete(c) for c in current):
-            reason = "discrete"
-            break
-        if steps == budget:
-            reason = "budget_exhausted"
-            break
-        if quiet == patience:
-            reason = "stable"
-            break
-        if steps > cap:
-            raise RefinementInvariantError("run did not stabilize within its structural cap")
-        outcomes = step(current)
-        current = tuple(out.result for out in outcomes)
-        for trace, c in zip(traces, current):
-            trace.append(c.r)
-        agree.append(_counts_agree(current))
-        steps += 1
-        quiet = 0 if any(out.refined for out in outcomes) else quiet + 1
-    results = tuple(WlResult(c, steps, tuple(t), reason) for c, t in zip(current, traces))
-    return results, start, tuple(agree)
-
-
-def _memory_budget() -> int | None:
-    """Bytes one exact step may plan to hold: half of physical memory.
-
-    ``None`` where the platform does not report its page count.
-    """
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
-    except (AttributeError, OSError, ValueError):
-        return None
-
-
-def guard_memory(estimate: int, what: str, detail: str) -> None:
-    """Raise :class:`ResourceGuardError` when ``what`` would need more than
-    :func:`_memory_budget`, ``estimate`` bytes; ``detail`` sizes the work."""
-    budget = _memory_budget()
-    if budget is not None and estimate > budget:
-        raise ResourceGuardError(
-            f"{what} needs about {estimate / 2**20:.0f} MiB {detail}, over the "
-            f"{budget / 2**20:.0f} MiB budget (half of physical memory)"
-        )
+# bytes :func:`row_mismatches` holds at its peak: blocks of the first cells'
+# rows gathered to the cells', the cells' rows and a temporary, and indexes
+KERNEL_BYTES = 4 * _BLOCK_BYTES
 
 
 def _row_dtype(r: int) -> np.dtype:
-    """Narrowest of int16, int32, int64 that holds the sentinel ``(r + 1)**2``.
+    """Narrowest of int16, int32, int64 that holds every pair code, the
+    largest being ``(r + 1)**2 - 1``.
 
     ``r <= n**2``, so int64 suffices for any grid that fits in memory.
     """
-    sentinel = (r + 1) ** 2
     for dtype in (np.int16, np.int32):
-        if sentinel <= np.iinfo(dtype).max:
+        if (r + 1) ** 2 - 1 <= np.iinfo(dtype).max:
             return np.dtype(dtype)
     return np.dtype(np.int64)
 
 
-def _fill_rows(rows, cells, mirror, batch, old, base) -> None:
-    """Write the comparable fingerprint rows of the cells ``batch`` into ``rows``.
+def _sorted_codes(cells, mirror, batch, base) -> np.ndarray:
+    """One row per cell ``(u, v) = divmod(batch[i], n)``: the codes
+    ``cells[u, w] * base + mirror[v, w]`` over all ``w``, sorted."""
+    u, v = np.divmod(batch, len(cells))
+    codes = np.take(cells, u, axis=0)
+    codes *= base
+    codes += np.take(mirror, v, axis=0)
+    codes.sort(axis=1)
+    return codes
 
-    Row ``i`` is ``old[i]`` followed by the sorted pair codes
-    ``cells[u, w] * base + mirror[v, w]`` of cell ``(u, v) = divmod(batch[i],
-    n)``, where each code equal to its left neighbour is replaced by the
-    sentinel ``base**2``.  ``rows`` is big-endian, so byte order is numeric
-    order.  Built ``_BLOCK_BYTES`` of rows at a time.
+
+def _narrow(x: ColorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of ``x`` and their transpose, in the row dtype."""
+    cells = x.cells.astype(_row_dtype(x.r))
+    return cells, np.ascontiguousarray(cells.T)
+
+
+def row_mismatches(x: ColorMatrix, classes: np.ndarray, first: np.ndarray):
+    """Yield, block by block in row-major order, the cells whose row in ``x``
+    differs from that of their class's first cell, and those first cells.
+
+    ``classes`` is a flat class id per cell and ``first[c]`` the first cell
+    of class ``c``; first cells, so all singleton classes, are skipped.
     """
-    n = len(cells)
-    block = max(1, _BLOCK_BYTES // rows.strides[0])
-    for s in range(0, len(batch), block):
-        u, v = np.divmod(batch[s : s + block], n)
-        codes = np.take(cells, u, axis=0)
-        codes *= base
-        codes += np.take(mirror, v, axis=0)
-        codes.sort(axis=1)
-        flat = codes.ravel()
-        run = np.empty_like(flat)  # base**2 where a code continues a run, else 0
-        run[0] = 0
-        np.equal(flat[1:], flat[:-1], out=run[1:], casting="unsafe")
-        run[::n] = 0  # a row's first code starts a run
-        run *= base * base
-        np.maximum(flat, run, out=flat)
-        rows[s : s + block, 0] = old[s : s + block]
-        rows[s : s + block, 1:] = codes
+    n, base = x.n, x.r + 1
+    cells, mirror = _narrow(x)
+    block = max(1, _BLOCK_BYTES // cells[0].nbytes)  # cells whose rows fill one block
+    for s in range(0, n * n, block):
+        own = np.arange(s, min(s + block, n * n))
+        ref = first[classes[own]]
+        keep = ref != own
+        own, ref = own[keep], ref[keep]
+        if not len(own):
+            continue
+        # each first cell's row is built once per block
+        firsts, which = np.unique(ref, return_inverse=True)
+        rows = _sorted_codes(cells, mirror, firsts, base)[which]
+        differs = (rows != _sorted_codes(cells, mirror, own, base)).any(axis=1)
+        if differs.any():
+            yield own[differs], ref[differs]
 
 
-def _rank_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort the rows in byte order: the row order, and each sorted row's
-    1-based dense rank (equal rows share one)."""
+def _rank_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row's 0-based dense rank in byte order (equal rows share one)."""
     keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
-    order = np.argsort(keys)
-    ranks = np.empty(len(keys), dtype=np.int64)
-    ranks[0] = 1
-    block = max(1, _BLOCK_BYTES // rows.strides[0])
-    for s in range(1, len(keys), block):
-        ranked = np.take(rows, order[s - 1 : s + block], axis=0).view(keys.dtype).ravel()
-        ranks[s : s + block] = ranked[1:] != ranked[:-1]
-    np.cumsum(ranks, out=ranks)
-    return order, ranks
+    return np.unique(keys, return_inverse=True)[1]
+
+
+def _split_collisions(x: ColorMatrix, candidate: ColorMatrix, bad: np.ndarray) -> ColorMatrix:
+    """Split each class ``bad`` of ``candidate`` by its cells' rows in ``x``.
+
+    New ids are the ranks of ``(candidate id, row rank)``: a cell's row rank
+    is the rank of its row within its class in byte order, 0 outside ``bad``.
+    """
+    n = x.n
+    cells, mirror = _narrow(x)
+    flat = candidate.cells.ravel()
+    local = np.zeros(n * n, dtype=np.int64)
+    for c in bad:
+        members = np.flatnonzero(flat == c)
+        # two arrays of rows at a time (the rows and a temporary, then the
+        # rows and their sorted copy) and a few index arrays
+        guard_memory(
+            len(members) * (2 * n * cells.itemsize + 40),
+            "exact step",
+            f"to split a class of {len(members)} cells at n={n}",
+        )
+        local[members] = _rank_rows(_sorted_codes(cells, mirror, members, x.r + 1))
+    return refine_by(candidate, local.reshape(n, n)).result
+
+
+def _exact_substitution(n: int, r: int) -> RandomSubstitution:
+    """The exact step's substitution: colors ``1..r`` drawn from a constant
+    seed, with the largest ``m`` for which ``n * m**2 <= 2**53``, so every
+    row block of the product is one exact GEMM."""
+    return draw_substitution(r, isqrt(2**53 // n), np.random.default_rng(_SEED))
 
 
 def classical_step(x: ColorMatrix) -> RefinementOutcome:
     """Split the classes of ``x`` by exact cell fingerprints.
 
-    New ids are the ranks of ``(old color, fingerprint)``: the cells are
-    taken one batch of whole old classes at a time, in ascending color
-    order, each batch's rows (see :func:`_fill_rows`) are ranked in byte
-    order, and a batch's ids start after the previous batch's.  A batch
-    holds at most ``_CHUNK_TARGET_BYTES`` of rows, or one class that alone
-    needs more; every batch's rows go in one buffer sized for the largest.
-    When the estimated working set of the largest batch, with the step's
-    n**2 arrays, exceeds :func:`_memory_budget`, the step raises
-    :class:`ResourceGuardError` (:func:`guard_memory`) before it allocates.
+    New ids are the ranks of ``(old color, product)`` under
+    :func:`_exact_substitution`, a candidate class whose rows differ split
+    by :func:`_split_collisions`.  Over the memory budget,
+    :func:`~wlclosure.probabilistic.guard_memory` raises before allocating.
     """
     n, r = x.n, x.r
-    dtype = _row_dtype(r)
-    row_bytes = (n + 1) * dtype.itemsize
-    per_cell = row_bytes + _CELL_INDEX_BYTES
-    # n**2 arrays, the narrow copies of the cells, and one block's temporaries
-    fixed = n * n * (_CELL_INDEX_BYTES + 2 * dtype.itemsize) + 4 * _BLOCK_BYTES
-    cap = max(1, _CHUNK_TARGET_BYTES // row_bytes)
-
-    flat = x.cells.ravel()
-    counts = np.bincount(flat, minlength=r + 1)[1:]
-    # a batch is at most ``cap`` cells or one class alone
-    largest = min(n * n, max(cap, int(counts.max())))
-    guard_memory(
-        fixed + largest * per_cell, "exact step", f"for a batch of {largest} cells at n={n}"
-    )
-    by_class = np.argsort(flat, kind="stable")
-    class_ends = np.cumsum(counts)
-    cells = x.cells.astype(dtype)
-    mirror = np.ascontiguousarray(cells.T)
-    ids = np.empty(n * n, dtype=np.int64)
-    # one buffer holds every batch's rows: batches of varying size allocated
-    # in turn fragment the heap and can raise peak RSS by up to a batch
-    buffer = np.empty((largest, n + 1), dtype=dtype.newbyteorder(">"))
-    first = start = offset = 0  # next class, its first cell in ``by_class``, ids used
-    while first < r:
-        # the most whole classes from ``first`` within ``cap`` cells, at least one
-        last = max(int(np.searchsorted(class_ends, start + cap, side="right")), first + 1)
-        end = int(class_ends[last - 1])
-        batch = by_class[start:end]
-        rows = buffer[: end - start]
-        _fill_rows(rows, cells, mirror, batch, flat[batch], r + 1)
-        order, ranks = _rank_rows(rows)
-        ranks += offset
-        ids[batch[order]] = ranks
-        offset = int(ranks[-1])
-        first, start = last, end
-    return RefinementOutcome(offset > r, ColorMatrix(ids.reshape(n, n), offset))
+    guard_memory(monte_carlo_bytes(n, 1) + KERNEL_BYTES, "exact step", f"at n={n}")
+    product = numeric_product(x, _exact_substitution(n, r))
+    candidate = refine_by(x, product, out=product).result
+    del product  # unused when the step is quiet and ``candidate`` is ``x``
+    classes = candidate.cells.ravel()
+    bad = np.zeros(candidate.r + 1, dtype=bool)
+    for own, _ in row_mismatches(x, classes, first_positions(classes, candidate.r)):
+        bad[classes[own]] = True
+    if bad.any():
+        candidate = _split_collisions(x, candidate, np.flatnonzero(bad))
+    return RefinementOutcome(candidate.r > r, candidate)
 
 
 def _classical_steps(colorings: tuple[ColorMatrix, ...]) -> list[RefinementOutcome]:
@@ -279,29 +169,9 @@ def _classical_steps(colorings: tuple[ColorMatrix, ...]) -> list[RefinementOutco
 def classical_closure(x: ColorMatrix) -> WlResult:
     """Refine ``x`` (after rainbow preprocessing) until no class splits.
 
-    The exact mode of :func:`refine_lockstep`: patience 1, no budget.  A
-    discrete coloring stops the run before another step, since it cannot
-    split.
+    The exact mode of :func:`~wlclosure.probabilistic.refine_lockstep`:
+    patience 1, no budget.  A discrete coloring stops the run before another
+    step, since it cannot split.
     """
     (result,), _, _ = refine_lockstep((x,), _classical_steps, patience=1)
     return result
-
-
-def check_growth_constant(growth_constant: float) -> None:
-    if not (math.isfinite(growth_constant) and growth_constant > 0):
-        raise InputError(f"growth constant must be finite and positive, got {growth_constant}")
-
-
-def iteration_budget(n: int, growth_constant: float = 1.0) -> int:
-    """Iteration allowance for a size-``n`` run: ``ceil(growth_constant * n * log2(n))``.
-
-    Stabilization needs O(n log n) steps up to a constant that is not known
-    exactly; ``growth_constant`` scales the allowance.  ``n == 1`` gets one
-    iteration.
-    """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    check_growth_constant(growth_constant)
-    if n == 1:
-        return 1
-    return math.ceil(growth_constant * n * math.log2(n))

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .classical import ResourceGuardError, classical_closure, classical_step, guard_memory
+from .classical import classical_closure, classical_step
 from .coherence import fixture_names, make_fixture, verify_coherent
 from .graph import (
     InputError,
@@ -41,11 +41,13 @@ from .io import (
 )
 from .probabilistic import (
     OverflowGuardError,
+    ResourceGuardError,
     RunParams,
     StoppingPolicy,
     check_coherent,
     check_product_bound,
     error_bound,
+    guard_memory,
     paired_closure,
     probabilistic_closure,
     probabilistic_step,

@@ -5,10 +5,10 @@ A coloring is coherent when (a) loop colors never appear off the diagonal,
 any two cells of the same color and any color pair ``(i, j)``, the number of
 intermediate vertices ``w`` with ``c(u, w) = i`` and ``c(w, v) = j`` is the
 same: exactly when it is rainbow and no refinement step can split it.  Axiom
-(c) is read off the exact step's fingerprint rows; the tests diff every
-report against a pure-Python counting oracle.  Witnesses name the offending
-cells (0-based vertex indices), found in row-major scan order, so a failed
-check is replayable by hand.
+(c) is the exact step's check of every cell's row against its class's first
+cell's; the tests diff every report against a pure-Python counting oracle.
+Witnesses name the offending cells (0-based vertex indices), found in
+row-major scan order, so a failed check is replayable by hand.
 """
 
 from __future__ import annotations
@@ -17,11 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _BLOCK_BYTES, _fill_rows, _row_dtype, guard_memory
+from .classical import KERNEL_BYTES, row_mismatches
 from .graph import ColorMatrix, InputError, first_positions, validate
+from .probabilistic import guard_memory
 
-# bytes per cell at the peak: first cells, reverse colors, their gather (int64), a mask
-_CHECK_CELL_BYTES = 25
+# bytes per cell at the peak: the first-cell table (at most one entry per
+# cell), first cells, reverse colors, their gather (int64), a mask
+_CHECK_CELL_BYTES = 33
 
 
 @dataclass(frozen=True)
@@ -56,18 +58,14 @@ def verify_coherent(x: ColorMatrix) -> CoherenceReport:
 
     Each witness is the first offending cell in row-major order, against
     the first loop of its color (``diagonal_overlap``) or the first cell of
-    its color.  Within one color two cells' rows (:func:`_fill_rows`) are
-    equal exactly when their multisets of pairs ``(c(u, w), c(w, v))`` are,
-    as a row holds the sorted codes; rows are compared ``_BLOCK_BYTES`` at a
-    time, each color's first cell skipped.  The ``pair`` is the smaller code
-    where the two cells' sorted codes first differ: the smallest pair whose
-    counts differ.  Above the memory budget :func:`guard_memory` raises first.
+    its color.  Axiom (c) is :func:`~wlclosure.classical.row_mismatches`,
+    with the colors as classes: a row holds the sorted pair codes.  The
+    ``pair`` is the smaller code where the two cells' sorted codes first
+    differ: the smallest pair whose counts differ.  Above the memory budget
+    :func:`~wlclosure.probabilistic.guard_memory` raises first.
     """
     n, r = x.n, x.r
-    row_bytes = (n + 1) * _row_dtype(r).itemsize
-    block = min(max(1, _BLOCK_BYTES // row_bytes), n * n)
-    # the n**2 arrays, and two blocks of rows with three of temporaries
-    guard_memory(n * n * _CHECK_CELL_BYTES + 5 * block * row_bytes, "exact check", f"at n={n}")
+    guard_memory(n * n * _CHECK_CELL_BYTES + KERNEL_BYTES, "exact check", f"at n={n}")
     flat = x.cells.ravel()
     loops = x.cells.diagonal()
     overlap = np.isin(x.cells, loops)
@@ -75,31 +73,21 @@ def verify_coherent(x: ColorMatrix) -> CoherenceReport:
     if overlap.any():
         k = int(np.argmax(overlap))
         return _violation("diagonal_overlap", np.argmax(loops == flat[k]) * (n + 1), k, n)
-    ref = first_positions(flat, r)[flat]
+    first = first_positions(flat, r)
+    ref = first[flat]
     reverse = x.cells.T.ravel()
     split = reverse[ref] != reverse
     if split.any():
         k = int(np.argmax(split))
         return _violation("transpose_split", ref[k], k, n)
-    del reverse, split
+    del ref, reverse, split
 
-    cells = x.cells.astype(_row_dtype(r))
-    mirror = np.ascontiguousarray(cells.T)
-    for s in range(0, n * n, block):
-        own = np.arange(s, min(s + block, n * n))
-        own = own[ref[own] != own]  # a color's first cell matches itself
-        if not len(own):
-            continue
-        rows = np.empty((2, len(own), n + 1), dtype=cells.dtype)
-        for i, batch in enumerate((own, ref[own])):
-            _fill_rows(rows[i], cells, mirror, batch, flat[own], r + 1)
-        differs = (rows[0] != rows[1]).any(axis=1)
-        if differs.any():
-            k = int(own[np.argmax(differs)])
-            codes = [x.cells[c // n] * (r + 1) + x.cells[:, c % n] for c in (ref[k], k)]
-            a, b = np.sort(codes, axis=1)
-            pair = divmod(int(np.minimum(a, b)[np.argmax(a != b)]), r + 1)
-            return _violation("profile_mismatch", ref[k], k, n, pair)
+    for own, ref in row_mismatches(x, flat, first):
+        k, f = int(own[0]), int(ref[0])
+        codes = [x.cells[c // n] * (r + 1) + x.cells[:, c % n] for c in (f, k)]
+        a, b = np.sort(codes, axis=1)
+        pair = divmod(int(np.minimum(a, b)[np.argmax(a != b)]), r + 1)
+        return _violation("profile_mismatch", f, k, n, pair)
     return CoherenceReport(True, None)
 
 

@@ -13,30 +13,29 @@ All randomness flows through a caller-supplied ``numpy.random.Generator``
 (``default_rng``/PCG64 by seed everywhere in this package).  Per iteration
 the left family for colors ``1..r`` is drawn first, then the right family;
 this draw order is part of the reproducibility contract.
+
+Every refinement run, exact ones too (:mod:`wlclosure.classical`), is driven
+by :func:`refine_lockstep` and sized by the memory guard :func:`guard_memory`.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .classical import (
-    RefinementInvariantError,
-    WlResult,
-    check_growth_constant,
-    guard_memory,
-    iteration_budget,
-    refine_lockstep,
-)
 from .graph import (
     INT64_MAX,
     ColorMatrix,
     InputError,
     RefinementOutcome,
+    color_counts,
     is_discrete,
     is_rainbow,
+    rainbow_refine,
     refine_by,
 )
 
@@ -56,8 +55,142 @@ _COLORING_CELL_BYTES = 24
 _STEP_CELL_BYTES = 3 * 8 + 8 + 8 // _PRODUCT_BLOCKS
 
 
+class RefinementInvariantError(RuntimeError):
+    """Internal error: a refinement run violated its structural bounds."""
+
+
+class ResourceGuardError(RuntimeError):
+    """A refinement run or step would need more memory than its budget allows."""
+
+
 class OverflowGuardError(ArithmeticError):
     """The requested product could exceed the int64 range."""
+
+
+@dataclass(frozen=True)
+class WlResult:
+    """Outcome of a full refinement run.
+
+    ``trace[i]`` is the class count after step ``i + 1``; ``stopping_reason``
+    is ``"stable"`` (the exact step split nothing, or ``patience`` Monte
+    Carlo steps in a row did not), ``"budget_exhausted"`` (the theoretical
+    policy ran its whole budget) or ``"discrete"`` (the run reached ``n**2``
+    classes, checked before every step, after which no step can split).  A
+    discrete stop is exact in either mode: Monte Carlo iterates are never
+    finer than the closure, so a discrete iterate is the closure.
+    """
+
+    closure: ColorMatrix
+    iterations: int
+    trace: tuple[int, ...]
+    stopping_reason: str
+
+
+def _counts_agree(colorings: tuple[ColorMatrix, ...]) -> bool:
+    """All colorings have the same cell count per color id."""
+    first, *rest = colorings
+    return all(color_counts(c) == color_counts(first) for c in rest)
+
+
+def refine_lockstep(
+    inputs: tuple[ColorMatrix, ...],
+    step: Callable[[tuple[ColorMatrix, ...]], Sequence[RefinementOutcome]],
+    patience: int,
+    budget: int | None = None,
+) -> tuple[tuple[WlResult, ...], tuple[int, ...], tuple[bool, ...]]:
+    """Rainbow-refine same-size colorings, then refine them in lockstep.
+
+    ``step`` maps the current colorings to one refinement outcome each.
+    Before each step the run stops with ``"discrete"`` once every coloring
+    is discrete, then with ``"budget_exhausted"`` after ``budget`` steps,
+    then with ``"stable"`` after ``patience`` steps in a row in which no
+    coloring split.  Returns one result per input, the class counts of the
+    rainbow-refined start, and per iteration (entry 0 the start) whether all
+    colorings had the same cell count per color id.  Only the current
+    colorings are kept, not the start.
+    """
+    n = inputs[0].n
+    # Each coloring splits at most n**2 - 1 times and a run of quiet steps
+    # stops at ``patience``, so no valid run takes more steps than this.
+    cap = len(inputs) * n * n * patience
+    current = tuple(rainbow_refine(x) for x in inputs)
+    start = tuple(c.r for c in current)
+    traces: tuple[list[int], ...] = tuple([] for _ in inputs)
+    agree = [_counts_agree(current)]
+    steps = quiet = 0
+    while True:
+        if all(is_discrete(c) for c in current):
+            reason = "discrete"
+            break
+        if steps == budget:
+            reason = "budget_exhausted"
+            break
+        if quiet == patience:
+            reason = "stable"
+            break
+        if steps > cap:
+            raise RefinementInvariantError("run did not stabilize within its structural cap")
+        outcomes = step(current)
+        current = tuple(out.result for out in outcomes)
+        for trace, c in zip(traces, current):
+            trace.append(c.r)
+        agree.append(_counts_agree(current))
+        steps += 1
+        quiet = 0 if any(out.refined for out in outcomes) else quiet + 1
+    results = tuple(WlResult(c, steps, tuple(t), reason) for c, t in zip(current, traces))
+    return results, start, tuple(agree)
+
+
+def _memory_budget() -> int | None:
+    """Bytes one run, step or check may plan to hold: half of physical memory.
+
+    ``None`` where the platform does not report its page count.
+    """
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def guard_memory(estimate: int, what: str, detail: str) -> None:
+    """Raise :class:`ResourceGuardError` when ``what`` would need more than
+    :func:`_memory_budget`, ``estimate`` bytes; ``detail`` sizes the work."""
+    budget = _memory_budget()
+    if budget is not None and estimate > budget:
+        raise ResourceGuardError(
+            f"{what} needs about {estimate / 2**20:.0f} MiB {detail}, over the "
+            f"{budget / 2**20:.0f} MiB budget (half of physical memory)"
+        )
+
+
+def monte_carlo_bytes(n: int, colorings: int) -> int:
+    """Estimated ``n**2`` working set of a Monte Carlo run over ``colorings``."""
+    return n * n * (_COLORING_CELL_BYTES * colorings + _STEP_CELL_BYTES)
+
+
+def _guard_monte_carlo(n: int, colorings: int) -> None:
+    """Refuse a run whose estimated n**2 working set exceeds the memory budget."""
+    guard_memory(monte_carlo_bytes(n, colorings), "Monte Carlo run", f"at n={n}")
+
+
+def check_growth_constant(growth_constant: float) -> None:
+    if not (math.isfinite(growth_constant) and growth_constant > 0):
+        raise InputError(f"growth constant must be finite and positive, got {growth_constant}")
+
+
+def iteration_budget(n: int, growth_constant: float = 1.0) -> int:
+    """Iteration allowance for a size-``n`` run: ``ceil(growth_constant * n * log2(n))``.
+
+    Stabilization needs O(n log n) steps up to a constant that is not known
+    exactly; ``growth_constant`` scales the allowance.  ``n == 1`` gets one
+    iteration.
+    """
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+    check_growth_constant(growth_constant)
+    if n == 1:
+        return 1
+    return math.ceil(growth_constant * n * math.log2(n))
 
 
 def _check_m(m: int) -> None:
@@ -70,12 +203,6 @@ def check_product_bound(n: int, m: int) -> None:
     ``n * m**2``, fits int64."""
     if n * m**2 > INT64_MAX:
         raise OverflowGuardError(f"n * m**2 = {n * m**2} exceeds int64 max {INT64_MAX}")
-
-
-def _guard_monte_carlo(n: int, colorings: int) -> None:
-    """Refuse a run whose estimated n**2 working set exceeds the memory budget."""
-    estimate = n * n * (_COLORING_CELL_BYTES * colorings + _STEP_CELL_BYTES)
-    guard_memory(estimate, "Monte Carlo run", f"at n={n}")
 
 
 @dataclass(frozen=True)
@@ -268,7 +395,7 @@ def _monte_carlo_run(
     The theoretical policy runs its budget: a patience equal to the budget
     never stops a run first.  The practical policy has no budget.  A run
     whose estimated working set exceeds the memory budget raises
-    :class:`~wlclosure.classical.ResourceGuardError` before it starts.
+    :class:`ResourceGuardError` before it starts.
     """
     _guard_monte_carlo(inputs[0].n, len(inputs))
     policy = params.policy

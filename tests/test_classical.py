@@ -9,8 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wlclosure import classical
-from wlclosure.classical import classical_closure, classical_step, iteration_budget
+from wlclosure import classical, probabilistic
+from wlclosure.classical import classical_closure, classical_step
 from wlclosure.coherence import make_fixture
 from wlclosure.graph import (
     InputError,
@@ -21,6 +21,7 @@ from wlclosure.graph import (
     rainbow_refine,
     validate,
 )
+from wlclosure.probabilistic import RandomSubstitution, draw_substitution, iteration_budget
 
 from oracles import (
     brute_closure,
@@ -28,6 +29,7 @@ from oracles import (
     fingerprint_step,
     noncommutative_product,
     partition_of,
+    python_matmul,
     python_refine_by,
     python_verify_coherent,
     random_grid,
@@ -56,7 +58,8 @@ def test_noncommutative_product_single_vertex():
 
 @pytest.mark.parametrize("seed", range(15))
 def test_classical_step_equals_literal_fingerprint_refinement(seed):
-    """The packed byte-key fast path must rank exactly like the tuple fingerprints."""
+    """The checked product step cuts exactly the classes of the tuple
+    fingerprints, with the ids of its own product."""
     rng = np.random.default_rng(400 + seed)
     n = int(rng.integers(1, 15))
     x = validate(random_grid(rng, n, int(rng.integers(1, 7))))
@@ -65,8 +68,9 @@ def test_classical_step_equals_literal_fingerprint_refinement(seed):
     fast = classical_step(x)
     grid = x.cells.tolist()
     refined, expected = python_refine_by(grid, noncommutative_product(grid).cells)
-    assert fast.result.cells.tolist() == expected
+    assert partition_of(fast.result.cells) == partition_of(expected)
     assert fast.refined == refined
+    _assert_matches_fingerprint_reference(x)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -116,7 +120,7 @@ def test_classical_closure_stops_once_discrete(monkeypatch):
     while (out := classical_step(current)).refined:
         current = out.result
     assert res.closure.cells.tolist() == current.cells.tolist()
-    monkeypatch.setattr(classical, "is_discrete", lambda c: False)
+    monkeypatch.setattr(probabilistic, "is_discrete", lambda c: False)
     full = classical_closure(x)
     assert (full.iterations, full.trace, full.stopping_reason) == (2, (4096, 4096), "stable")
     assert full.closure.cells.tolist() == res.closure.cells.tolist()
@@ -200,14 +204,28 @@ def test_iteration_budget_rejects_bad_arguments():
         iteration_budget(4, 0.0)
 
 
-# --- the row kernel against the byte-key fingerprint reference ------------
+# --- the checked product step against the byte-key fingerprint reference ---
+
+
+def _assert_canonical(x, out):
+    """The step on a vertex-permuted ``x`` is ``out`` permuted, cell for cell."""
+    perm = np.random.default_rng(x.n).permutation(x.n)
+    moved = classical_step(permute_vertices(x, perm)).result
+    assert moved.cells.tolist() == permute_vertices(out.result, perm).cells.tolist()
 
 
 def _assert_matches_fingerprint_reference(x):
+    """The step cuts the reference's classes, with ids ranking ``(old color,
+    product)`` under its own substitution, and is canonical."""
     out = classical_step(x)
     refined, expected = fingerprint_step(x.cells, x.r)
-    assert out.result.cells.tolist() == expected.tolist()
+    assert partition_of(out.result.cells) == partition_of(expected)
     assert out.refined == refined
+    sub = classical._exact_substitution(x.n, x.r)
+    left, right = (table[x.cells - 1].tolist() for table in (sub.left, sub.right))
+    grid = x.cells.tolist()
+    assert out.result.cells.tolist() == python_refine_by(grid, python_matmul(left, right))[1]
+    _assert_canonical(x, out)
 
 
 @pytest.mark.parametrize("rainbow", [False, True])
@@ -269,53 +287,100 @@ def test_classical_step_int64_rows_match_fingerprint_reference():
     _assert_matches_fingerprint_reference(x)
 
 
-def test_row_dtype_is_the_narrowest_that_holds_the_sentinel():
+def test_row_dtype_is_the_narrowest_that_holds_every_code():
     assert classical._row_dtype(1) == np.int16
-    assert classical._row_dtype(180) == np.int16  # 181**2 == 32761
+    assert classical._row_dtype(180) == np.int16  # 181**2 - 1 == 32760
     assert classical._row_dtype(181) == np.int32
     assert classical._row_dtype(46339) == np.int32  # 46340**2 < 2**31
     assert classical._row_dtype(46340) == np.int64
 
 
-@pytest.mark.parametrize("block_bytes", [1, 3 * 9 * 2, 2**20])
-def test_classical_step_batches_and_blocks_match_fingerprint_reference(monkeypatch, block_bytes):
-    """A budget of about three classes' rows: classes share batches, the
-    largest class is a batch of its own over the budget, and blocks split
-    batches at every size from one row up."""
-    x = rainbow_refine(validate(random_grid(np.random.default_rng(34), 8, 3)))
-    counts = np.bincount(x.cells.ravel())[1:]
-    assert counts.max() > 3 * counts.min()
-    budget = 3 * counts.min() * (x.n + 1) * 2  # int16 rows of n + 1 entries
-    monkeypatch.setattr(classical, "_CHUNK_TARGET_BYTES", budget)
+def _constant_substitution(n, r):
+    """Every color is 1 on both sides: every product is n, so each step is
+    quiet in the product and every split is a collision."""
+    return RandomSubstitution(2, np.ones(r, dtype=np.int64), np.ones(r, dtype=np.int64))
+
+
+def _m2_substitution(n, r):
+    return draw_substitution(r, 2, np.random.default_rng(n))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 54, 2**20])
+def test_classical_step_blocks_match_fingerprint_reference(monkeypatch, block_bytes):
+    """Rows are built and compared in blocks of one row, three rows (int16
+    rows of n = 9 entries) and all cells: the step still equals the
+    reference, and so does its split when every product collides."""
+    path = permute_vertices(make_fixture("path", 9), np.random.default_rng(34).permutation(9))
+    x = rainbow_refine(path)
     monkeypatch.setattr(classical, "_BLOCK_BYTES", block_bytes)
-    batches = []
-    real = classical._fill_rows
+    sizes = []
+    real = classical._sorted_codes
 
-    def spy(rows, cells, mirror, batch, old, base):
-        batches.append((rows.nbytes, len(np.unique(old))))
-        real(rows, cells, mirror, batch, old, base)
+    def spy(cells, mirror, batch, base):
+        sizes.append(len(batch))
+        return real(cells, mirror, batch, base)
 
-    monkeypatch.setattr(classical, "_fill_rows", spy)
+    monkeypatch.setattr(classical, "_sorted_codes", spy)
     _assert_matches_fingerprint_reference(x)
-    assert len(batches) > 2
-    assert any(classes > 1 for _, classes in batches)
-    assert any(nbytes > budget and classes == 1 for nbytes, classes in batches)
-    assert sum(classes for _, classes in batches) == x.r
+    block = min(max(1, block_bytes // 18), x.n * x.n)
+    assert block // 2 < max(sizes) <= block
+    monkeypatch.setattr(classical, "_exact_substitution", _constant_substitution)
+    refined, expected = fingerprint_step(x.cells, x.r)
+    out = classical_step(x)
+    assert refined and out.refined
+    assert partition_of(out.result.cells) == partition_of(expected)
+    _assert_canonical(x, out)
+
+
+@pytest.mark.parametrize("substitution", [_m2_substitution, _constant_substitution])
+def test_forced_collisions_are_split_by_rows(monkeypatch, substitution):
+    """A substitution under which distinct fingerprints share products: the
+    row check finds the collisions, ``_rank_rows`` splits their classes, and
+    every step equals the reference's partition and is canonical.  Checked
+    on a rainbow random input and on every step of a permuted path(40)."""
+    monkeypatch.setattr(classical, "_exact_substitution", substitution)
+    ranked = []
+    real = classical._rank_rows
+
+    def spy(rows):
+        ranked.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(classical, "_rank_rows", spy)
+    x = rainbow_refine(validate(random_grid(np.random.default_rng(35), 12, 3)))
+    path = permute_vertices(make_fixture("path", 40), np.random.default_rng(7).permutation(40))
+    for current in (x, rainbow_refine(path)):
+        ranked.clear()
+        while True:
+            out = classical_step(current)
+            refined, expected = fingerprint_step(current.cells, current.r)
+            assert partition_of(out.result.cells) == partition_of(expected)
+            assert out.refined == refined
+            _assert_canonical(current, out)
+            if current is x or not out.refined:
+                break
+            current = out.result
+        assert ranked
+    assert current.r == 40 * 40 // 2
 
 
 def test_classical_step_working_set_is_batch_bounded():
     """One step on rainbow(random(256, 3)), whose classes are ~5,000 cells,
-    stays within 64 MiB; the per-cell byte-key step peaked at 158 MiB."""
-    x = rainbow_refine(validate(random_grid(np.random.default_rng(3), 256, 3)))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        out = classical_step(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert is_discrete(out.result)
-    assert peak <= 64 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+    stays within 64 MiB; the per-cell byte-key step peaked at 158 MiB.  One
+    step on rainbow(permuted path(256)), whose largest class holds most
+    cells, stays within 16 MiB; ranking whole classes by rows took 37.5 MiB."""
+    random = rainbow_refine(validate(random_grid(np.random.default_rng(3), 256, 3)))
+    path = permute_vertices(make_fixture("path", 256), np.random.default_rng(4).permutation(256))
+    for x, bound in ((random, 64), (rainbow_refine(path), 16)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = classical_step(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert is_discrete(out.result) if x is random else out.refined
+        assert peak <= bound * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_resource_guard_estimate_tracks_the_traced_peak(monkeypatch):
@@ -329,22 +394,22 @@ def test_resource_guard_estimate_tracks_the_traced_peak(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    monkeypatch.setattr(classical, "_memory_budget", lambda: int(0.9 * peak))
-    with pytest.raises(classical.ResourceGuardError, match="MiB"):
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: int(0.9 * peak))
+    with pytest.raises(probabilistic.ResourceGuardError, match="MiB"):
         classical_step(x)
-    monkeypatch.setattr(classical, "_memory_budget", lambda: 2 * peak)
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: 2 * peak)
     assert classical_step(x).result.cells.tolist() == expected.result.cells.tolist()
 
 
 def test_resource_guard_refuses_a_batch_over_budget(monkeypatch):
     x = make_fixture("path", 12)
-    monkeypatch.setattr(classical, "_memory_budget", lambda: 1000)
-    with pytest.raises(classical.ResourceGuardError, match="n=12"):
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: 1000)
+    with pytest.raises(probabilistic.ResourceGuardError, match="n=12"):
         classical_closure(x)
-    monkeypatch.setattr(classical, "_memory_budget", lambda: None)
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: None)
     assert classical_closure(x).stopping_reason == "stable"
 
 
 def test_memory_budget_is_half_of_physical_memory():
-    budget = classical._memory_budget()
+    budget = probabilistic._memory_budget()
     assert budget is None or budget == os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wlclosure import classical, coherence
+from wlclosure import classical, probabilistic
 from wlclosure.classical import classical_closure, classical_step
 from wlclosure.coherence import fixture_names, make_fixture, verify_coherent
 from wlclosure.graph import InputError, is_rainbow, permute_vertices, rainbow_refine, validate
@@ -181,8 +181,8 @@ def test_profile_witness_past_a_block_boundary(monkeypatch, cells_per_block):
         closure = classical_closure(permute_vertices(make_fixture("path", n), rng.permutation(n)))
         cells = closure.closure.cells.copy()
         cells[cells == cells[n - 2, n - 1]] = cells[n - 1, n - 2]
-        row_bytes = (n + 1) * classical._row_dtype(closure.closure.r).itemsize
-        monkeypatch.setattr(coherence, "_BLOCK_BYTES", cells_per_block * row_bytes)
+        row_bytes = n * classical._row_dtype(closure.closure.r).itemsize
+        monkeypatch.setattr(classical, "_BLOCK_BYTES", cells_per_block * row_bytes)
         for x in (closure.closure, validate(cells)):
             report = verify_coherent(x)
             assert report == python_verify_coherent(x)
@@ -220,10 +220,10 @@ def test_verifier_guard_estimate_tracks_the_traced_peak(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    monkeypatch.setattr(classical, "_memory_budget", lambda: int(0.9 * peak))
-    with pytest.raises(classical.ResourceGuardError, match="exact check .* at n=128"):
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: int(0.9 * peak))
+    with pytest.raises(probabilistic.ResourceGuardError, match="exact check .* at n=128"):
         verify_coherent(x)
-    monkeypatch.setattr(classical, "_memory_budget", lambda: 2 * peak)
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: 2 * peak)
     assert verify_coherent(x).coherent
 
 

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wlclosure import classical, graph
+from wlclosure import graph, probabilistic
 from wlclosure import io as wio
 from wlclosure.classical import classical_closure
 from wlclosure.coherence import make_fixture
@@ -26,7 +26,13 @@ from wlclosure.io import (
 )
 from wlclosure.cli import main
 
-from oracles import python_format_graph_text, python_parse_graph_raw, random_grid
+from oracles import (
+    brute_rainbow,
+    fingerprint_step,
+    python_format_graph_text,
+    python_parse_graph_raw,
+    random_grid,
+)
 
 INT64_MAX = 2**63 - 1
 
@@ -317,6 +323,44 @@ def test_cli_close_exact_stops_discrete_on_random_input(tmp_path, capsys):
     assert "classes_out: 144" in out
 
 
+def _fingerprint_closure(x):
+    """Iterate the byte-key fingerprint oracle from the rainbow start, with
+    the run's discrete stop: the closure, iterations, trace and reason."""
+    grid = np.array(brute_rainbow(x.cells.tolist()), dtype=np.int64)
+    r, trace = int(grid.max()), []
+    while r < x.n * x.n:
+        refined, grid = fingerprint_step(grid, r)
+        r = int(grid.max())
+        trace.append(r)
+        if not refined:
+            return grid, trace, "stable"
+    return grid, trace, "discrete"
+
+
+@pytest.mark.parametrize("source", ["path", "random"])
+def test_cli_close_exact_writes_the_fingerprint_oracle_closure(tmp_path, capsys, source):
+    """``close --mode exact --out`` writes byte for byte the closure of the
+    iterated fingerprint oracle, and reports its iterations, trace and
+    stopping reason."""
+    n = 48
+    if source == "path":
+        x = permute_vertices(make_fixture("path", n), np.random.default_rng(48).permutation(n))
+    else:
+        x = make_fixture("random", n, 3, 48)
+    path, out_path, expected_path = tmp_path / "g.wl", tmp_path / "c.wl", tmp_path / "e.wl"
+    write_graph_file(path, x)
+    code, out, _ = run_cli(capsys, "close", str(path), "--mode", "exact", "--out", str(out_path))
+    assert code == 0
+    grid, trace, reason = _fingerprint_closure(x)
+    write_graph_file(expected_path, validate(grid))
+    assert out_path.read_bytes() == expected_path.read_bytes()
+    lines = out.splitlines()
+    assert f"iterations: {len(trace)}" in lines
+    assert f"trace: {','.join(map(str, trace))}" in lines
+    assert f"stopping_reason: {reason}" in lines
+    assert reason == ("stable" if source == "path" else "discrete")
+
+
 def test_cli_close_mc_matches_exact_and_reproduces(tmp_path, capsys):
     rng = np.random.default_rng(21)
     x = validate(random_grid(rng, 12, 3))
@@ -394,7 +438,7 @@ def test_cli_close_overflow_exits_3(tmp_path, capsys):
 
 def test_cli_close_exact_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch):
     path, _ = write_fixture(tmp_path, "path", 6)
-    monkeypatch.setattr(classical, "_memory_budget", lambda: 1000)
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: 1000)
     code, out, err = run_cli(capsys, "close", str(path), "--mode", "exact")
     assert code == 4
     assert out == ""
@@ -407,13 +451,13 @@ def test_cli_monte_carlo_over_memory_budget_exits_4(tmp_path, capsys, monkeypatc
     argv = [command, str(path)]
     if command == "isopair":
         argv.append(str(path))
-    monkeypatch.setattr(classical, "_memory_budget", lambda: 1000)
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: 1000)
     code, out, err = run_cli(capsys, *argv, "--seed", "1")
     assert code == 4
     assert err.startswith("error: Monte Carlo run needs about ") and "at n=7," in err
     # no result is printed; isopair's header lines come before the run
     assert "iteration" not in out and "coherent" not in out
-    monkeypatch.setattr(classical, "_memory_budget", lambda: None)
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: None)
     assert run_cli(capsys, *argv, "--seed", "1")[0] == 0
 
 
@@ -469,7 +513,7 @@ def test_cli_check_exact_over_memory_budget_exits_4(tmp_path, capsys, monkeypatc
     """A budget the Monte Carlo check fits in (about 256 KiB at n=64) but the
     exact check's blocks of rows do not: exit 4 before any line is printed."""
     path, _ = write_fixture(tmp_path, "cyclic", 64)
-    monkeypatch.setattr(classical, "_memory_budget", lambda: 2**20)
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: 2**20)
     code, out, err = run_cli(capsys, "check", str(path), "--seed", "1")
     assert code == 0
     code, out, err = run_cli(capsys, "check", str(path), "--seed", "1", "--exact")
@@ -676,7 +720,7 @@ def test_cli_bench_checks_m_before_any_output(capsys, m, code):
 
 def test_cli_gen_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch):
     """The grid is estimated before it is built; no large grid is allocated."""
-    monkeypatch.setattr(classical, "_memory_budget", lambda: 1000)
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: 1000)
     target = tmp_path / "t.wl"
     for argv in (["trivial", "6"], ["random", "6", "2", "--seed", "1", "--out", str(target)]):
         code, out, err = run_cli(capsys, "gen", *argv)
@@ -687,7 +731,7 @@ def test_cli_gen_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch):
     # fixed-size fixtures and argument errors are not sized
     assert run_cli(capsys, "gen", "petersen")[0] == 0
     assert run_cli(capsys, "gen", "trivial", "0")[0] == 2
-    monkeypatch.setattr(classical, "_memory_budget", lambda: None)
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: None)
     assert run_cli(capsys, "gen", "trivial", "6")[0] == 0
 
 

@@ -12,8 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wlclosure import classical
-from wlclosure.classical import classical_closure, classical_step, iteration_budget
+from wlclosure import probabilistic
+from wlclosure.classical import classical_closure, classical_step
 from wlclosure.coherence import make_fixture
 from wlclosure.graph import (
     ColorMatrix,
@@ -33,6 +33,7 @@ from wlclosure.probabilistic import (
     check_coherent,
     draw_substitution,
     error_bound,
+    iteration_budget,
     numeric_product,
     paired_closure,
     probabilistic_closure,
@@ -210,7 +211,7 @@ def test_discrete_exit_returns_the_closure_of_a_run_without_it(policy, monkeypat
     assert res.stopping_reason == "discrete"
     assert res.closure.r == 100 and res.trace[-1] == 100
     assert res.iterations == len(res.trace) and 100 not in res.trace[:-1]
-    monkeypatch.setattr(classical, "is_discrete", lambda c: False)
+    monkeypatch.setattr(probabilistic, "is_discrete", lambda c: False)
     full = probabilistic_closure(x, params)
     assert full.stopping_reason != "discrete"
     assert full.iterations > res.iterations
@@ -453,10 +454,10 @@ def test_monte_carlo_guard_estimate_tracks_the_traced_peak(monkeypatch, paired):
         run = lambda: probabilistic_closure(x, params).closure  # noqa: E731
     expected = run()
     held = _traced_peak(run) + (2 if paired else 1) * x.cells.nbytes
-    monkeypatch.setattr(classical, "_memory_budget", lambda: int(0.9 * held))
-    with pytest.raises(classical.ResourceGuardError, match=f"at n={n}"):
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: int(0.9 * held))
+    with pytest.raises(probabilistic.ResourceGuardError, match=f"at n={n}"):
         run()
-    monkeypatch.setattr(classical, "_memory_budget", lambda: 2 * held)
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: 2 * held)
     assert run().cells.tolist() == expected.cells.tolist()
 
 
@@ -474,14 +475,14 @@ def test_monte_carlo_closure_peak_is_three_and_a_half_matrices():
 def test_monte_carlo_guard_refuses_runs_over_budget(monkeypatch):
     x = make_fixture("cyclic", 9)
     params = RunParams(10**6, StoppingPolicy.practical(3), 1)
-    monkeypatch.setattr(classical, "_memory_budget", lambda: 1000)
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: 1000)
     for run in (
         lambda: probabilistic_closure(x, params),
         lambda: paired_closure(x, x, params),
         lambda: check_coherent(x, 10**6, 3, np.random.default_rng(1)),
     ):
-        with pytest.raises(classical.ResourceGuardError, match="Monte Carlo run .* at n=9"):
+        with pytest.raises(probabilistic.ResourceGuardError, match="Monte Carlo run .* at n=9"):
             run()
-    monkeypatch.setattr(classical, "_memory_budget", lambda: None)
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: None)
     assert probabilistic_closure(x, params).stopping_reason == "stable"
     assert check_coherent(x, 10**6, 3, np.random.default_rng(1))
