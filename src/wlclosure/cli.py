@@ -24,9 +24,7 @@ from .classical import classical_closure, classical_step
 from .coherence import fixture_names, make_fixture, verify_coherent
 from .graph import (
     InputError,
-    distinct_ids,
     is_color_isomorphism,
-    normalize_by_value,
     permute_vertices,
     rainbow_refine,
 )
@@ -35,8 +33,8 @@ from .io import (
     RunReport,
     format_graph_text,
     input_digest,
+    read_graph_by_value,
     read_graph_file,
-    read_graph_raw,
     write_graph_file,
 )
 from .probabilistic import (
@@ -162,20 +160,19 @@ def cmd_isopair(args) -> int:
     """Color ids compare by value across the two files: a pair produced from
     one graph (e.g. by permuting vertices) must be written with a shared
     vocabulary, see ``format_graph_text(..., canonical=False)``."""
-    raw_a = read_graph_raw(args.first)
-    raw_b = read_graph_raw(args.second)
-    if raw_a.shape != raw_b.shape:
-        raise GraphFileError(
-            f"input size mismatch: {raw_a.shape[0]} vs {raw_b.shape[0]} vertices"
-        )
+    # each side renumbered by value, with its vocabulary of original ids;
+    # equal vocabularies make the renumbering one shared map
+    a, ids_a = read_graph_by_value(args.first)
+    b, ids_b = read_graph_by_value(args.second)
+    if a.n != b.n:
+        raise GraphFileError(f"input size mismatch: {a.n} vs {b.n} vertices")
     seed = _seed(args)
     params = RunParams(args.m, StoppingPolicy.practical(args.k), seed)
-    print(f"n: {raw_a.shape[0]}")
+    print(f"n: {a.n}")
     print(f"m: {args.m}")
     print(f"k: {args.k}")
     print(f"seed: {seed}")
 
-    ids_a, ids_b = distinct_ids(raw_a.ravel()), distinct_ids(raw_b.ravel())
     if not np.array_equal(ids_a, ids_b):
         print(f"iteration 0: color vocabularies differ ({len(ids_a)} vs {len(ids_b)} ids)")
         print(
@@ -183,10 +180,7 @@ def cmd_isopair(args) -> int:
             "(certified non-isomorphic at the refinement level)"
         )
         return 0
-    # equal vocabularies make the by-value renumbering one shared map
-    a = normalize_by_value(raw_a)
-    b = normalize_by_value(raw_b)
-    del raw_a, raw_b
+    del ids_a, ids_b
     run = paired_closure(a, b, params)
     diverged_at = None
     for i, (classes_a, classes_b, agree) in enumerate(run.iteration_trace):

@@ -5,6 +5,13 @@ every arc ``(u, v)`` of the complete directed graph on ``n`` vertices.  It is
 stored as an ``n x n`` integer matrix whose ``(u, v)`` cell holds the color of
 the arc ``u -> v``.  Color ids are kept contiguous in ``1..r``.
 
+That invariant is checked, by a presence scan of all cells, only on arrays
+from outside: ``ColorMatrix(cells, r)``.  The functions here that make ids
+-- :func:`validate`, :func:`normalize_by_value`, :func:`rainbow_refine`,
+:func:`refine_by` and :func:`permute_vertices` -- hold them in ``1..r`` by
+construction (a first-occurrence relabel, a rank or a permutation of cells,
+each of which also yields ``r``), so they skip the scan.
+
 All refinement operations renumber the resulting classes by sorting their
 ``(old color, new value)`` keys, so output ids depend only on the input color
 ids and the graph structure -- never on vertex numbering.  That property is
@@ -22,6 +29,8 @@ INT64_MAX = 2**63 - 1
 _UINT64_RANGE = 2**64
 # cells handled at a time by the rank passes
 _RANK_BLOCK = 2**14
+# rows transposed at a time
+_TRANSPOSE_ROWS = 32
 
 
 class InputError(ValueError):
@@ -53,18 +62,6 @@ def _id_presence(flat: np.ndarray) -> np.ndarray | None:
     return seen
 
 
-def distinct_ids(flat: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of ``flat``; a sort only for sparse ids."""
-    seen = _id_presence(flat)
-    return np.unique(flat) if seen is None else np.flatnonzero(seen)
-
-
-def count_distinct(flat: np.ndarray) -> int:
-    """``len(distinct_ids(flat))`` without the ids: no array of them for dense ids."""
-    seen = _id_presence(flat)
-    return len(np.unique(flat)) if seen is None else int(np.count_nonzero(seen))
-
-
 def first_positions(flat: np.ndarray, top: int) -> np.ndarray:
     """Position of each id ``0..top``'s first occurrence in ``flat``, else ``len(flat)``."""
     first = np.full(top + 1, len(flat), dtype=np.int64)
@@ -79,7 +76,9 @@ def _first_occurrence_relabel(flat: np.ndarray) -> tuple[np.ndarray, int]:
     Dense ids need no sort of the cells: when every cell is distinct the
     labels are the positions; otherwise :func:`first_positions` finds each
     id's first position and one ``argsort`` over the ``r`` distinct ids
-    ranks them.  Sparse ids fall back to ``np.unique``.
+    ranks them.  A few ids most often all occur within the first
+    ``_RANK_BLOCK`` cells, and then only those are searched.  Sparse ids
+    fall back to ``np.unique``.
     """
     size = len(flat)
     seen = _id_presence(flat)
@@ -93,10 +92,23 @@ def _first_occurrence_relabel(flat: np.ndarray) -> tuple[np.ndarray, int]:
         return np.arange(1, size + 1, dtype=np.int64), r
     ids = np.flatnonzero(seen)
     del seen
-    first = first_positions(flat, int(ids[-1]))
+    top, head = int(ids[-1]), min(size, _RANK_BLOCK)
+    first = first_positions(flat[:head], top) if r <= head else None
+    if first is None or (first[ids] == head).any():  # an id first occurs later
+        first = first_positions(flat, top)
     # ``first`` becomes the label table; entries of absent ids are never read
     first[ids[np.argsort(first[ids])]] = np.arange(1, r + 1)
     return first[flat], r
+
+
+def _transposed(cells: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``cells.T``, built ``_TRANSPOSE_ROWS`` rows of
+    ``cells`` at a time: the rows being read stay in cache while their
+    columns are written, which a one-pass strided copy does not achieve."""
+    out = np.empty(cells.shape[::-1], dtype=cells.dtype)
+    for s in range(0, len(cells), _TRANSPOSE_ROWS):
+        out[:, s : s + _TRANSPOSE_ROWS] = cells[s : s + _TRANSPOSE_ROWS].T
+    return out
 
 
 def _argsort_rank(key: np.ndarray, out: np.ndarray) -> int:
@@ -257,9 +269,12 @@ def _lex_rank(
 class ColorMatrix:
     """A coloring of the complete digraph: ``cells[u, v]`` is the color of ``u -> v``.
 
-    Invariants (checked on construction): ``cells`` is square int64, and the
-    set of entries is exactly ``{1..r}``.  The array is frozen read-only; the
-    constructor takes ownership of it.
+    Invariants: ``cells`` is square int64, and the set of entries is exactly
+    ``{1..r}``.  The constructor checks them, with one presence scan of the
+    cells; the array is frozen read-only and the constructor takes ownership
+    of it.  Colorings made in this module, whose ids are ranks or relabels
+    ``1..r`` by construction, come from :meth:`_ranked` instead, which
+    skips the scan.
     """
 
     cells: np.ndarray
@@ -280,6 +295,17 @@ class ColorMatrix:
         if seen is None or len(seen) != self.r + 1 or seen[0] or np.count_nonzero(seen) != self.r:
             raise InputError(f"colors must be exactly 1..{self.r}, all used")
         cells.setflags(write=False)
+
+    @classmethod
+    def _ranked(cls, cells: np.ndarray, r: int) -> "ColorMatrix":
+        """A coloring of square int64 ``cells`` that hold exactly the ids
+        ``1..r`` by construction, with ``r`` from the relabel or rank that
+        made them: built without the invariant scan."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "cells", cells)
+        object.__setattr__(x, "r", r)
+        cells.setflags(write=False)
+        return x
 
     @property
     def n(self) -> int:
@@ -305,15 +331,17 @@ def validate(raw) -> ColorMatrix:
     if arr.min() <= 0:
         raise InputError("color ids must be positive")
     flat, r = _first_occurrence_relabel(arr.ravel())
-    return ColorMatrix(flat.reshape(arr.shape), r)
+    return ColorMatrix._ranked(flat.reshape(arr.shape), r)
 
 
-def normalize_by_value(raw) -> ColorMatrix:
+def normalize_by_value(raw, *, return_ids: bool = False):
     """Like :func:`validate`, but renumber colors by sorted original id.
 
     Two grids that use the same vocabulary of original ids map to the same
     new ids, regardless of where those ids first occur.  Paired runs rely on
-    this to keep color ids aligned across two inputs.
+    this to keep color ids aligned across two inputs.  With ``return_ids``
+    the result is ``(coloring, ids)``, ``ids`` the sorted distinct original
+    ids (the vocabulary), read off the table that renumbers them.
     """
     arr = _as_grid(raw)
     if arr.min() <= 0:
@@ -321,10 +349,13 @@ def normalize_by_value(raw) -> ColorMatrix:
     flat = arr.ravel()
     seen = _id_presence(flat)
     if seen is None:
-        uniq, inverse = np.unique(flat, return_inverse=True)
-        return ColorMatrix((inverse + 1).reshape(arr.shape), len(uniq))
-    rank = np.cumsum(seen)  # rank[i]: distinct ids <= i
-    return ColorMatrix(rank[flat].reshape(arr.shape), int(rank[-1]))
+        ids, inverse = np.unique(flat, return_inverse=True)
+        x = ColorMatrix._ranked((inverse + 1).reshape(arr.shape), len(ids))
+    else:
+        rank = np.cumsum(seen)  # rank[i]: distinct ids <= i
+        x = ColorMatrix._ranked(rank[flat].reshape(arr.shape), int(rank[-1]))
+        ids = np.flatnonzero(seen) if return_ids else None
+    return (x, ids) if return_ids else x
 
 
 def rainbow_refine(x: ColorMatrix) -> ColorMatrix:
@@ -335,11 +366,11 @@ def rainbow_refine(x: ColorMatrix) -> ColorMatrix:
     lexicographically.  The output satisfies :func:`is_rainbow` and is the
     mandatory preprocessing step before any refinement run.
     """
-    mirror = x.cells.T.copy()
+    mirror = _transposed(x.cells)
     np.fill_diagonal(mirror, x.r + 1)
     # the keys, then the ranks, are built in the mirror copy
     ranks, r_new = _lex_rank(x.cells.ravel(), mirror.ravel(), mirror.ravel().view(np.uint64))
-    return ColorMatrix(ranks.reshape(x.n, x.n), r_new)
+    return ColorMatrix._ranked(ranks.reshape(x.n, x.n), r_new)
 
 
 def _constant_per_class(old: np.ndarray, value: np.ndarray, r: int) -> bool:
@@ -388,7 +419,7 @@ def refine_by(
         return RefinementOutcome(False, x)
     key = None if out is None else out.ravel().view(np.uint64)
     ranks, r_new = _lex_rank(old, value, key)
-    return RefinementOutcome(r_new > x.r, ColorMatrix(ranks.reshape(x.n, x.n), r_new))
+    return RefinementOutcome(r_new > x.r, ColorMatrix._ranked(ranks.reshape(x.n, x.n), r_new))
 
 
 def is_refinement(fine: ColorMatrix, coarse: ColorMatrix) -> bool:
@@ -426,12 +457,12 @@ def is_rainbow(x: ColorMatrix) -> bool:
     if np.count_nonzero(is_loop[x.cells]) != x.n:  # a loop color off the diagonal
         return False
     # as many distinct (color, reverse color) pairs as colors
-    return _lex_rank(x.cells.ravel(), x.cells.T.ravel())[1] == x.r
+    return _lex_rank(x.cells.ravel(), _transposed(x.cells).ravel())[1] == x.r
 
 
-def color_counts(x: ColorMatrix) -> tuple[int, ...]:
-    """Cell count per color id, indexed by ``color - 1``."""
-    return tuple(np.bincount(x.cells.ravel(), minlength=x.r + 1)[1:].tolist())
+def color_counts(x: ColorMatrix) -> np.ndarray:
+    """Cell count per color id, indexed by the id (entry 0 is 0)."""
+    return np.bincount(x.cells.ravel(), minlength=x.r + 1)
 
 
 def _as_permutation(mapping: Sequence[int], n: int) -> np.ndarray:
@@ -446,7 +477,7 @@ def permute_vertices(x: ColorMatrix, perm: Sequence[int]) -> ColorMatrix:
     p = _as_permutation(perm, x.n)
     out = np.empty_like(x.cells)
     out[np.ix_(p, p)] = x.cells
-    return ColorMatrix(out, x.r)
+    return ColorMatrix._ranked(out, x.r)
 
 
 def is_color_isomorphism(x: ColorMatrix, y: ColorMatrix, mapping: Sequence[int]) -> bool:

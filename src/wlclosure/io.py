@@ -24,15 +24,17 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 import numpy as np
 
-from .graph import INT64_MAX, ColorMatrix, InputError, count_distinct, validate
+from .graph import INT64_MAX, ColorMatrix, InputError, is_discrete, normalize_by_value, validate
 
 HEADER_TAG = "wlgraph"
 _BLOCK_CELLS = 1 << 15
 _INT32_MAX = 2**31 - 1
+_UINT32_MAX = 2**32 - 1
 _MAX_DIGITS = len(str(INT64_MAX))  # 19
 
 _NOT_BLANK = re.compile(rb"[^ \t]")
@@ -129,11 +131,17 @@ def _decode_rows(chunk: bytes, n: int, first_row: int) -> np.ndarray:
     return values
 
 
-def parse_graph_raw(text: str | bytes) -> np.ndarray:
+def parse_graph_raw(
+    text: str | bytes, *, declared_colors: bool = False
+) -> np.ndarray | tuple[np.ndarray, int]:
     """Parse to the raw color grid, validated but not renumbered.
 
     The grid is int32 when every id fits, else int64.  A ``str`` is read as
-    its UTF-8 bytes, so a non-ASCII character is an invalid byte.
+    its UTF-8 bytes, so a non-ASCII character is an invalid byte.  With
+    ``declared_colors`` the ids are neither checked positive nor counted,
+    and ``(grid, r)`` is returned with the header's ``r``: for a caller
+    whose renumbering checks and counts them anyway, and then compares its
+    count with ``r`` (:func:`_renumbered`), so the grid is scanned once.
     """
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     if b"\r" in data:  # a line end too; "\r\n" then reads as a line end and a blank line
@@ -158,51 +166,65 @@ def parse_graph_raw(text: str | bytes) -> np.ndarray:
         if grid.dtype == np.int32 and values.max() > _INT32_MAX:
             grid = grid.astype(np.int64)
         grid[top : top + len(block)] = values.reshape(len(block), n)
-    if grid.min() <= 0:
-        raise GraphFileError("color ids must be positive")
-    distinct = count_distinct(grid.ravel())
-    if distinct != r:
-        raise GraphFileError(f"header declares {r} colors, grid uses {distinct}")
+    if declared_colors:
+        return grid, r
+    _renumbered(validate, grid, r)
     return grid
 
 
-def _canonical(raw: np.ndarray) -> ColorMatrix:
+def _renumbered(renumber, grid: np.ndarray, declared: int):
+    """``renumber(grid)`` with its input errors raised as
+    :class:`GraphFileError`, once the ``r`` of the coloring it returns
+    (first, when it returns a tuple) equals the header's ``declared``."""
     try:
-        return validate(raw)
-    except GraphFileError:
-        raise
+        result = renumber(grid)
     except InputError as exc:
         raise GraphFileError(str(exc)) from exc
+    found = (result[0] if isinstance(result, tuple) else result).r
+    if found != declared:
+        raise GraphFileError(f"header declares {declared} colors, grid uses {found}")
+    return result
 
 
 def parse_graph_text(text: str | bytes) -> ColorMatrix:
     """Parse and canonicalize a graph file's content."""
-    return _canonical(parse_graph_raw(text))
+    return _renumbered(validate, *parse_graph_raw(text, declared_colors=True))
 
 
-def read_graph_raw(path) -> np.ndarray:
-    """Read a graph file to its raw grid, see :func:`parse_graph_raw`."""
+def _read_declared(path) -> tuple[np.ndarray, int]:
+    """A graph file's raw grid and its header's color count, see
+    :func:`parse_graph_raw` with ``declared_colors``; the file's bytes are
+    released on return, before the grid is renumbered."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
         raise GraphFileError(f"cannot read {path}: {exc}") from exc
-    return parse_graph_raw(data)
+    return parse_graph_raw(data, declared_colors=True)
 
 
 def read_graph_file(path) -> ColorMatrix:
-    # the file's bytes are released before the grid is renumbered
-    return _canonical(read_graph_raw(path))
+    """Read and canonicalize a graph file, see :func:`parse_graph_text`."""
+    return _renumbered(validate, *_read_declared(path))
 
 
-def _in_first_occurrence_order(cells: np.ndarray) -> bool:
+def read_graph_by_value(path) -> tuple[ColorMatrix, np.ndarray]:
+    """Read a graph file renumbered by sorted original id, and those ids:
+    ``normalize_by_value(grid, return_ids=True)`` of its raw grid."""
+    return _renumbered(partial(normalize_by_value, return_ids=True), *_read_declared(path))
+
+
+def _in_first_occurrence_order(x: ColorMatrix) -> bool:
     """True when the colors already are the canonical ``1..r`` by first
     occurrence: the first cell is 1 and each cell exceeds the running maximum
     of the cells before it by at most one.  Much cheaper than renumbering;
-    checked a block at a time."""
-    flat = cells.ravel()
+    checked a block at a time, and only until the running maximum is ``r``:
+    no later cell, at most ``r``, can exceed it."""
+    flat = x.cells.ravel()
     top = 0
     for start in range(0, len(flat), _BLOCK_CELLS):
+        if top == x.r:
+            break
         block = flat[start : start + _BLOCK_CELLS]
         bound = np.maximum.accumulate(block)
         np.maximum(bound, top, out=bound)
@@ -216,40 +238,59 @@ def _encode_rows(rows: np.ndarray) -> np.ndarray:
     """ASCII text of a block of rows of positive ids, as a uint8 array.
 
     Each id is cut into a right-aligned column of decimal digits by
-    ``divmod`` (on int32 when the ids fit); a column before an id's first
-    digit is pad and masked out.  Ids are separated by one space and each
-    row ends in ``\n``.
+    unsigned ``floor_divide`` by 10 (on uint32 when the ids fit), which
+    numpy vectorises where it does not ``divmod``.  Ids are separated by one
+    space and each row ends in ``\n``.  The uniform-width rule: when the
+    block's smallest and largest ids have the same digit count, so do all
+    its ids, no column is pad and the padded text is the text.  Otherwise a
+    column before an id's first digit is pad, masked out and compressed
+    away.
     """
     hi = int(rows.max())
     width = len(str(hi))
-    quotient = rows.astype(np.int32 if hi <= _INT32_MAX else np.int64)
-    digit = np.empty_like(quotient)
+    quotient = rows.astype(np.uint32 if hi <= _UINT32_MAX else np.uint64)
+    high, low = np.empty_like(quotient), np.empty_like(quotient)
     text = np.empty(rows.shape + (width + 1,), dtype=np.uint8)
-    keep = np.ones(text.shape, dtype=bool)
+    keep = np.ones(text.shape, dtype=bool) if len(str(int(rows.min()))) < width else None
     for column in range(width - 1, -1, -1):
-        if column < width - 1:  # ids are positive: the last column is never pad
+        # ids are positive: the last column is never pad
+        if keep is not None and column < width - 1:
             np.not_equal(quotient, 0, out=keep[..., column])
-        np.divmod(quotient, 10, out=(quotient, digit))
-        text[..., column] = digit
+        if column:
+            np.floor_divide(quotient, 10, out=high)
+            np.multiply(high, 10, out=low)
+            np.subtract(quotient, low, out=low)  # the digit
+            text[..., column] = low
+            quotient, high = high, quotient
+        else:  # the last quotient is the first digit
+            text[..., 0] = quotient
     text[..., :width] += ord("0")
     text[..., width] = ord(" ")
     text[:, -1, width] = ord("\n")
-    return text[keep]
+    return text.ravel() if keep is None else text[keep]
 
 
 def _canonical_chunks(x: ColorMatrix, canonical: bool = True) -> Iterator[bytes | np.ndarray]:
     """The file text of ``x`` as ASCII chunks: the header, then blocks of rows.
 
     With ``canonical`` (the default) colors are first renumbered ``1..r``
-    in first-occurrence order; the chunks are bytes-like, for a binary
-    file, a hash or ``b"".join``.
+    in first-occurrence order -- for a discrete coloring, whose cells all
+    differ, that numbers the cells in order, with no scan of them; the
+    chunks are bytes-like, for a binary file, a hash or ``b"".join``.
     """
-    if canonical and not _in_first_occurrence_order(x.cells):
-        x = validate(x.cells)
-    yield f"{HEADER_TAG} {x.n} {x.r}\n".encode("ascii")
-    rows = max(1, _BLOCK_CELLS // x.n)
-    for top in range(0, x.n, rows):
-        yield _encode_rows(x.cells[top : top + rows])
+    n, cells = x.n, x.cells
+    positions = canonical and is_discrete(x)
+    if canonical and not positions and not _in_first_occurrence_order(x):
+        cells = validate(cells).cells
+    yield f"{HEADER_TAG} {n} {x.r}\n".encode("ascii")
+    rows = max(1, _BLOCK_CELLS // n)
+    for top in range(0, n, rows):
+        end = min(top + rows, n)
+        if positions:  # the ids 1..n**2 in row-major order, a block at a time
+            block = np.arange(top * n + 1, end * n + 1, dtype=np.int64).reshape(end - top, n)
+        else:
+            block = cells[top:end]
+        yield _encode_rows(block)
 
 
 def format_graph_text(x: ColorMatrix, canonical: bool = True) -> str:

@@ -87,9 +87,10 @@ class WlResult:
 
 
 def _counts_agree(colorings: tuple[ColorMatrix, ...]) -> bool:
-    """All colorings have the same cell count per color id."""
+    """All colorings have the same cell count per color id (arrays of
+    different lengths, from different color counts, differ)."""
     first, *rest = colorings
-    return all(color_counts(c) == color_counts(first) for c in rest)
+    return all(np.array_equal(color_counts(c), color_counts(first)) for c in rest)
 
 
 def refine_lockstep(

@@ -3,7 +3,9 @@
 Everything here sticks to plain Python containers -- Counters, dicts,
 nested lists -- and shares no logic with the package (only its result
 dataclasses), so agreement between the two is meaningful evidence rather
-than a tautology.
+than a tautology.  The one exception is :func:`divmod_encode_rows`, the
+package's former vectorised encoder, kept as a byte-for-byte reference for
+the current one.
 """
 
 from __future__ import annotations
@@ -197,6 +199,42 @@ def python_format_graph_text(grid, canonical: bool = True) -> str:
     lines = [f"wlgraph {len(rows)} {r}"]
     lines.extend(" ".join(str(c) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def divmod_encode_rows(rows: np.ndarray) -> np.ndarray:
+    """The former ``wlclosure.io._encode_rows``: ASCII text of a block of
+    rows of positive ids as uint8, digits by signed ``divmod`` on every
+    column and the pad columns always compressed away by a keep mask."""
+    hi = int(rows.max())
+    width = len(str(hi))
+    quotient = rows.astype(np.int32 if hi <= 2**31 - 1 else np.int64)
+    digit = np.empty_like(quotient)
+    text = np.empty(rows.shape + (width + 1,), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    for column in range(width - 1, -1, -1):
+        if column < width - 1:
+            np.not_equal(quotient, 0, out=keep[..., column])
+        np.divmod(quotient, 10, out=(quotient, digit))
+        text[..., column] = digit
+    text[..., :width] += ord("0")
+    text[..., width] = ord(" ")
+    text[:, -1, width] = ord("\n")
+    return text[keep]
+
+
+def python_color_counts(grid) -> tuple[int, ...]:
+    """Cell count per color id ``1..max``, indexed by ``color - 1``."""
+    counts = Counter(int(c) for row in grid for c in row)
+    return tuple(counts[c] for c in range(1, max(counts) + 1))
+
+
+def assert_color_matrix_invariant(x) -> None:
+    """The full :class:`~wlclosure.graph.ColorMatrix` invariant: square
+    read-only int64 cells whose set of entries is exactly ``{1..r}``."""
+    cells = x.cells
+    assert cells.ndim == 2 and cells.shape[0] == cells.shape[1] >= 1
+    assert cells.dtype == np.int64 and not cells.flags.writeable
+    assert set(cells.ravel().tolist()) == set(range(1, x.r + 1))
 
 
 def python_parse_graph_raw(text: str) -> list[list[int]]:

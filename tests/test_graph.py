@@ -13,7 +13,6 @@ from wlclosure.coherence import make_fixture
 from wlclosure.graph import (
     ColorMatrix,
     InputError,
-    color_counts,
     is_color_isomorphism,
     is_rainbow,
     is_refinement,
@@ -25,11 +24,16 @@ from wlclosure.graph import (
     validate,
 )
 
+from wlclosure.classical import classical_closure, classical_step
+from wlclosure.probabilistic import RunParams, StoppingPolicy, paired_closure, probabilistic_closure
+
 from oracles import (
+    assert_color_matrix_invariant,
     brute_is_rainbow,
     brute_is_refinement,
     brute_rainbow,
     partition_of,
+    python_color_counts,
     python_first_occurrence_relabel,
     python_refine_by,
     random_grid,
@@ -80,10 +84,13 @@ def test_colormatrix_requires_contiguous_colors():
         ColorMatrix(np.array([[1, 3], [3, 1]]), 3)
     with pytest.raises(InputError):
         ColorMatrix(np.array([[1, 2], [2, 1]]), 1)
+    # only colorings the package ranks skip this check, never a user array
     for cells, r in [([[0, 1], [2, 3]], 3), ([[-1, 1], [2, 3]], 3), ([[1, 5], [5, 1]], 5),
-                     ([[1, 2], [2, 1]], 5), ([[1, 2**62], [2, 1]], 2**62)]:
-        with pytest.raises(InputError):
-            ColorMatrix(np.array(cells), r)
+                     ([[1, 2], [2, 1]], 5), ([[1, 2**62], [2, 1]], 2**62),
+                     ([[1, 2], [2, 3]], 2), ([[1, 1], [1, 1]], 0)]:
+        for dtype in (np.int64, np.int32):
+            with pytest.raises(InputError):
+                ColorMatrix(np.array(cells).astype(dtype), r)
     assert ColorMatrix(np.array([[4, 2], [3, 1]]), 4).r == 4
 
 
@@ -91,6 +98,15 @@ def test_colormatrix_cells_are_read_only():
     x = validate([[1, 2], [2, 1]])
     with pytest.raises(ValueError):
         x.cells[0, 0] = 2
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 70])
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+def test_transposed_equals_the_transpose(n, dtype):
+    cells = np.random.default_rng(n).integers(0, 999, size=(n, n)).astype(dtype)
+    out = graph._transposed(cells)
+    assert out.dtype == dtype and out.flags.c_contiguous
+    assert np.array_equal(out, cells.T)
 
 
 def test_rainbow_splits_uniform_2x2():
@@ -549,12 +565,27 @@ def _relabel_case(name):
         return rng.permutation(400) // 2 + 1
     if name == "sparse_near_2_62":
         return rng.integers(2**62 - 50, 2**62 + 50, 300)
+    if name == "few_ids_past_a_block":  # all first occurrences in the first block
+        return rng.integers(1, 4, 3 * graph._RANK_BLOCK + 5)
+    if name == "ids_first_past_a_block":  # the larger id first
+        flat = rng.integers(1, 4, 3 * graph._RANK_BLOCK + 5)
+        flat[2 * graph._RANK_BLOCK + 7] = 9
+        flat[2 * graph._RANK_BLOCK + 9] = 5
+        return flat
     raise AssertionError(name)
 
 
 @pytest.mark.parametrize(
     "name",
-    ["dense_small_ids", "dense_small_ids_int32", "all_distinct", "half_merged", "sparse_near_2_62"],
+    [
+        "dense_small_ids",
+        "dense_small_ids_int32",
+        "all_distinct",
+        "half_merged",
+        "sparse_near_2_62",
+        "few_ids_past_a_block",
+        "ids_first_past_a_block",
+    ],
 )
 def test_first_occurrence_relabel_matches_sorted_dict_oracle(name):
     flat = _relabel_case(name)
@@ -591,11 +622,13 @@ def test_is_same_partition_ignores_color_names():
 
 def test_partition_view_and_counts():
     x = validate([[1, 2, 2], [2, 1, 2], [2, 2, 1]])
-    sizes = sorted(color_counts(x))
+    sizes = sorted(python_color_counts(x.cells))
     assert len(sizes) == x.r == 2
     assert sizes == [3, 6]
     assert sum(sizes) == x.n * x.n
-    assert color_counts(x) == (3, 6)
+    assert python_color_counts(x.cells) == (3, 6)
+    assert graph.color_counts(x).tolist() == [0, 3, 6]
+    assert partition_of(x.cells) == ((0, 4, 8), (1, 2, 3, 5, 6, 7))
 
 
 def test_normalize_by_value_sorts_by_original_id():
@@ -620,7 +653,8 @@ def test_permute_vertices_definition():
     for u in range(7):
         for v in range(7):
             assert y.cells[perm[u], perm[v]] == x.cells[u, v]
-    assert partition_of(y.cells) != () and sorted(color_counts(y)) == sorted(color_counts(x))
+    assert partition_of(y.cells) != ()
+    assert python_color_counts(y.cells) == python_color_counts(x.cells)
 
 
 def test_is_color_isomorphism_accepts_defining_permutation():
@@ -642,3 +676,53 @@ def test_is_color_isomorphism_rejects_non_permutation():
     x = validate([[1, 2], [2, 1]])
     with pytest.raises(InputError):
         is_color_isomorphism(x, x, [0, 0])
+
+
+def _acceptance_inputs():
+    """Raw grids of the acceptance suite: random graphs as in its first
+    criterion, the coherent fixtures of its second, and the n = 1024
+    random input of its memory budget."""
+    rng = np.random.default_rng(101)
+    for _ in range(40):
+        yield random_grid(rng, int(rng.integers(2, 65)), int(rng.integers(1, 9)))
+    fixtures = (
+        [("trivial", n) for n in range(2, 11)]
+        + [("cyclic", n) for n in range(3, 13)]
+        + [("cycle5",), ("petersen",), ("path", 33)]
+    )
+    for fixture_args in fixtures:
+        yield np.array(make_fixture(*fixture_args).cells)
+    yield make_fixture("random", 1024, 4, 901).cells * 7 + 3  # not 1..r
+
+
+def test_ranked_colorings_keep_the_invariant_on_acceptance_inputs(monkeypatch):
+    """The invariant scan that ranked ids skip is run here in full: on each
+    coloring ``ColorMatrix._ranked`` builds, and on the results of every
+    function that builds through it."""
+    built = []
+    ranked = ColorMatrix._ranked.__func__
+
+    def checked(cls, cells, r):
+        x = ranked(cls, cells, r)
+        assert_color_matrix_invariant(x)
+        built.append(x.n)
+        return x
+
+    monkeypatch.setattr(ColorMatrix, "_ranked", classmethod(checked))
+    params = RunParams(10**6, StoppingPolicy.practical(3), 5)
+    for i, raw in enumerate(_acceptance_inputs()):
+        n = raw.shape[0]
+        perm = np.random.default_rng(i).permutation(n)
+        x = validate(raw)
+        made = [x, normalize_by_value(raw), rainbow_refine(x), permute_vertices(x, perm)]
+        values = np.random.default_rng(i).integers(0, 3, size=(n, n), dtype=np.int64)
+        made.append(refine_by(x, values).result)
+        made.append(probabilistic_closure(x, params).closure)
+        if n <= 64:
+            made.append(classical_step(rainbow_refine(x)).result)
+            made.append(classical_closure(x).closure)
+            run = paired_closure(x, permute_vertices(x, perm), params)
+            made += [run.first.closure, run.second.closure]
+        for y in made:
+            assert_color_matrix_invariant(y)
+    assert len(built) > 400

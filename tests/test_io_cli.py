@@ -10,11 +10,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wlclosure import graph, probabilistic
+from wlclosure import probabilistic
 from wlclosure import io as wio
 from wlclosure.classical import classical_closure
 from wlclosure.coherence import make_fixture
-from wlclosure.graph import ColorMatrix, is_same_partition, permute_vertices, validate
+from wlclosure.graph import (
+    ColorMatrix,
+    is_same_partition,
+    normalize_by_value,
+    permute_vertices,
+    validate,
+)
 from wlclosure.io import (
     GraphFileError,
     format_graph_text,
@@ -28,6 +34,7 @@ from wlclosure.cli import main
 
 from oracles import (
     brute_rainbow,
+    divmod_encode_rows,
     fingerprint_step,
     python_format_graph_text,
     python_parse_graph_raw,
@@ -64,6 +71,20 @@ def test_format_writes_first_occurrence_order(cells, expected):
     x = ColorMatrix(np.array(cells), int(np.max(cells)))
     assert format_graph_text(x) == f"wlgraph 2 {x.r}\n{expected}\n"
     assert format_graph_text(x) == format_graph_text(validate(x.cells))
+
+
+@pytest.mark.parametrize("late", [False, True])
+def test_first_occurrence_check_reads_until_every_id_has_occurred(late):
+    """Once the running maximum is ``r`` no later cell can break the order;
+    before that, an id out of order is found however late it occurs."""
+    n = 400  # several text blocks
+    cells = np.random.default_rng(3).integers(1, 3, size=(n, n))
+    cells[0, :2] = 1, 2
+    cells[n - 1, n - 2 :] = (4, 3) if late else (3, 4)
+    x = ColorMatrix(cells, 4)
+    assert wio._in_first_occurrence_order(x) == (not late)
+    assert wio._in_first_occurrence_order(validate(cells))
+    assert format_graph_text(x) == python_format_graph_text(cells)
 
 
 def test_parse_ignores_comments_and_blank_lines():
@@ -175,6 +196,64 @@ def test_encoder_and_decoder_match_python_oracles_at_every_width(digits):
     raw = parse_graph_raw(expected)
     assert raw.tolist() == python_parse_graph_raw(expected) == grid.tolist()
     assert raw.dtype == (np.int32 if grid.max() <= 2**31 - 1 else np.int64)
+
+
+def _encoder_block(name):
+    rng = np.random.default_rng(len(name))
+    if name.startswith("uniform_"):  # every id with the same digit count
+        digits = int(name.split("_")[1])
+        lo, hi = 10 ** (digits - 1), min(10**digits - 1, INT64_MAX)
+        return rng.integers(lo, hi, size=(5, 11), dtype=np.int64, endpoint=True)
+    if name.startswith("straddle_"):  # widths w and w + 1 in one block
+        edge = int(name.split("_")[1])
+        block = rng.integers(edge - 3, edge + 3, size=(4, 9), dtype=np.int64)
+        block[0, :2] = edge - 1, edge
+        return block
+    if name == "single_row":
+        return rng.integers(1, 10**5, size=(1, 40), dtype=np.int64)
+    if name == "single_row_uniform":
+        return np.full((1, 7), 42, dtype=np.int64)
+    if name == "single_id":
+        return np.array([[1]], dtype=np.int64)
+    if name == "uint32_edge":  # the widest ids encoded on uint32, and the next
+        return np.array([[2**32 - 1, 2**32, 1], [3, 2**32 - 2, 10]], dtype=np.int64)
+    if name == "discrete_block":  # a row block of a discrete closure's text
+        return np.arange(99_990, 100_090, dtype=np.int64).reshape(4, 25)
+    raise AssertionError(name)
+
+
+_ENCODER_BLOCKS = (
+    [f"uniform_{d}" for d in (1, 2, 6, 7, 10, 19)]
+    + [f"straddle_{e}" for e in (10, 100, 10**6, 10**10)]
+    + ["single_row", "single_row_uniform", "single_id", "uint32_edge", "discrete_block"]
+)
+
+
+@pytest.mark.parametrize("name", _ENCODER_BLOCKS)
+def test_encoder_matches_the_divmod_encoder(name):
+    rows = _encoder_block(name)
+    expected = divmod_encode_rows(rows)
+    assert wio._encode_rows(rows).tobytes() == expected.tobytes()
+    text = expected.tobytes().decode("ascii")
+    assert text == "".join(" ".join(map(str, row)) + "\n" for row in rows.tolist())
+
+
+@pytest.mark.parametrize("n", [1, 3, 37, 300])
+@pytest.mark.parametrize("canonical", [True, False])
+@pytest.mark.parametrize("classes", ["discrete", "pairs"])
+def test_written_blocks_match_the_divmod_encoder(n, canonical, classes):
+    """Every row block of a file, canonical or with ids as stored."""
+    rng = np.random.default_rng(n)
+    order = rng.permutation(n * n) // (1 if classes == "discrete" else 2)
+    y = validate(order.reshape(n, n) + 1)
+    x = ColorMatrix((y.r + 1 - y.cells).copy(), y.r)  # not first-occurrence order
+    chunks = list(wio._canonical_chunks(x, canonical))
+    cells = validate(x.cells).cells if canonical else x.cells
+    rows = max(1, wio._BLOCK_CELLS // n)
+    blocks = [cells[top : top + rows] for top in range(0, n, rows)]
+    assert len(chunks) == 1 + len(blocks)
+    for chunk, block in zip(chunks[1:], blocks):
+        assert chunk.tobytes() == divmod_encode_rows(block).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 300])
@@ -577,9 +656,14 @@ def test_distinct_ids_match_unique_oracle(ids_a, ids_b, expected):
     n = 3
     a = np.resize(np.array(ids_a, dtype=np.int64), n * n).reshape(n, n)
     b = np.resize(np.array(ids_b, dtype=np.int64), n * n).reshape(n, n)
+    def distinct_ids(raw):  # isopair's vocabulary: the ids the by-value renumbering ranks
+        x, ids = normalize_by_value(raw, return_ids=True)
+        assert len(ids) == x.r
+        return ids
+
     for raw in (a, b, a.astype(np.int32) if a.max() < 2**31 else a):  # the parser's int32 grids
-        assert graph.distinct_ids(raw.ravel()).tolist() == np.unique(raw).tolist()
-    ua, ub = graph.distinct_ids(a.ravel()), graph.distinct_ids(b.ravel())
+        assert distinct_ids(raw).tolist() == np.unique(raw).tolist()
+    ua, ub = distinct_ids(a), distinct_ids(b)
     assert (None if np.array_equal(ua, ub) else (len(ua), len(ub))) == expected
 
 

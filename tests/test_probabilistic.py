@@ -40,7 +40,7 @@ from wlclosure.probabilistic import (
     probabilistic_step,
 )
 
-from oracles import python_matmul, random_grid
+from oracles import python_color_counts, python_matmul, random_grid
 
 BOTH_POLICIES = pytest.mark.parametrize(
     "policy",
@@ -357,6 +357,23 @@ def test_paired_closure_isomorphic_inputs_run_identically(seed):
     assert run.first.trace == run.second.trace
     if run.mapping is not None:
         assert is_color_isomorphism(x, y, run.mapping)
+
+
+@pytest.mark.parametrize(
+    "grids",
+    [
+        ([[1, 2], [2, 1]], [[2, 1], [1, 2]]),  # same counts, other cells
+        ([[1, 2], [2, 2]], [[1, 1], [2, 2]]),  # same ids, other counts
+        ([[1, 2], [3, 4]], [[1, 1], [2, 3]]),  # other color counts r
+        ([[1, 1], [1, 1]], [[1, 1], [1, 1]], [[1, 1], [1, 1]]),
+        ([[1, 2], [1, 2]], [[2, 1], [2, 1]], [[1, 1], [2, 2]]),  # the third disagrees
+        ([[3, 1], [2, 4]],),  # one coloring agrees with itself
+    ],
+)
+def test_counts_agree_matches_counter_oracle(grids):
+    colorings = tuple(ColorMatrix(np.array(g), int(np.max(g))) for g in grids)
+    counts = [python_color_counts(g) for g in grids]
+    assert probabilistic._counts_agree(colorings) == all(c == counts[0] for c in counts)
 
 
 def test_paired_closure_unpacks_as_three_tuple():
