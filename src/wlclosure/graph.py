@@ -29,8 +29,6 @@ INT64_MAX = 2**63 - 1
 _UINT64_RANGE = 2**64
 # cells handled at a time by the rank passes
 _RANK_BLOCK = 2**14
-# rows transposed at a time
-_TRANSPOSE_ROWS = 32
 
 
 class InputError(ValueError):
@@ -76,39 +74,24 @@ def _first_occurrence_relabel(flat: np.ndarray) -> tuple[np.ndarray, int]:
     Dense ids need no sort of the cells: when every cell is distinct the
     labels are the positions; otherwise :func:`first_positions` finds each
     id's first position and one ``argsort`` over the ``r`` distinct ids
-    ranks them.  A few ids most often all occur within the first
-    ``_RANK_BLOCK`` cells, and then only those are searched.  Sparse ids
-    fall back to ``np.unique``.
+    ranks them.  Sparse ids fall back to ``np.unique``.
     """
     size = len(flat)
     seen = _id_presence(flat)
     if seen is None:
         uniq, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
         # rank of each distinct value by its first position in the array
-        rank_by_first = np.argsort(np.argsort(first))
+        rank_by_first = np.argsort(np.argsort(first)).astype(np.int64, copy=False)
         return rank_by_first[inverse] + 1, len(uniq)
     r = int(np.count_nonzero(seen))
     if r == size:
         return np.arange(1, size + 1, dtype=np.int64), r
     ids = np.flatnonzero(seen)
     del seen
-    top, head = int(ids[-1]), min(size, _RANK_BLOCK)
-    first = first_positions(flat[:head], top) if r <= head else None
-    if first is None or (first[ids] == head).any():  # an id first occurs later
-        first = first_positions(flat, top)
+    first = first_positions(flat, int(ids[-1]))
     # ``first`` becomes the label table; entries of absent ids are never read
     first[ids[np.argsort(first[ids])]] = np.arange(1, r + 1)
     return first[flat], r
-
-
-def _transposed(cells: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of ``cells.T``, built ``_TRANSPOSE_ROWS`` rows of
-    ``cells`` at a time: the rows being read stay in cache while their
-    columns are written, which a one-pass strided copy does not achieve."""
-    out = np.empty(cells.shape[::-1], dtype=cells.dtype)
-    for s in range(0, len(cells), _TRANSPOSE_ROWS):
-        out[:, s : s + _TRANSPOSE_ROWS] = cells[s : s + _TRANSPOSE_ROWS].T
-    return out
 
 
 def _argsort_rank(key: np.ndarray, out: np.ndarray) -> int:
@@ -301,6 +284,7 @@ class ColorMatrix:
         """A coloring of square int64 ``cells`` that hold exactly the ids
         ``1..r`` by construction, with ``r`` from the relabel or rank that
         made them: built without the invariant scan."""
+        assert cells.dtype == np.int64, cells.dtype
         x = object.__new__(cls)
         object.__setattr__(x, "cells", cells)
         object.__setattr__(x, "r", r)
@@ -334,14 +318,14 @@ def validate(raw) -> ColorMatrix:
     return ColorMatrix._ranked(flat.reshape(arr.shape), r)
 
 
-def normalize_by_value(raw, *, return_ids: bool = False):
+def normalize_by_value(raw) -> tuple[ColorMatrix, np.ndarray]:
     """Like :func:`validate`, but renumber colors by sorted original id.
 
     Two grids that use the same vocabulary of original ids map to the same
     new ids, regardless of where those ids first occur.  Paired runs rely on
-    this to keep color ids aligned across two inputs.  With ``return_ids``
-    the result is ``(coloring, ids)``, ``ids`` the sorted distinct original
-    ids (the vocabulary), read off the table that renumbers them.
+    this to keep color ids aligned across two inputs.  Returns the coloring
+    and ``ids``, the sorted distinct original ids (the vocabulary), read off
+    the table that renumbers them: id ``ids[k]`` becomes color ``k + 1``.
     """
     arr = _as_grid(raw)
     if arr.min() <= 0:
@@ -350,12 +334,11 @@ def normalize_by_value(raw, *, return_ids: bool = False):
     seen = _id_presence(flat)
     if seen is None:
         ids, inverse = np.unique(flat, return_inverse=True)
-        x = ColorMatrix._ranked((inverse + 1).reshape(arr.shape), len(ids))
-    else:
-        rank = np.cumsum(seen)  # rank[i]: distinct ids <= i
-        x = ColorMatrix._ranked(rank[flat].reshape(arr.shape), int(rank[-1]))
-        ids = np.flatnonzero(seen) if return_ids else None
-    return (x, ids) if return_ids else x
+        inverse = inverse.astype(np.int64, copy=False)
+        return ColorMatrix._ranked((inverse + 1).reshape(arr.shape), len(ids)), ids
+    rank = np.cumsum(seen, dtype=np.int64)  # rank[i]: distinct ids <= i
+    x = ColorMatrix._ranked(rank[flat].reshape(arr.shape), int(rank[-1]))
+    return x, np.flatnonzero(seen)
 
 
 def rainbow_refine(x: ColorMatrix) -> ColorMatrix:
@@ -366,7 +349,7 @@ def rainbow_refine(x: ColorMatrix) -> ColorMatrix:
     lexicographically.  The output satisfies :func:`is_rainbow` and is the
     mandatory preprocessing step before any refinement run.
     """
-    mirror = _transposed(x.cells)
+    mirror = x.cells.T.copy()
     np.fill_diagonal(mirror, x.r + 1)
     # the keys, then the ranks, are built in the mirror copy
     ranks, r_new = _lex_rank(x.cells.ravel(), mirror.ravel(), mirror.ravel().view(np.uint64))
@@ -457,7 +440,7 @@ def is_rainbow(x: ColorMatrix) -> bool:
     if np.count_nonzero(is_loop[x.cells]) != x.n:  # a loop color off the diagonal
         return False
     # as many distinct (color, reverse color) pairs as colors
-    return _lex_rank(x.cells.ravel(), _transposed(x.cells).ravel())[1] == x.r
+    return _lex_rank(x.cells.ravel(), x.cells.T.ravel())[1] == x.r
 
 
 def color_counts(x: ColorMatrix) -> np.ndarray:

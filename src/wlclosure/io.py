@@ -24,7 +24,6 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -131,17 +130,14 @@ def _decode_rows(chunk: bytes, n: int, first_row: int) -> np.ndarray:
     return values
 
 
-def parse_graph_raw(
-    text: str | bytes, *, declared_colors: bool = False
-) -> np.ndarray | tuple[np.ndarray, int]:
-    """Parse to the raw color grid, validated but not renumbered.
+def parse_graph_raw(text: str | bytes) -> tuple[np.ndarray, int]:
+    """Parse to the raw color grid, not renumbered, and the header's ``r``.
 
     The grid is int32 when every id fits, else int64.  A ``str`` is read as
-    its UTF-8 bytes, so a non-ASCII character is an invalid byte.  With
-    ``declared_colors`` the ids are neither checked positive nor counted,
-    and ``(grid, r)`` is returned with the header's ``r``: for a caller
-    whose renumbering checks and counts them anyway, and then compares its
-    count with ``r`` (:func:`_renumbered`), so the grid is scanned once.
+    its UTF-8 bytes, so a non-ASCII character is an invalid byte.  The text
+    is checked here; the ids are neither checked positive nor counted
+    against ``r``: the renumbering does both (:func:`_declared`), so the
+    grid is scanned once.
     """
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     if b"\r" in data:  # a line end too; "\r\n" then reads as a line end and a blank line
@@ -166,52 +162,55 @@ def parse_graph_raw(
         if grid.dtype == np.int32 and values.max() > _INT32_MAX:
             grid = grid.astype(np.int64)
         grid[top : top + len(block)] = values.reshape(len(block), n)
-    if declared_colors:
-        return grid, r
-    _renumbered(validate, grid, r)
-    return grid
+    return grid, r
 
 
-def _renumbered(renumber, grid: np.ndarray, declared: int):
-    """``renumber(grid)`` with its input errors raised as
-    :class:`GraphFileError`, once the ``r`` of the coloring it returns
-    (first, when it returns a tuple) equals the header's ``declared``."""
+def _renumbered(renumber, grid: np.ndarray):
+    """``renumber(grid)`` with its input errors raised as :class:`GraphFileError`."""
     try:
-        result = renumber(grid)
+        return renumber(grid)
     except InputError as exc:
         raise GraphFileError(str(exc)) from exc
-    found = (result[0] if isinstance(result, tuple) else result).r
-    if found != declared:
-        raise GraphFileError(f"header declares {declared} colors, grid uses {found}")
-    return result
+
+
+def _declared(x: ColorMatrix, declared: int) -> ColorMatrix:
+    """``x``, once its color count equals the header's ``declared``."""
+    if x.r != declared:
+        raise GraphFileError(f"header declares {declared} colors, grid uses {x.r}")
+    return x
+
+
+def _canonical(grid: np.ndarray, declared: int) -> ColorMatrix:
+    return _declared(_renumbered(validate, grid), declared)
 
 
 def parse_graph_text(text: str | bytes) -> ColorMatrix:
     """Parse and canonicalize a graph file's content."""
-    return _renumbered(validate, *parse_graph_raw(text, declared_colors=True))
+    return _canonical(*parse_graph_raw(text))
 
 
-def _read_declared(path) -> tuple[np.ndarray, int]:
-    """A graph file's raw grid and its header's color count, see
-    :func:`parse_graph_raw` with ``declared_colors``; the file's bytes are
+def _read_raw(path) -> tuple[np.ndarray, int]:
+    """:func:`parse_graph_raw` of a graph file; the file's bytes are
     released on return, before the grid is renumbered."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
         raise GraphFileError(f"cannot read {path}: {exc}") from exc
-    return parse_graph_raw(data, declared_colors=True)
+    return parse_graph_raw(data)
 
 
 def read_graph_file(path) -> ColorMatrix:
     """Read and canonicalize a graph file, see :func:`parse_graph_text`."""
-    return _renumbered(validate, *_read_declared(path))
+    return _canonical(*_read_raw(path))
 
 
 def read_graph_by_value(path) -> tuple[ColorMatrix, np.ndarray]:
     """Read a graph file renumbered by sorted original id, and those ids:
-    ``normalize_by_value(grid, return_ids=True)`` of its raw grid."""
-    return _renumbered(partial(normalize_by_value, return_ids=True), *_read_declared(path))
+    :func:`normalize_by_value` of its raw grid."""
+    grid, declared = _read_raw(path)
+    x, ids = _renumbered(normalize_by_value, grid)
+    return _declared(x, declared), ids
 
 
 def _in_first_occurrence_order(x: ColorMatrix) -> bool:

@@ -100,15 +100,6 @@ def test_colormatrix_cells_are_read_only():
         x.cells[0, 0] = 2
 
 
-@pytest.mark.parametrize("n", [1, 31, 32, 33, 70])
-@pytest.mark.parametrize("dtype", [np.int16, np.int64])
-def test_transposed_equals_the_transpose(n, dtype):
-    cells = np.random.default_rng(n).integers(0, 999, size=(n, n)).astype(dtype)
-    out = graph._transposed(cells)
-    assert out.dtype == dtype and out.flags.c_contiguous
-    assert np.array_equal(out, cells.T)
-
-
 def test_rainbow_splits_uniform_2x2():
     out = rainbow_refine(validate([[1, 1], [1, 1]]))
     assert out.cells.tolist() == [[2, 1], [1, 2]]
@@ -565,9 +556,9 @@ def _relabel_case(name):
         return rng.permutation(400) // 2 + 1
     if name == "sparse_near_2_62":
         return rng.integers(2**62 - 50, 2**62 + 50, 300)
-    if name == "few_ids_past_a_block":  # all first occurrences in the first block
+    if name == "few_ids_past_a_block":  # several rank blocks of a few ids
         return rng.integers(1, 4, 3 * graph._RANK_BLOCK + 5)
-    if name == "ids_first_past_a_block":  # the larger id first
+    if name == "ids_first_past_a_block":  # late first occurrences, the larger id first
         flat = rng.integers(1, 4, 3 * graph._RANK_BLOCK + 5)
         flat[2 * graph._RANK_BLOCK + 7] = 9
         flat[2 * graph._RANK_BLOCK + 9] = 5
@@ -632,14 +623,15 @@ def test_partition_view_and_counts():
 
 
 def test_normalize_by_value_sorts_by_original_id():
-    a = normalize_by_value([[9, 5], [5, 9]])
-    assert a.cells.tolist() == [[2, 1], [1, 2]]
-    assert normalize_by_value(np.array([[9, 5], [5, 9]], dtype=np.int32)).cells.tolist() == [
+    a, ids = normalize_by_value([[9, 5], [5, 9]])
+    assert a.cells.tolist() == [[2, 1], [1, 2]] and ids.tolist() == [5, 9]
+    assert normalize_by_value(np.array([[9, 5], [5, 9]], dtype=np.int32))[0].cells.tolist() == [
         [2, 1],
         [1, 2],
     ]
-    sparse = normalize_by_value([[2**62 + 9, 5], [5, 2**62 + 9]])
+    sparse, ids = normalize_by_value([[2**62 + 9, 5], [5, 2**62 + 9]])
     assert sparse.cells.tolist() == [[2, 1], [1, 2]] and sparse.r == 2
+    assert ids.tolist() == [5, 2**62 + 9]
     b = validate([[9, 5], [5, 9]])
     assert b.cells.tolist() == [[1, 2], [2, 1]]
     assert is_same_partition(a, b)
@@ -714,7 +706,7 @@ def test_ranked_colorings_keep_the_invariant_on_acceptance_inputs(monkeypatch):
         n = raw.shape[0]
         perm = np.random.default_rng(i).permutation(n)
         x = validate(raw)
-        made = [x, normalize_by_value(raw), rainbow_refine(x), permute_vertices(x, perm)]
+        made = [x, normalize_by_value(raw)[0], rainbow_refine(x), permute_vertices(x, perm)]
         values = np.random.default_rng(i).integers(0, 3, size=(n, n), dtype=np.int64)
         made.append(refine_by(x, values).result)
         made.append(probabilistic_closure(x, params).closure)

@@ -27,6 +27,7 @@ from wlclosure.io import (
     input_digest,
     parse_graph_raw,
     parse_graph_text,
+    read_graph_by_value,
     read_graph_file,
     write_graph_file,
 )
@@ -135,8 +136,12 @@ def test_parse_renumbers_noncanonical_colors():
 def test_parse_rejects_malformed_files(text):
     with pytest.raises(GraphFileError):
         parse_graph_text(text)
-    with pytest.raises(GraphFileError):
-        parse_graph_raw(text.encode("utf-8"))
+    try:
+        grid, r = parse_graph_raw(text.encode("utf-8"))
+    except GraphFileError:
+        return
+    # well-formed text: the renumbering rejects an id below 1 or an undeclared color count
+    assert grid.min() <= 0 or len(np.unique(grid)) != r
 
 
 @pytest.mark.parametrize(
@@ -153,6 +158,31 @@ def test_parse_rejects_malformed_files(text):
 def test_parse_errors_name_the_row(text, message):
     with pytest.raises(GraphFileError, match=re.escape(message)):
         parse_graph_raw(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("wlgraph 2 2\n0 1\n1 0\n", "color ids must be positive"),
+        ("wlgraph 2 3\n1 2\n2 1\n", "header declares 3 colors, grid uses 2"),
+        ("wlgraph 2 1\n1 2\n2 1\n", "header declares 1 colors, grid uses 2"),
+        ("wlgraph 2 3\n7 99999999999\n7 7\n", "header declares 3 colors, grid uses 2"),
+    ],
+)
+def test_renumbering_rejects_what_the_parser_lets_through(tmp_path, text, message):
+    """The parser returns the header's r unchecked; each reader's
+    renumbering checks the ids and compares its count with r."""
+    grid, r = parse_graph_raw(text)
+    assert grid.min() <= 0 or len(np.unique(grid)) != r
+    path = tmp_path / "graph.wlg"
+    path.write_text(text)
+    for read, source in (
+        (parse_graph_text, text),
+        (read_graph_file, path),
+        (read_graph_by_value, path),
+    ):
+        with pytest.raises(GraphFileError, match=re.escape(message)):
+            read(source)
 
 
 def test_parse_errors_name_rows_past_the_first_block():
@@ -172,8 +202,8 @@ def test_parse_names_a_short_row_before_allocating_the_header_size():
 
 def test_parse_accepts_ids_up_to_int64_max():
     text = f"wlgraph 2 2\n{INT64_MAX} 1\n1 000000000000000000000000{INT64_MAX}\n"
-    raw = parse_graph_raw(text)
-    assert raw.dtype == np.int64
+    raw, r = parse_graph_raw(text)
+    assert raw.dtype == np.int64 and r == 2
     assert raw.tolist() == [[INT64_MAX, 1], [1, INT64_MAX]]
     assert parse_graph_text(text).cells.tolist() == [[1, 2], [2, 1]]
 
@@ -193,7 +223,7 @@ def test_encoder_and_decoder_match_python_oracles_at_every_width(digits):
     expected = python_format_graph_text(grid, canonical=False)
     body = wio._encode_rows(grid).tobytes().decode("ascii")
     assert expected.endswith("\n" + body)
-    raw = parse_graph_raw(expected)
+    raw, _ = parse_graph_raw(expected)
     assert raw.tolist() == python_parse_graph_raw(expected) == grid.tolist()
     assert raw.dtype == (np.int32 if grid.max() <= 2**31 - 1 else np.int64)
 
@@ -291,9 +321,9 @@ def test_parse_matches_token_oracle_with_comments_blank_lines_and_line_ends(n):
         seps = rng.choice([" ", "\t", "  ", " \t "], size=n)
         lines.append(rng.choice(["", " ", "\t"]) + "".join(f"{c}{s}" for c, s in zip(row, seps)))
     text = "".join(line + rng.choice(ends) for line in lines) + "# trailing comment"
-    raw = parse_graph_raw(text)
-    assert raw.tolist() == python_parse_graph_raw(text) == grid.tolist()
-    assert parse_graph_raw(text.encode("ascii")).tolist() == grid.tolist()
+    raw, declared = parse_graph_raw(text)
+    assert raw.tolist() == python_parse_graph_raw(text) == grid.tolist() and declared == r
+    assert parse_graph_raw(text.encode("ascii"))[0].tolist() == grid.tolist()
 
 
 # SHA-256 of the canonical text, as computed by the row-join writer: the
@@ -657,7 +687,7 @@ def test_distinct_ids_match_unique_oracle(ids_a, ids_b, expected):
     a = np.resize(np.array(ids_a, dtype=np.int64), n * n).reshape(n, n)
     b = np.resize(np.array(ids_b, dtype=np.int64), n * n).reshape(n, n)
     def distinct_ids(raw):  # isopair's vocabulary: the ids the by-value renumbering ranks
-        x, ids = normalize_by_value(raw, return_ids=True)
+        x, ids = normalize_by_value(raw)
         assert len(ids) == x.r
         return ids
 
