@@ -30,7 +30,7 @@ from math import isqrt
 
 import numpy as np
 
-from .graph import ColorMatrix, RefinementOutcome, first_positions, refine_by
+from .graph import ColorMatrix, RefinementOutcome, first_positions, id_dtype, refine_by
 from .probabilistic import (
     RandomSubstitution,
     WlResult,
@@ -119,7 +119,7 @@ def _split_collisions(x: ColorMatrix, candidate: ColorMatrix, bad: np.ndarray) -
     n = x.n
     cells, mirror = _narrow(x)
     flat = candidate.cells.ravel()
-    local = np.zeros(n * n, dtype=np.int64)
+    local = np.zeros(n * n, dtype=id_dtype(n * n))
     for c in bad:
         members = np.flatnonzero(flat == c)
         # two arrays of rows at a time (the rows and a temporary, then the
@@ -151,7 +151,7 @@ def classical_step(x: ColorMatrix) -> RefinementOutcome:
     n, r = x.n, x.r
     guard_memory(monte_carlo_bytes(n, 1) + KERNEL_BYTES, "exact step", f"at n={n}")
     product = numeric_product(x, _exact_substitution(n, r))
-    candidate = refine_by(x, product, out=product).result
+    candidate = refine_by(x, product, overwrite_values=True).result
     del product  # unused when the step is quiet and ``candidate`` is ``x``
     classes = candidate.cells.ravel()
     bad = np.zeros(candidate.r + 1, dtype=bool)

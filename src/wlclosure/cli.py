@@ -17,6 +17,7 @@ import argparse
 import secrets
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -205,6 +206,16 @@ def cmd_isopair(args) -> int:
     return 0
 
 
+def _traced_peak_mib(run) -> float:
+    """Peak of the memory ``tracemalloc`` traces while ``run()`` runs, in MiB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def cmd_bench(args) -> int:
     sizes = []
     for token in args.sizes.split(","):
@@ -226,7 +237,10 @@ def cmd_bench(args) -> int:
         check_product_bound(max(sizes), args.m)
     print(f"mode: {args.mode}")
     print(f"seed: {seed}")
-    print(f"{'n':>6} {'input':>6} {'step_ms':>12} {'closure_ms':>12} {'iterations':>10}")
+    print(
+        f"{'n':>6} {'input':>6} {'step_ms':>12} {'closure_ms':>12} {'iterations':>10}"
+        f" {'peak_mib':>10}"
+    )
     for n in sizes:
         # random is discrete after a step or two; a permuted path's closure has
         # n**2/2 classes and takes several steps, so it times the rank layer too
@@ -248,14 +262,20 @@ def cmd_bench(args) -> int:
                 samples.append((time.perf_counter() - started) * 1000.0)
             samples.sort()
             step_ms = samples[len(samples) // 2]
+
+            def closure():
+                if args.mode == "mc":
+                    return probabilistic_closure(x, params)
+                return classical_closure(x)
+
             started = time.perf_counter()
-            if args.mode == "mc":
-                result = probabilistic_closure(x, params)
-            else:
-                result = classical_closure(x)
+            result = closure()
             closure_ms = (time.perf_counter() - started) * 1000.0
+            # a second, traced run: tracing slows the timed one
+            peak_mib = _traced_peak_mib(closure)
             print(
                 f"{n:>6} {name:>6} {step_ms:>12.3f} {closure_ms:>12.3f} {result.iterations:>10}"
+                f" {peak_mib:>10.3f}"
             )
     return 0
 

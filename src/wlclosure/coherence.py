@@ -21,9 +21,10 @@ from .classical import KERNEL_BYTES, row_mismatches
 from .graph import ColorMatrix, InputError, first_positions, validate
 from .probabilistic import guard_memory
 
-# bytes per cell at the peak: the first-cell table (at most one entry per
-# cell), first cells, reverse colors, their gather (int64), a mask
-_CHECK_CELL_BYTES = 33
+# bytes per cell at the peak, beside two arrays of ids: the reverse colors and
+# their gather; the int64 first-cell table (at most one entry per cell) and
+# first cells, and a mask
+_CHECK_CELL_BYTES = 8 + 8 + 1
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,8 @@ def verify_coherent(x: ColorMatrix) -> CoherenceReport:
     :func:`~wlclosure.probabilistic.guard_memory` raises first.
     """
     n, r = x.n, x.r
-    guard_memory(n * n * _CHECK_CELL_BYTES + KERNEL_BYTES, "exact check", f"at n={n}")
+    cell_bytes = _CHECK_CELL_BYTES + 2 * x.cells.itemsize
+    guard_memory(n * n * cell_bytes + KERNEL_BYTES, "exact check", f"at n={n}")
     flat = x.cells.ravel()
     loops = x.cells.diagonal()
     overlap = np.isin(x.cells, loops)
@@ -84,7 +86,8 @@ def verify_coherent(x: ColorMatrix) -> CoherenceReport:
 
     for own, ref in row_mismatches(x, flat, first):
         k, f = int(own[0]), int(ref[0])
-        codes = [x.cells[c // n] * (r + 1) + x.cells[:, c % n] for c in (f, k)]
+        # pair codes reach (r + 1)**2 - 1, so the narrow ids are widened
+        codes = [x.cells[c // n].astype(np.int64) * (r + 1) + x.cells[:, c % n] for c in (f, k)]
         a, b = np.sort(codes, axis=1)
         pair = divmod(int(np.minimum(a, b)[np.argmax(a != b)]), r + 1)
         return _violation("profile_mismatch", f, k, n, pair)

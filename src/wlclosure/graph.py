@@ -3,7 +3,11 @@
 A *coloring* assigns a color id to every vertex (the loop ``(u, u)``) and
 every arc ``(u, v)`` of the complete directed graph on ``n`` vertices.  It is
 stored as an ``n x n`` integer matrix whose ``(u, v)`` cell holds the color of
-the arc ``u -> v``.  Color ids are kept contiguous in ``1..r``.
+the arc ``u -> v``.  Color ids are kept contiguous in ``1..r`` and stored in
+:func:`id_dtype` of ``r``, the smallest unsigned integer type that holds
+``r``: one byte per cell up to 255 colors.  Arithmetic on ids that could
+leave that type (the rainbow sentinel ``r + 1``, packed rank keys, pair
+codes) is done in a wider one.
 
 That invariant is checked, by a presence scan of all cells, only on arrays
 from outside: ``ColorMatrix(cells, r)``.  The functions here that make ids
@@ -27,7 +31,7 @@ import numpy as np
 
 INT64_MAX = 2**63 - 1
 _UINT64_RANGE = 2**64
-# cells handled at a time by the rank passes
+# cells handled at a time by the block-wise passes (ranks, gathers, positions)
 _RANK_BLOCK = 2**14
 
 
@@ -42,8 +46,10 @@ def _as_grid(raw) -> np.ndarray:
         raise InputError(f"expected a non-empty square grid, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise InputError(f"expected integer entries, got dtype {arr.dtype}")
-    # int32 grids (the parser's, when every id fits) are read as they are
-    return arr if arr.dtype == np.int32 else arr.astype(np.int64, copy=False)
+    # grids of narrower ids (the parser's int32, a coloring's cells) are read
+    # as they are; uint64 ids are read as int64, so those above its range are
+    # negative and refused
+    return arr if arr.dtype.itemsize < 8 else arr.astype(np.int64, copy=False)
 
 
 def _id_presence(flat: np.ndarray) -> np.ndarray | None:
@@ -60,41 +66,72 @@ def _id_presence(flat: np.ndarray) -> np.ndarray | None:
     return seen
 
 
+def id_dtype(r: int) -> np.dtype:
+    """Dtype of the cells of a coloring with ``r`` colors: the smallest
+    unsigned integer type that holds ``r`` (uint8 up to 255, uint16 up to
+    65,535, uint32 below 2**32)."""
+    return np.min_scalar_type(r)
+
+
+def gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table[index]`` for an index of any integer dtype whose entries all
+    lie in ``table``.
+
+    ``np.take`` one ``_RANK_BLOCK`` of the index at a time, converted to
+    intp in cache: fancy indexing by a narrow index took up to twice as
+    long.  ``mode="clip"`` skips the bounds check, which would also buffer
+    the output; an entry out of range would be clipped, not reported.
+    """
+    out = np.empty(index.shape, dtype=table.dtype)
+    flat, dest = index.reshape(-1), out.reshape(-1)
+    for s in range(0, len(flat), _RANK_BLOCK):
+        np.take(table, flat[s : s + _RANK_BLOCK], out=dest[s : s + _RANK_BLOCK], mode="clip")
+    return out
+
+
 def first_positions(flat: np.ndarray, top: int) -> np.ndarray:
-    """Position of each id ``0..top``'s first occurrence in ``flat``, else ``len(flat)``."""
+    """Position of each id ``0..top``'s first occurrence in ``flat``, else
+    ``len(flat)``; the positions are made one ``_RANK_BLOCK`` at a time."""
     first = np.full(top + 1, len(flat), dtype=np.int64)
-    np.minimum.at(first, flat, np.arange(len(flat)))
+    for s in range(0, len(flat), _RANK_BLOCK):
+        block = flat[s : s + _RANK_BLOCK]
+        np.minimum.at(first, block, np.arange(s, s + len(block)))
     return first
 
 
 def _first_occurrence_relabel(flat: np.ndarray) -> tuple[np.ndarray, int]:
     """Renumber values to 1..r in order of first appearance.
 
-    Returns the relabeled int64 array and the number of distinct values.
-    Dense ids need no sort of the cells: when every cell is distinct the
-    labels are the positions; otherwise :func:`first_positions` finds each
-    id's first position and one ``argsort`` over the ``r`` distinct ids
-    ranks them.  Sparse ids fall back to ``np.unique``.
+    Returns the relabeled array, in :func:`id_dtype` of ``r``, and the
+    number ``r`` of distinct values.  Dense ids need no sort of the cells:
+    when every cell is distinct the labels are the positions; otherwise
+    :func:`first_positions` finds each id's first position and one
+    ``argsort`` over the ``r`` distinct ids ranks them.  Sparse ids fall
+    back to ``np.unique``.  Either way the cells gather their labels from a
+    table of narrow labels.
     """
     size = len(flat)
     seen = _id_presence(flat)
     if seen is None:
         uniq, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-        # rank of each distinct value by its first position in the array
-        rank_by_first = np.argsort(np.argsort(first)).astype(np.int64, copy=False)
-        return rank_by_first[inverse] + 1, len(uniq)
-    r = int(np.count_nonzero(seen))
-    if r == size:
-        return np.arange(1, size + 1, dtype=np.int64), r
-    ids = np.flatnonzero(seen)
-    del seen
-    first = first_positions(flat, int(ids[-1]))
-    # ``first`` becomes the label table; entries of absent ids are never read
-    first[ids[np.argsort(first[ids])]] = np.arange(1, r + 1)
-    return first[flat], r
+        r = len(uniq)
+        by_first = np.argsort(first)  # indexes into ``uniq``
+    else:
+        r = int(np.count_nonzero(seen))
+        if r == size:
+            return np.arange(1, size + 1, dtype=id_dtype(r)), r
+        ids = np.flatnonzero(seen)
+        del seen
+        first = first_positions(flat, int(ids[-1]))
+        by_first = ids[np.argsort(first[ids])]
+        inverse = flat
+    # entries of absent ids are never read
+    labels = np.empty(len(first), dtype=id_dtype(r))
+    labels[by_first] = np.arange(1, r + 1)
+    return gather(labels, inverse), r
 
 
-def _argsort_rank(key: np.ndarray, out: np.ndarray) -> int:
+def _argsort_rank(key: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, int]:
     """:func:`_dense_rank` by one ``argsort``: three arrays the size of ``key``."""
     order = np.argsort(key)
     ranked = key[order]
@@ -105,8 +142,11 @@ def _argsort_rank(key: np.ndarray, out: np.ndarray) -> int:
         ranked[s:e] = ranked[s:e] != ranked[s - 1 : e - 1]
     ranked[0] = 1
     np.cumsum(ranked, out=ranked)
+    count = int(ranked[-1])
+    if out is None:
+        out = np.empty(len(key), dtype=id_dtype(count))
     out[order] = ranked
-    return int(ranked[-1])
+    return out, count
 
 
 def _sorted_words(key: np.ndarray, shift: int, ib: int) -> np.ndarray:
@@ -153,12 +193,15 @@ def _rank_words(words: np.ndarray, key: np.ndarray, shift: int, ib: int) -> int 
     return count
 
 
-def _dense_rank(key: np.ndarray, top: int, out: np.ndarray) -> int:
-    """Write the 1-based dense rank of each entry of ``key`` into ``out``.
+def _dense_rank(
+    key: np.ndarray, top: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
+    """The 1-based dense rank of each entry of ``key``, and their count.
 
-    ``key`` is uint64 with entries at most ``top``; ``out`` is an integer
-    array and may be ``key`` itself.  Equal keys share a rank and ranks
-    follow key order, contiguous ``1..count``; returns ``count``.
+    ``key`` is uint64 with entries at most ``top``.  The ranks are written
+    into ``out``, an integer array that may be ``key`` itself, or by
+    default into a fresh array in :func:`id_dtype` of the count.  Equal
+    keys share a rank and ranks follow key order, contiguous ``1..count``.
 
     No ``argsort`` in the common case.  With ``ib`` the bit width of a cell
     index and ``shift`` the fewest low key bits to drop so ``ib`` more fit
@@ -173,8 +216,8 @@ def _dense_rank(key: np.ndarray, top: int, out: np.ndarray) -> int:
     need (they depend only on which keys are equal, not on the order among
     them); else the ranks come from :func:`_argsort_rank`.  The sorted
     words take ``rank << ib | index`` in place and are scattered into
-    ``out``.  The working set is ``key``, the words and a block of
-    temporaries; the fallback's is three arrays.
+    ``out``.  The working set is ``key``, the words, ``out`` and a block of
+    temporaries; the fallback's is three arrays and ``out``.
     """
     ib = (len(key) - 1).bit_length()
     if ib >= 32:  # a rank and an index no longer share a word
@@ -185,18 +228,24 @@ def _dense_rank(key: np.ndarray, top: int, out: np.ndarray) -> int:
     if count is None:
         del words
         return _argsort_rank(key, out)
+    if out is None:
+        out = np.empty(len(key), dtype=id_dtype(count))
     mask = np.uint64((1 << ib) - 1)
     for s in range(0, len(words), _RANK_BLOCK):
         part = words[s : s + _RANK_BLOCK]
-        out[(part & mask).view(np.int64)] = part >> ib
-    return count
+        # cast before the scatter: a scatter that casts is slower
+        out[(part & mask).view(np.int64)] = (part >> ib).astype(out.dtype, copy=False)
+    return out, count
 
 
 def _add_scaled(key: np.ndarray, primary: np.ndarray, scale: int) -> None:
-    """``key += primary * scale`` in uint64, ``_RANK_BLOCK`` cells at a time."""
+    """``key += primary * scale`` in uint64, ``_RANK_BLOCK`` cells at a time
+    (``primary``, narrow ids, is widened one block at a time)."""
     scale = np.uint64(scale)
     for s in range(0, len(key), _RANK_BLOCK):
-        key[s : s + _RANK_BLOCK] += primary[s : s + _RANK_BLOCK].view(np.uint64) * scale
+        key[s : s + _RANK_BLOCK] += np.multiply(
+            primary[s : s + _RANK_BLOCK], scale, dtype=np.uint64, casting="unsafe"
+        )
 
 
 def _lex_rank(
@@ -204,60 +253,62 @@ def _lex_rank(
 ) -> tuple[np.ndarray, int]:
     """Rank (primary, secondary) pairs lexicographically, 1-based.
 
-    Equal pairs get equal ranks; ranks are contiguous 1..count, returned as
-    int64 in ``key`` viewed as int64.  ``key`` is a uint64 buffer of the
-    pairs' length that the caller gives up, and may be ``secondary`` viewed
-    as uint64; by default a fresh one.  ``primary`` holds non-negative int64
-    color ids no larger than its length; ``secondary`` holds any int64
-    values.  Each pair is packed into the single uint64 key ``primary *
-    span + (secondary - min)``, which orders like the pair as long as the
-    key range ``(max primary + 1) * span`` is at most ``2**64`` (``span`` is
-    the secondary's value range).  Otherwise the secondary is first replaced
-    by its dense rank ``1..span``, which keeps its order and shrinks
-    ``span`` to at most the length; the key ``primary * span + rank`` then
-    lies in ``(primary * span, (primary + 1) * span]``, so it still orders
-    like the pair, and the bound on ``primary`` keeps it inside uint64.
-    When the key range is at most the length (few colors, as in rainbow
-    preprocessing) the keys are ranked through a presence table and its
-    ``cumsum`` instead of a sort.
+    Equal pairs get equal ranks; ranks are contiguous 1..count, returned in
+    a fresh array in :func:`id_dtype` of ``count``.  ``key`` is a uint64
+    buffer of the pairs' length that the caller gives up, and may be an
+    8-byte ``secondary`` viewed as uint64; by default a fresh one.
+    ``primary`` holds non-negative color ids no larger than its length, of
+    any integer dtype; ``secondary`` holds any integer values.  Each pair is
+    packed into the single uint64 key ``primary * span + (secondary -
+    min)``, which orders like the pair as long as the key range ``(max
+    primary + 1) * span`` is at most ``2**64`` (``span`` is the secondary's
+    value range).  Otherwise the secondary is first replaced by its dense
+    rank ``1..span``, which keeps its order and shrinks ``span`` to at most
+    the length; the key ``primary * span + rank`` then lies in ``(primary *
+    span, (primary + 1) * span]``, so it still orders like the pair, and the
+    bound on ``primary`` keeps it inside uint64.  When the key range is at
+    most the length (few colors, as in rainbow preprocessing) the keys are
+    ranked through a presence table and its ``cumsum`` instead of a sort.
     """
     lo = int(secondary.min())
     span = int(secondary.max()) - lo + 1
     key_range = (int(primary.max()) + 1) * span
     # uint64 arithmetic wraps modulo 2**64, which leaves every key in
     # [0, 2**64) exact; a span of 2**64 (read as 0) occurs only with every
-    # primary 0
+    # primary 0.  An 8-byte secondary is read as uint64 in place (it may be
+    # ``key`` itself); a narrower one is cast by the ufunc's buffer.
     if key is None:
         key = np.empty(len(primary), dtype=np.uint64)
-    np.subtract(secondary.view(np.uint64), np.uint64(lo % _UINT64_RANGE), out=key)
+    wide = secondary.view(np.uint64) if secondary.itemsize == 8 else secondary
+    np.subtract(wide, np.uint64(lo % _UINT64_RANGE), out=key, dtype=np.uint64, casting="unsafe")
     if key_range <= _UINT64_RANGE:
         _add_scaled(key, primary, span % _UINT64_RANGE)
         if key_range <= len(key):
             seen = np.zeros(key_range, dtype=bool)
-            seen[key] = True
-            rank = np.cumsum(seen, dtype=np.uint64)  # rank[k]: distinct keys <= k
-            for s in range(0, len(key), _RANK_BLOCK):
-                key[s : s + _RANK_BLOCK] = rank[key[s : s + _RANK_BLOCK]]
-            return key.view(np.int64), int(rank[-1])
+            seen[key.view(np.int64)] = True  # keys below the length index as int64
+            count = int(np.count_nonzero(seen))
+            rank = np.cumsum(seen, dtype=id_dtype(count))  # rank[k]: distinct keys <= k
+            del seen
+            return gather(rank, key.view(np.int64)), count
         top = key_range - 1
     else:
-        span = _dense_rank(key, span - 1, key)
+        _, span = _dense_rank(key, span - 1, key)
         _add_scaled(key, primary, span)
         top = (int(primary.max()) + 1) * span
-    count = _dense_rank(key, top, key)
-    return key.view(np.int64), count
+    return _dense_rank(key, top)
 
 
 @dataclass(frozen=True, eq=False)
 class ColorMatrix:
     """A coloring of the complete digraph: ``cells[u, v]`` is the color of ``u -> v``.
 
-    Invariants: ``cells`` is square int64, and the set of entries is exactly
-    ``{1..r}``.  The constructor checks them, with one presence scan of the
-    cells; the array is frozen read-only and the constructor takes ownership
-    of it.  Colorings made in this module, whose ids are ranks or relabels
-    ``1..r`` by construction, come from :meth:`_ranked` instead, which
-    skips the scan.
+    Invariants: ``cells`` is square, in :func:`id_dtype` of ``r``, and the
+    set of entries is exactly ``{1..r}``.  The constructor checks the ids,
+    with one presence scan of the cells, then converts them to that dtype;
+    the array is frozen read-only and the constructor takes ownership of it
+    when it already has that dtype.  Colorings made in this module, whose
+    ids are ranks or relabels ``1..r`` by construction, come from
+    :meth:`_ranked` instead, which skips the scan.
     """
 
     cells: np.ndarray
@@ -269,22 +320,24 @@ class ColorMatrix:
             raise InputError("cells must be a square matrix")
         if cells.shape[0] == 0:
             raise InputError("empty matrix")
-        if cells.dtype != np.int64:
-            object.__setattr__(self, "cells", cells.astype(np.int64))
-            cells = self.cells
+        if not np.issubdtype(cells.dtype, np.integer):
+            cells = cells.astype(np.int64)
         if self.r < 1:
             raise InputError(f"color count must be >= 1, got {self.r}")
         seen = _id_presence(cells.ravel())  # None: a negative id, or more ids than cells
         if seen is None or len(seen) != self.r + 1 or seen[0] or np.count_nonzero(seen) != self.r:
             raise InputError(f"colors must be exactly 1..{self.r}, all used")
+        # ids are checked before the cast, which would wrap larger ones
+        cells = cells.astype(id_dtype(self.r), copy=False)
+        object.__setattr__(self, "cells", cells)
         cells.setflags(write=False)
 
     @classmethod
     def _ranked(cls, cells: np.ndarray, r: int) -> "ColorMatrix":
-        """A coloring of square int64 ``cells`` that hold exactly the ids
-        ``1..r`` by construction, with ``r`` from the relabel or rank that
-        made them: built without the invariant scan."""
-        assert cells.dtype == np.int64, cells.dtype
+        """A coloring of square ``cells`` in :func:`id_dtype` of ``r`` that
+        hold exactly the ids ``1..r`` by construction, with ``r`` from the
+        relabel or rank that made them: built without the invariant scan."""
+        assert cells.dtype == id_dtype(r), (cells.dtype, r)
         x = object.__new__(cls)
         object.__setattr__(x, "cells", cells)
         object.__setattr__(x, "r", r)
@@ -334,11 +387,11 @@ def normalize_by_value(raw) -> tuple[ColorMatrix, np.ndarray]:
     seen = _id_presence(flat)
     if seen is None:
         ids, inverse = np.unique(flat, return_inverse=True)
-        inverse = inverse.astype(np.int64, copy=False)
-        return ColorMatrix._ranked((inverse + 1).reshape(arr.shape), len(ids)), ids
-    rank = np.cumsum(seen, dtype=np.int64)  # rank[i]: distinct ids <= i
-    x = ColorMatrix._ranked(rank[flat].reshape(arr.shape), int(rank[-1]))
-    return x, np.flatnonzero(seen)
+        labels = np.arange(1, len(ids) + 1, dtype=id_dtype(len(ids)))
+        return ColorMatrix._ranked(gather(labels, inverse).reshape(arr.shape), len(ids)), ids
+    ids = np.flatnonzero(seen)
+    rank = np.cumsum(seen, dtype=id_dtype(len(ids)))  # rank[i]: distinct ids <= i
+    return ColorMatrix._ranked(gather(rank, arr), len(ids)), ids
 
 
 def rainbow_refine(x: ColorMatrix) -> ColorMatrix:
@@ -347,12 +400,13 @@ def rainbow_refine(x: ColorMatrix) -> ColorMatrix:
     Each cell gets the key ``(own color, reverse color)`` where the reverse
     color of a loop is the sentinel ``r + 1``; keys are ranked
     lexicographically.  The output satisfies :func:`is_rainbow` and is the
-    mandatory preprocessing step before any refinement run.
+    mandatory preprocessing step before any refinement run.  The reverse
+    colors are a copy in the dtype that holds the sentinel, one wider than
+    the cells' when ``r`` is the largest id theirs holds.
     """
-    mirror = x.cells.T.copy()
+    mirror = x.cells.T.astype(id_dtype(x.r + 1))
     np.fill_diagonal(mirror, x.r + 1)
-    # the keys, then the ranks, are built in the mirror copy
-    ranks, r_new = _lex_rank(x.cells.ravel(), mirror.ravel(), mirror.ravel().view(np.uint64))
+    ranks, r_new = _lex_rank(x.cells.ravel(), mirror.ravel())
     return ColorMatrix._ranked(ranks.reshape(x.n, x.n), r_new)
 
 
@@ -365,42 +419,43 @@ def _constant_per_class(old: np.ndarray, value: np.ndarray, r: int) -> bool:
     first block with a difference.
     """
     rep = np.empty(r + 1, dtype=value.dtype)
-    rep[old] = value
+    for s in range(0, len(old), _RANK_BLOCK):
+        # a block of ids cast to intp scatters faster than narrow ids do
+        rep[old[s : s + _RANK_BLOCK].astype(np.intp)] = value[s : s + _RANK_BLOCK]
     return all(
-        np.array_equal(rep[old[s : s + _RANK_BLOCK]], value[s : s + _RANK_BLOCK])
+        np.array_equal(gather(rep, old[s : s + _RANK_BLOCK]), value[s : s + _RANK_BLOCK])
         for s in range(0, len(old), _RANK_BLOCK)
     )
 
 
 def refine_by(
-    x: ColorMatrix, values: np.ndarray, *, out: np.ndarray | None = None
+    x: ColorMatrix, values: np.ndarray, *, overwrite_values: bool = False
 ) -> RefinementOutcome:
     """Split the classes of ``x`` by a matrix of per-cell integer values.
 
     New colors are the lexicographic ranks of ``(old color, value)`` pairs,
     so the result always refines ``x`` and never merges classes.  Cells of
     the same old color with equal values stay together.  ``values`` must be
-    an integer ndarray of the same shape as ``x.cells``; it is not written
-    to.  ``out``, a C-contiguous int64 array of that shape (``values``
-    itself included), is given up to the call: the rank key is built in it
-    and, when a class splits, the result's cells are ``out``.  By default a
-    fresh buffer is used.
+    an integer ndarray of the same shape as ``x.cells``.  By default it is
+    not written to, and the rank key is built in a fresh uint64 buffer.
+    With ``overwrite_values`` the caller gives ``values`` up, which must
+    then be a writeable C-contiguous int64 array: the key is built in it.
+    Either way the result's cells are a fresh array of narrow ids.
     """
     if not isinstance(values, np.ndarray) or not np.issubdtype(values.dtype, np.integer):
         raise InputError("values must be an integer ndarray")
     if values.shape != x.cells.shape:
         raise InputError(f"value matrix shape {values.shape} != {x.cells.shape}")
-    if out is not None and not (
-        out.shape == x.cells.shape and out.dtype == np.int64 and out.flags.c_contiguous
-        and out.flags.writeable
+    if overwrite_values and not (
+        values.dtype == np.int64 and values.flags.c_contiguous and values.flags.writeable
     ):
-        raise InputError("out must be a writeable C-contiguous int64 array of the cells' shape")
+        raise InputError("overwritten values must be a writeable C-contiguous int64 array")
     old = x.cells.ravel()
-    value = values.ravel().astype(np.int64, copy=False)
+    value = values.ravel()
     if _constant_per_class(old, value, x.r):
         # the rank of (old, constant) over the ids 1..r is old itself
         return RefinementOutcome(False, x)
-    key = None if out is None else out.ravel().view(np.uint64)
+    key = value.view(np.uint64) if overwrite_values else None
     ranks, r_new = _lex_rank(old, value, key)
     return RefinementOutcome(r_new > x.r, ColorMatrix._ranked(ranks.reshape(x.n, x.n), r_new))
 

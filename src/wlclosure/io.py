@@ -227,7 +227,8 @@ def _in_first_occurrence_order(x: ColorMatrix) -> bool:
         block = flat[start : start + _BLOCK_CELLS]
         bound = np.maximum.accumulate(block)
         np.maximum(bound, top, out=bound)
-        if block[0] > top + 1 or (block[1:] > bound[:-1] + 1).any():
+        # ids are at least 1, so ``block - 1`` cannot wrap where ``bound + 1`` could
+        if block[0] > top + 1 or (block[1:] - 1 > bound[:-1]).any():
             return False
         top = int(bound[-1])
     return True

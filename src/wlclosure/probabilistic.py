@@ -33,6 +33,8 @@ from .graph import (
     InputError,
     RefinementOutcome,
     color_counts,
+    gather,
+    id_dtype,
     is_discrete,
     is_rainbow,
     rainbow_refine,
@@ -45,14 +47,15 @@ _CAST_ROWS = 64
 # cast on its own, so only a quarter of the left factor is held at a time
 _PRODUCT_BLOCKS = 4
 
-# Bytes per cell a Monte Carlo run may hold.  Per coloring: its input, current
-# and next cells (the next cells are the step's product, ranked in place).
-# Per step, shared by paired colorings: the substitution's two int64 tables
+# What a Monte Carlo run may hold per cell.  Per coloring: its input, current
+# and next cells, each as wide as the ids of a discrete coloring.  Per step,
+# in bytes, shared by paired colorings: the substitution's two int64 tables
 # and a float64 copy of one (at most one entry per cell each), the right
-# factor and one row block of the left factor.  The rank layer's sort words
-# take the place the factor and the copy held.
-_COLORING_CELL_BYTES = 24
-_STEP_CELL_BYTES = 3 * 8 + 8 + 8 // _PRODUCT_BLOCKS
+# factor, one row block of the left factor and the int64 product, in which
+# the rank layer builds its key.  The rank layer's sort words take the place
+# the factor held.
+_COLORING_ARRAYS = 3
+_STEP_CELL_BYTES = 3 * 8 + 8 + 8 // _PRODUCT_BLOCKS + 8
 
 
 class RefinementInvariantError(RuntimeError):
@@ -166,7 +169,8 @@ def guard_memory(estimate: int, what: str, detail: str) -> None:
 
 def monte_carlo_bytes(n: int, colorings: int) -> int:
     """Estimated ``n**2`` working set of a Monte Carlo run over ``colorings``."""
-    return n * n * (_COLORING_CELL_BYTES * colorings + _STEP_CELL_BYTES)
+    coloring_bytes = _COLORING_ARRAYS * id_dtype(n * n).itemsize
+    return n * n * (coloring_bytes * colorings + _STEP_CELL_BYTES)
 
 
 def _guard_monte_carlo(n: int, colorings: int) -> None:
@@ -351,12 +355,12 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     check_product_bound(x.n, sub.m)
     # the right table's float copy is freed before the left one is made,
     # which matters when a table has one entry per cell
-    right = _float_table(sub.right)[x.cells]
+    right = gather(_float_table(sub.right), x.cells)
     left = _float_table(sub.left)
-    product = np.empty_like(x.cells)
+    product = np.empty(x.cells.shape, dtype=np.int64)
     rows = -(-x.n // _PRODUCT_BLOCKS)
     for r0 in range(0, x.n, rows):
-        multiply(left[x.cells[r0:r0 + rows]], right, sub.m, product[r0:r0 + rows])
+        multiply(gather(left, x.cells[r0:r0 + rows]), right, sub.m, product[r0:r0 + rows])
     lo, hi = int(product.min()), int(product.max())
     if lo < x.n or hi > x.n * sub.m**2:
         raise RefinementInvariantError(
@@ -375,8 +379,8 @@ def _substitution_steps(m: int, rng: np.random.Generator):
         outcomes = []
         for c in colorings:
             product = numeric_product(c, sub)
-            # the product becomes the rank key and then the new cells
-            outcomes.append(refine_by(c, product, out=product))
+            # the product becomes the rank key
+            outcomes.append(refine_by(c, product, overwrite_values=True))
         return outcomes
 
     return step

@@ -230,10 +230,11 @@ def python_color_counts(grid) -> tuple[int, ...]:
 
 def assert_color_matrix_invariant(x) -> None:
     """The full :class:`~wlclosure.graph.ColorMatrix` invariant: square
-    read-only int64 cells whose set of entries is exactly ``{1..r}``."""
+    read-only cells in the smallest unsigned dtype that holds ``r``, whose
+    set of entries is exactly ``{1..r}``."""
     cells = x.cells
     assert cells.ndim == 2 and cells.shape[0] == cells.shape[1] >= 1
-    assert cells.dtype == np.int64 and not cells.flags.writeable
+    assert cells.dtype == np.min_scalar_type(x.r) and not cells.flags.writeable
     assert set(cells.ravel().tolist()) == set(range(1, x.r + 1))
 
 

@@ -315,14 +315,14 @@ def test_lex_rank_matches_sorted_tuple_ranks(name, monkeypatch):
     calls, fallback_calls = [], []
     real, real_fallback = graph._dense_rank, graph._argsort_rank
     monkeypatch.setattr(
-        graph, "_dense_rank", lambda key, top, out: calls.append(1) or real(key, top, out)
+        graph, "_dense_rank", lambda key, top, out=None: calls.append(1) or real(key, top, out)
     )
     monkeypatch.setattr(
         graph, "_argsort_rank", lambda key, out: fallback_calls.append(1) or real_fallback(key, out)
     )
     ranks, count = graph._lex_rank(primary, secondary)
     expected = sorted_tuple_ranks(list(zip(primary.tolist(), secondary.tolist())))
-    assert ranks.dtype == np.int64
+    assert ranks.dtype == np.min_scalar_type(count)
     assert ranks.tolist() == expected
     assert count == max(expected)
     assert (len(calls), len(fallback_calls)) == (sorts, fallbacks)
@@ -330,14 +330,15 @@ def test_lex_rank_matches_sorted_tuple_ranks(name, monkeypatch):
 
 @pytest.mark.parametrize("name", _RANK_CASES)
 def test_lex_rank_builds_key_and_ranks_in_the_secondary(name):
-    """Given the secondary itself as its key buffer, every path ranks in
-    place and returns the ranks in that buffer."""
+    """Given the secondary itself as its key buffer, every path builds the
+    key and ranks from it in place, and returns the ranks in a fresh array
+    of narrow ids."""
     primary, secondary, _, _ = _rank_case(name)
     primary, secondary = primary.astype(np.int64), secondary.astype(np.int64)
     expected = sorted_tuple_ranks(list(zip(primary.tolist(), secondary.tolist())))
     ranks, count = graph._lex_rank(primary, secondary, secondary.view(np.uint64))
-    assert ranks.dtype == np.int64
-    assert np.shares_memory(ranks, secondary)
+    assert ranks.dtype == np.min_scalar_type(count)
+    assert not np.shares_memory(ranks, secondary)
     assert ranks.tolist() == expected
     assert count == max(expected)
 
@@ -358,10 +359,12 @@ def test_dense_rank_drops_the_fewest_key_bits(monkeypatch, cells, bits, shift):
         graph, "_rank_words", lambda w, k, sh, ib: shifts.append(sh) or real(w, k, sh, ib)
     )
     out = np.empty(cells, dtype=np.int64)
-    count = graph._dense_rank(key.copy(), 2**bits - 1, out)
+    ranks, count = graph._dense_rank(key.copy(), 2**bits - 1, out)
     expected = sorted_tuple_ranks([(k,) for k in key.tolist()])
-    assert out.tolist() == expected and count == max(expected)
-    assert shifts == [shift]
+    assert ranks is out and out.tolist() == expected and count == max(expected)
+    fresh, count = graph._dense_rank(key.copy(), 2**bits - 1)
+    assert fresh.dtype == np.min_scalar_type(count) and fresh.tolist() == expected
+    assert shifts == [shift, shift]
 
 
 @pytest.mark.parametrize(
@@ -386,7 +389,7 @@ def test_dense_rank_repairs_blocks_or_falls_back(monkeypatch, block, first, fall
     real = graph._argsort_rank
     monkeypatch.setattr(graph, "_argsort_rank", lambda k, o: calls.append(1) or real(k, o))
     out = np.empty(16, dtype=np.int64)
-    count = graph._dense_rank(key.copy(), 2**62 - 1, out)
+    _, count = graph._dense_rank(key.copy(), 2**62 - 1, out)
     expected = sorted_tuple_ranks([(k,) for k in key.tolist()])
     assert out.tolist() == expected
     assert count == 16
@@ -482,20 +485,25 @@ def test_refine_by_never_writes_its_values(seed):
     assert (out.refined, out.result.cells.tolist()) == (refined, grid)
 
 
-def test_refine_by_ranks_into_the_buffer_it_is_given():
+def test_refine_by_builds_its_key_in_values_it_may_overwrite():
+    """With ``overwrite_values`` the key is built in the values, and the
+    ranks come back in a fresh array of narrow ids, as without it."""
     rng = np.random.default_rng(61)
     x = rainbow_refine(validate(random_grid(rng, 10, 3)))
     values = rng.integers(0, 5, size=(10, 10))
     expected = refine_by(x, values)
     buffer = values.copy()
-    out = refine_by(x, buffer, out=buffer)
+    out = refine_by(x, buffer, overwrite_values=True)
     assert out.refined
-    assert np.shares_memory(out.result.cells, buffer)
+    assert not np.array_equal(buffer, values)  # the key was built there
+    assert not np.shares_memory(out.result.cells, buffer)
+    assert out.result.cells.dtype == np.min_scalar_type(out.result.r)
     assert out.result.cells.tolist() == expected.result.cells.tolist()
-    wrong_dtype, wrong_shape = np.empty((10, 10), np.int32), np.empty((10, 11), np.int64)
-    for bad in (wrong_dtype, wrong_shape, np.empty((10, 10), np.int64).T, x.cells):
+    read_only = values.copy()
+    read_only.setflags(write=False)
+    for bad in (values.astype(np.int32), np.asfortranarray(values), read_only):
         with pytest.raises(InputError):
-            refine_by(x, values, out=bad)
+            refine_by(x, bad, overwrite_values=True)
 
 
 def test_refine_by_one_differing_cell_is_not_quiet():
@@ -514,9 +522,9 @@ def test_refine_by_one_differing_cell_is_not_quiet():
 @pytest.mark.parametrize("fallback", [False, True], ids=["packed", "argsort_fallback"])
 def test_refine_by_working_set_on_a_path_run(monkeypatch, fallback):
     """Each refine_by of a Monte Carlo run on a permuted path(512) peaks at
-    most at the 6.25 MiB of the single-argsort ranking (three int64 arrays
-    of n**2 cells and a bool one), also when every step takes the argsort
-    fallback."""
+    most at the 7.25 MiB of the single-argsort ranking (three int64 arrays
+    of n**2 cells and a bool one) and its result's ids (uint32 past 65,535
+    classes), also when every step takes the argsort fallback."""
     from wlclosure.probabilistic import draw_substitution, numeric_product
 
     n = 512
@@ -541,7 +549,7 @@ def test_refine_by_working_set_on_a_path_run(monkeypatch, fallback):
         x = out.result
     assert x.r == n * n // 2
     assert len(fallbacks) == (8 if fallback else 0)
-    assert max(peaks) <= 3 * 8 * n * n + n * n, [f"{p / 2**20:.2f}" for p in peaks]
+    assert max(peaks) <= (3 * 8 + 1 + 4) * n * n, [f"{p / 2**20:.2f}" for p in peaks]
 
 
 def _relabel_case(name):
@@ -582,7 +590,7 @@ def test_first_occurrence_relabel_matches_sorted_dict_oracle(name):
     flat = _relabel_case(name)
     labels, r = graph._first_occurrence_relabel(flat)
     expected, expected_r = python_first_occurrence_relabel(flat.tolist())
-    assert labels.dtype == np.int64
+    assert labels.dtype == np.min_scalar_type(r)
     assert labels.tolist() == expected and r == expected_r
     # sparse ids take the np.unique path; every other case a presence table
     assert (graph._id_presence(flat) is None) == (name == "sparse_near_2_62")

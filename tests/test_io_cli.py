@@ -813,6 +813,19 @@ def test_cli_bench_smoke(capsys):
     assert all(int(row[4]) > 1 for row in rows if row[1] == "path")
 
 
+@pytest.mark.parametrize("mode", ["mc", "exact"])
+def test_cli_bench_reports_a_traced_peak_per_size_and_input(capsys, mode):
+    """The last column is the traced peak of one more closure run, in MiB."""
+    argv = ("bench", "--sizes", "8,16", "--reps", "1", "--seed", "4", "--mode", mode)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2].split() == ["n", "input", "step_ms", "closure_ms", "iterations", "peak_mib"]
+    rows = [ln.split() for ln in lines[3:]]
+    assert len(rows) == 4 and all(len(row) == 6 for row in rows)
+    assert all(float(row[5]) > 0 for row in rows)
+
+
 @pytest.mark.parametrize("reps", ["0", "-1"])
 def test_cli_bench_rejects_reps_below_one(capsys, reps):
     code, out, err = run_cli(capsys, "bench", "--sizes", "8", "--reps", reps)
