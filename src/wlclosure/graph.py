@@ -74,18 +74,20 @@ def id_dtype(r: int) -> np.dtype:
 
 
 def gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``table[index]`` for an index of any integer dtype whose entries all
-    lie in ``table``.
+    """``table[index]`` for a 1-D or 2-D index of any integer dtype whose
+    entries all lie in ``table``.
 
-    ``np.take`` one ``_RANK_BLOCK`` of the index at a time, converted to
-    intp in cache: fancy indexing by a narrow index took up to twice as
-    long.  ``mode="clip"`` skips the bounds check, which would also buffer
-    the output; an entry out of range would be clipped, not reported.
+    ``np.take`` about one ``_RANK_BLOCK`` of the index at a time, converted
+    to intp in cache: fancy indexing by a narrow index took up to twice as
+    long.  A 2-D index is taken in whole rows, so a strided one (columns of
+    a matrix) is not copied first.  ``mode="clip"`` skips the bounds check,
+    which would also buffer the output; an entry out of range would be
+    clipped, not reported.
     """
     out = np.empty(index.shape, dtype=table.dtype)
-    flat, dest = index.reshape(-1), out.reshape(-1)
-    for s in range(0, len(flat), _RANK_BLOCK):
-        np.take(table, flat[s : s + _RANK_BLOCK], out=dest[s : s + _RANK_BLOCK], mode="clip")
+    step = _RANK_BLOCK if index.ndim == 1 else max(1, _RANK_BLOCK // max(1, index.shape[1]))
+    for s in range(0, len(index), step):
+        np.take(table, index[s : s + step], out=out[s : s + step], mode="clip")
     return out
 
 
@@ -149,45 +151,112 @@ def _argsort_rank(key: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, 
     return out, count
 
 
-def _sorted_words(key: np.ndarray, shift: int, ib: int) -> np.ndarray:
-    """The words ``(key >> shift) << ib | index``, sorted."""
-    words = np.empty(len(key), dtype=np.uint64)
+def _to_words(key: np.ndarray, shift: int, ib: int) -> np.ndarray | None:
+    """Rewrite ``key`` in place into the words ``(key >> shift) << ib |
+    index`` and return the dropped low bits ``key & (2**shift - 1)`` in
+    :func:`id_dtype` of ``2**shift - 1`` (``None`` when ``shift`` is 0)."""
+    low = np.empty(len(key), dtype=id_dtype((1 << shift) - 1)) if shift else None
+    low_mask = np.uint64((1 << shift) - 1)
     for s in range(0, len(key), _RANK_BLOCK):
-        part = words[s : s + _RANK_BLOCK]
-        np.right_shift(key[s : s + _RANK_BLOCK], shift, out=part)
+        part = key[s : s + _RANK_BLOCK]
+        if shift:
+            np.bitwise_and(part, low_mask, out=low[s : s + _RANK_BLOCK], casting="unsafe")
+            part >>= shift
         part <<= ib
         part |= np.arange(s, s + len(part), dtype=np.uint64)
-    words.sort()
-    return words
+    return low
 
 
-def _rank_words(words: np.ndarray, key: np.ndarray, shift: int, ib: int) -> int | None:
-    """Turn each sorted word into ``rank << ib | index``; return the count.
+def _full_keys(high: np.ndarray, low: np.ndarray, index: np.ndarray, shift: int) -> np.ndarray:
+    """The keys ``high << shift | low[index]``, rebuilt in ``high``'s buffer."""
+    high <<= shift
+    high |= gather(low, index.view(np.int64))
+    return high
 
-    With ``shift == 0`` the high parts are the keys.  Otherwise the keys
-    are gathered in word order, one block at a time; a block whose keys
-    decrease is sorted by key (it holds the same cells either way), and
-    ``None`` is returned, with ``words`` partly rewritten, when a block's
-    first key is below the previous block's last.
+
+def _ranks(key: np.ndarray, first_new: bool, count: int) -> np.ndarray:
+    """Dense ranks of the sorted ``key`` after ``count`` ranks given, as
+    uint64; ``first_new`` says whether ``key[0]`` differs from the key
+    ranked last."""
+    rank = np.empty(len(key), dtype=np.uint64)
+    rank[0] = first_new
+    np.not_equal(key[1:], key[:-1], out=rank[1:])
+    np.cumsum(rank, out=rank)
+    rank += np.uint64(count)
+    return rank
+
+
+def _rank_run(run: np.ndarray, low: np.ndarray, ib: int, base: int) -> int:
+    """Rank the words of a run of cells that share one high part, after
+    ``base`` ranks given to smaller keys, and return the count.
+
+    The run may hold words already ranked; their index bits are intact.
+    Within the run the low bits order the keys, so the words are rewritten
+    in place as ``low << ib | index``, sorted and ranked like keys with no
+    bits dropped: only a block of temporaries beside the run.
     """
     mask = np.uint64((1 << ib) - 1)
-    count, last = 0, None  # ranks given so far, and the key ranked last
-    for s in range(0, len(words), _RANK_BLOCK):
+    for s in range(0, len(run), _RANK_BLOCK):
+        part = run[s : s + _RANK_BLOCK]
+        index = part & mask
+        np.left_shift(gather(low, index.view(np.int64)), ib, out=part, dtype=np.uint64)
+        part |= index
+    run.sort()
+    count = _rank_words(run, None, 0, ib)
+    run += np.uint64(base << ib)
+    return base + count
+
+
+def _rank_words(words: np.ndarray, low: np.ndarray | None, shift: int, ib: int) -> int:
+    """Turn each sorted word into ``rank << ib | index``; return the count.
+
+    ``low`` holds each cell's dropped low key bits.  With ``shift == 0``
+    the high parts are the keys.  Otherwise a block whose high parts tie,
+    among themselves or with the cell ranked last, rebuilds its full keys
+    and, if they decrease, is sorted by them (it holds the same cells
+    either way).  A block whose smallest key lies below the key ranked
+    last continues a run of one high part from earlier blocks in another
+    order: that run, to its end, is ranked again by :func:`_rank_run`.
+    """
+    mask = np.uint64((1 << ib) - 1)
+    count = 0
+    last_high = last = None  # high part and full key of the cell ranked last
+    run = base = 0  # where the cells of high part ``last_high`` start, and ranks before them
+    s = 0
+    while s < len(words):
         part = words[s : s + _RANK_BLOCK]
         index = part & mask
-        ranked = key[index.view(np.int64)] if shift else part >> ib
-        if shift and np.any(ranked[1:] < ranked[:-1]):
-            by_key = np.argsort(ranked)
-            part[:] = part[by_key]
-            index, ranked = index[by_key], ranked[by_key]
-        if shift and last is not None and ranked[0] < last:
-            return None
-        rank = np.empty(len(part), dtype=np.uint64)
-        rank[0] = last is None or ranked[0] != last
-        np.not_equal(ranked[1:], ranked[:-1], out=rank[1:])
-        np.cumsum(rank, out=rank)
-        rank += np.uint64(count)
-        count, last = int(rank[-1]), ranked[-1]
+        key = part >> ib
+        straddle = last_high is not None and int(key[0]) == last_high
+        rebuilt = bool(shift) and (straddle or bool(np.any(key[1:] == key[:-1])))
+        if rebuilt:
+            key = _full_keys(key, low, index, shift)
+            if np.any(key[1:] < key[:-1]):
+                by_key = np.argsort(key)
+                index, key = index[by_key], key[by_key]
+            if straddle and int(key[0]) < last:
+                top = np.uint64(last_high << ib | (1 << ib) - 1)
+                end = s + int(np.searchsorted(words[s:], top, "right"))
+                # the next block starts above ``last_high``: ``last`` is not read
+                count, s = _rank_run(words[run:end], low, ib, base), end
+                continue
+        if shift and not rebuilt:  # distinct high parts above the last: a new rank each
+            rank = np.arange(count + 1, count + 1 + len(part), dtype=np.uint64)
+        else:
+            rank = _ranks(key, not straddle or int(key[0]) != last, count)
+        count = int(rank[-1])
+        if rebuilt:
+            last = int(key[-1])
+            last_high = last >> shift
+        else:
+            last_high = int(key[-1])
+            last = last_high << shift | int(low[int(index[-1])]) if shift else last_high
+        s += len(part)
+        if shift and s < len(words) and int(words[s]) >> ib == last_high:
+            # the last high part goes on into the next block: note where it starts
+            t = int(np.searchsorted(key, np.uint64(last_high << shift if rebuilt else last_high)))
+            if t or not straddle:
+                run, base = s - len(part) + t, int(rank[t]) - 1
         rank <<= ib
         np.bitwise_or(rank, index, out=part)
     return count
@@ -198,43 +267,44 @@ def _dense_rank(
 ) -> tuple[np.ndarray, int]:
     """The 1-based dense rank of each entry of ``key``, and their count.
 
-    ``key`` is uint64 with entries at most ``top``.  The ranks are written
-    into ``out``, an integer array that may be ``key`` itself, or by
-    default into a fresh array in :func:`id_dtype` of the count.  Equal
-    keys share a rank and ranks follow key order, contiguous ``1..count``.
+    ``key`` is uint64 with entries at most ``top``; the caller gives it up.
+    The ranks are written into ``out``, an integer array that may be
+    ``key`` itself, or by default returned in a fresh array in
+    :func:`id_dtype` of the count.  Equal keys share a rank and ranks
+    follow key order, contiguous ``1..count``.
 
-    No ``argsort`` in the common case.  With ``ib`` the bit width of a cell
-    index and ``shift`` the fewest low key bits to drop so ``ib`` more fit
-    in 64, each cell becomes the word ``(key >> shift) << ib | index``.
-    Words are distinct, so one ``np.sort`` orders the cells by ``(key >>
-    shift, index)``.  With ``shift == 0`` that is key order, and
-    neighbouring high parts give the ranks.  Otherwise the keys are
-    gathered in that order, one ``_RANK_BLOCK`` of cells at a time.  Only
-    keys that share their top bits can be out of order; a block where they
-    are is sorted by key.  If then no block starts below the previous
-    block's last key, the cells are in key order, which is all dense ranks
-    need (they depend only on which keys are equal, not on the order among
-    them); else the ranks come from :func:`_argsort_rank`.  The sorted
-    words take ``rank << ib | index`` in place and are scattered into
-    ``out``.  The working set is ``key``, the words, ``out`` and a block of
-    temporaries; the fallback's is three arrays and ``out``.
+    No ``argsort`` of all cells in the common case.  With ``ib`` the bit
+    width of a cell index and ``shift`` the fewest low key bits to drop so
+    ``ib`` more fit in 64, the low bits are saved in their own narrow array
+    and each key is rewritten in place into the word ``(key >> shift) <<
+    ib | index``.  Words are distinct, so one ``np.sort`` orders the cells
+    by ``(key >> shift, index)``.  With ``shift == 0`` that is key order,
+    and neighbouring words give the ranks.  Otherwise only cells whose high
+    parts tie can be out of key order; :func:`_rank_words` rebuilds their
+    full keys from the low bits, one ``_RANK_BLOCK`` at a time, and puts
+    them in order, which is all dense ranks need (they depend only on which
+    keys are equal, not on the order among them).  The sorted words take
+    ``rank << ib | index`` in place and are scattered into a fresh narrow
+    array.  The working set is ``key``, the low bits, the ranks and a block
+    of temporaries; past ``2**32`` cells it is :func:`_argsort_rank`'s.
     """
     ib = (len(key) - 1).bit_length()
     if ib >= 32:  # a rank and an index no longer share a word
         return _argsort_rank(key, out)
     shift = max(0, top.bit_length() - (64 - ib))
-    words = _sorted_words(key, shift, ib)
-    count = _rank_words(words, key, shift, ib)
-    if count is None:
-        del words
-        return _argsort_rank(key, out)
-    if out is None:
-        out = np.empty(len(key), dtype=id_dtype(count))
+    low = _to_words(key, shift, ib)
+    key.sort()
+    count = _rank_words(key, low, shift, ib)
+    del low
+    ranks = np.empty(len(key), dtype=id_dtype(count))
     mask = np.uint64((1 << ib) - 1)
-    for s in range(0, len(words), _RANK_BLOCK):
-        part = words[s : s + _RANK_BLOCK]
+    for s in range(0, len(key), _RANK_BLOCK):
+        part = key[s : s + _RANK_BLOCK]
         # cast before the scatter: a scatter that casts is slower
-        out[(part & mask).view(np.int64)] = (part >> ib).astype(out.dtype, copy=False)
+        ranks[(part & mask).view(np.int64)] = (part >> ib).astype(ranks.dtype, copy=False)
+    if out is None:
+        return ranks, count
+    out[...] = ranks  # ``out`` may be ``key``, whose words are read by now
     return out, count
 
 

@@ -43,19 +43,21 @@ from .graph import (
 
 FLOAT64_EXACT = 2**53
 _CAST_ROWS = 64
-# row blocks per product: each block's left factor is gathered, multiplied and
-# cast on its own, so only a quarter of the left factor is held at a time
+# row blocks per product: each block's half of the left factor is gathered
+# and multiplied on its own, so only an eighth of the left factor is held at
+# a time
 _PRODUCT_BLOCKS = 4
 
 # What a Monte Carlo run may hold per cell.  Per coloring: its input, current
 # and next cells, each as wide as the ids of a discrete coloring.  Per step,
 # in bytes, shared by paired colorings: the substitution's two int64 tables
-# and a float64 copy of one (at most one entry per cell each), the right
-# factor, one row block of the left factor and the int64 product, in which
-# the rank layer builds its key.  The rank layer's sort words take the place
-# the factor held.
+# and a float64 copy of one (at most one entry per cell each), half of the
+# right factor, a row block of half the left factor, a row block of the
+# second half's products, and the int64 product, in whose buffer the rank
+# layer sorts its words.  The words' dropped low bits (at most 4 bytes)
+# take the place half of the right factor held.
 _COLORING_ARRAYS = 3
-_STEP_CELL_BYTES = 3 * 8 + 8 + 8 // _PRODUCT_BLOCKS + 8
+_STEP_CELL_BYTES = 3 * 8 + 8 // 2 + 8 // (2 * _PRODUCT_BLOCKS) + 8 // _PRODUCT_BLOCKS + 8
 
 
 class RefinementInvariantError(RuntimeError):
@@ -91,8 +93,11 @@ class WlResult:
 
 def _counts_agree(colorings: tuple[ColorMatrix, ...]) -> bool:
     """All colorings have the same cell count per color id (arrays of
-    different lengths, from different color counts, differ)."""
+    different lengths, from different color counts, differ).  Discrete
+    colorings of one size agree without counting: each id occurs once."""
     first, *rest = colorings
+    if is_discrete(first) and all(c.r == first.r for c in rest):
+        return True
     return all(np.array_equal(color_counts(c), color_counts(first)) for c in rest)
 
 
@@ -286,20 +291,25 @@ def _float_table(table: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], table))
 
 
-def _gemm_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``a @ b`` of integer-valued float64 tables into the int64 array
-    ``out`` and return it.
+def _cast_to_int64(out: np.ndarray) -> np.ndarray:
+    """Cast the integer-valued float64 entries held in the int64 array
+    ``out``'s buffer to int64, in place, and return ``out``.
 
-    The GEMM writes into ``out`` viewed as float64, which is then cast in
-    place.  ``copyto`` stages an overlapping source through a temporary, so
-    casting ``_CAST_ROWS`` rows at a time needs that many rows of extra
-    memory.
+    ``copyto`` stages an overlapping source through a temporary, so casting
+    ``_CAST_ROWS`` rows at a time needs that many rows of extra memory.
     """
     c = out.view(np.float64)
-    np.matmul(a, b, out=c)
     for r0 in range(0, len(c), _CAST_ROWS):
         np.copyto(out[r0:r0 + _CAST_ROWS], c[r0:r0 + _CAST_ROWS], casting="unsafe")
     return out
+
+
+def _gemm_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``a @ b`` of integer-valued float64 tables into the int64 array
+    ``out`` and return it: the GEMM writes into ``out`` viewed as float64,
+    which is then cast in place."""
+    np.matmul(a, b, out=out.view(np.float64))
+    return _cast_to_int64(out)
 
 
 def _digit(a: np.ndarray, width: int, i: int) -> np.ndarray:
@@ -311,11 +321,11 @@ def _digit(a: np.ndarray, width: int, i: int) -> np.ndarray:
 
 def multiply(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
     """Write the exact product of float64 tables of integers in ``1..m`` into
-    the int64 array ``out`` and return it.
+    ``out`` and return it.
 
-    ``a`` is a block of ``k`` rows of the left factor, ``b`` the whole
-    ``n x n`` right factor, ``out`` the ``k x n`` block of the product.  The
-    caller has checked ``n * m**2 <= 2**63 - 1``.  Why a float64 GEMM is
+    ``a`` is ``k x n``, ``b`` is ``n x l`` and ``out`` the ``k x l`` int64
+    or float64 array; the caller has checked ``n * m**2 <= 2**63 - 1``, and
+    for a float64 ``out`` that ``n * m**2 <= 2**53``.  Why a float64 GEMM is
     exact: every integer of magnitude at most ``2**53`` is a float64.  When
     ``n * m**2 <= 2**53``, every product of two entries and every partial sum
     is such an integer, so each floating-point operation is exact -- in any
@@ -329,6 +339,8 @@ def multiply(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> np.ndarra
     shifts and sums do not wrap.
     """
     n = b.shape[0]
+    if out.dtype == np.float64:
+        return np.matmul(a, b, out=out)
     if n * m * m <= FLOAT64_EXACT:
         return _gemm_into(a, b, out)
     width = (FLOAT64_EXACT // (n * m)).bit_length() - 1
@@ -346,23 +358,45 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     Entry ``(u, v)`` is the sum over ``w`` of ``left[c(u, w)] * right[c(w, v)]``,
     a number in ``[n, n * m**2]``, returned as an int64 matrix; the bound is
     checked up front against the int64 range and the run aborts rather than
-    wrap.  The right factor is gathered once; the left factor is gathered
-    and multiplied in ``_PRODUCT_BLOCKS`` row blocks, each written straight
-    into its rows of the product.
+    wrap.  The sum runs over two halves of ``w``, so only half of the right
+    factor is held at a time: each half's rows of the right factor are
+    gathered once, and the matching columns of the left factor in
+    ``_PRODUCT_BLOCKS`` row blocks.  The first half's products are written
+    into the product, the second half's, from a block temporary, added to
+    them.  When ``n * m**2 <= 2**53`` both halves and their sum are integers
+    a float64 holds exactly, so the sums are kept as float64 in the
+    product's buffer and each row block is cast to int64 once complete;
+    otherwise each half is an exact int64 product and the halves add in
+    int64.
     """
     if sub.left.shape[0] < x.r or sub.right.shape[0] < x.r:
         raise InputError("substitution covers fewer colors than the input uses")
-    check_product_bound(x.n, sub.m)
-    # the right table's float copy is freed before the left one is made,
-    # which matters when a table has one entry per cell
-    right = gather(_float_table(sub.right), x.cells)
-    left = _float_table(sub.left)
+    n, m = x.n, sub.m
+    check_product_bound(n, m)
     product = np.empty(x.cells.shape, dtype=np.int64)
-    rows = -(-x.n // _PRODUCT_BLOCKS)
-    for r0 in range(0, x.n, rows):
-        multiply(gather(left, x.cells[r0:r0 + rows]), right, sub.m, product[r0:r0 + rows])
+    as_float = n * m * m <= FLOAT64_EXACT
+    sums = product.view(np.float64) if as_float else product
+    rows = -(-n // _PRODUCT_BLOCKS)
+    half = -(-n // 2)
+    for k0, k1 in ((0, half), (half, n)):
+        # the right table's float copy is freed before the left one is made,
+        # which matters when a table has one entry per cell
+        right = gather(_float_table(sub.right), x.cells[k0:k1])
+        left = _float_table(sub.left)
+        for r0 in range(0, n, rows):
+            block = gather(left, x.cells[r0:r0 + rows, k0:k1])
+            if k0 == 0:
+                multiply(block, right, m, sums[r0:r0 + rows])
+                continue
+            part = multiply(block, right, m, np.empty_like(sums[r0:r0 + rows]))
+            del block
+            sums[r0:r0 + rows] += part
+            del part
+            if as_float:
+                _cast_to_int64(product[r0:r0 + rows])
+        del right, left
     lo, hi = int(product.min()), int(product.max())
-    if lo < x.n or hi > x.n * sub.m**2:
+    if lo < n or hi > n * m**2:
         raise RefinementInvariantError(
             f"product entries [{lo}, {hi}] left the guaranteed range"
         )

@@ -367,8 +367,29 @@ def test_dense_rank_drops_the_fewest_key_bits(monkeypatch, cells, bits, shift):
     assert shifts == [shift, shift]
 
 
+def _straddle_case(monkeypatch, block, first, pair):
+    """Ranks and re-ranked run lengths of the top-bits pass (shift 2 on 16
+    cells) on keys that hold ``pair``, two keys sharing their top bits, at
+    sorted positions ``first`` and ``first + 1``, with ``block`` cells a
+    block."""
+    key = [2**62 - 16 + i for i in range(16)]  # ascending with the index: in order
+    key[first : first + 2] = pair
+    key[:first] = range(first)
+    key = np.array(key, dtype=np.uint64)
+    monkeypatch.setattr(graph, "_RANK_BLOCK", block)
+    runs = []
+    real = graph._rank_run
+    monkeypatch.setattr(graph, "_rank_run", lambda *a: runs.append(len(a[0])) or real(*a))
+    out = np.empty(16, dtype=np.int64)
+    _, count = graph._dense_rank(key.copy(), 2**62 - 1, out)
+    expected = sorted_tuple_ranks([(k,) for k in key.tolist()])
+    assert out.tolist() == expected
+    assert count == 16
+    return runs
+
+
 @pytest.mark.parametrize(
-    "block, first, fallbacks",
+    "block, first, reranked",
     [
         (16, 0, 0),  # the reversed pair inside one block: the block is sorted
         (2, 0, 0),
@@ -377,23 +398,79 @@ def test_dense_rank_drops_the_fewest_key_bits(monkeypatch, cells, bits, shift):
         (3, 1, 0),
     ],
 )
-def test_dense_rank_repairs_blocks_or_falls_back(monkeypatch, block, first, fallbacks):
-    """Top-bits pass (shift 2 on 16 cells): keys 7 and 4 share their top
-    bits in reverse index order at sorted positions ``first``, ``first + 1``."""
-    key = [2**62 - 16 + i for i in range(16)]  # ascending with the index: in order
-    key[first : first + 2] = [7, 4]
-    key[:first] = range(first)
-    key = np.array(key, dtype=np.uint64)
+def test_dense_rank_repairs_blocks_or_falls_back(monkeypatch, block, first, reranked):
+    """Keys 7 and 4 share their top bits in reverse index order: a block
+    that holds both is sorted, and where they straddle a block boundary
+    their run of two cells is ranked again."""
+    assert _straddle_case(monkeypatch, block, first, [7, 4]) == [2] * reranked
+
+
+@pytest.mark.parametrize("block, first", [(16, 0), (1, 0), (2, 1), (3, 1)])
+def test_dense_rank_straddling_high_parts_in_index_order(monkeypatch, block, first):
+    """Keys 4 and 7 share their top bits in index order: they are in key
+    order wherever blocks end, and no run is ranked again."""
+    assert _straddle_case(monkeypatch, block, first, [4, 7]) == []
+
+
+@pytest.mark.parametrize("block", [3, 7, 16384])
+@pytest.mark.parametrize("bits", [40, 62, 64])
+def test_dense_rank_ranks_into_its_own_buffer(monkeypatch, block, bits):
+    """``_dense_rank(key, top, key)``, the pre-pass of ``_lex_rank``'s wide
+    branch, sorts its words in ``key`` and still returns the ranks there:
+    500 cells drawn from 40 values in runs of equal top bits, so blocks tie,
+    straddle and are ranked again."""
     monkeypatch.setattr(graph, "_RANK_BLOCK", block)
-    calls = []
-    real = graph._argsort_rank
-    monkeypatch.setattr(graph, "_argsort_rank", lambda k, o: calls.append(1) or real(k, o))
-    out = np.empty(16, dtype=np.int64)
-    _, count = graph._dense_rank(key.copy(), 2**62 - 1, out)
+    rng = np.random.default_rng(bits * 10 + block)
+    tops = rng.integers(0, 2 ** (bits - 10), 8, dtype=np.uint64) << np.uint64(10)
+    values = tops[rng.integers(0, 8, 40)] | rng.integers(0, 2**10, 40, dtype=np.uint64)
+    key = values[rng.integers(0, 40, 500)]
+    buffer = key.copy()
+    ranks, count = graph._dense_rank(buffer, 2**bits - 1, buffer)
     expected = sorted_tuple_ranks([(k,) for k in key.tolist()])
-    assert out.tolist() == expected
-    assert count == 16
-    assert len(calls) == fallbacks
+    assert ranks is buffer
+    assert buffer.tolist() == expected and count == max(expected)
+
+
+def test_discrete_step_rebuilds_no_keys(monkeypatch):
+    """A Monte Carlo step that makes a random input discrete drops low key
+    bits, yet no two of its cells share the kept high bits, so no block
+    rebuilds full keys and every block ranks its cells in word order."""
+    from wlclosure.probabilistic import draw_substitution, numeric_product
+
+    x = rainbow_refine(make_fixture("random", 256, 3, 41))
+    values = numeric_product(x, draw_substitution(x.r, 10**6, np.random.default_rng(42)))
+    shifts, rebuilds = [], []
+    real_words, real_keys = graph._rank_words, graph._full_keys
+    monkeypatch.setattr(
+        graph, "_rank_words", lambda w, low, sh, ib: shifts.append(sh) or real_words(w, low, sh, ib)
+    )
+    monkeypatch.setattr(graph, "_full_keys", lambda *a: rebuilds.append(1) or real_keys(*a))
+    out = refine_by(x, values, overwrite_values=True)
+    assert out.result.r == 256 * 256
+    assert len(shifts) == 1 and shifts[0] > 0
+    assert rebuilds == []
+
+
+def test_refine_by_peak_on_a_discrete_step():
+    """``refine_by`` of a step's product at n=1024 holds, beside the
+    product it sorts in, the words' low bits (one byte each) and then the
+    uint32 ids of the discrete result, and a block of temporaries: at most
+    5 bytes a cell (4.2 MiB measured; 12.2 MiB with a separate words
+    array)."""
+    from wlclosure.probabilistic import draw_substitution, numeric_product
+
+    n = 1024
+    x = rainbow_refine(make_fixture("random", n, 3, 51))
+    values = numeric_product(x, draw_substitution(x.r, 10**6, np.random.default_rng(52)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = refine_by(x, values, overwrite_values=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.result.r == n * n and out.result.cells.dtype == np.uint32
+    assert peak <= 5 * n * n, f"{peak / 2**20:.2f} MiB"
 
 
 def test_is_refinement_basic_direction():
@@ -534,8 +611,8 @@ def test_refine_by_working_set_on_a_path_run(monkeypatch, fallback):
     fallbacks = []
     real = graph._argsort_rank
     monkeypatch.setattr(graph, "_argsort_rank", lambda k, o: fallbacks.append(1) or real(k, o))
-    if fallback:
-        monkeypatch.setattr(graph, "_rank_words", lambda *args: None)
+    if fallback:  # the ranking of more than 2**32 cells
+        monkeypatch.setattr(graph, "_dense_rank", lambda k, top, out=None: graph._argsort_rank(k, out))
     peaks = []
     for _ in range(11):
         values = numeric_product(x, draw_substitution(x.r, 10**6, rng))

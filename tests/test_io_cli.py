@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wlclosure import probabilistic
+from wlclosure import cli, probabilistic
 from wlclosure import io as wio
 from wlclosure.classical import classical_closure
 from wlclosure.coherence import make_fixture
@@ -528,6 +532,37 @@ def test_cli_close_print_closure_embeds_graph(tmp_path, capsys):
     assert code == 0
     assert "closure:" in out
     assert "  wlgraph 3 2" in out
+
+
+def test_cli_main_in_process_freezes_no_objects(tmp_path, capsys):
+    path, _ = write_fixture(tmp_path, "cycle5")
+    before = gc.get_freeze_count()
+    code, _, _ = run_cli(capsys, "close", str(path), "--seed", "3")
+    assert code == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_cli_entry_freezes_the_heap_then_runs_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda argv=None: calls.append(argv) or 5)
+    assert cli.entry() == 5
+    assert calls == ["freeze", None]
+
+
+def test_cli_module_run_prints_what_main_prints(tmp_path, capsys):
+    """``python -m wlclosure.cli``, which freezes the heap first, exits 0
+    with the stdout of an in-process :func:`main`, bar wall times."""
+    path, _ = write_fixture(tmp_path, "path", 9)
+    argv = ["close", str(path), "--seed", "3", "--print-closure"]
+    code, out, _ = run_cli(capsys, *argv)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wlclosure.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert code == proc.returncode == 0, proc.stderr
+    assert strip_wall_lines(proc.stdout) == strip_wall_lines(out)
 
 
 def test_cli_close_parse_failure_exits_2(tmp_path, capsys):
