@@ -133,8 +133,9 @@ def _first_occurrence_relabel(flat: np.ndarray) -> tuple[np.ndarray, int]:
     return gather(labels, inverse), r
 
 
-def _argsort_rank(key: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, int]:
-    """:func:`_dense_rank` by one ``argsort``: three arrays the size of ``key``."""
+def _argsort_rank(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """:func:`_dense_rank` by one ``argsort``: three arrays the size of
+    ``key``, then the ranks."""
     order = np.argsort(key)
     ranked = key[order]
     # run starts in place, from the back, so each block still reads its
@@ -145,10 +146,9 @@ def _argsort_rank(key: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, 
     ranked[0] = 1
     np.cumsum(ranked, out=ranked)
     count = int(ranked[-1])
-    if out is None:
-        out = np.empty(len(key), dtype=id_dtype(count))
-    out[order] = ranked
-    return out, count
+    ranks = np.empty(len(key), dtype=id_dtype(count))
+    ranks[order] = ranked
+    return ranks, count
 
 
 def _to_words(key: np.ndarray, shift: int, ib: int) -> np.ndarray | None:
@@ -262,16 +262,13 @@ def _rank_words(words: np.ndarray, low: np.ndarray | None, shift: int, ib: int) 
     return count
 
 
-def _dense_rank(
-    key: np.ndarray, top: int, out: np.ndarray | None = None
-) -> tuple[np.ndarray, int]:
+def _dense_rank(key: np.ndarray, top: int) -> tuple[np.ndarray, int]:
     """The 1-based dense rank of each entry of ``key``, and their count.
 
     ``key`` is uint64 with entries at most ``top``; the caller gives it up.
-    The ranks are written into ``out``, an integer array that may be
-    ``key`` itself, or by default returned in a fresh array in
-    :func:`id_dtype` of the count.  Equal keys share a rank and ranks
-    follow key order, contiguous ``1..count``.
+    The ranks are returned in a fresh array in :func:`id_dtype` of the
+    count.  Equal keys share a rank and ranks follow key order, contiguous
+    ``1..count``.
 
     No ``argsort`` of all cells in the common case.  With ``ib`` the bit
     width of a cell index and ``shift`` the fewest low key bits to drop so
@@ -290,7 +287,7 @@ def _dense_rank(
     """
     ib = (len(key) - 1).bit_length()
     if ib >= 32:  # a rank and an index no longer share a word
-        return _argsort_rank(key, out)
+        return _argsort_rank(key)
     shift = max(0, top.bit_length() - (64 - ib))
     low = _to_words(key, shift, ib)
     key.sort()
@@ -302,10 +299,7 @@ def _dense_rank(
         part = key[s : s + _RANK_BLOCK]
         # cast before the scatter: a scatter that casts is slower
         ranks[(part & mask).view(np.int64)] = (part >> ib).astype(ranks.dtype, copy=False)
-    if out is None:
-        return ranks, count
-    out[...] = ranks  # ``out`` may be ``key``, whose words are read by now
-    return out, count
+    return ranks, count
 
 
 def _add_scaled(key: np.ndarray, primary: np.ndarray, scale: int) -> None:
@@ -362,7 +356,9 @@ def _lex_rank(
             return gather(rank, key.view(np.int64)), count
         top = key_range - 1
     else:
-        _, span = _dense_rank(key, span - 1, key)
+        ranks, span = _dense_rank(key, span - 1)
+        key[...] = ranks
+        del ranks
         _add_scaled(key, primary, span)
         top = (int(primary.max()) + 1) * span
     return _dense_rank(key, top)

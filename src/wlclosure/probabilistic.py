@@ -42,7 +42,9 @@ from .graph import (
 )
 
 FLOAT64_EXACT = 2**53
-_CAST_ROWS = 64
+# rows cast at a time: the second half's products are cast while its block
+# of the left factor is still held, so the cast's staging adds to the peak
+_CAST_ROWS = 16
 # row blocks per product: each block's half of the left factor is gathered
 # and multiplied on its own, so only an eighth of the left factor is held at
 # a time
@@ -291,25 +293,20 @@ def _float_table(table: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], table))
 
 
-def _cast_to_int64(out: np.ndarray) -> np.ndarray:
-    """Cast the integer-valued float64 entries held in the int64 array
-    ``out``'s buffer to int64, in place, and return ``out``.
+def _gemm_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``a @ b`` of integer-valued float64 tables into the int64 array
+    ``out`` and return it.
 
-    ``copyto`` stages an overlapping source through a temporary, so casting
-    ``_CAST_ROWS`` rows at a time needs that many rows of extra memory.
+    The GEMM writes into ``out`` viewed as float64, which is then cast in
+    place.  ``copyto`` stages an overlapping source through a temporary, so
+    casting ``_CAST_ROWS`` rows at a time needs that many rows of extra
+    memory.
     """
     c = out.view(np.float64)
+    np.matmul(a, b, out=c)
     for r0 in range(0, len(c), _CAST_ROWS):
         np.copyto(out[r0:r0 + _CAST_ROWS], c[r0:r0 + _CAST_ROWS], casting="unsafe")
     return out
-
-
-def _gemm_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``a @ b`` of integer-valued float64 tables into the int64 array
-    ``out`` and return it: the GEMM writes into ``out`` viewed as float64,
-    which is then cast in place."""
-    np.matmul(a, b, out=out.view(np.float64))
-    return _cast_to_int64(out)
 
 
 def _digit(a: np.ndarray, width: int, i: int) -> np.ndarray:
@@ -321,11 +318,10 @@ def _digit(a: np.ndarray, width: int, i: int) -> np.ndarray:
 
 def multiply(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
     """Write the exact product of float64 tables of integers in ``1..m`` into
-    ``out`` and return it.
+    the int64 array ``out`` and return it.
 
-    ``a`` is ``k x n``, ``b`` is ``n x l`` and ``out`` the ``k x l`` int64
-    or float64 array; the caller has checked ``n * m**2 <= 2**63 - 1``, and
-    for a float64 ``out`` that ``n * m**2 <= 2**53``.  Why a float64 GEMM is
+    ``a`` is ``k x n``, ``b`` is ``n x l`` and ``out`` is ``k x l``; the
+    caller has checked ``n * m**2 <= 2**63 - 1``.  Why a float64 GEMM is
     exact: every integer of magnitude at most ``2**53`` is a float64.  When
     ``n * m**2 <= 2**53``, every product of two entries and every partial sum
     is such an integer, so each floating-point operation is exact -- in any
@@ -339,8 +335,6 @@ def multiply(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> np.ndarra
     shifts and sums do not wrap.
     """
     n = b.shape[0]
-    if out.dtype == np.float64:
-        return np.matmul(a, b, out=out)
     if n * m * m <= FLOAT64_EXACT:
         return _gemm_into(a, b, out)
     width = (FLOAT64_EXACT // (n * m)).bit_length() - 1
@@ -363,19 +357,14 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     gathered once, and the matching columns of the left factor in
     ``_PRODUCT_BLOCKS`` row blocks.  The first half's products are written
     into the product, the second half's, from a block temporary, added to
-    them.  When ``n * m**2 <= 2**53`` both halves and their sum are integers
-    a float64 holds exactly, so the sums are kept as float64 in the
-    product's buffer and each row block is cast to int64 once complete;
-    otherwise each half is an exact int64 product and the halves add in
-    int64.
+    them.  Each half is an exact int64 product by :func:`multiply`, and so
+    is their sum, at most ``n * m**2``.
     """
     if sub.left.shape[0] < x.r or sub.right.shape[0] < x.r:
         raise InputError("substitution covers fewer colors than the input uses")
     n, m = x.n, sub.m
     check_product_bound(n, m)
     product = np.empty(x.cells.shape, dtype=np.int64)
-    as_float = n * m * m <= FLOAT64_EXACT
-    sums = product.view(np.float64) if as_float else product
     rows = -(-n // _PRODUCT_BLOCKS)
     half = -(-n // 2)
     for k0, k1 in ((0, half), (half, n)):
@@ -386,14 +375,12 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
         for r0 in range(0, n, rows):
             block = gather(left, x.cells[r0:r0 + rows, k0:k1])
             if k0 == 0:
-                multiply(block, right, m, sums[r0:r0 + rows])
+                multiply(block, right, m, product[r0:r0 + rows])
                 continue
-            part = multiply(block, right, m, np.empty_like(sums[r0:r0 + rows]))
+            part = multiply(block, right, m, np.empty_like(product[r0:r0 + rows]))
             del block
-            sums[r0:r0 + rows] += part
+            product[r0:r0 + rows] += part
             del part
-            if as_float:
-                _cast_to_int64(product[r0:r0 + rows])
         del right, left
     lo, hi = int(product.min()), int(product.max())
     if lo < n or hi > n * m**2:

@@ -315,10 +315,10 @@ def test_lex_rank_matches_sorted_tuple_ranks(name, monkeypatch):
     calls, fallback_calls = [], []
     real, real_fallback = graph._dense_rank, graph._argsort_rank
     monkeypatch.setattr(
-        graph, "_dense_rank", lambda key, top, out=None: calls.append(1) or real(key, top, out)
+        graph, "_dense_rank", lambda key, top: calls.append(1) or real(key, top)
     )
     monkeypatch.setattr(
-        graph, "_argsort_rank", lambda key, out: fallback_calls.append(1) or real_fallback(key, out)
+        graph, "_argsort_rank", lambda key: fallback_calls.append(1) or real_fallback(key)
     )
     ranks, count = graph._lex_rank(primary, secondary)
     expected = sorted_tuple_ranks(list(zip(primary.tolist(), secondary.tolist())))
@@ -358,13 +358,11 @@ def test_dense_rank_drops_the_fewest_key_bits(monkeypatch, cells, bits, shift):
     monkeypatch.setattr(
         graph, "_rank_words", lambda w, k, sh, ib: shifts.append(sh) or real(w, k, sh, ib)
     )
-    out = np.empty(cells, dtype=np.int64)
-    ranks, count = graph._dense_rank(key.copy(), 2**bits - 1, out)
+    ranks, count = graph._dense_rank(key.copy(), 2**bits - 1)
     expected = sorted_tuple_ranks([(k,) for k in key.tolist()])
-    assert ranks is out and out.tolist() == expected and count == max(expected)
-    fresh, count = graph._dense_rank(key.copy(), 2**bits - 1)
-    assert fresh.dtype == np.min_scalar_type(count) and fresh.tolist() == expected
-    assert shifts == [shift, shift]
+    assert ranks.dtype == np.min_scalar_type(count) and ranks.tolist() == expected
+    assert count == max(expected)
+    assert shifts == [shift]
 
 
 def _straddle_case(monkeypatch, block, first, pair):
@@ -380,10 +378,9 @@ def _straddle_case(monkeypatch, block, first, pair):
     runs = []
     real = graph._rank_run
     monkeypatch.setattr(graph, "_rank_run", lambda *a: runs.append(len(a[0])) or real(*a))
-    out = np.empty(16, dtype=np.int64)
-    _, count = graph._dense_rank(key.copy(), 2**62 - 1, out)
+    ranks, count = graph._dense_rank(key.copy(), 2**62 - 1)
     expected = sorted_tuple_ranks([(k,) for k in key.tolist()])
-    assert out.tolist() == expected
+    assert ranks.tolist() == expected
     assert count == 16
     return runs
 
@@ -414,21 +411,20 @@ def test_dense_rank_straddling_high_parts_in_index_order(monkeypatch, block, fir
 
 @pytest.mark.parametrize("block", [3, 7, 16384])
 @pytest.mark.parametrize("bits", [40, 62, 64])
-def test_dense_rank_ranks_into_its_own_buffer(monkeypatch, block, bits):
-    """``_dense_rank(key, top, key)``, the pre-pass of ``_lex_rank``'s wide
-    branch, sorts its words in ``key`` and still returns the ranks there:
-    500 cells drawn from 40 values in runs of equal top bits, so blocks tie,
-    straddle and are ranked again."""
+def test_dense_rank_blocks_that_tie_and_straddle(monkeypatch, block, bits):
+    """``_dense_rank`` sorts its words in the key's own buffer and returns
+    the ranks in a fresh narrow array: 500 cells drawn from 40 values in
+    runs of equal top bits, so blocks tie, straddle and are ranked again."""
     monkeypatch.setattr(graph, "_RANK_BLOCK", block)
     rng = np.random.default_rng(bits * 10 + block)
     tops = rng.integers(0, 2 ** (bits - 10), 8, dtype=np.uint64) << np.uint64(10)
     values = tops[rng.integers(0, 8, 40)] | rng.integers(0, 2**10, 40, dtype=np.uint64)
     key = values[rng.integers(0, 40, 500)]
     buffer = key.copy()
-    ranks, count = graph._dense_rank(buffer, 2**bits - 1, buffer)
+    ranks, count = graph._dense_rank(buffer, 2**bits - 1)
     expected = sorted_tuple_ranks([(k,) for k in key.tolist()])
-    assert ranks is buffer
-    assert buffer.tolist() == expected and count == max(expected)
+    assert ranks.dtype == np.min_scalar_type(count) and not np.shares_memory(ranks, buffer)
+    assert ranks.tolist() == expected and count == max(expected)
 
 
 def test_discrete_step_rebuilds_no_keys(monkeypatch):
@@ -610,9 +606,9 @@ def test_refine_by_working_set_on_a_path_run(monkeypatch, fallback):
     rng = np.random.default_rng(3001)
     fallbacks = []
     real = graph._argsort_rank
-    monkeypatch.setattr(graph, "_argsort_rank", lambda k, o: fallbacks.append(1) or real(k, o))
+    monkeypatch.setattr(graph, "_argsort_rank", lambda k: fallbacks.append(1) or real(k))
     if fallback:  # the ranking of more than 2**32 cells
-        monkeypatch.setattr(graph, "_dense_rank", lambda k, top, out=None: graph._argsort_rank(k, out))
+        monkeypatch.setattr(graph, "_dense_rank", lambda k, top: graph._argsort_rank(k))
     peaks = []
     for _ in range(11):
         values = numeric_product(x, draw_substitution(x.r, 10**6, rng))

@@ -11,6 +11,7 @@ from wlclosure.graph import INT64_MAX, validate
 from wlclosure.probabilistic import (
     _PRODUCT_BLOCKS,
     FLOAT64_EXACT,
+    RandomSubstitution,
     draw_substitution,
     multiply,
     numeric_product,
@@ -137,3 +138,24 @@ def test_blocked_product_matches_python_oracle(n, m):
     assert (n * m * m > FLOAT64_EXACT) == (m > 1000)
     expected = python_matmul(sub.left[x.cells - 1].tolist(), sub.right[x.cells - 1].tolist())
     assert numeric_product(x, sub).tolist() == expected
+
+
+def test_product_halves_need_one_gemm_each(monkeypatch):
+    """Each half of the inner dimension is its own exact product: at n = 70
+    and the largest m with 35 * m**2 <= 2**53, values near m put every
+    entry past 2**53, yet every block of either half is one GEMM, and the
+    int64 sum of the halves matches Python integers."""
+    from wlclosure import probabilistic
+
+    n = 70
+    m = isqrt(FLOAT64_EXACT // (n // 2))
+    rng = np.random.default_rng(7)
+    x = validate(random_grid(rng, n, 5))
+    sub = RandomSubstitution(m, m - rng.integers(0, 1000, x.r), m - rng.integers(0, 1000, x.r))
+    gemms = []
+    real = probabilistic._gemm_into
+    monkeypatch.setattr(probabilistic, "_gemm_into", lambda *a: gemms.append(1) or real(*a))
+    expected = python_matmul(sub.left[x.cells - 1].tolist(), sub.right[x.cells - 1].tolist())
+    assert min(map(min, expected)) > FLOAT64_EXACT
+    assert numeric_product(x, sub).tolist() == expected
+    assert len(gemms) == 2 * _PRODUCT_BLOCKS

@@ -503,7 +503,7 @@ def test_monte_carlo_closure_peak_is_about_two_matrices():
     and one of the second half's products; then it sorts its rank words in
     the product's buffer, beside their dropped low bits, and scatters the
     ranks into the next cells (uint32 once discrete): the traced peak of a
-    closure at n=1024 stays within 2.1 int64 matrices (16.0 MiB measured;
+    closure at n=1024 stays within 2.1 int64 matrices (16.1 MiB measured;
     21.3 MiB with a whole right factor and a separate words array)."""
     n = 1024
     x = make_fixture("random", n, 4, 901)
