@@ -151,114 +151,34 @@ def _argsort_rank(key: np.ndarray) -> tuple[np.ndarray, int]:
     return ranks, count
 
 
-def _to_words(key: np.ndarray, shift: int, ib: int) -> np.ndarray | None:
-    """Rewrite ``key`` in place into the words ``(key >> shift) << ib |
-    index`` and return the dropped low bits ``key & (2**shift - 1)`` in
-    :func:`id_dtype` of ``2**shift - 1`` (``None`` when ``shift`` is 0)."""
-    low = np.empty(len(key), dtype=id_dtype((1 << shift) - 1)) if shift else None
-    low_mask = np.uint64((1 << shift) - 1)
-    for s in range(0, len(key), _RANK_BLOCK):
-        part = key[s : s + _RANK_BLOCK]
-        if shift:
-            np.bitwise_and(part, low_mask, out=low[s : s + _RANK_BLOCK], casting="unsafe")
-            part >>= shift
-        part <<= ib
-        part |= np.arange(s, s + len(part), dtype=np.uint64)
-    return low
+def _rank_sorted_words(words: np.ndarray, ib: int) -> int:
+    """Turn the sorted words ``high << ib | index`` into ``rank << ib |
+    index`` in place, with ``rank`` the dense rank of ``high`` among them,
+    from 1; return the count.
 
-
-def _full_keys(high: np.ndarray, low: np.ndarray, index: np.ndarray, shift: int) -> np.ndarray:
-    """The keys ``high << shift | low[index]``, rebuilt in ``high``'s buffer."""
-    high <<= shift
-    high |= gather(low, index.view(np.int64))
-    return high
-
-
-def _ranks(key: np.ndarray, first_new: bool, count: int) -> np.ndarray:
-    """Dense ranks of the sorted ``key`` after ``count`` ranks given, as
-    uint64; ``first_new`` says whether ``key[0]`` differs from the key
-    ranked last."""
-    rank = np.empty(len(key), dtype=np.uint64)
-    rank[0] = first_new
-    np.not_equal(key[1:], key[:-1], out=rank[1:])
-    np.cumsum(rank, out=rank)
-    rank += np.uint64(count)
-    return rank
-
-
-def _rank_run(run: np.ndarray, low: np.ndarray, ib: int, base: int) -> int:
-    """Rank the words of a run of cells that share one high part, after
-    ``base`` ranks given to smaller keys, and return the count.
-
-    The run may hold words already ranked; their index bits are intact.
-    Within the run the low bits order the keys, so the words are rewritten
-    in place as ``low << ib | index``, sorted and ranked like keys with no
-    bits dropped: only a block of temporaries beside the run.
+    One ``_RANK_BLOCK`` at a time, carrying only the last high part: a
+    block whose high parts all differ from their left neighbours takes the
+    next ranks from ``arange``, any other the ``cumsum`` of its changes.
     """
     mask = np.uint64((1 << ib) - 1)
-    for s in range(0, len(run), _RANK_BLOCK):
-        part = run[s : s + _RANK_BLOCK]
-        index = part & mask
-        np.left_shift(gather(low, index.view(np.int64)), ib, out=part, dtype=np.uint64)
-        part |= index
-    run.sort()
-    count = _rank_words(run, None, 0, ib)
-    run += np.uint64(base << ib)
-    return base + count
-
-
-def _rank_words(words: np.ndarray, low: np.ndarray | None, shift: int, ib: int) -> int:
-    """Turn each sorted word into ``rank << ib | index``; return the count.
-
-    ``low`` holds each cell's dropped low key bits.  With ``shift == 0``
-    the high parts are the keys.  Otherwise a block whose high parts tie,
-    among themselves or with the cell ranked last, rebuilds its full keys
-    and, if they decrease, is sorted by them (it holds the same cells
-    either way).  A block whose smallest key lies below the key ranked
-    last continues a run of one high part from earlier blocks in another
-    order: that run, to its end, is ranked again by :func:`_rank_run`.
-    """
-    mask = np.uint64((1 << ib) - 1)
-    count = 0
-    last_high = last = None  # high part and full key of the cell ranked last
-    run = base = 0  # where the cells of high part ``last_high`` start, and ranks before them
-    s = 0
-    while s < len(words):
+    count, last = 0, None
+    for s in range(0, len(words), _RANK_BLOCK):
         part = words[s : s + _RANK_BLOCK]
-        index = part & mask
-        key = part >> ib
-        straddle = last_high is not None and int(key[0]) == last_high
-        rebuilt = bool(shift) and (straddle or bool(np.any(key[1:] == key[:-1])))
-        if rebuilt:
-            key = _full_keys(key, low, index, shift)
-            if np.any(key[1:] < key[:-1]):
-                by_key = np.argsort(key)
-                index, key = index[by_key], key[by_key]
-            if straddle and int(key[0]) < last:
-                top = np.uint64(last_high << ib | (1 << ib) - 1)
-                end = s + int(np.searchsorted(words[s:], top, "right"))
-                # the next block starts above ``last_high``: ``last`` is not read
-                count, s = _rank_run(words[run:end], low, ib, base), end
-                continue
-        if shift and not rebuilt:  # distinct high parts above the last: a new rank each
-            rank = np.arange(count + 1, count + 1 + len(part), dtype=np.uint64)
+        high = part >> ib
+        first = count + bool(last is None or high[0] != last)  # the first word's rank
+        last = high[-1]
+        new = high[1:] != high[:-1]
+        if new.all():
+            rank = np.arange(first, first + len(part), dtype=np.uint64)
         else:
-            rank = _ranks(key, not straddle or int(key[0]) != last, count)
+            rank = np.empty(len(part), dtype=np.uint64)
+            rank[0] = first
+            np.cumsum(new, out=rank[1:])
+            rank[1:] += np.uint64(first)
         count = int(rank[-1])
-        if rebuilt:
-            last = int(key[-1])
-            last_high = last >> shift
-        else:
-            last_high = int(key[-1])
-            last = last_high << shift | int(low[int(index[-1])]) if shift else last_high
-        s += len(part)
-        if shift and s < len(words) and int(words[s]) >> ib == last_high:
-            # the last high part goes on into the next block: note where it starts
-            t = int(np.searchsorted(key, np.uint64(last_high << shift if rebuilt else last_high)))
-            if t or not straddle:
-                run, base = s - len(part) + t, int(rank[t]) - 1
+        part &= mask
         rank <<= ib
-        np.bitwise_or(rank, index, out=part)
+        part |= rank
     return count
 
 
@@ -270,31 +190,55 @@ def _dense_rank(key: np.ndarray, top: int) -> tuple[np.ndarray, int]:
     count.  Equal keys share a rank and ranks follow key order, contiguous
     ``1..count``.
 
-    No ``argsort`` of all cells in the common case.  With ``ib`` the bit
+    No ``argsort`` of all cells below ``2**32`` cells.  With ``ib`` the bit
     width of a cell index and ``shift`` the fewest low key bits to drop so
     ``ib`` more fit in 64, the low bits are saved in their own narrow array
     and each key is rewritten in place into the word ``(key >> shift) <<
     ib | index``.  Words are distinct, so one ``np.sort`` orders the cells
-    by ``(key >> shift, index)``.  With ``shift == 0`` that is key order,
-    and neighbouring words give the ranks.  Otherwise only cells whose high
-    parts tie can be out of key order; :func:`_rank_words` rebuilds their
-    full keys from the low bits, one ``_RANK_BLOCK`` at a time, and puts
-    them in order, which is all dense ranks need (they depend only on which
-    keys are equal, not on the order among them).  The sorted words take
-    ``rank << ib | index`` in place and are scattered into a fresh narrow
-    array.  The working set is ``key``, the low bits, the ranks and a block
-    of temporaries; past ``2**32`` cells it is :func:`_argsort_rank`'s.
+    by ``(key >> shift, index)``, and neighbouring words give the dense
+    ranks of the high parts ``key >> shift``, one ``_RANK_BLOCK`` at a time;
+    each word takes ``rank << ib | index`` in place.  With ``shift == 0``,
+    or no two high parts equal, these are the keys' ranks.  Otherwise the
+    next round ranks the keys ``rank << shift | low``, which order like
+    ``key`` and, as ranks are below ``2**ib``, drop fewer bits: each word
+    is rewritten into ``(rank << shift | low) >> shift'`` and its index,
+    with ``shift'`` the bits still to drop, and sorted again.  The words are
+    then in order outside runs of tied high parts, which a stable sort
+    finds.  ``shift'`` is 0 unless ``2 * ib + shift`` exceeds 64.  The
+    working set is ``key``, the low bits, the ranks and a block of
+    temporaries; past ``2**32`` cells it is :func:`_argsort_rank`'s.
     """
     ib = (len(key) - 1).bit_length()
     if ib >= 32:  # a rank and an index no longer share a word
         return _argsort_rank(key)
+    mask = np.uint64((1 << ib) - 1)
     shift = max(0, top.bit_length() - (64 - ib))
-    low = _to_words(key, shift, ib)
+    low = np.empty(len(key), dtype=id_dtype((1 << shift) - 1)) if shift else None
+    low_mask = np.uint64((1 << shift) - 1)
+    for s in range(0, len(key), _RANK_BLOCK):
+        part = key[s : s + _RANK_BLOCK]
+        if shift:
+            np.bitwise_and(part, low_mask, out=low[s : s + _RANK_BLOCK], casting="unsafe")
+            part >>= shift
+        part <<= ib
+        part |= np.arange(s, s + len(part), dtype=np.uint64)
     key.sort()
-    count = _rank_words(key, low, shift, ib)
+    while (count := _rank_sorted_words(key, ib)) < len(key) and shift:
+        drop = max(0, count.bit_length() + shift - (64 - ib))
+        for s in range(0, len(key), _RANK_BLOCK):
+            part = key[s : s + _RANK_BLOCK]
+            index = part & mask
+            part >>= ib
+            part <<= shift
+            part |= gather(low, index.view(np.int64))
+            part >>= drop
+            part <<= ib
+            part |= index
+        shift = drop
+        low &= low.dtype.type((1 << shift) - 1)  # the low bits of the next keys
+        key.sort(kind="stable")
     del low
     ranks = np.empty(len(key), dtype=id_dtype(count))
-    mask = np.uint64((1 << ib) - 1)
     for s in range(0, len(key), _RANK_BLOCK):
         part = key[s : s + _RANK_BLOCK]
         # cast before the scatter: a scatter that casts is slower
@@ -387,7 +331,7 @@ class ColorMatrix:
         if cells.shape[0] == 0:
             raise InputError("empty matrix")
         if not np.issubdtype(cells.dtype, np.integer):
-            cells = cells.astype(np.int64)
+            raise InputError(f"expected integer cells, got dtype {cells.dtype}")
         if self.r < 1:
             raise InputError(f"color count must be >= 1, got {self.r}")
         seen = _id_presence(cells.ravel())  # None: a negative id, or more ids than cells
