@@ -18,9 +18,9 @@ algorithm).  Products and rows move with the vertices, so the ids are
 canonical under vertex permutation.  The same kernel checks coherence axiom
 (c) in :func:`wlclosure.coherence.verify_coherent`.
 
-Before the step allocates, its working set -- a Monte Carlo step's plus the
-kernel's blocks -- is estimated, and above half of physical memory the step
-raises :class:`~wlclosure.probabilistic.ResourceGuardError` (``wlclosure``
+Before a run or step allocates, the step's working set -- a Monte Carlo
+step's plus the kernel's blocks -- is estimated, and above half of physical
+memory it raises :class:`~wlclosure.graph.ResourceGuardError` (``wlclosure``
 exits 4) instead of running out of memory.
 """
 
@@ -140,6 +140,10 @@ def _exact_substitution(n: int, r: int) -> RandomSubstitution:
     return draw_substitution(r, isqrt(2**53 // n), np.random.default_rng(_SEED))
 
 
+def _guard_step(n: int) -> None:
+    guard_memory(monte_carlo_bytes(n, 1) + KERNEL_BYTES, "exact step", f"at n={n}")
+
+
 def classical_step(x: ColorMatrix) -> RefinementOutcome:
     """Split the classes of ``x`` by exact cell fingerprints.
 
@@ -149,7 +153,7 @@ def classical_step(x: ColorMatrix) -> RefinementOutcome:
     :func:`~wlclosure.probabilistic.guard_memory` raises before allocating.
     """
     n, r = x.n, x.r
-    guard_memory(monte_carlo_bytes(n, 1) + KERNEL_BYTES, "exact step", f"at n={n}")
+    _guard_step(n)
     product = numeric_product(x, _exact_substitution(n, r))
     candidate = refine_by(x, product, overwrite_values=True).result
     del product  # unused when the step is quiet and ``candidate`` is ``x``
@@ -170,8 +174,9 @@ def classical_closure(x: ColorMatrix) -> WlResult:
     """Refine ``x`` (after rainbow preprocessing) until no class splits.
 
     The exact mode of :func:`~wlclosure.probabilistic.refine_lockstep`:
-    patience 1, no budget.  A discrete coloring stops the run before another
-    step, since it cannot split.
+    patience 1, no budget, its step guarded before rainbow preprocessing.  A
+    discrete coloring stops the run before another step, since it cannot split.
     """
+    _guard_step(x.n)
     (result,), _, _ = refine_lockstep((x,), _classical_steps, patience=1)
     return result

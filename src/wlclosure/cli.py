@@ -7,8 +7,9 @@ divergence or a candidate vertex mapping), ``bench`` (per-size step and
 closure timings) and ``gen`` (write named fixtures).
 
 Exit codes: 0 success (for ``check``: coherent), 1 ``check`` found the input
-not coherent, 2 malformed input or arguments, 3 overflow guard abort, 4 an
-exact step or a Monte Carlo run would exceed its memory budget.
+not coherent, 2 malformed input or arguments or an unwritable ``--out``, 3
+overflow guard abort, 4 an input grid past 2**31 cells (n > 46,340), or an
+exact step or check, a Monte Carlo run or a ``gen`` grid over its memory budget.
 """
 
 from __future__ import annotations

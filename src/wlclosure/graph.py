@@ -25,6 +25,7 @@ what makes closures canonical under vertex permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -33,33 +34,51 @@ INT64_MAX = 2**63 - 1
 _UINT64_RANGE = 2**64
 # cells handled at a time by the block-wise passes (ranks, gathers, positions)
 _RANK_BLOCK = 2**14
+# most cells of a grid from outside; every coloring is made from one of the
+# same size, so a rank and a cell index share a uint64 word in _dense_rank
+MAX_CELLS = 2**31
 
 
 class InputError(ValueError):
     """Malformed input: non-square grid, bad entries, or size mismatch."""
 
 
+class ResourceGuardError(RuntimeError):
+    """A grid past ``MAX_CELLS`` cells, or a run or step over its memory budget."""
+
+
+def check_size(n: int) -> None:
+    """Refuse an ``n x n`` grid of more than ``MAX_CELLS`` cells (n > 46,340)."""
+    if n * n > MAX_CELLS:
+        raise ResourceGuardError(f"a grid at n={n} is over the size limit, n <= {isqrt(MAX_CELLS)}")
+
+
 def _as_grid(raw) -> np.ndarray:
-    """Coerce raw input to a non-empty square integer ndarray (no renumbering)."""
+    """A grid from outside as an ndarray, checked non-empty, square, integer,
+    of at most ``MAX_CELLS`` cells (before any pass) and positive ids."""
     arr = np.asarray(raw)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise InputError(f"expected a non-empty square grid, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise InputError(f"expected integer entries, got dtype {arr.dtype}")
+    check_size(arr.shape[0])
     # grids of narrower ids (the parser's int32, a coloring's cells) are read
     # as they are; uint64 ids are read as int64, so those above its range are
     # negative and refused
-    return arr if arr.dtype.itemsize < 8 else arr.astype(np.int64, copy=False)
+    arr = arr if arr.dtype.itemsize < 8 else arr.astype(np.int64, copy=False)
+    if arr.min() <= 0:
+        raise InputError("color ids must be positive")
+    return arr
 
 
 def _id_presence(flat: np.ndarray) -> np.ndarray | None:
     """Table ``seen`` with ``seen[i]`` true when id ``i`` occurs in ``flat``.
 
-    Built only for dense ids -- non-negative and at most ``len(flat)``, so the
-    table takes at most one byte per entry; ``None`` for sparse ids.
+    Built for dense ids only -- positive (see :func:`_as_grid`) and at most
+    ``len(flat)``, so one byte per entry at most; ``None`` for sparse ids.
     """
     hi = int(flat.max())
-    if flat.min() < 0 or hi > len(flat):
+    if hi > len(flat):
         return None
     seen = np.zeros(hi + 1, dtype=bool)
     seen[flat] = True
@@ -69,7 +88,7 @@ def _id_presence(flat: np.ndarray) -> np.ndarray | None:
 def id_dtype(r: int) -> np.dtype:
     """Dtype of the cells of a coloring with ``r`` colors: the smallest
     unsigned integer type that holds ``r`` (uint8 up to 255, uint16 up to
-    65,535, uint32 below 2**32)."""
+    65,535, uint32 beyond: a grid has at most ``MAX_CELLS`` cells)."""
     return np.min_scalar_type(r)
 
 
@@ -133,24 +152,6 @@ def _first_occurrence_relabel(flat: np.ndarray) -> tuple[np.ndarray, int]:
     return gather(labels, inverse), r
 
 
-def _argsort_rank(key: np.ndarray) -> tuple[np.ndarray, int]:
-    """:func:`_dense_rank` by one ``argsort``: three arrays the size of
-    ``key``, then the ranks."""
-    order = np.argsort(key)
-    ranked = key[order]
-    # run starts in place, from the back, so each block still reads its
-    # left neighbour unchanged
-    for s in reversed(range(1, len(ranked), _RANK_BLOCK)):
-        e = min(s + _RANK_BLOCK, len(ranked))
-        ranked[s:e] = ranked[s:e] != ranked[s - 1 : e - 1]
-    ranked[0] = 1
-    np.cumsum(ranked, out=ranked)
-    count = int(ranked[-1])
-    ranks = np.empty(len(key), dtype=id_dtype(count))
-    ranks[order] = ranked
-    return ranks, count
-
-
 def _rank_sorted_words(words: np.ndarray, ib: int) -> int:
     """Turn the sorted words ``high << ib | index`` into ``rank << ib |
     index`` in place, with ``rank`` the dense rank of ``high`` among them,
@@ -190,27 +191,25 @@ def _dense_rank(key: np.ndarray, top: int) -> tuple[np.ndarray, int]:
     count.  Equal keys share a rank and ranks follow key order, contiguous
     ``1..count``.
 
-    No ``argsort`` of all cells below ``2**32`` cells.  With ``ib`` the bit
-    width of a cell index and ``shift`` the fewest low key bits to drop so
-    ``ib`` more fit in 64, the low bits are saved in their own narrow array
-    and each key is rewritten in place into the word ``(key >> shift) <<
-    ib | index``.  Words are distinct, so one ``np.sort`` orders the cells
-    by ``(key >> shift, index)``, and neighbouring words give the dense
-    ranks of the high parts ``key >> shift``, one ``_RANK_BLOCK`` at a time;
-    each word takes ``rank << ib | index`` in place.  With ``shift == 0``,
-    or no two high parts equal, these are the keys' ranks.  Otherwise the
-    next round ranks the keys ``rank << shift | low``, which order like
-    ``key`` and, as ranks are below ``2**ib``, drop fewer bits: each word
-    is rewritten into ``(rank << shift | low) >> shift'`` and its index,
-    with ``shift'`` the bits still to drop, and sorted again.  The words are
-    then in order outside runs of tied high parts, which a stable sort
-    finds.  ``shift'`` is 0 unless ``2 * ib + shift`` exceeds 64.  The
-    working set is ``key``, the low bits, the ranks and a block of
-    temporaries; past ``2**32`` cells it is :func:`_argsort_rank`'s.
+    ``key`` has at most ``MAX_CELLS`` entries, so ``ib``, the bit width of a
+    cell index, is at most 31 and a rank and an index share a word.  With
+    ``shift`` the fewest low key bits to drop so ``ib`` more fit in 64, the
+    low bits are saved in their own narrow array and each key is rewritten
+    in place into the word ``(key >> shift) << ib | index``.  Words are
+    distinct, so one ``np.sort`` orders the cells by ``(key >> shift,
+    index)``, and neighbouring words give the dense ranks of the high parts
+    ``key >> shift``, one ``_RANK_BLOCK`` at a time; each word takes ``rank
+    << ib | index`` in place.  With ``shift == 0``, or no two high parts
+    equal, these are the keys' ranks.  Otherwise the next round ranks the
+    keys ``rank << shift | low``, which order like ``key`` and, as ranks are
+    below ``2**ib``, drop fewer bits: each word is rewritten into ``(rank <<
+    shift | low) >> shift'`` and its index, with ``shift'`` the bits still
+    to drop, and sorted again.  The words are then in order outside runs of
+    tied high parts, which a stable sort finds.  ``shift'`` is 0 unless
+    ``2 * ib + shift`` exceeds 64.  The working set is ``key``, the low
+    bits, the ranks and a block of temporaries.
     """
     ib = (len(key) - 1).bit_length()
-    if ib >= 32:  # a rank and an index no longer share a word
-        return _argsort_rank(key)
     mask = np.uint64((1 << ib) - 1)
     shift = max(0, top.bit_length() - (64 - ib))
     low = np.empty(len(key), dtype=id_dtype((1 << shift) - 1)) if shift else None
@@ -313,29 +312,23 @@ class ColorMatrix:
     """A coloring of the complete digraph: ``cells[u, v]`` is the color of ``u -> v``.
 
     Invariants: ``cells`` is square, in :func:`id_dtype` of ``r``, and the
-    set of entries is exactly ``{1..r}``.  The constructor checks the ids,
-    with one presence scan of the cells, then converts them to that dtype;
-    the array is frozen read-only and the constructor takes ownership of it
-    when it already has that dtype.  Colorings made in this module, whose
-    ids are ranks or relabels ``1..r`` by construction, come from
-    :meth:`_ranked` instead, which skips the scan.
+    set of entries is exactly ``{1..r}``.  The constructor checks the grid
+    (:func:`_as_grid`) and the ids, by one presence scan, then converts them
+    to that dtype; the array is frozen read-only and the constructor takes
+    ownership of it when it already has that dtype.  Colorings made in this
+    module, whose ids are ranks or relabels ``1..r`` by construction, come
+    from :meth:`_ranked` instead, which skips the scan.
     """
 
     cells: np.ndarray
     r: int
 
     def __post_init__(self) -> None:
-        cells = self.cells
-        if not isinstance(cells, np.ndarray) or cells.ndim != 2 or cells.shape[0] != cells.shape[1]:
-            raise InputError("cells must be a square matrix")
-        if cells.shape[0] == 0:
-            raise InputError("empty matrix")
-        if not np.issubdtype(cells.dtype, np.integer):
-            raise InputError(f"expected integer cells, got dtype {cells.dtype}")
-        if self.r < 1:
-            raise InputError(f"color count must be >= 1, got {self.r}")
-        seen = _id_presence(cells.ravel())  # None: a negative id, or more ids than cells
-        if seen is None or len(seen) != self.r + 1 or seen[0] or np.count_nonzero(seen) != self.r:
+        if not isinstance(self.cells, np.ndarray):
+            raise InputError("cells must be an ndarray")
+        cells = _as_grid(self.cells)
+        seen = _id_presence(cells.ravel())  # None: more ids than cells
+        if seen is None or len(seen) != self.r + 1 or np.count_nonzero(seen) != self.r:
             raise InputError(f"colors must be exactly 1..{self.r}, all used")
         # ids are checked before the cast, which would wrap larger ones
         cells = cells.astype(id_dtype(self.r), copy=False)
@@ -375,8 +368,6 @@ def validate(raw) -> ColorMatrix:
     becomes ``[[1, 2], [2, 1]]``.
     """
     arr = _as_grid(raw)
-    if arr.min() <= 0:
-        raise InputError("color ids must be positive")
     flat, r = _first_occurrence_relabel(arr.ravel())
     return ColorMatrix._ranked(flat.reshape(arr.shape), r)
 
@@ -391,8 +382,6 @@ def normalize_by_value(raw) -> tuple[ColorMatrix, np.ndarray]:
     the table that renumbers them: id ``ids[k]`` becomes color ``k + 1``.
     """
     arr = _as_grid(raw)
-    if arr.min() <= 0:
-        raise InputError("color ids must be positive")
     flat = arr.ravel()
     seen = _id_presence(flat)
     if seen is None:

@@ -28,7 +28,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import INT64_MAX, ColorMatrix, InputError, is_discrete, normalize_by_value, validate
+from .graph import INT64_MAX, ColorMatrix, InputError, check_size, is_discrete
+from .graph import normalize_by_value, validate
 
 HEADER_TAG = "wlgraph"
 _BLOCK_CELLS = 1 << 15
@@ -152,6 +153,7 @@ def parse_graph_raw(text: str | bytes) -> tuple[np.ndarray, int]:
     # that has a short row, which decoding names before any grid is needed
     grid = None
     if sum(e - s for s, e in spans[1:]) >= n * (2 * n - 1):
+        check_size(n)
         grid = np.empty((n, n), dtype=np.int32)
     rows = max(1, _BLOCK_CELLS // n)
     for top in range(0, n, rows):
@@ -305,16 +307,20 @@ def format_graph_text(x: ColorMatrix, canonical: bool = True) -> str:
 
 
 def write_graph_file(path, x: ColorMatrix, canonical: bool = True) -> None:
-    """Write atomically: the file appears complete or not at all."""
+    """Write atomically: the file appears complete or not at all.  A path
+    that cannot be written raises :class:`GraphFileError`."""
     directory = os.path.dirname(os.path.abspath(path))
-    handle = tempfile.NamedTemporaryFile("wb", dir=directory, delete=False, suffix=".tmp")
     try:
-        with handle:
-            handle.writelines(_canonical_chunks(x, canonical))
-        os.replace(handle.name, path)
-    except BaseException:
-        os.unlink(handle.name)
-        raise
+        handle = tempfile.NamedTemporaryFile("wb", dir=directory, delete=False, suffix=".tmp")
+        try:
+            with handle:
+                handle.writelines(_canonical_chunks(x, canonical))
+            os.replace(handle.name, path)
+        except BaseException:
+            os.unlink(handle.name)
+            raise
+    except OSError as exc:
+        raise GraphFileError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def input_digest(x: ColorMatrix) -> str:

@@ -32,6 +32,7 @@ from .graph import (
     ColorMatrix,
     InputError,
     RefinementOutcome,
+    ResourceGuardError,
     color_counts,
     gather,
     id_dtype,
@@ -64,10 +65,6 @@ _STEP_CELL_BYTES = 3 * 8 + 8 // 2 + 8 // (2 * _PRODUCT_BLOCKS) + 8 // _PRODUCT_B
 
 class RefinementInvariantError(RuntimeError):
     """Internal error: a refinement run violated its structural bounds."""
-
-
-class ResourceGuardError(RuntimeError):
-    """A refinement run or step would need more memory than its budget allows."""
 
 
 class OverflowGuardError(ArithmeticError):
@@ -448,20 +445,21 @@ def probabilistic_closure(x: ColorMatrix, params: RunParams) -> WlResult:
 def check_coherent(x: ColorMatrix, m: int, trials: int, rng: np.random.Generator) -> bool:
     """Fast coherence test: does any of ``trials`` random passes split a class?
 
-    A coloring that is not already rainbow is reported not coherent, and a
-    discrete one (which is rainbow and cannot split) coherent, both without
-    sampling.  For coherent inputs the answer is always ``True``; for others
-    each trial fails to notice a split with probability at most ``2/m``, so
-    a wrong ``True`` occurs with probability at most ``(2/m)**trials``.
+    A discrete coloring (rainbow, and it cannot split) is coherent; any
+    other over the memory budget raises :class:`ResourceGuardError`, then
+    one not already rainbow is not coherent, all without sampling.  For
+    coherent inputs the answer is always ``True``; for others each trial
+    fails to notice a split with probability at most ``2/m``, so a wrong
+    ``True`` occurs with probability at most ``(2/m)**trials``.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     _check_m(m)
     if is_discrete(x):
         return True
+    _guard_monte_carlo(x.n, 1)
     if not is_rainbow(x):
         return False
-    _guard_monte_carlo(x.n, 1)
     for _ in range(trials):
         if probabilistic_step(x, m, rng).refined:
             return False

@@ -98,6 +98,33 @@ def test_colormatrix_requires_contiguous_colors():
     assert ColorMatrix(np.array([[4, 2], [3, 1]]), 4).r == 4
 
 
+def test_cell_limit_is_2_31():
+    graph.check_size(46340)  # 2,147,395,600 cells
+    limit = "a grid at n=46341 is over the size limit, n <= 46340"
+    with pytest.raises(graph.ResourceGuardError, match=limit):
+        graph.check_size(46341)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [lambda g: ColorMatrix(g, 1), validate, normalize_by_value],
+    ids=["ColorMatrix", "validate", "normalize_by_value"],
+)
+def test_grids_past_the_cell_limit_are_refused_before_a_pass(entry):
+    """A zero-stride view of 46,341**2 cells costs nothing to make; each
+    entry refuses it without reading a cell, so without an n**2 buffer."""
+    huge = np.broadcast_to(np.int64(1), (46341, 46341))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(graph.ResourceGuardError, match="n=46341"):
+            entry(huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_colormatrix_cells_are_read_only():
     x = validate([[1, 2], [2, 1]])
     with pytest.raises(ValueError):
@@ -219,75 +246,75 @@ def _packed_case(bits, secondary):
 
 
 def _rank_case(name):
-    """(primary, secondary, packed sorts, argsort fallbacks) of one case."""
+    """(primary, secondary, packed sorts) of one case."""
     rng = np.random.default_rng(77)
     if name == "random":
         # key range (5 + 1) * 9 = 54 <= 300 cells: a presence table, no sort
-        return rng.integers(1, 6, 300), rng.integers(-4, 5, 300), 0, 0
+        return rng.integers(1, 6, 300), rng.integers(-4, 5, 300), 0
     if name == "table_range_at_cell_count":
         # (max primary + 1) * span == 6 * 10 == 60 cells
         primary, secondary = rng.integers(0, 6, 60), rng.integers(-3, 7, 60)
         primary[:2], secondary[:2] = 5, (-3, 6)
-        return primary, secondary, 0, 0
+        return primary, secondary, 0
     if name == "table_range_above_cell_count":
         primary, secondary = rng.integers(0, 6, 59), rng.integers(-3, 7, 59)
         primary[:2], secondary[:2] = 5, (-3, 6)
-        return primary, secondary, 1, 0
+        return primary, secondary, 1
     if name == "bound_at_int64_max":
         # (max primary + 1) * span == 2**63 - 1: one packed sort of 63-bit
         # keys, by their top 61 bits
         lo = -5
         secondary = np.array([lo, lo + _SPAN_AT_TOP - 1, 0, lo, 17, lo + _SPAN_AT_TOP - 1])
-        return np.array([6, 1, 6, 6, 0, 1]), secondary, 1, 0
+        return np.array([6, 1, 6, 6, 0, 1]), secondary, 1
     if name == "bound_above_int64_max":
         # a key range of 2**63 + 6 still fits uint64: no dense-rank pre-pass
         lo = -5
         secondary = np.array([lo, lo + _SPAN_AT_TOP, 0, lo, 17, lo + _SPAN_AT_TOP])
-        return np.array([6, 1, 6, 6, 0, 1]), secondary, 1, 0
+        return np.array([6, 1, 6, 6, 0, 1]), secondary, 1
     if name == "negative_and_equal":
         # key range 3 * (2**63 + 4) > 2**64: the secondary is dense-ranked first
-        return np.array([2, 2, 1, 1, 2, 1, 2]), np.array([-7, -7, 3, -7, 3, -2**63, 3]), 2, 0
+        return np.array([2, 2, 1, 1, 2, 1, 2]), np.array([-7, -7, 3, -7, 3, -2**63, 3]), 2
     if name == "one_cell":
-        return np.array([1]), np.array([-9]), 1, 0
+        return np.array([1]), np.array([-9]), 1
     if name == "discrete_primary_small_values":
-        return rng.permutation(400) + 1, rng.integers(0, 1000, 400), 1, 0
+        return rng.permutation(400) + 1, rng.integers(0, 1000, 400), 1
     if name == "discrete_primary_large_values":
-        return rng.permutation(400) + 1, rng.integers(-2**62, 2**62, 400), 2, 0
+        return rng.permutation(400) + 1, rng.integers(-2**62, 2**62, 400), 2
     if name == "packed_single_pass":
         # 60 key bits + 4 index bits: the keys themselves are sorted, so 1
         # before 0 and 2**60 - 1 before 2**60 - 2 need no argsort
         secondary = [1, 0, 2**60 - 1, 2**60 - 2, 2**59, 5, 2**59, 4]
-        return (*_packed_case(60, secondary), 1, 0)
+        return (*_packed_case(60, secondary), 1)
     if name == "packed_top_bits_in_index_order":
         # 61 key bits: the lowest is dropped; keys sharing the rest come in
         # index order, so the sorted top bits are a sort of the keys
         secondary = [2**60, 2**60 + 1, 2**61 - 2, 2**61 - 1, 6, 7, 2**60 - 1, 9]
-        return (*_packed_case(61, secondary), 1, 0)
+        return (*_packed_case(61, secondary), 1)
     if name == "packed_top_bits_reversed":
         # 62 key bits: the lowest two are dropped; 7 and 4 share the rest in
         # reverse index order, so the gathered keys decrease, and their
         # block is sorted by key
         secondary = [7, 4, 2**62 - 1, 2**61, 3, 2**61 + 3]
-        return (*_packed_case(62, secondary), 1, 0)
+        return (*_packed_case(62, secondary), 1)
     if name == "key_range_full_uint64":
         # primary 0, secondary over all of int64: key range exactly 2**64
         primary = np.zeros(300, dtype=np.int64)
         secondary = rng.integers(-2**63, 2**63 - 1, 300, endpoint=True)
         secondary[:3] = (-2**63, 2**63 - 1, 0)
-        return primary, secondary, 1, 0
+        return primary, secondary, 1
     if name == "key_range_between_2_63_and_2_64":
         # 3 * (2**64 // 3): above 2**63, at most 2**64
         span = 2**64 // 3
         primary = rng.integers(0, 3, 300)
         secondary = rng.integers(0, span, 300) - 2**62
         primary[:2], secondary[:2] = 2, (-2**62, span - 1 - 2**62)
-        return primary, secondary, 1, 0
+        return primary, secondary, 1
     if name == "key_range_above_2_64":
         # 2 * (2**63 + 1) = 2**64 + 2: the secondary is dense-ranked first
         primary = rng.integers(0, 2, 300)
         secondary = rng.integers(-2**62, 2**62, 300)
         primary[0], secondary[:2] = 1, (-2**62, 2**63 - 2**62)
-        return primary, secondary, 2, 0
+        return primary, secondary, 2
     raise AssertionError(name)
 
 
@@ -312,24 +339,21 @@ _RANK_CASES = [
 
 @pytest.mark.parametrize("name", _RANK_CASES)
 def test_lex_rank_matches_sorted_tuple_ranks(name, monkeypatch):
-    """Presence table (no sort), direct key (one packed sort), dense-rank
-    pre-pass (two) and the argsort fallback rank alike."""
-    primary, secondary, sorts, fallbacks = _rank_case(name)
+    """Presence table (no sort), direct key (one packed sort) and dense-rank
+    pre-pass (two) rank alike."""
+    primary, secondary, sorts = _rank_case(name)
     primary, secondary = primary.astype(np.int64), secondary.astype(np.int64)
-    calls, fallback_calls = [], []
-    real, real_fallback = graph._dense_rank, graph._argsort_rank
+    calls = []
+    real = graph._dense_rank
     monkeypatch.setattr(
         graph, "_dense_rank", lambda key, top: calls.append(1) or real(key, top)
-    )
-    monkeypatch.setattr(
-        graph, "_argsort_rank", lambda key: fallback_calls.append(1) or real_fallback(key)
     )
     ranks, count = graph._lex_rank(primary, secondary)
     expected = sorted_tuple_ranks(list(zip(primary.tolist(), secondary.tolist())))
     assert ranks.dtype == np.min_scalar_type(count)
     assert ranks.tolist() == expected
     assert count == max(expected)
-    assert (len(calls), len(fallback_calls)) == (sorts, fallbacks)
+    assert len(calls) == sorts
 
 
 @pytest.mark.parametrize("name", _RANK_CASES)
@@ -337,7 +361,7 @@ def test_lex_rank_builds_key_and_ranks_in_the_secondary(name):
     """Given the secondary itself as its key buffer, every path builds the
     key and ranks from it in place, and returns the ranks in a fresh array
     of narrow ids."""
-    primary, secondary, _, _ = _rank_case(name)
+    primary, secondary, _ = _rank_case(name)
     primary, secondary = primary.astype(np.int64), secondary.astype(np.int64)
     expected = sorted_tuple_ranks(list(zip(primary.tolist(), secondary.tolist())))
     ranks, count = graph._lex_rank(primary, secondary, secondary.view(np.uint64))
@@ -621,23 +645,17 @@ def test_refine_by_one_differing_cell_is_not_quiet():
         values.flat[cell] = 0
 
 
-@pytest.mark.parametrize("fallback", [False, True], ids=["packed", "argsort_fallback"])
-def test_refine_by_working_set_on_a_path_run(monkeypatch, fallback):
+def test_refine_by_working_set_on_a_path_run():
     """Each refine_by of a Monte Carlo run on a permuted path(512) peaks at
-    most at the 7.25 MiB of the single-argsort ranking (three int64 arrays
-    of n**2 cells and a bool one) and its result's ids (uint32 past 65,535
-    classes), also when every step takes the argsort fallback."""
+    most at 29 bytes a cell, 7.25 MiB: the size of three int64 arrays of
+    n**2 cells and a bool one, and its result's ids (uint32 past 65,535
+    classes)."""
     from wlclosure.probabilistic import draw_substitution, numeric_product
 
     n = 512
     perm = np.random.default_rng(5).permutation(n)
     x = rainbow_refine(permute_vertices(make_fixture("path", n), perm))
     rng = np.random.default_rng(3001)
-    fallbacks = []
-    real = graph._argsort_rank
-    monkeypatch.setattr(graph, "_argsort_rank", lambda k: fallbacks.append(1) or real(k))
-    if fallback:  # the ranking of more than 2**32 cells
-        monkeypatch.setattr(graph, "_dense_rank", lambda k, top: graph._argsort_rank(k))
     peaks = []
     for _ in range(11):
         values = numeric_product(x, draw_substitution(x.r, 10**6, rng))
@@ -650,7 +668,6 @@ def test_refine_by_working_set_on_a_path_run(monkeypatch, fallback):
             tracemalloc.stop()
         x = out.result
     assert x.r == n * n // 2
-    assert len(fallbacks) == (8 if fallback else 0)
     assert max(peaks) <= (3 * 8 + 1 + 4) * n * n, [f"{p / 2**20:.2f}" for p in peaks]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import hashlib
 import os
@@ -14,12 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wlclosure import cli, probabilistic
+from wlclosure import cli, graph, probabilistic
 from wlclosure import io as wio
 from wlclosure.classical import classical_closure
 from wlclosure.coherence import make_fixture
 from wlclosure.graph import (
     ColorMatrix,
+    is_rainbow,
     is_same_partition,
     normalize_by_value,
     permute_vertices,
@@ -201,6 +203,17 @@ def test_parse_names_a_short_row_before_allocating_the_header_size():
     # n = 100000 would be a 40 GB grid; the 200 KB body cannot hold it
     text = "wlgraph 100000 1\n" + "1\n" * 100000
     with pytest.raises(GraphFileError, match="row 0 has 1 entries, expected 100000"):
+        parse_graph_raw(text)
+
+
+def test_parse_refuses_a_grid_past_the_cell_limit(monkeypatch):
+    """The parser checks the limit itself, before it allocates a grid and
+    before any renumbering."""
+    text = format_graph_text(make_fixture("path", 11))
+    monkeypatch.setattr(graph, "MAX_CELLS", 121)
+    assert parse_graph_raw(text)[0].shape == (11, 11)
+    monkeypatch.setattr(graph, "MAX_CELLS", 120)
+    with pytest.raises(graph.ResourceGuardError, match="n=11"):
         parse_graph_raw(text)
 
 
@@ -603,6 +616,78 @@ def test_cli_monte_carlo_over_memory_budget_exits_4(tmp_path, capsys, monkeypatc
     assert "iteration" not in out and "coherent" not in out
     monkeypatch.setattr(probabilistic, "_memory_budget", lambda: None)
     assert run_cli(capsys, *argv, "--seed", "1")[0] == 0
+
+
+def test_cli_check_not_rainbow_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch):
+    """The guard runs before the rainbow test, so an input that is not
+    rainbow is refused over the budget too (it used to exit 1)."""
+    path, x = write_fixture(tmp_path, "random", 7, 3, 5)
+    assert not is_rainbow(x)
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: 1000)
+    code, out, err = run_cli(capsys, "check", str(path), "--seed", "1")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: Monte Carlo run needs about ")
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: None)
+    assert run_cli(capsys, "check", str(path), "--seed", "1")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["close"], 0), (["close", "--mode", "exact"], 0), (["check"], 1), (["isopair"], 0)],
+    ids=["close", "close_exact", "check", "isopair"],
+)
+def test_cli_refuses_a_grid_past_the_cell_limit(tmp_path, capsys, monkeypatch, argv, code):
+    """With the limit lowered to 100 cells, path(11)'s 121 exit 4 with one
+    error line and no output; path(10)'s 100 run."""
+    small, _ = write_fixture(tmp_path, "path", 10, filename="p10.wl")
+    large, _ = write_fixture(tmp_path, "path", 11, filename="p11.wl")
+    monkeypatch.setattr(graph, "MAX_CELLS", 100)
+
+    def args(path):
+        inputs = [str(path)] * (2 if argv[0] == "isopair" else 1)
+        return [argv[0], *inputs, *argv[1:], "--seed", "1"]
+
+    assert run_cli(capsys, *args(large)) == (
+        4, "", "error: a grid at n=11 is over the size limit, n <= 10\n"
+    )
+    assert run_cli(capsys, *args(small))[0] == code
+
+
+@pytest.mark.parametrize("command", ["close", "gen"])
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_cli_unwritable_out_exits_2(tmp_path, capsys, command, target):
+    source, _ = write_fixture(tmp_path, "path", 5)
+    if target == "directory":
+        out_path, reason = tmp_path / "taken", "Is a directory"
+        out_path.mkdir()
+    else:
+        out_path, reason = tmp_path / "missing" / "x.wl", "No such file or directory"
+    argv = ["close", str(source), "--seed", "1"] if command == "close" else ["gen", "path", "5"]
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(capsys, *argv, "--out", str(out_path)) == (
+        2, "", f"error: cannot write {out_path}: {reason}\n"
+    )
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["close", "gen"])
+def test_cli_failed_write_keeps_the_old_file(tmp_path, capsys, monkeypatch, command):
+    """A write that fails part way (here a full disk) exits 2, removes its
+    temporary file and leaves the file it would have replaced as it was."""
+    source, _ = write_fixture(tmp_path, "path", 5)
+    target = tmp_path / "old.wl"
+    target.write_bytes(b"old")
+
+    def full_disk(rows):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(wio, "_encode_rows", full_disk)
+    argv = ["close", str(source), "--seed", "1"] if command == "close" else ["gen", "path", "5"]
+    assert run_cli(capsys, *argv, "--out", str(target)) == (
+        2, "", f"error: cannot write {target}: No space left on device\n"
+    )
+    assert target.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.wl", "old.wl"]
 
 
 def _check_exact_header(digest):

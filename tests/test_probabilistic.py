@@ -512,6 +512,28 @@ def test_monte_carlo_closure_peak_is_about_two_matrices():
     assert peak <= 2.1 * 8 * n * n, f"{peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("entry", ["check_coherent", "classical_closure", "probabilistic_closure"])
+def test_guards_refuse_before_the_first_pass_over_the_cells(monkeypatch, entry):
+    """Over a 1 MiB budget, a permuted path(1024) is refused before the
+    rainbow test or preprocessing builds its n**2 keys."""
+    n = 1024
+    x = permute_vertices(make_fixture("path", n), np.random.default_rng(5).permutation(n))
+    run = {
+        "check_coherent": lambda: check_coherent(x, 10**6, 3, np.random.default_rng(1)),
+        "classical_closure": lambda: classical_closure(x),
+        "probabilistic_closure": lambda: probabilistic_closure(
+            x, RunParams(10**6, StoppingPolicy.practical(3), 1)
+        ),
+    }[entry]
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: 2**20)
+
+    def refused():
+        with pytest.raises(probabilistic.ResourceGuardError, match=f"at n={n}"):
+            run()
+
+    assert _traced_peak(refused) < 64 * 2**10
+
+
 def test_monte_carlo_guard_refuses_runs_over_budget(monkeypatch):
     x = make_fixture("cyclic", 9)
     params = RunParams(10**6, StoppingPolicy.practical(3), 1)
