@@ -1,27 +1,31 @@
-"""Exact refinement of colored complete digraphs: a checked product step.
+"""Exact refinement of colored complete digraphs: one Las Vegas run.
 
 One refinement step gives every cell ``(u, v)`` the multiset of color pairs
 ``{(c(u, w), c(w, v)) : w}`` -- its fingerprint -- and splits classes whose
 cells disagree.  Iterating until no class splits yields the coherent closure.
 
-:func:`classical_step` is a Monte Carlo step under one fixed substitution,
-then a check.  Equal fingerprints always give equal products, so the exact
-partition refines the candidate classes, the ranks of ``(old color,
-product)``; the two are equal when each candidate class holds one
-fingerprint.  :func:`row_mismatches` checks that: each cell's row, its
-``n`` pair codes ``c(u, w) * (r + 1) + c(w, v)`` sorted, is compared with
-the row of its class's first cell, and equal rows are equal fingerprints.
-A differing row is a product collision (probability at most ``2/m`` for
-two fingerprints): only that candidate class is ranked by its rows and
-split.  The answer is always exact; only the time is random (a Las Vegas
-algorithm).  Products and rows move with the vertices, so the ids are
-canonical under vertex permutation.  The same kernel checks coherence axiom
-(c) in :func:`wlclosure.coherence.verify_coherent`.
+:func:`classical_closure` runs Monte Carlo steps under one fixed
+substitution, :func:`_exact_substitution`, whose values are a hash of the
+color id, until a step is quiet, and then checks the result once.  Equal
+fingerprints always give equal products, so the exact closure refines every
+iterate.  :func:`row_mismatches` checks whether the quiet coloring P is
+stable under the exact step: each cell's row, its ``n`` pair codes
+``c(u, w) * (r + 1) + c(w, v)`` sorted, is compared with the row of its
+class's first cell, and equal rows are equal fingerprints.  A differing row
+is a product collision (probability at most ``2/m`` for two fingerprints):
+only its class is ranked by its rows and split, and the run steps on.  A
+passing check makes P coherent, and P refines the closure, the coarsest
+coherent refinement of the input, so P is the closure.  The answer is always
+exact; only the time is random (a Las Vegas algorithm).  Products and rows
+move with the vertices, so the ids are canonical under vertex permutation.
+:func:`classical_step` is one product step with its check; the same kernel
+checks coherence axiom (c) in :func:`wlclosure.coherence.verify_coherent`.
 
-Before a run or step allocates, the step's working set -- a Monte Carlo
-step's plus the kernel's blocks -- is estimated, and above half of physical
-memory it raises :class:`~wlclosure.graph.ResourceGuardError` (``wlclosure``
-exits 4) instead of running out of memory.
+Before a run or step allocates, its working set -- a Monte Carlo step's,
+which covers the check's copies of the ids, plus the kernel's blocks -- is
+estimated, and above half of physical memory it raises
+:class:`~wlclosure.graph.ResourceGuardError` (``wlclosure`` exits 4) instead
+of running out of memory.
 """
 
 from __future__ import annotations
@@ -34,15 +38,16 @@ from .graph import ColorMatrix, RefinementOutcome, first_positions, id_dtype, re
 from .probabilistic import (
     RandomSubstitution,
     WlResult,
-    draw_substitution,
     guard_memory,
     monte_carlo_bytes,
     numeric_product,
     refine_lockstep,
 )
 
-# seed of the exact step's substitution: any constant gives the same partitions
-_SEED = 0
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the increment and the two
+# multipliers of its output mix
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 # rows built or compared at a time
 _BLOCK_BYTES = 2**20
 # bytes :func:`row_mismatches` holds at its peak: blocks of the first cells'
@@ -133,15 +138,57 @@ def _split_collisions(x: ColorMatrix, candidate: ColorMatrix, bad: np.ndarray) -
     return refine_by(candidate, local.reshape(n, n)).result
 
 
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output for each state in the uint64 array ``z``: ``z``
+    plus the golden gamma, mixed; ``z`` is overwritten and returned."""
+    z += _GOLDEN_GAMMA
+    for shift, mul in zip((30, 27), _MIX):
+        z ^= z >> np.uint64(shift)
+        z *= mul
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def _exact_substitution(n: int, r: int) -> RandomSubstitution:
-    """The exact step's substitution: colors ``1..r`` drawn from a constant
-    seed, with the largest ``m`` for which ``n * m**2 <= 2**53``, so every
-    row block of the product is one exact GEMM."""
-    return draw_substitution(r, isqrt(2**53 // n), np.random.default_rng(_SEED))
+    """The exact step's substitution for colors ``1..r``: color ``c`` gets
+    ``1 + splitmix64(2c) % m`` on the left and ``1 + splitmix64(2c + 1) % m``
+    on the right, with the largest ``m`` for which ``n * m**2 <= 2**53``, so
+    every row block of the product is one exact GEMM.
+
+    A fixed function of the color id, so a quiet step repeated on the same
+    coloring stays quiet.  Any values give the same partitions; a hash, not
+    a random generator, keeps the ids independent of numpy's streams.
+    """
+    m = isqrt(2**53 // n)
+    tables = []
+    for side in (0, 1):
+        z = _splitmix64(np.arange(2 + side, 2 * r + 2, 2, dtype=np.uint64))
+        z %= np.uint64(m)
+        z += np.uint64(1)
+        tables.append(z.view(np.int64))
+    return RandomSubstitution(m, *tables)
 
 
 def _guard_step(n: int) -> None:
     guard_memory(monte_carlo_bytes(n, 1) + KERNEL_BYTES, "exact step", f"at n={n}")
+
+
+def _product_step(x: ColorMatrix) -> RefinementOutcome:
+    """The Monte Carlo step under :func:`_exact_substitution`: ranks of
+    ``(old color, product)``, not checked."""
+    return refine_by(x, numeric_product(x, _exact_substitution(x.n, x.r)), overwrite_values=True)
+
+
+def _checked(x: ColorMatrix, candidate: ColorMatrix) -> RefinementOutcome:
+    """``candidate``, a step's result on ``x``, with each class whose cells'
+    rows in ``x`` differ split by :func:`_split_collisions`."""
+    classes, r = candidate.cells.ravel(), candidate.r
+    bad = np.zeros(r + 1, dtype=bool)
+    for own, _ in row_mismatches(x, classes, first_positions(classes, r, r)):
+        bad[classes[own]] = True
+    if bad.any():
+        candidate = _split_collisions(x, candidate, np.flatnonzero(bad))
+    return RefinementOutcome(candidate.r > x.r, candidate)
 
 
 def classical_step(x: ColorMatrix) -> RefinementOutcome:
@@ -152,31 +199,30 @@ def classical_step(x: ColorMatrix) -> RefinementOutcome:
     by :func:`_split_collisions`.  Over the memory budget,
     :func:`~wlclosure.probabilistic.guard_memory` raises before allocating.
     """
-    n, r = x.n, x.r
-    _guard_step(n)
-    product = numeric_product(x, _exact_substitution(n, r))
-    candidate = refine_by(x, product, overwrite_values=True).result
-    del product  # unused when the step is quiet and ``candidate`` is ``x``
-    classes = candidate.cells.ravel()
-    bad = np.zeros(candidate.r + 1, dtype=bool)
-    for own, _ in row_mismatches(x, classes, first_positions(classes, candidate.r)):
-        bad[classes[own]] = True
-    if bad.any():
-        candidate = _split_collisions(x, candidate, np.flatnonzero(bad))
-    return RefinementOutcome(candidate.r > r, candidate)
+    _guard_step(x.n)
+    return _checked(x, _product_step(x).result)
 
 
-def _classical_steps(colorings: tuple[ColorMatrix, ...]) -> list[RefinementOutcome]:
-    return [classical_step(c) for c in colorings]
+def _las_vegas_steps(colorings: tuple[ColorMatrix, ...]) -> list[RefinementOutcome]:
+    """A step of the exact run: the product step, checked only when it is
+    quiet, so that a quiet outcome is stable under the exact step.
+    :func:`~wlclosure.probabilistic.refine_lockstep` steps no discrete
+    coloring, so none is checked."""
+    (x,) = colorings
+    out = _product_step(x)
+    return [out if out.refined else _checked(x, x)]
 
 
 def classical_closure(x: ColorMatrix) -> WlResult:
     """Refine ``x`` (after rainbow preprocessing) until no class splits.
 
     The exact mode of :func:`~wlclosure.probabilistic.refine_lockstep`:
-    patience 1, no budget, its step guarded before rainbow preprocessing.  A
-    discrete coloring stops the run before another step, since it cannot split.
+    patience 1, no budget, its step guarded before rainbow preprocessing.
+    Product steps run unchecked until one is quiet; that step checks its
+    coloring's rows once, and a check that splits counts as its step's
+    split, after which the run steps on.  A discrete coloring stops the run
+    before another step, since it cannot split.
     """
     _guard_step(x.n)
-    (result,), _, _ = refine_lockstep((x,), _classical_steps, patience=1)
+    (result,), _, _ = refine_lockstep((x,), _las_vegas_steps, patience=1)
     return result

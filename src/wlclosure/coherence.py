@@ -75,7 +75,7 @@ def verify_coherent(x: ColorMatrix) -> CoherenceReport:
     if overlap.any():
         k = int(np.argmax(overlap))
         return _violation("diagonal_overlap", np.argmax(loops == flat[k]) * (n + 1), k, n)
-    first = first_positions(flat, r)
+    first = first_positions(flat, r, r)
     ref = first[flat]
     reverse = x.cells.T.ravel()
     split = reverse[ref] != reverse

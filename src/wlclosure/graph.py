@@ -110,13 +110,24 @@ def gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     return out
 
 
-def first_positions(flat: np.ndarray, top: int) -> np.ndarray:
+def first_positions(flat: np.ndarray, top: int, present: int) -> np.ndarray:
     """Position of each id ``0..top``'s first occurrence in ``flat``, else
-    ``len(flat)``; the positions are made one ``_RANK_BLOCK`` at a time."""
+    ``len(flat)``; ``present`` is the number of distinct ids in ``flat``.
+
+    ``flat`` is scanned one ``_RANK_BLOCK`` at a time, and the scan stops
+    once ``present`` first occurrences are found.  A block's positions that
+    its ids keep are the first occurrences it adds, so the count costs
+    O(block), not O(top).
+    """
     first = np.full(top + 1, len(flat), dtype=np.int64)
+    found = 0
     for s in range(0, len(flat), _RANK_BLOCK):
         block = flat[s : s + _RANK_BLOCK]
-        np.minimum.at(first, block, np.arange(s, s + len(block)))
+        positions = np.arange(s, s + len(block))
+        np.minimum.at(first, block, positions)
+        found += int(np.count_nonzero(first[block] == positions))
+        if found == present:
+            break
     return first
 
 
@@ -143,7 +154,7 @@ def _first_occurrence_relabel(flat: np.ndarray) -> tuple[np.ndarray, int]:
             return np.arange(1, size + 1, dtype=id_dtype(r)), r
         ids = np.flatnonzero(seen)
         del seen
-        first = first_positions(flat, int(ids[-1]))
+        first = first_positions(flat, int(ids[-1]), r)
         by_first = ids[np.argsort(first[ids])]
         inverse = flat
     # entries of absent ids are never read

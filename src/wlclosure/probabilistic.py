@@ -76,12 +76,13 @@ class WlResult:
     """Outcome of a full refinement run.
 
     ``trace[i]`` is the class count after step ``i + 1``; ``stopping_reason``
-    is ``"stable"`` (the exact step split nothing, or ``patience`` Monte
-    Carlo steps in a row did not), ``"budget_exhausted"`` (the theoretical
-    policy ran its whole budget) or ``"discrete"`` (the run reached ``n**2``
-    classes, checked before every step, after which no step can split).  A
-    discrete stop is exact in either mode: Monte Carlo iterates are never
-    finer than the closure, so a discrete iterate is the closure.
+    is ``"stable"`` (an exact run's step split nothing and passed its row
+    check, or ``patience`` Monte Carlo steps in a row split nothing),
+    ``"budget_exhausted"`` (the theoretical policy ran its whole budget) or
+    ``"discrete"`` (the run reached ``n**2`` classes, checked before every
+    step, after which no step can split).  A discrete stop is exact in
+    either mode: Monte Carlo iterates are never finer than the closure, so a
+    discrete iterate is the closure.
     """
 
     closure: ColorMatrix
@@ -394,12 +395,9 @@ def _substitution_steps(m: int, rng: np.random.Generator):
 
     def step(colorings: tuple[ColorMatrix, ...]) -> list[RefinementOutcome]:
         sub = draw_substitution(max(c.r for c in colorings), m, rng)
-        outcomes = []
-        for c in colorings:
-            product = numeric_product(c, sub)
-            # the product becomes the rank key
-            outcomes.append(refine_by(c, product, overwrite_values=True))
-        return outcomes
+        # each product becomes its rank key and is freed before the next
+        # coloring's is made
+        return [refine_by(c, numeric_product(c, sub), overwrite_values=True) for c in colorings]
 
     return step
 

@@ -182,6 +182,24 @@ def python_first_occurrence_relabel(flat) -> tuple[list[int], int]:
     return [label[int(value)] for value in flat], len(label)
 
 
+def python_first_positions(flat, top: int) -> list[int]:
+    """Each id ``0..top``'s first position in ``flat`` from a scan of every
+    entry, ``len(flat)`` for an absent id."""
+    first = [len(flat)] * (top + 1)
+    for i, value in enumerate(flat):
+        if first[value] == len(flat):
+            first[value] = i
+    return first
+
+
+def python_splitmix64(state: int) -> int:
+    """SplitMix64's output for one state, in Python integers mod 2**64."""
+    z = (state + 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
 def python_format_graph_text(grid, canonical: bool = True) -> str:
     """Writer reference: header, then each row's ids joined by single spaces.
 

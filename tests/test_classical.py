@@ -21,16 +21,23 @@ from wlclosure.graph import (
     rainbow_refine,
     validate,
 )
-from wlclosure.probabilistic import RandomSubstitution, draw_substitution, iteration_budget
+from wlclosure.probabilistic import (
+    RandomSubstitution,
+    draw_substitution,
+    iteration_budget,
+    monte_carlo_bytes,
+)
 
 from oracles import (
     brute_closure,
+    brute_rainbow,
     brute_step,
     fingerprint_step,
     noncommutative_product,
     partition_of,
     python_matmul,
     python_refine_by,
+    python_splitmix64,
     python_verify_coherent,
     random_grid,
 )
@@ -295,6 +302,36 @@ def test_row_dtype_is_the_narrowest_that_holds_every_code():
     assert classical._row_dtype(46340) == np.int64
 
 
+def test_exact_substitution_is_a_pinned_hash():
+    """Color ``c`` gets splitmix64(2c) and splitmix64(2c + 1) reduced to
+    ``1..m``: pinned values at n = 256, the same prefix for fewer colors,
+    the values of a Python-integer SplitMix64, and its published first
+    outputs seeded with 1234567."""
+    sub = classical._exact_substitution(256, 8)
+    assert sub.m == 5931641  # isqrt(2**53 // 256)
+    assert sub.left.dtype == sub.right.dtype == np.int64
+    assert sub.left.tolist() == [2814809, 1327802, 670932, 159137, 2894799, 3553413, 1894078, 4833637]
+    assert sub.right.tolist() == [4655393, 4229721, 5582721, 2248683, 3538000, 833682, 1429528, 5325465]
+    fewer = classical._exact_substitution(256, 3)
+    assert fewer.left.tolist() == sub.left.tolist()[:3]
+    assert fewer.right.tolist() == sub.right.tolist()[:3]
+    wide = classical._exact_substitution(1000, 300)
+    for side, table in enumerate((wide.left, wide.right)):
+        expected = [1 + python_splitmix64(2 * c + side) % wide.m for c in range(1, 301)]
+        assert table.tolist() == expected
+    gamma = 0x9E3779B97F4A7C15
+    states = [(1234567 + k * gamma) % 2**64 for k in range(5)]
+    assert [python_splitmix64(z) for z in states] == classical._splitmix64(
+        np.array(states, dtype=np.uint64)
+    ).tolist() == [
+        6457827717110365317,
+        3203168211198807973,
+        9817491932198370423,
+        4593380528125082431,
+        16408922859458223821,
+    ]
+
+
 def _constant_substitution(n, r):
     """Every color is 1 on both sides: every product is n, so each step is
     quiet in the product and every split is a collision."""
@@ -362,6 +399,105 @@ def test_forced_collisions_are_split_by_rows(monkeypatch, substitution):
             current = out.result
         assert ranked
     assert current.r == 40 * 40 // 2
+
+
+def _oracle_run(grid):
+    """The brute-force exact run's partition and class count per step,
+    stopped before a step on a discrete coloring, as the package's is."""
+    current, trace = brute_rainbow(grid), []
+    while len(partition_of(current)) < len(grid) ** 2:
+        refined, current = brute_step(current)
+        trace.append(len(partition_of(current)))
+        if not refined:
+            break
+    return partition_of(current), tuple(trace)
+
+
+@pytest.mark.parametrize("substitution", [None, _m2_substitution, _constant_substitution])
+def test_las_vegas_closure_matches_the_oracle(monkeypatch, substitution):
+    """The closure is the oracle's on rainbow(random(12, 3)) and permuted
+    paths of 40 and 30 vertices, under the hashed substitution and under
+    forced collisions; under collisions a check splits and the run still
+    ends.  Every product step of the constant substitution is quiet, so
+    each step is a check and every input splits; under ``m = 2`` only
+    path(30) leaves a collision to its check.  The trace is the oracle's
+    under the constant substitution and under the hashed one, which
+    collides on no input."""
+    if substitution is not None:
+        monkeypatch.setattr(classical, "_exact_substitution", substitution)
+    splits = []
+    real = classical._split_collisions
+
+    def spy(x, candidate, bad):
+        splits.append(len(bad))
+        return real(x, candidate, bad)
+
+    monkeypatch.setattr(classical, "_split_collisions", spy)
+    x = rainbow_refine(validate(random_grid(np.random.default_rng(35), 12, 3)))
+    paths = [
+        permute_vertices(make_fixture("path", n), np.random.default_rng(7).permutation(n))
+        for n in (40, 30)
+    ]
+    split_inputs = []
+    for start in (x, *paths):
+        splits.clear()
+        res = classical_closure(start)
+        partition, trace = _oracle_run(start.cells.tolist())
+        assert partition_of(res.closure.cells) == partition
+        assert res.iterations == len(res.trace) and res.trace[-1] == res.closure.r
+        assert res.stopping_reason == ("discrete" if res.closure.r == start.n**2 else "stable")
+        if substitution is not _m2_substitution:
+            assert res.trace == trace
+        split_inputs.append(bool(splits))
+    expected = {None: [False] * 3, _m2_substitution: [False, False, True]}
+    assert split_inputs == expected.get(substitution, [True] * 3)
+
+
+def test_las_vegas_check_on_a_permuted_path_1024_is_block_bounded(monkeypatch):
+    """The run's one check, on the closure of a permuted path(1024) with
+    n**2/2 classes and int64 rows, stays within 64 MiB traced and within
+    the run's guard estimate; the closure is the orbit partition of the
+    path's reversal, reached in the trace of a check after every step."""
+    n = 1024
+    perm = np.random.default_rng(5).permutation(n)
+    x = permute_vertices(make_fixture("path", n), perm)
+    u, v = np.divmod(np.arange(n * n), n)
+    orbits = validate(np.minimum(u * n + v, (n - 1 - u) * n + n - 1 - v).reshape(n, n) + 1)
+    peaks = []
+    real = classical._checked
+
+    def traced(x, candidate):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = real(x, candidate)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(classical, "_checked", traced)
+    res = classical_closure(x)
+    assert res.trace == (12, 48, 192, 768, 3072, 12288, 49152, 196608, 524288, 524288)
+    assert is_same_partition(res.closure, permute_vertices(orbits, perm))
+    assert len(peaks) == 1
+    assert peaks[0] <= min(64 * 2**20, monte_carlo_bytes(n, 1) + classical.KERNEL_BYTES), (
+        f"traced peak {peaks[0] / 2**20:.2f} MiB"
+    )
+
+
+def test_las_vegas_run_is_refused_before_a_product_or_a_check(monkeypatch):
+    """Just under the run's estimate, which covers its check, the guard
+    raises before any product, rank or row is made."""
+    x = permute_vertices(make_fixture("path", 12), np.random.default_rng(8).permutation(12))
+    made = []
+    for name in ("numeric_product", "refine_by", "row_mismatches"):
+        monkeypatch.setattr(classical, name, lambda *a, name=name, **k: made.append(name))
+    estimate = monte_carlo_bytes(12, 1) + classical.KERNEL_BYTES
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: estimate - 1)
+    with pytest.raises(probabilistic.ResourceGuardError, match="exact step .* at n=12"):
+        classical_closure(x)
+    assert made == []
 
 
 def test_classical_step_working_set_is_batch_bounded():

@@ -35,6 +35,7 @@ from oracles import (
     partition_of,
     python_color_counts,
     python_first_occurrence_relabel,
+    python_first_positions,
     python_refine_by,
     random_grid,
     sorted_tuple_ranks,
@@ -715,6 +716,46 @@ def test_first_occurrence_relabel_matches_sorted_dict_oracle(name):
     assert (graph._id_presence(flat) is None) == (name == "sparse_near_2_62")
     if name == "all_distinct":
         assert labels.tolist() == list(range(1, len(flat) + 1))
+
+
+def _first_positions_case(name):
+    rng = np.random.default_rng(62)
+    if name == "only_cell_of_an_id_is_the_last":
+        flat = rng.integers(1, 3, 200)
+        flat[-1] = 3
+        return flat, 3
+    if name == "absent_ids":  # ids 2, 5 and 9 of 0..12
+        return rng.choice([2, 5, 9], 200), 12
+    if name == "all_distinct":
+        return rng.permutation(200) + 1, 200
+    if name == "few_ids_then_many":  # every id of 1..3 occurs early
+        return np.concatenate((rng.integers(1, 4, 30), rng.permutation(150) + 4)), 153
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 2**14])
+@pytest.mark.parametrize(
+    "name", ["only_cell_of_an_id_is_the_last", "absent_ids", "all_distinct", "few_ids_then_many"]
+)
+def test_first_positions_matches_a_full_scan(monkeypatch, name, block):
+    """Stopping once every present id is found gives the positions of a scan
+    of every cell, over blocks of one cell, a few cells and all cells."""
+    flat, top = _first_positions_case(name)
+    monkeypatch.setattr(graph, "_RANK_BLOCK", block)
+    present = len(np.unique(flat))
+    for dtype in (np.uint8, np.int64):
+        got = graph.first_positions(flat.astype(dtype), top, present)
+        assert got.tolist() == python_first_positions(flat.tolist(), top)
+
+
+def test_first_positions_stops_once_every_present_id_is_found():
+    """Three ids all in the first block: the ids of later blocks, out of the
+    table's range, are never read."""
+    head = np.concatenate(([3, 1, 1, 2], np.ones(graph._RANK_BLOCK - 4, dtype=np.int64)))
+    flat = np.concatenate((head, np.full(3 * graph._RANK_BLOCK, 99)))
+    assert graph.first_positions(flat, 3, 3).tolist() == [len(flat), 1, 3, 0]
+    with pytest.raises(IndexError):
+        graph.first_positions(flat, 3, 4)
 
 
 @pytest.mark.parametrize("seed", range(8))

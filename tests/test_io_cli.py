@@ -578,6 +578,29 @@ def test_cli_module_run_prints_what_main_prints(tmp_path, capsys):
     assert strip_wall_lines(proc.stdout) == strip_wall_lines(out)
 
 
+def test_cli_close_exact_never_imports_numpy_random(tmp_path):
+    """``close --mode exact`` takes its substitution from a hash, not a
+    random generator: a child interpreter that runs it on a permuted path,
+    whose run ends in the row check, never imports ``numpy.random`` (about
+    2 MiB of RSS)."""
+    x = permute_vertices(make_fixture("path", 12), np.arange(12)[::-1])
+    path = tmp_path / "g.wl"
+    write_graph_file(path, x)
+    script = (
+        "import sys; from wlclosure.cli import main; code = main(sys.argv[1:]); "
+        "print('numpy.random' in sys.modules); sys.exit(code)"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = ["close", str(path), "--mode", "exact", "--out", str(tmp_path / "c.wl")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "stopping_reason: stable" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_cli_close_parse_failure_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.wl"
     bad.write_text("wlgraph 2 2\n1 2\n")
