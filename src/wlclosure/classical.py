@@ -153,19 +153,20 @@ def _exact_substitution(n: int, r: int) -> RandomSubstitution:
     """The exact step's substitution for colors ``1..r``: color ``c`` gets
     ``1 + splitmix64(2c) % m`` on the left and ``1 + splitmix64(2c + 1) % m``
     on the right, with the largest ``m`` for which ``n * m**2 <= 2**53``, so
-    every row block of the product is one exact GEMM.
+    every row block of the product is one exact GEMM; the values, below
+    2**27, are exact in the product's float64 tables.
 
     A fixed function of the color id, so a quiet step repeated on the same
     coloring stays quiet.  Any values give the same partitions; a hash, not
     a random generator, keeps the ids independent of numpy's streams.
     """
     m = isqrt(2**53 // n)
-    tables = []
+    tables = np.zeros((2, r + 1))
     for side in (0, 1):
         z = _splitmix64(np.arange(2 + side, 2 * r + 2, 2, dtype=np.uint64))
         z %= np.uint64(m)
         z += np.uint64(1)
-        tables.append(z.view(np.int64))
+        tables[side, 1:] = z
     return RandomSubstitution(m, *tables)
 
 

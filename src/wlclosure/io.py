@@ -34,7 +34,6 @@ from .graph import normalize_by_value, validate
 HEADER_TAG = "wlgraph"
 _BLOCK_CELLS = 1 << 15
 _INT32_MAX = 2**31 - 1
-_UINT32_MAX = 2**32 - 1
 _MAX_DIGITS = len(str(INT64_MAX))  # 19
 
 _NOT_BLANK = re.compile(rb"[^ \t]")
@@ -240,17 +239,18 @@ def _encode_rows(rows: np.ndarray) -> np.ndarray:
     """ASCII text of a block of rows of positive ids, as a uint8 array.
 
     Each id is cut into a right-aligned column of decimal digits by
-    unsigned ``floor_divide`` by 10 (on uint32 when the ids fit), which
-    numpy vectorises where it does not ``divmod``.  Ids are separated by one
-    space and each row ends in ``\n``.  The uniform-width rule: when the
-    block's smallest and largest ids have the same digit count, so do all
-    its ids, no column is pad and the padded text is the text.  Otherwise a
-    column before an id's first digit is pad, masked out and compressed
-    away.
+    unsigned ``floor_divide`` by 10 on uint32, which numpy vectorises where
+    it does not ``divmod``; the ids, a coloring's or cell positions, are at
+    most the cell count, at most ``MAX_CELLS`` = 2**31.  Ids are separated
+    by one space and each row ends in ``\n``.  The uniform-width rule: when
+    the block's smallest and largest ids have the same digit count, so do
+    all its ids, no column is pad and the padded text is the text.
+    Otherwise a column before an id's first digit is pad, masked out and
+    compressed away.
     """
     hi = int(rows.max())
     width = len(str(hi))
-    quotient = rows.astype(np.uint32 if hi <= _UINT32_MAX else np.uint64)
+    quotient = rows.astype(np.uint32)
     high, low = np.empty_like(quotient), np.empty_like(quotient)
     text = np.empty(rows.shape + (width + 1,), dtype=np.uint8)
     keep = np.ones(text.shape, dtype=bool) if len(str(int(rows.min()))) < width else None

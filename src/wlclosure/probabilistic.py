@@ -53,14 +53,14 @@ _PRODUCT_BLOCKS = 4
 
 # What a Monte Carlo run may hold per cell.  Per coloring: its input, current
 # and next cells, each as wide as the ids of a discrete coloring.  Per step,
-# in bytes, shared by paired colorings: the substitution's two int64 tables
-# and a float64 copy of one (at most one entry per cell each), half of the
-# right factor, a row block of half the left factor, a row block of the
-# second half's products, and the int64 product, in whose buffer the rank
-# layer sorts its words.  The words' dropped low bits (at most 4 bytes)
-# take the place half of the right factor held.
+# in bytes, shared by paired colorings: the substitution's two float64 tables
+# (at most one entry per cell each) and the int64 product, plus the most any
+# phase adds: the product's half of the right factor, row block of half the
+# left factor and row block of the second half's products; the per-class
+# int64 table of refine_by's constancy check, the largest; or the dropped low
+# bits of the rank words (at most 4 bytes), sorted in the product's buffer.
 _COLORING_ARRAYS = 3
-_STEP_CELL_BYTES = 3 * 8 + 8 // 2 + 8 // (2 * _PRODUCT_BLOCKS) + 8 // _PRODUCT_BLOCKS + 8
+_STEP_CELL_BYTES = 2 * 8 + 8 + max(8 // 2 + 8 // (2 * _PRODUCT_BLOCKS) + 8 // _PRODUCT_BLOCKS, 8, 4)
 
 
 class RefinementInvariantError(RuntimeError):
@@ -217,7 +217,9 @@ def check_product_bound(n: int, m: int) -> None:
 
 @dataclass(frozen=True)
 class RandomSubstitution:
-    """One iteration's random color values: ``left[c-1]``/``right[c-1]`` for color ``c``."""
+    """One iteration's random color values: ``left[c]``/``right[c]`` for
+    color ``c``, in float64 tables with entry 0 unused, which the product
+    gathers from.  Values up to ``m`` are exact: products need ``m < 2**32``."""
 
     m: int
     left: np.ndarray
@@ -272,23 +274,17 @@ class RunParams:
 
 
 def draw_substitution(r: int, m: int, rng: np.random.Generator) -> RandomSubstitution:
-    """Draw fresh left and right families of uniform values in ``1..m``."""
+    """Draw fresh left and right families of uniform values in ``1..m``:
+    color ``c`` gets the ``c``-th value of each draw."""
     if r < 1:
         raise InputError(f"color count must be >= 1, got {r}")
     _check_m(m)
     if m > INT64_MAX:
         raise OverflowGuardError(f"m {m} exceeds the int64 value range")
-    left = rng.integers(1, m + 1, size=r, dtype=np.int64)
-    right = rng.integers(1, m + 1, size=r, dtype=np.int64)
+    left, right = np.zeros((2, r + 1))
+    left[1:] = rng.integers(1, m + 1, size=r, dtype=np.int64)
+    right[1:] = rng.integers(1, m + 1, size=r, dtype=np.int64)
     return RandomSubstitution(m, left, right)
-
-
-def _float_table(table: np.ndarray) -> np.ndarray:
-    """``table`` as float64 behind a leading 0, so ``_float_table(t)[cells]``
-    is ``t[cells - 1]`` with no int64 temporary the size of ``cells``.
-    Values up to ``m`` are exact floats: the guard on ``n * m**2`` keeps
-    ``m`` below 2**32."""
-    return np.concatenate(([0.0], table))
 
 
 def _gemm_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -350,7 +346,8 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     Entry ``(u, v)`` is the sum over ``w`` of ``left[c(u, w)] * right[c(w, v)]``,
     a number in ``[n, n * m**2]``, returned as an int64 matrix; the bound is
     checked up front against the int64 range and the run aborts rather than
-    wrap.  The sum runs over two halves of ``w``, so only half of the right
+    wrap.  The factors are gathered straight from the substitution's float64
+    tables.  The sum runs over two halves of ``w``, so only half of the right
     factor is held at a time: each half's rows of the right factor are
     gathered once, and the matching columns of the left factor in
     ``_PRODUCT_BLOCKS`` row blocks.  The first half's products are written
@@ -358,7 +355,7 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     them.  Each half is an exact int64 product by :func:`multiply`, and so
     is their sum, at most ``n * m**2``.
     """
-    if sub.left.shape[0] < x.r or sub.right.shape[0] < x.r:
+    if len(sub.left) <= x.r or len(sub.right) <= x.r:
         raise InputError("substitution covers fewer colors than the input uses")
     n, m = x.n, sub.m
     check_product_bound(n, m)
@@ -366,12 +363,9 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     rows = -(-n // _PRODUCT_BLOCKS)
     half = -(-n // 2)
     for k0, k1 in ((0, half), (half, n)):
-        # the right table's float copy is freed before the left one is made,
-        # which matters when a table has one entry per cell
-        right = gather(_float_table(sub.right), x.cells[k0:k1])
-        left = _float_table(sub.left)
+        right = gather(sub.right, x.cells[k0:k1])
         for r0 in range(0, n, rows):
-            block = gather(left, x.cells[r0:r0 + rows, k0:k1])
+            block = gather(sub.left, x.cells[r0:r0 + rows, k0:k1])
             if k0 == 0:
                 multiply(block, right, m, product[r0:r0 + rows])
                 continue
@@ -379,7 +373,7 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
             del block
             product[r0:r0 + rows] += part
             del part
-        del right, left
+        del right
     lo, hi = int(product.min()), int(product.max())
     if lo < n or hi > n * m**2:
         raise RefinementInvariantError(

@@ -229,7 +229,7 @@ def _assert_matches_fingerprint_reference(x):
     assert partition_of(out.result.cells) == partition_of(expected)
     assert out.refined == refined
     sub = classical._exact_substitution(x.n, x.r)
-    left, right = (table[x.cells - 1].tolist() for table in (sub.left, sub.right))
+    left, right = (table[x.cells].tolist() for table in (sub.left, sub.right))
     grid = x.cells.tolist()
     assert out.result.cells.tolist() == python_refine_by(grid, python_matmul(left, right))[1]
     _assert_canonical(x, out)
@@ -309,16 +309,16 @@ def test_exact_substitution_is_a_pinned_hash():
     outputs seeded with 1234567."""
     sub = classical._exact_substitution(256, 8)
     assert sub.m == 5931641  # isqrt(2**53 // 256)
-    assert sub.left.dtype == sub.right.dtype == np.int64
-    assert sub.left.tolist() == [2814809, 1327802, 670932, 159137, 2894799, 3553413, 1894078, 4833637]
-    assert sub.right.tolist() == [4655393, 4229721, 5582721, 2248683, 3538000, 833682, 1429528, 5325465]
+    assert sub.left.dtype == sub.right.dtype == np.float64
+    assert sub.left[1:].tolist() == [2814809, 1327802, 670932, 159137, 2894799, 3553413, 1894078, 4833637]
+    assert sub.right[1:].tolist() == [4655393, 4229721, 5582721, 2248683, 3538000, 833682, 1429528, 5325465]
     fewer = classical._exact_substitution(256, 3)
-    assert fewer.left.tolist() == sub.left.tolist()[:3]
-    assert fewer.right.tolist() == sub.right.tolist()[:3]
+    assert fewer.left.tolist() == sub.left.tolist()[:4]
+    assert fewer.right.tolist() == sub.right.tolist()[:4]
     wide = classical._exact_substitution(1000, 300)
     for side, table in enumerate((wide.left, wide.right)):
         expected = [1 + python_splitmix64(2 * c + side) % wide.m for c in range(1, 301)]
-        assert table.tolist() == expected
+        assert table[1:].tolist() == expected
     gamma = 0x9E3779B97F4A7C15
     states = [(1234567 + k * gamma) % 2**64 for k in range(5)]
     assert [python_splitmix64(z) for z in states] == classical._splitmix64(
@@ -335,7 +335,7 @@ def test_exact_substitution_is_a_pinned_hash():
 def _constant_substitution(n, r):
     """Every color is 1 on both sides: every product is n, so each step is
     quiet in the product and every split is a collision."""
-    return RandomSubstitution(2, np.ones(r, dtype=np.int64), np.ones(r, dtype=np.int64))
+    return RandomSubstitution(2, np.ones(r + 1), np.ones(r + 1))
 
 
 def _m2_substitution(n, r):

@@ -136,7 +136,8 @@ def test_blocked_product_matches_python_oracle(n, m):
     x = validate(random_grid(rng, n, 5))
     sub = draw_substitution(x.r, m, rng)
     assert (n * m * m > FLOAT64_EXACT) == (m > 1000)
-    expected = python_matmul(sub.left[x.cells - 1].tolist(), sub.right[x.cells - 1].tolist())
+    left, right = (table.astype(np.int64)[x.cells].tolist() for table in (sub.left, sub.right))
+    expected = python_matmul(left, right)
     assert numeric_product(x, sub).tolist() == expected
 
 
@@ -151,11 +152,12 @@ def test_product_halves_need_one_gemm_each(monkeypatch):
     m = isqrt(FLOAT64_EXACT // (n // 2))
     rng = np.random.default_rng(7)
     x = validate(random_grid(rng, n, 5))
-    sub = RandomSubstitution(m, m - rng.integers(0, 1000, x.r), m - rng.integers(0, 1000, x.r))
+    left, right = (np.append(0, m - rng.integers(0, 1000, x.r)) for _ in range(2))
+    sub = RandomSubstitution(m, left.astype(np.float64), right.astype(np.float64))
     gemms = []
     real = probabilistic._gemm_into
     monkeypatch.setattr(probabilistic, "_gemm_into", lambda *a: gemms.append(1) or real(*a))
-    expected = python_matmul(sub.left[x.cells - 1].tolist(), sub.right[x.cells - 1].tolist())
+    expected = python_matmul(left[x.cells].tolist(), right[x.cells].tolist())
     assert min(map(min, expected)) > FLOAT64_EXACT
     assert numeric_product(x, sub).tolist() == expected
     assert len(gemms) == 2 * _PRODUCT_BLOCKS

@@ -55,15 +55,17 @@ def test_draw_substitution_is_reproducible_and_ordered():
     replay = np.random.default_rng(0)
     expected_left = replay.integers(1, 101, size=3, dtype=np.int64)
     expected_right = replay.integers(1, 101, size=3, dtype=np.int64)
-    assert np.array_equal(sub.left, expected_left)
-    assert np.array_equal(sub.right, expected_right)
+    # color c gets the c-th value of each draw; entry 0 is unused
+    assert sub.left.dtype == sub.right.dtype == np.float64
+    assert np.array_equal(sub.left[1:], expected_left)
+    assert np.array_equal(sub.right[1:], expected_right)
     assert sub.m == 100
 
 
 def test_draw_substitution_range_and_independence():
     rng = np.random.default_rng(1)
     sub = draw_substitution(100_000, 4, rng)
-    values = np.concatenate([sub.left, sub.right])
+    values = np.concatenate([sub.left[1:], sub.right[1:]]).astype(np.int64)
     assert values.min() >= 1 and values.max() <= 4
     # uniformity within 5 sigma per value
     counts = np.bincount(values, minlength=5)[1:]
@@ -84,8 +86,8 @@ def test_draw_substitution_rejects_bad_arguments():
 
 def test_numeric_product_frozen_example():
     x = ColorMatrix(np.array([[2, 1], [1, 2]]), 2)
-    sub_left = np.array([3, 5], dtype=np.int64)
-    sub_right = np.array([2, 7], dtype=np.int64)
+    sub_left = np.array([0, 3, 5], dtype=np.float64)
+    sub_right = np.array([0, 2, 7], dtype=np.float64)
     product = numeric_product(x, RandomSubstitution(10, sub_left, sub_right))
     assert product.tolist() == [[41, 31], [31, 41]]
     assert product.dtype == np.int64
@@ -93,9 +95,8 @@ def test_numeric_product_frozen_example():
 
 def test_numeric_product_uniform_is_constant():
     x = validate([[1] * 3] * 3)
-    product = numeric_product(
-        x, RandomSubstitution(10, np.array([4], dtype=np.int64), np.array([9], dtype=np.int64))
-    )
+    left, right = np.array([0, 4], dtype=np.float64), np.array([0, 9], dtype=np.float64)
+    product = numeric_product(x, RandomSubstitution(10, left, right))
     assert (product == 3 * 4 * 9).all()
 
 
@@ -116,22 +117,22 @@ def test_numeric_product_backends_bit_identical():
     x = validate(random_grid(rng, 70, 4))
     for m in (1000, 2**28):
         sub = draw_substitution(x.r, m, np.random.default_rng(3))
-        left = sub.left[x.cells - 1].tolist()
-        right = sub.right[x.cells - 1].tolist()
+        left = sub.left.astype(np.int64)[x.cells].tolist()
+        right = sub.right.astype(np.int64)[x.cells].tolist()
         assert numeric_product(x, sub).tolist() == python_matmul(left, right)
 
 
 def test_numeric_product_overflow_guard():
     x = validate(random_grid(np.random.default_rng(4), 4, 2))
     m = 2**32
-    table = np.array([1, 1], dtype=np.int64)
+    table = np.array([0, 1, 1], dtype=np.float64)
     with pytest.raises(OverflowGuardError):
         numeric_product(x, RandomSubstitution(m, table, table))
 
 
 def test_numeric_product_rejects_short_substitution():
     x = validate([[1, 2], [2, 1]])
-    one = np.array([5], dtype=np.int64)
+    one = np.array([0, 5], dtype=np.float64)
     with pytest.raises(InputError):
         numeric_product(x, RandomSubstitution(10, one, one))
 
@@ -515,6 +516,36 @@ def test_paired_step_holds_one_product_at_a_time():
     single, paired = step_peak((x,)), step_peak((x, x))
     discrete = n * n * np.dtype(id_dtype(n * n)).itemsize
     assert paired <= single + discrete + 2**16, f"{single / n / n:.2f} {paired / n / n:.2f} B/cell"
+
+
+def test_step_peak_near_a_discrete_coloring_is_within_the_guard():
+    """At r = n**2 - 1 each substitution table has one entry per cell, and
+    the step's largest phase, the constancy check, holds both tables, the
+    product and its per-class table: the traced peak of one step stays
+    within ``_STEP_CELL_BYTES`` plus the uint32 next cells, with 1 MiB for
+    block temporaries (33.0 bytes a cell measured at n = 512)."""
+    n = 512
+    grid = np.arange(1, n * n + 1).reshape(n, n)
+    grid[0, 2] = grid[0, 1]
+    x = validate(grid)
+    assert x.r == n * n - 1
+    peak = _traced_peak(lambda: probabilistic_step(x, 10**6, np.random.default_rng(1)))
+    bound = n * n * (probabilistic._STEP_CELL_BYTES + 4) + 2**20
+    assert peak <= bound, f"{peak / n / n:.2f} B/cell"
+
+
+def test_product_gathers_from_the_substitution_tables():
+    """On the largest-r step of a permuted path(512), r = n**2 / 2, the
+    product holds itself, half of the right factor and its row blocks, and
+    no copy of a table: at most 16 bytes a cell traced (15.3 measured; 19.3
+    with a float64 copy of each table made per half)."""
+    n = 512
+    path = permute_vertices(make_fixture("path", n), np.random.default_rng(5).permutation(n))
+    x = probabilistic_closure(path, RunParams(10**6, StoppingPolicy.practical(3), 1)).closure
+    assert x.r == n * n // 2
+    sub = draw_substitution(x.r, 10**6, np.random.default_rng(2))
+    peak = _traced_peak(lambda: numeric_product(x, sub))
+    assert peak <= 16 * n * n, f"{peak / n / n:.2f} B/cell"
 
 
 def test_monte_carlo_closure_peak_is_about_two_matrices():
