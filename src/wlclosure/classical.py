@@ -38,16 +38,13 @@ from .graph import ColorMatrix, RefinementOutcome, first_positions, id_dtype, re
 from .probabilistic import (
     RandomSubstitution,
     WlResult,
+    _splitmix64,
     guard_memory,
     monte_carlo_bytes,
     numeric_product,
     refine_lockstep,
 )
 
-# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the increment and the two
-# multipliers of its output mix
-_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 # rows built or compared at a time
 _BLOCK_BYTES = 2**20
 # bytes :func:`row_mismatches` holds at its peak: blocks of the first cells'
@@ -138,17 +135,6 @@ def _split_collisions(x: ColorMatrix, candidate: ColorMatrix, bad: np.ndarray) -
     return refine_by(candidate, local.reshape(n, n)).result
 
 
-def _splitmix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output for each state in the uint64 array ``z``: ``z``
-    plus the golden gamma, mixed; ``z`` is overwritten and returned."""
-    z += _GOLDEN_GAMMA
-    for shift, mul in zip((30, 27), _MIX):
-        z ^= z >> np.uint64(shift)
-        z *= mul
-    z ^= z >> np.uint64(31)
-    return z
-
-
 def _exact_substitution(n: int, r: int) -> RandomSubstitution:
     """The exact step's substitution for colors ``1..r``: color ``c`` gets
     ``1 + splitmix64(2c) % m`` on the left and ``1 + splitmix64(2c + 1) % m``
@@ -157,8 +143,8 @@ def _exact_substitution(n: int, r: int) -> RandomSubstitution:
     2**27, are exact in the product's float64 tables.
 
     A fixed function of the color id, so a quiet step repeated on the same
-    coloring stays quiet.  Any values give the same partitions; a hash, not
-    a random generator, keeps the ids independent of numpy's streams.
+    coloring stays quiet.  Any values give the same partitions; the mixer is
+    the Monte Carlo stream's, :func:`~wlclosure.probabilistic._splitmix64`.
     """
     m = isqrt(2**53 // n)
     tables = np.zeros((2, r + 1))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import gc
-import secrets
+import random
 import sys
 import time
 import tracemalloc
@@ -44,6 +44,7 @@ from .probabilistic import (
     OverflowGuardError,
     ResourceGuardError,
     RunParams,
+    SplitMix64Stream,
     StoppingPolicy,
     check_coherent,
     check_product_bound,
@@ -60,9 +61,11 @@ _GEN_CELL_BYTES = 40
 
 
 def _seed(args) -> int:
-    """``--seed``, which must not be negative, or a fresh one from OS entropy."""
+    """``--seed``, which must not be negative, or a fresh one in
+    ``[0, 2**63)`` from OS entropy (``secrets``' source, without its import
+    of OpenSSL)."""
     if args.seed is None:
-        return secrets.randbits(63)
+        return random.SystemRandom().getrandbits(63)
     if args.seed < 0:
         raise InputError(f"seed must be >= 0, got {args.seed}")
     return args.seed
@@ -142,8 +145,7 @@ def cmd_close(args) -> int:
 def cmd_check(args) -> int:
     x, _ = _read_input(args.input)
     seed = _seed(args)
-    rng = np.random.default_rng(seed)
-    verdict = check_coherent(x, args.m, args.trials, rng)
+    verdict = check_coherent(x, args.m, args.trials, SplitMix64Stream(seed))
     report = verify_coherent(x) if args.exact else None
     print(f"input_sha256: {input_digest(x)}")
     print(f"m: {args.m}")
@@ -253,7 +255,7 @@ def cmd_bench(args) -> int:
         )
         for name, raw in inputs:
             x = rainbow_refine(raw)
-            rng = np.random.default_rng(seed)
+            rng = SplitMix64Stream(seed)
             samples = []
             for _ in range(args.reps):
                 started = time.perf_counter()

@@ -509,8 +509,18 @@ def is_rainbow(x: ColorMatrix) -> bool:
 
 
 def color_counts(x: ColorMatrix) -> np.ndarray:
-    """Cell count per color id, indexed by the id (entry 0 is 0)."""
-    return np.bincount(x.cells.ravel(), minlength=x.r + 1)
+    """Cell count per color id, indexed by the id (entry 0 is 0).
+
+    ``bincount`` copies its input to intp, eight bytes a cell, so it counts
+    ``max(_RANK_BLOCK, r + 1)`` cells at a time: each block's copy and
+    count table then take O(block) memory, and the tables O(cells) time.
+    """
+    flat = x.cells.ravel()
+    block = max(_RANK_BLOCK, x.r + 1)
+    counts = np.zeros(x.r + 1, dtype=np.intp)
+    for s in range(0, len(flat), block):
+        counts += np.bincount(flat[s : s + block], minlength=x.r + 1)
+    return counts
 
 
 def _as_permutation(mapping: Sequence[int], n: int) -> np.ndarray:

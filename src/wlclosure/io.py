@@ -19,7 +19,6 @@ across runs with the same inputs and seed.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 import tempfile
@@ -324,7 +323,13 @@ def write_graph_file(path, x: ColorMatrix, canonical: bool = True) -> None:
 
 
 def input_digest(x: ColorMatrix) -> str:
-    """SHA-256 of the canonical text form, hashed as it is encoded."""
+    """SHA-256 of the canonical text form, hashed as it is encoded.
+
+    ``hashlib`` is imported here, so only commands that print a digest load
+    OpenSSL's libcrypto.
+    """
+    import hashlib
+
     digest = hashlib.sha256()
     for chunk in _canonical_chunks(x):
         digest.update(chunk)

@@ -9,13 +9,20 @@ fingerprints agree always receive equal numeric values.  The resulting
 partition therefore *never* splits finer than the exact step, and a
 refinement run can only err by stopping too early, one-sidedly.
 
-All randomness flows through a caller-supplied ``numpy.random.Generator``
-(``default_rng``/PCG64 by seed everywhere in this package).  Per iteration
+A run's values come from :class:`SplitMix64Stream`, seeded by the run's
+seed: raw value ``i`` is SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) of
+``seed + i * gamma``, reduced to ``1..m`` exactly uniformly by rejecting the
+top ``2**64 mod m`` raw values.  The stream is defined here, not by numpy,
+so a seed pins the same values under every numpy version.  Per iteration
 the left family for colors ``1..r`` is drawn first, then the right family;
-this draw order is part of the reproducibility contract.
+this draw order is part of the reproducibility contract.  The functions that
+take an ``rng`` need only its ``integers(low, high, size, dtype)``, so a
+``numpy.random.Generator`` serves as well.
 
-Every refinement run, exact ones too (:mod:`wlclosure.classical`), is driven
-by :func:`refine_lockstep` and sized by the memory guard :func:`guard_memory`.
+Every refinement run, exact ones too (:mod:`wlclosure.classical`, whose
+fixed substitution hashes color ids with the same :func:`_splitmix64`), is
+driven by :func:`refine_lockstep` and sized by the memory guard
+:func:`guard_memory`.
 """
 
 from __future__ import annotations
@@ -43,6 +50,14 @@ from .graph import (
 )
 
 FLOAT64_EXACT = 2**53
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the increment and the two
+# multipliers of its output mix
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+# raw values a stream makes at a time, so the mix's temporaries stay in
+# cache; and the offsets ``i * gamma`` mod 2**64 of a block's states
+_DRAW_BLOCK = 2**14
+_GAMMA_STEPS = np.arange(_DRAW_BLOCK, dtype=np.uint64) * _GOLDEN_GAMMA
 # rows cast at a time: the second half's products are cast while its block
 # of the left factor is still held, so the cast's staging adds to the peak
 _CAST_ROWS = 16
@@ -273,9 +288,75 @@ class RunParams:
             raise InputError(f"seed must be >= 0, got {self.seed}")
 
 
-def draw_substitution(r: int, m: int, rng: np.random.Generator) -> RandomSubstitution:
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output for each state in the uint64 array ``z``: ``z``
+    plus the golden gamma, mixed; ``z`` is overwritten and returned."""
+    z += _GOLDEN_GAMMA
+    for shift, mul in zip((30, 27), _MIX):
+        z ^= z >> np.uint64(shift)
+        z *= mul
+    z ^= z >> np.uint64(31)
+    return z
+
+
+class SplitMix64Stream:
+    """The seeded, counter-based random stream of Monte Carlo runs.
+
+    Raw value ``i`` (from 0) is ``splitmix64(seed + i * gamma)`` mod
+    ``2**64``, the ``i``-th output of SplitMix64 started at ``seed``.  A
+    seed of ``2**64`` or more is reduced mod ``2**64``, so ``s`` and
+    ``s + 2**64`` give one stream.  :meth:`integers` takes raw values in
+    order, so two draws continue one sequence.
+    """
+
+    def __init__(self, seed: int) -> None:
+        if seed < 0:
+            raise InputError(f"seed must be >= 0, got {seed}")
+        self._seed = seed % 2**64
+        self._drawn = 0
+
+    def _raw(self, size: int) -> np.ndarray:
+        """The next ``size`` raw values, ``size <= _DRAW_BLOCK``."""
+        start = (self._seed + self._drawn * int(_GOLDEN_GAMMA)) % 2**64
+        self._drawn += size
+        return _splitmix64(_GAMMA_STEPS[:size] + np.uint64(start))
+
+    def integers(self, low: int, high: int, size: int, dtype=np.int64) -> np.ndarray:
+        """``size`` values uniform on ``low..high - 1``, for
+        ``0 <= low < high < 2**64``, in ``dtype``, which must hold them.
+
+        A raw value ``z`` gives ``low + z % (high - low)``.  The top
+        ``2**64 mod (high - low)`` raw values would make the small
+        remainders likelier; they are rejected and the next raw values
+        taken, so every value in range is exactly equally likely.  Raw
+        values are made ``_DRAW_BLOCK`` at a time, so the only array as
+        large as the draw is the one returned.
+        """
+        if not 0 <= low < high < 2**64:
+            raise ValueError(f"need 0 <= low < high < 2**64, got {low}, {high}")
+        span = np.uint64(high - low)
+        reject = 2**64 % (high - low)
+        limit = np.uint64(2**64 - reject) if reject else None
+        out = np.empty(size, dtype=dtype)
+        filled = 0
+        while filled < size:
+            z = self._raw(min(_DRAW_BLOCK, size - filled))
+            if limit is not None and not (keep := z < limit).all():
+                z = z[keep]
+            # z % span: numpy divides by a scalar with a precomputed
+            # multiplier, but not in %, which took twice as long
+            z -= z // span * span
+            z += np.uint64(low)
+            out[filled : filled + len(z)] = z
+            filled += len(z)
+        return out
+
+
+def draw_substitution(r: int, m: int, rng: SplitMix64Stream) -> RandomSubstitution:
     """Draw fresh left and right families of uniform values in ``1..m``:
-    color ``c`` gets the ``c``-th value of each draw."""
+    color ``c`` gets the ``c``-th value of each draw, the left one first.
+    ``rng`` is the run's :class:`SplitMix64Stream` or anything with its
+    ``integers``, such as a ``numpy.random.Generator``."""
     if r < 1:
         raise InputError(f"color count must be >= 1, got {r}")
     _check_m(m)
@@ -382,7 +463,7 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     return product
 
 
-def _substitution_steps(m: int, rng: np.random.Generator):
+def _substitution_steps(m: int, rng: SplitMix64Stream):
     """A driver step: one fresh substitution, sized for the largest color
     count, applied to every coloring, so color ids that agree across
     colorings receive the same random values."""
@@ -396,7 +477,7 @@ def _substitution_steps(m: int, rng: np.random.Generator):
     return step
 
 
-def probabilistic_step(x: ColorMatrix, m: int, rng: np.random.Generator) -> RefinementOutcome:
+def probabilistic_step(x: ColorMatrix, m: int, rng: SplitMix64Stream) -> RefinementOutcome:
     """One randomized refinement pass with a fresh substitution."""
     (outcome,) = _substitution_steps(m, rng)((x,))
     return outcome
@@ -414,7 +495,7 @@ def _monte_carlo_run(
     """
     _guard_monte_carlo(inputs[0].n, len(inputs))
     policy = params.policy
-    step = _substitution_steps(params.m, np.random.default_rng(params.seed))
+    step = _substitution_steps(params.m, SplitMix64Stream(params.seed))
     if policy.kind == "practical":
         return refine_lockstep(inputs, step, policy.patience)
     budget = iteration_budget(inputs[0].n, policy.growth_constant)
@@ -434,7 +515,7 @@ def probabilistic_closure(x: ColorMatrix, params: RunParams) -> WlResult:
     return result
 
 
-def check_coherent(x: ColorMatrix, m: int, trials: int, rng: np.random.Generator) -> bool:
+def check_coherent(x: ColorMatrix, m: int, trials: int, rng: SplitMix64Stream) -> bool:
     """Fast coherence test: does any of ``trials`` random passes split a class?
 
     A discrete coloring (rainbow, and it cannot split) is coherent; any

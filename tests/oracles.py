@@ -200,6 +200,23 @@ def python_splitmix64(state: int) -> int:
     return z ^ (z >> 31)
 
 
+def python_stream_integers(seed: int, low: int, high: int, size: int, start: int = 0):
+    """Reference Monte Carlo stream: raw value ``i`` is
+    ``splitmix64(seed + i * gamma)``, one at a time from ``start``; a raw
+    value in the top ``2**64 mod (high - low)`` is rejected, any other gives
+    ``low + raw % (high - low)``.  Returns the ``size`` values and the next
+    ``i``."""
+    span = high - low
+    limit = 2**64 - 2**64 % span
+    values, i = [], start
+    while len(values) < size:
+        z = python_splitmix64((seed + i * 0x9E3779B97F4A7C15) % 2**64)
+        i += 1
+        if z < limit:
+            values.append(low + z % span)
+    return values, i
+
+
 def python_format_graph_text(grid, canonical: bool = True) -> str:
     """Writer reference: header, then each row's ids joined by single spaces.
 

@@ -790,6 +790,45 @@ def test_partition_view_and_counts():
     assert partition_of(x.cells) == ((0, 4, 8), (1, 2, 3, 5, 6, 7))
 
 
+def _coloring_with(rng, n, r):
+    """A coloring of ``n x n`` cells using every id ``1..r``, in ``id_dtype(r)``."""
+    flat = np.concatenate((np.arange(1, r + 1), rng.integers(1, r + 1, n * n - r)))
+    return ColorMatrix(rng.permutation(flat).reshape(n, n), r)
+
+
+@pytest.mark.parametrize(
+    "n, r, dtype",
+    [
+        (200, 3, np.uint8),  # 3 blocks of _RANK_BLOCK cells
+        (200, 255, np.uint8),
+        (200, 300, np.uint16),
+        (200, 30_000, np.uint16),  # r above the block size: blocks of r + 1 cells
+        (300, 70_000, np.uint32),
+        (256, 256 * 256, np.uint32),  # discrete: one block
+    ],
+)
+def test_color_counts_matches_bincount_blockwise(n, r, dtype):
+    x = _coloring_with(np.random.default_rng(r), n, r)
+    assert x.cells.dtype == dtype
+    counts = graph.color_counts(x)
+    assert counts.dtype == np.intp
+    assert np.array_equal(counts, np.bincount(x.cells.ravel().astype(np.int64), minlength=r + 1))
+
+
+def test_color_counts_copies_no_grid_to_intp():
+    """A uint8 coloring at n = 512 is counted in blocks: the traced peak
+    stays below one byte a cell, where an intp copy of the grid takes eight."""
+    x = _coloring_with(np.random.default_rng(5), 512, 3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph.color_counts(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 512
+
+
 def test_normalize_by_value_sorts_by_original_id():
     a, ids = normalize_by_value([[9, 5], [5, 9]])
     assert a.cells.tolist() == [[2, 1], [1, 2]] and ids.tolist() == [5, 9]

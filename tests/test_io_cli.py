@@ -579,27 +579,93 @@ def test_cli_module_run_prints_what_main_prints(tmp_path, capsys):
     assert strip_wall_lines(proc.stdout) == strip_wall_lines(out)
 
 
-def test_cli_close_exact_never_imports_numpy_random(tmp_path):
-    """``close --mode exact`` takes its substitution from a hash, not a
-    random generator: a child interpreter that runs it on a permuted path,
-    whose run ends in the row check, never imports ``numpy.random`` (about
-    2 MiB of RSS)."""
-    x = permute_vertices(make_fixture("path", 12), np.arange(12)[::-1])
-    path = tmp_path / "g.wl"
-    write_graph_file(path, x)
+def _child_imports(argv, modules):
+    """Run ``main(argv)`` in a child interpreter (no command: only import
+    :mod:`wlclosure.cli`); return its exit code, its stdout and which of
+    ``modules`` it had imported by the end."""
     script = (
-        "import sys; from wlclosure.cli import main; code = main(sys.argv[1:]); "
-        "print('numpy.random' in sys.modules); sys.exit(code)"
+        "import sys; from wlclosure.cli import main; argv = sys.argv[2:]; "
+        "code = main(argv) if argv else 0; "
+        "print(*(m in sys.modules for m in sys.argv[1].split(','))); sys.exit(code)"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    argv = ["close", str(path), "--mode", "exact", "--out", str(tmp_path / "c.wl")]
     proc = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", script, ",".join(modules), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert "stopping_reason: stable" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "False"
+    *out, flags = proc.stdout.splitlines()
+    return proc.returncode, "\n".join(out), dict(zip(modules, (f == "True" for f in flags.split())))
+
+
+def test_cli_close_exact_never_imports_numpy_random(tmp_path):
+    """``close --mode exact`` takes its substitution from a hash, not a
+    random generator: a child interpreter that runs it on a permuted path,
+    whose run ends in the row check, never imports ``numpy.random``."""
+    x = permute_vertices(make_fixture("path", 12), np.arange(12)[::-1])
+    path = tmp_path / "g.wl"
+    write_graph_file(path, x)
+    argv = ["close", str(path), "--mode", "exact", "--out", str(tmp_path / "c.wl")]
+    code, out, imported = _child_imports(argv, ["numpy.random"])
+    assert code == 0
+    assert "stopping_reason: stable" in out
+    assert not imported["numpy.random"]
+
+
+@pytest.mark.parametrize("command", ["close", "check", "isopair", "gen", "import"])
+def test_cli_commands_load_neither_numpy_random_nor_openssl(tmp_path, command):
+    """Monte Carlo commands draw from the package's SplitMix64 stream, so a
+    child interpreter that runs them never imports ``numpy.random`` (which
+    also imports ``secrets`` and with it OpenSSL).  ``hashlib``'s OpenSSL
+    module ``_hashlib`` is imported only to print a digest: never by a bare
+    import of the CLI, by ``isopair`` or by ``gen`` of a fixture without a
+    seed."""
+    x = permute_vertices(make_fixture("path", 12), np.arange(12)[::-1])
+    path = tmp_path / "g.wl"
+    write_graph_file(path, x)
+    argv, digest = {
+        "close": (["close", str(path), "--seed", "3"], True),
+        "check": (["check", str(path), "--seed", "3"], True),
+        "isopair": (["isopair", str(path), str(path), "--seed", "3"], False),
+        "gen": (["gen", "path", "12", "--out", str(tmp_path / "p.wl")], False),
+        "import": ([], False),
+    }[command]
+    code, out, imported = _child_imports(argv, ["numpy.random", "secrets", "_hashlib"])
+    assert code in (0, 1), out
+    assert not imported["numpy.random"] and not imported["secrets"]
+    assert imported["_hashlib"] == digest
+    assert ("input_sha256: " in out) == digest
+
+
+def test_cli_close_without_seed_echoes_a_fresh_63_bit_seed(tmp_path):
+    """With ``--seed`` omitted, ``close`` takes a seed in ``[0, 2**63)`` from
+    OS entropy, echoes it, and rerunning with that seed reproduces the run."""
+    x = make_fixture("random", 16, 3, 4)
+    path = tmp_path / "g.wl"
+    write_graph_file(path, x)
+    code, out, imported = _child_imports(["close", str(path)], ["numpy.random", "secrets"])
+    assert code == 0
+    assert not imported["numpy.random"] and not imported["secrets"]
+    (seed,) = (int(ln.split(": ")[1]) for ln in out.splitlines() if ln.startswith("seed: "))
+    assert 0 <= seed < 2**63
+    code, again, _ = _child_imports(["close", str(path), "--seed", str(seed)], [])
+    assert code == 0
+    assert strip_wall_lines(again) == strip_wall_lines(out)
+
+
+def test_cli_close_accepts_a_seed_past_64_bits(tmp_path, capsys):
+    """A seed of ``2**64`` or more is accepted and echoed as given; the
+    stream reduces it mod ``2**64``, so the run equals that of the reduced
+    seed."""
+    x = permute_vertices(make_fixture("path", 10), np.random.default_rng(2).permutation(10))
+    path = tmp_path / "g.wl"
+    write_graph_file(path, x)
+    code, big, _ = run_cli(capsys, "close", str(path), "--seed", str(2**64 + 5))
+    assert code == 0
+    assert f"seed: {2**64 + 5}" in big
+    code, small, _ = run_cli(capsys, "close", str(path), "--seed", "5")
+    assert code == 0
+    assert strip_wall_lines(big).replace(f"seed: {2**64 + 5}", "seed: 5") == strip_wall_lines(small)
 
 
 def test_cli_close_parse_failure_exits_2(tmp_path, capsys):

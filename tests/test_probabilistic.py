@@ -30,6 +30,7 @@ from wlclosure.probabilistic import (
     OverflowGuardError,
     RandomSubstitution,
     RunParams,
+    SplitMix64Stream,
     StoppingPolicy,
     check_coherent,
     draw_substitution,
@@ -41,7 +42,13 @@ from wlclosure.probabilistic import (
     probabilistic_step,
 )
 
-from oracles import python_color_counts, python_matmul, random_grid
+from oracles import (
+    python_color_counts,
+    python_matmul,
+    python_splitmix64,
+    python_stream_integers,
+    random_grid,
+)
 
 BOTH_POLICIES = pytest.mark.parametrize(
     "policy",
@@ -82,6 +89,75 @@ def test_draw_substitution_rejects_bad_arguments():
         draw_substitution(3, 1, rng)
     with pytest.raises(OverflowGuardError):
         draw_substitution(3, 2**63, rng)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 17])
+def test_stream_continues_python_splitmix64_across_draws(seed):
+    """Raw value ``i`` is ``splitmix64(seed + i * gamma)``, and a second draw
+    continues where the first stopped.  Over ``0..2**64 - 2`` only the raw
+    value ``2**64 - 1`` is rejected, so the values are the raw ones."""
+    stream = SplitMix64Stream(seed)
+    first = stream.integers(0, 2**64 - 1, size=5, dtype=np.uint64)
+    second = stream.integers(0, 2**64 - 1, size=3, dtype=np.uint64)
+    gamma = 0x9E3779B97F4A7C15
+    raw = [python_splitmix64((seed + i * gamma) % 2**64) for i in range(8)]
+    assert first.dtype == np.uint64
+    assert first.tolist() + second.tolist() == raw
+
+
+def test_stream_substitution_draws_left_then_right():
+    """Color ``c`` gets the ``c``-th value of the left draw, then of the
+    right one, both from the one stream."""
+    sub = draw_substitution(300, 10**6, SplitMix64Stream(9))
+    left, after = python_stream_integers(9, 1, 10**6 + 1, 300)
+    right, _ = python_stream_integers(9, 1, 10**6 + 1, 300, start=after)
+    assert sub.left[0] == sub.right[0] == 0
+    assert sub.left[1:].tolist() == left
+    assert sub.right[1:].tolist() == right
+
+
+def test_stream_rejection_keeps_values_exactly_uniform():
+    """At ``m = 2**63 + 1`` the top ``2**64 mod m = 2**63 - 1`` raw values,
+    about half of them, are rejected.  The values stay in ``1..m``, repeat
+    for the same seed and equal those of a one-at-a-time Python sampler,
+    through a second draw."""
+    m = 2**63 + 1
+    stream = SplitMix64Stream(4)
+    first = stream.integers(1, m + 1, size=2000, dtype=np.uint64)
+    second = stream.integers(1, m + 1, size=500, dtype=np.uint64)
+    expected, used = python_stream_integers(4, 1, m + 1, 2000)
+    expected_second, _ = python_stream_integers(4, 1, m + 1, 500, start=used)
+    assert 1.3 * 2000 < used < 2.7 * 2000  # about two raw values per value
+    assert first.tolist() == expected
+    assert second.tolist() == expected_second
+    assert 1 <= min(expected + expected_second) and max(expected + expected_second) <= m
+    replay = SplitMix64Stream(4).integers(1, m + 1, size=2000, dtype=np.uint64)
+    assert np.array_equal(replay, first)
+
+
+def test_stream_reduces_a_seed_past_64_bits_mod_2_64():
+    """Seeds ``s`` and ``s + k * 2**64`` give one stream; negative seeds and
+    ranges past 64 bits are refused."""
+    draws = [SplitMix64Stream(s).integers(1, 100, size=50) for s in (7, 2**64 + 7, 2**200 + 7)]
+    assert np.array_equal(draws[0], draws[1]) and np.array_equal(draws[0], draws[2])
+    assert not np.array_equal(draws[0], SplitMix64Stream(8).integers(1, 100, size=50))
+    with pytest.raises(InputError):
+        SplitMix64Stream(-1)
+    stream = SplitMix64Stream(1)
+    for low, high in ((-1, 5), (5, 5), (0, 2**64)):
+        with pytest.raises(ValueError):
+            stream.integers(low, high, size=3)
+
+
+def test_stream_false_accept_rate_within_collision_bound():
+    """One check of a non-coherent input on the stream accepts with
+    frequency at most ``2/m``, five standard deviations of slack."""
+    x = make_fixture("path", 4)
+    trials = 3000
+    for m in (4, 8, 16):
+        accepts = sum(check_coherent(x, m, 1, SplitMix64Stream(seed)) for seed in range(trials))
+        bound = 2 / m
+        assert accepts / trials <= bound + 5 * (bound * (1 - bound) / trials) ** 0.5
 
 
 def test_numeric_product_frozen_example():
