@@ -36,6 +36,7 @@ import numpy as np
 
 from .graph import ColorMatrix, RefinementOutcome, first_positions, id_dtype, refine_by
 from .probabilistic import (
+    _DRAW_BLOCK,
     RandomSubstitution,
     WlResult,
     _splitmix64,
@@ -149,10 +150,14 @@ def _exact_substitution(n: int, r: int) -> RandomSubstitution:
     m = isqrt(2**53 // n)
     tables = np.zeros((2, r + 1))
     for side in (0, 1):
-        z = _splitmix64(np.arange(2 + side, 2 * r + 2, 2, dtype=np.uint64))
-        z %= np.uint64(m)
-        z += np.uint64(1)
-        tables[side, 1:] = z
+        # a block of colors at a time, so the mix's temporaries stay small
+        # beside the tables, as in the Monte Carlo stream's draw
+        for lo in range(1, r + 1, _DRAW_BLOCK):
+            hi = min(lo + _DRAW_BLOCK, r + 1)
+            z = _splitmix64(np.arange(2 * lo + side, 2 * hi + side, 2, dtype=np.uint64))
+            z %= np.uint64(m)
+            z += np.uint64(1)
+            tables[side, lo:hi] = z
     return RandomSubstitution(m, *tables)
 
 

@@ -325,12 +325,21 @@ def write_graph_file(path, x: ColorMatrix, canonical: bool = True) -> None:
 def input_digest(x: ColorMatrix) -> str:
     """SHA-256 of the canonical text form, hashed as it is encoded.
 
-    ``hashlib`` is imported here, so only commands that print a digest load
-    OpenSSL's libcrypto.
+    The hash is CPython's built-in SHA-256 (``_sha2`` from Python 3.12,
+    ``_sha256`` before), as in the standard ``random`` module: ``hashlib``
+    loads OpenSSL's libcrypto, about 3.5 MiB of resident memory, to hash a
+    few MiB of text.  ``hashlib`` serves only a build that ships neither.
+    The digest is the same.
     """
-    import hashlib
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
-    digest = hashlib.sha256()
+    digest = sha256()
     for chunk in _canonical_chunks(x):
         digest.update(chunk)
     return digest.hexdigest()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import gc
 import hashlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -412,6 +413,10 @@ def test_digest_depends_on_partition_not_color_names():
     assert input_digest(validate([[1, 2], [2, 1]])) != input_digest(validate([[1, 1], [1, 1]]))
 
 
+# CPython's built-in SHA-256: ``_sha2`` from 3.12, ``_sha256`` before
+_BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -616,10 +621,10 @@ def test_cli_close_exact_never_imports_numpy_random(tmp_path):
 def test_cli_commands_load_neither_numpy_random_nor_openssl(tmp_path, command):
     """Monte Carlo commands draw from the package's SplitMix64 stream, so a
     child interpreter that runs them never imports ``numpy.random`` (which
-    also imports ``secrets`` and with it OpenSSL).  ``hashlib``'s OpenSSL
-    module ``_hashlib`` is imported only to print a digest: never by a bare
-    import of the CLI, by ``isopair`` or by ``gen`` of a fixture without a
-    seed."""
+    also imports ``secrets`` and with it OpenSSL).  ``close`` and ``check``
+    print a digest from CPython's built-in SHA-256, so where that module
+    exists no command imports ``hashlib``'s OpenSSL module ``_hashlib``;
+    elsewhere only those two do."""
     x = permute_vertices(make_fixture("path", 12), np.arange(12)[::-1])
     path = tmp_path / "g.wl"
     write_graph_file(path, x)
@@ -633,8 +638,31 @@ def test_cli_commands_load_neither_numpy_random_nor_openssl(tmp_path, command):
     code, out, imported = _child_imports(argv, ["numpy.random", "secrets", "_hashlib"])
     assert code in (0, 1), out
     assert not imported["numpy.random"] and not imported["secrets"]
-    assert imported["_hashlib"] == digest
+    assert imported["_hashlib"] == (digest and not _BUILTIN_SHA256)
     assert ("input_sha256: " in out) == digest
+
+
+def test_input_digest_falls_back_to_hashlib(monkeypatch):
+    """With the built-in SHA-256 modules hidden, ``input_digest`` hashes
+    with ``hashlib.sha256``, to the same hex digest, over a text of several
+    encoder blocks; with them present it does not touch ``hashlib``."""
+    x = validate(np.random.default_rng(11).permutation(300 * 300).reshape(300, 300) + 1)
+    text = format_graph_text(x).encode("ascii")
+    assert len(text) > 4 * wio._BLOCK_CELLS
+    expected = hashlib.sha256(text).hexdigest()
+    real, calls = hashlib.sha256, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hashlib, "sha256", spy)
+    if _BUILTIN_SHA256:
+        assert input_digest(x) == expected and not calls
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    assert input_digest(x) == expected
+    assert calls == [()]
 
 
 def test_cli_close_without_seed_echoes_a_fresh_63_bit_seed(tmp_path):
