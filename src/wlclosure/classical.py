@@ -37,6 +37,7 @@ import numpy as np
 from .graph import ColorMatrix, RefinementOutcome, first_positions, id_dtype, refine_by
 from .probabilistic import (
     _DRAW_BLOCK,
+    _TABLE_DTYPE,
     RandomSubstitution,
     WlResult,
     _splitmix64,
@@ -140,15 +141,15 @@ def _exact_substitution(n: int, r: int) -> RandomSubstitution:
     """The exact step's substitution for colors ``1..r``: color ``c`` gets
     ``1 + splitmix64(2c) % m`` on the left and ``1 + splitmix64(2c + 1) % m``
     on the right, with the largest ``m`` for which ``n * m**2 <= 2**53``, so
-    every row block of the product is one exact GEMM; the values, below
-    2**27, are exact in the product's float64 tables.
+    every row block of the product is one exact GEMM.  The values, below
+    ``2**27``, are held in the Monte Carlo draw's uint32 tables.
 
     A fixed function of the color id, so a quiet step repeated on the same
     coloring stays quiet.  Any values give the same partitions; the mixer is
     the Monte Carlo stream's, :func:`~wlclosure.probabilistic._splitmix64`.
     """
     m = isqrt(2**53 // n)
-    tables = np.zeros((2, r + 1))
+    tables = np.zeros((2, r + 1), dtype=_TABLE_DTYPE)
     for side in (0, 1):
         # a block of colors at a time, so the mix's temporaries stay small
         # beside the tables, as in the Monte Carlo stream's draw

@@ -92,21 +92,31 @@ def id_dtype(r: int) -> np.dtype:
     return np.min_scalar_type(r)
 
 
-def gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``table[index]`` for a 1-D or 2-D index of any integer dtype whose
-    entries all lie in ``table``.
+def gather(table: np.ndarray, index: np.ndarray, dtype=None) -> np.ndarray:
+    """``table[index]`` in ``dtype`` (by default the table's) for a 1-D or
+    2-D index of any integer dtype whose entries all lie in ``table``.
 
     ``np.take`` about one ``_RANK_BLOCK`` of the index at a time, converted
     to intp in cache: fancy indexing by a narrow index took up to twice as
     long.  A 2-D index is taken in whole rows, so a strided one (columns of
     a matrix) is not copied first.  ``mode="clip"`` skips the bounds check,
     which would also buffer the output; an entry out of range would be
-    clipped, not reported.
+    clipped, not reported.  Into another dtype, each block is taken into
+    one scratch block in the table's dtype and cast from there in cache, so
+    no cast copy of the table is made.
     """
-    out = np.empty(index.shape, dtype=table.dtype)
+    out = np.empty(index.shape, dtype=table.dtype if dtype is None else dtype)
     step = _RANK_BLOCK if index.ndim == 1 else max(1, _RANK_BLOCK // max(1, index.shape[1]))
+    scratch = None
+    if out.dtype != table.dtype:
+        scratch = np.empty((min(step, len(index)),) + index.shape[1:], dtype=table.dtype)
     for s in range(0, len(index), step):
-        np.take(table, index[s : s + step], out=out[s : s + step], mode="clip")
+        block = out[s : s + step]
+        if scratch is None:
+            np.take(table, index[s : s + step], out=block, mode="clip")
+        else:
+            np.take(table, index[s : s + step], out=scratch[: len(block)], mode="clip")
+            block[...] = scratch[: len(block)]
     return out
 
 

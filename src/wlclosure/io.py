@@ -180,15 +180,6 @@ def _declared(x: ColorMatrix, declared: int) -> ColorMatrix:
     return x
 
 
-def _canonical(grid: np.ndarray, declared: int) -> ColorMatrix:
-    return _declared(_renumbered(validate, grid), declared)
-
-
-def parse_graph_text(text: str | bytes) -> ColorMatrix:
-    """Parse and canonicalize a graph file's content."""
-    return _canonical(*parse_graph_raw(text))
-
-
 def _read_raw(path) -> tuple[np.ndarray, int]:
     """:func:`parse_graph_raw` of a graph file; the file's bytes are
     released on return, before the grid is renumbered."""
@@ -201,8 +192,10 @@ def _read_raw(path) -> tuple[np.ndarray, int]:
 
 
 def read_graph_file(path) -> ColorMatrix:
-    """Read and canonicalize a graph file, see :func:`parse_graph_text`."""
-    return _canonical(*_read_raw(path))
+    """Read a graph file and renumber its colors by first occurrence
+    (:func:`~wlclosure.graph.validate`), checking the header's color count."""
+    grid, declared = _read_raw(path)
+    return _declared(_renumbered(validate, grid), declared)
 
 
 def read_graph_by_value(path) -> tuple[ColorMatrix, np.ndarray]:

@@ -66,16 +66,22 @@ _CAST_ROWS = 16
 # a time
 _PRODUCT_BLOCKS = 4
 
+# the dtype of both substitution tables: every value is at most m < 2**32
+_TABLE_DTYPE = np.dtype(np.uint32)
+
 # What a Monte Carlo run may hold per cell.  Per coloring: its input, current
 # and next cells, each as wide as the ids of a discrete coloring.  Per step,
-# in bytes, shared by paired colorings: the substitution's two float64 tables
+# in bytes, shared by paired colorings: the substitution's two uint32 tables
 # (at most one entry per cell each) and the int64 product, plus the most any
-# phase adds: the product's half of the right factor, row block of half the
-# left factor and row block of the second half's products; the per-class
-# int64 table of refine_by's constancy check, the largest; or the dropped low
-# bits of the rank words (at most 4 bytes), sorted in the product's buffer.
+# phase adds: the product's float64 half of the right factor, row block of
+# half the left factor and row block of the second half's products (23 bytes
+# in all); the per-class int64 table of refine_by's constancy check, the
+# largest (24); or the dropped low bits of the rank words (at most 4 bytes),
+# sorted in the product's buffer.
 _COLORING_ARRAYS = 3
-_STEP_CELL_BYTES = 2 * 8 + 8 + max(8 // 2 + 8 // (2 * _PRODUCT_BLOCKS) + 8 // _PRODUCT_BLOCKS, 8, 4)
+_STEP_CELL_BYTES = 2 * _TABLE_DTYPE.itemsize + 8 + max(
+    8 // 2 + 8 // (2 * _PRODUCT_BLOCKS) + 8 // _PRODUCT_BLOCKS, 8, 4
+)
 
 
 class RefinementInvariantError(RuntimeError):
@@ -233,8 +239,9 @@ def check_product_bound(n: int, m: int) -> None:
 @dataclass(frozen=True)
 class RandomSubstitution:
     """One iteration's random color values: ``left[c]``/``right[c]`` for
-    color ``c``, in float64 tables with entry 0 unused, which the product
-    gathers from.  Values up to ``m`` are exact: products need ``m < 2**32``."""
+    color ``c``, in uint32 tables with entry 0 unused (0), which the product
+    gathers from, widening them to float64 a block at a time.  Values are at
+    most ``m``, which the product bound keeps below ``2**32``."""
 
     m: int
     left: np.ndarray
@@ -356,20 +363,21 @@ def draw_substitution(r: int, m: int, rng: SplitMix64Stream) -> RandomSubstituti
     """Draw fresh left and right families of uniform values in ``1..m``:
     color ``c`` gets the ``c``-th value of each draw, the left one first.
     ``rng`` is the run's :class:`SplitMix64Stream` or anything with its
-    ``integers``, such as a ``numpy.random.Generator``."""
+    ``integers``, such as a ``numpy.random.Generator``.  The values go into
+    uint32 tables, so ``m`` must be below ``2**32``."""
     if r < 1:
         raise InputError(f"color count must be >= 1, got {r}")
     _check_m(m)
-    if m > INT64_MAX:
-        raise OverflowGuardError(f"m {m} exceeds the int64 value range")
-    left, right = np.zeros((2, r + 1))
-    left[1:] = rng.integers(1, m + 1, size=r, dtype=np.int64)
-    right[1:] = rng.integers(1, m + 1, size=r, dtype=np.int64)
+    if m >= 2**32:
+        raise OverflowGuardError(f"m {m} exceeds the uint32 range of the substitution tables")
+    left, right = np.zeros((2, r + 1), dtype=_TABLE_DTYPE)
+    left[1:] = rng.integers(1, m + 1, size=r, dtype=_TABLE_DTYPE)
+    right[1:] = rng.integers(1, m + 1, size=r, dtype=_TABLE_DTYPE)
     return RandomSubstitution(m, left, right)
 
 
 def _gemm_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``a @ b`` of integer-valued float64 tables into the int64 array
+    """Write ``a @ b`` of integer-valued float64 factors into the int64 array
     ``out`` and return it.
 
     The GEMM writes into ``out`` viewed as float64, which is then cast in
@@ -385,15 +393,15 @@ def _gemm_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _digit(a: np.ndarray, width: int, i: int) -> np.ndarray:
-    """Base-``2**width`` digit ``i`` of the integer-valued float64 table ``a``;
+    """Base-``2**width`` digit ``i`` of the integer-valued float64 factor ``a``;
     dividing by a power of two and the remainder are exact in float64."""
     digits = np.floor_divide(a, float(1 << width * i))
     return np.fmod(digits, float(1 << width), out=digits)
 
 
 def multiply(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
-    """Write the exact product of float64 tables of integers in ``1..m`` into
-    the int64 array ``out`` and return it.
+    """Write the exact product of float64 factors of integers in ``1..m``
+    into the int64 array ``out`` and return it.
 
     ``a`` is ``k x n``, ``b`` is ``n x l`` and ``out`` is ``k x l``; the
     caller has checked ``n * m**2 <= 2**63 - 1``.  Why a float64 GEMM is
@@ -427,8 +435,10 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     Entry ``(u, v)`` is the sum over ``w`` of ``left[c(u, w)] * right[c(w, v)]``,
     a number in ``[n, n * m**2]``, returned as an int64 matrix; the bound is
     checked up front against the int64 range and the run aborts rather than
-    wrap.  The factors are gathered straight from the substitution's float64
-    tables.  The sum runs over two halves of ``w``, so only half of the right
+    wrap.  The factors are gathered straight from the substitution's uint32
+    tables, each block widened to float64 in cache by
+    :func:`~wlclosure.graph.gather`, so no float64 table or table copy is
+    made.  The sum runs over two halves of ``w``, so only half of the right
     factor is held at a time: each half's rows of the right factor are
     gathered once, and the matching columns of the left factor in
     ``_PRODUCT_BLOCKS`` row blocks.  The first half's products are written
@@ -444,9 +454,9 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     rows = -(-n // _PRODUCT_BLOCKS)
     half = -(-n // 2)
     for k0, k1 in ((0, half), (half, n)):
-        right = gather(sub.right, x.cells[k0:k1])
+        right = gather(sub.right, x.cells[k0:k1], np.float64)
         for r0 in range(0, n, rows):
-            block = gather(sub.left, x.cells[r0:r0 + rows, k0:k1])
+            block = gather(sub.left, x.cells[r0:r0 + rows, k0:k1], np.float64)
             if k0 == 0:
                 multiply(block, right, m, product[r0:r0 + rows])
                 continue
@@ -491,9 +501,11 @@ def _monte_carlo_run(
     The theoretical policy runs its budget: a patience equal to the budget
     never stops a run first.  The practical policy has no budget.  A run
     whose estimated working set exceeds the memory budget raises
-    :class:`ResourceGuardError` before it starts.
+    :class:`ResourceGuardError`, and one whose product bound exceeds int64
+    :class:`OverflowGuardError`, before it starts.
     """
     _guard_monte_carlo(inputs[0].n, len(inputs))
+    check_product_bound(inputs[0].n, params.m)
     policy = params.policy
     step = _substitution_steps(params.m, SplitMix64Stream(params.seed))
     if policy.kind == "practical":
@@ -520,10 +532,12 @@ def check_coherent(x: ColorMatrix, m: int, trials: int, rng: SplitMix64Stream) -
 
     A discrete coloring (rainbow, and it cannot split) is coherent; any
     other over the memory budget raises :class:`ResourceGuardError`, then
-    one not already rainbow is not coherent, all without sampling.  For
-    coherent inputs the answer is always ``True``; for others each trial
-    fails to notice a split with probability at most ``2/m``, so a wrong
-    ``True`` occurs with probability at most ``(2/m)**trials``.
+    one not already rainbow is not coherent, all without sampling.  A
+    product bound over int64 raises :class:`OverflowGuardError` before the
+    first trial.  For coherent inputs the answer is always ``True``; for
+    others each trial fails to notice a split with probability at most
+    ``2/m``, so a wrong ``True`` occurs with probability at most
+    ``(2/m)**trials``.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
@@ -533,6 +547,7 @@ def check_coherent(x: ColorMatrix, m: int, trials: int, rng: SplitMix64Stream) -
     _guard_monte_carlo(x.n, 1)
     if not is_rainbow(x):
         return False
+    check_product_bound(x.n, m)
     for _ in range(trials):
         if probabilistic_step(x, m, rng).refined:
             return False

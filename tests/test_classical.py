@@ -306,10 +306,13 @@ def test_exact_substitution_is_a_pinned_hash():
     """Color ``c`` gets splitmix64(2c) and splitmix64(2c + 1) reduced to
     ``1..m``: pinned values at n = 256, the same prefix for fewer colors,
     the values of a Python-integer SplitMix64, and its published first
-    outputs seeded with 1234567."""
+    outputs seeded with 1234567.  The tables are uint32 with entry 0 equal
+    to 0; the values at r = 40,000, over several mixed blocks, are pinned
+    from the float64 tables the hash filled before."""
     sub = classical._exact_substitution(256, 8)
     assert sub.m == 5931641  # isqrt(2**53 // 256)
-    assert sub.left.dtype == sub.right.dtype == np.float64
+    assert sub.left.dtype == sub.right.dtype == np.uint32
+    assert sub.left[0] == sub.right[0] == 0
     assert sub.left[1:].tolist() == [2814809, 1327802, 670932, 159137, 2894799, 3553413, 1894078, 4833637]
     assert sub.right[1:].tolist() == [4655393, 4229721, 5582721, 2248683, 3538000, 833682, 1429528, 5325465]
     fewer = classical._exact_substitution(256, 3)
@@ -319,6 +322,12 @@ def test_exact_substitution_is_a_pinned_hash():
     for side, table in enumerate((wide.left, wide.right)):
         expected = [1 + python_splitmix64(2 * c + side) % wide.m for c in range(1, 301)]
         assert table[1:].tolist() == expected
+    many = classical._exact_substitution(1000, 40_000)
+    assert many.left[0] == many.right[0] == 0
+    assert many.left[-3:].tolist() == [804350, 2276350, 2628386]
+    assert many.right[-3:].tolist() == [1174844, 604341, 1315274]
+    assert int(many.left.sum(dtype=np.uint64)) == 59968538429
+    assert int(many.right.sum(dtype=np.uint64)) == 59969107033
     gamma = 0x9E3779B97F4A7C15
     states = [(1234567 + k * gamma) % 2**64 for k in range(5)]
     assert [python_splitmix64(z) for z in states] == classical._splitmix64(
@@ -335,7 +344,7 @@ def test_exact_substitution_is_a_pinned_hash():
 def _constant_substitution(n, r):
     """Every color is 1 on both sides: every product is n, so each step is
     quiet in the product and every split is a collision."""
-    return RandomSubstitution(2, np.ones(r + 1), np.ones(r + 1))
+    return RandomSubstitution(2, np.ones(r + 1, dtype=np.uint32), np.ones(r + 1, dtype=np.uint32))
 
 
 def _m2_substitution(n, r):

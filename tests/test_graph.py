@@ -132,6 +132,31 @@ def test_colormatrix_cells_are_read_only():
         x.cells[0, 0] = 2
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+def test_gather_widens_each_block_exactly(dtype):
+    """``gather(table, index, np.float64)`` equals ``table`` cast to float64
+    and indexed, for 1-D indexes one short of, equal to and one past a
+    block and for a strided 2-D column slice of a grid three row blocks
+    long, the last one short; a block's last entries dropped or shifted
+    would differ, as the table's entries differ from their neighbours'."""
+    rng = np.random.default_rng(int(np.dtype(dtype).itemsize))
+    if np.iinfo(dtype).max < 2**16:
+        table = rng.permutation(np.iinfo(dtype).max + 1)[:4096].astype(dtype)
+    else:  # values past 2**31, which an int32 reading would make negative
+        table = rng.integers(2**31, 2**32, size=4096, dtype=np.uint64).astype(dtype)
+    for size in (graph._RANK_BLOCK - 1, graph._RANK_BLOCK, graph._RANK_BLOCK + 1):
+        index = rng.integers(0, len(table), size=size)
+        got = graph.gather(table, index, np.float64)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, table.astype(np.float64)[index])
+    grid = rng.integers(0, len(table), size=(300, 200)).astype(np.uint16)
+    columns = grid[:, 50:170]  # 136 rows a block: blocks of 136, 136 and 28
+    assert not columns.flags.c_contiguous
+    got = graph.gather(table, columns, np.float64)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, table.astype(np.float64)[columns])
+
+
 def test_rainbow_splits_uniform_2x2():
     out = rainbow_refine(validate([[1, 1], [1, 1]]))
     assert out.cells.tolist() == [[2, 1], [1, 2]]

@@ -33,7 +33,6 @@ from wlclosure.io import (
     format_graph_text,
     input_digest,
     parse_graph_raw,
-    parse_graph_text,
     read_graph_by_value,
     read_graph_file,
     write_graph_file,
@@ -56,12 +55,20 @@ def strip_wall_lines(text: str) -> str:
     return "\n".join(ln for ln in text.splitlines() if not ln.startswith("wall_"))
 
 
+def read_text(tmp_path, text: str):
+    """:func:`read_graph_file` of a file holding ``text``, encoded as the
+    parser reads a ``str``."""
+    path = tmp_path / "graph.wlg"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    return read_graph_file(path)
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_round_trip_is_canonical(seed):
+def test_round_trip_is_canonical(tmp_path, seed):
     rng = np.random.default_rng(1900 + seed)
     x = validate(random_grid(rng, int(rng.integers(1, 15)), int(rng.integers(1, 6))))
     text = format_graph_text(x)
-    back = parse_graph_text(text)
+    back = read_text(tmp_path, text)
     assert is_same_partition(back, x)
     assert format_graph_text(back) == text
 
@@ -95,14 +102,14 @@ def test_first_occurrence_check_reads_until_every_id_has_occurred(late):
     assert format_graph_text(x) == python_format_graph_text(cells)
 
 
-def test_parse_ignores_comments_and_blank_lines():
+def test_parse_ignores_comments_and_blank_lines(tmp_path):
     text = "# a colored triangle\n\nwlgraph 2 2\n# rows follow\n1 2\n\n2 1\n"
-    x = parse_graph_text(text)
+    x = read_text(tmp_path, text)
     assert x.cells.tolist() == [[1, 2], [2, 1]]
 
 
-def test_parse_renumbers_noncanonical_colors():
-    x = parse_graph_text("wlgraph 2 2\n7 4\n4 7\n")
+def test_parse_renumbers_noncanonical_colors(tmp_path):
+    x = read_text(tmp_path, "wlgraph 2 2\n7 4\n4 7\n")
     assert x.cells.tolist() == [[1, 2], [2, 1]]
 
 
@@ -140,9 +147,9 @@ def test_parse_renumbers_noncanonical_colors():
         "wlgraph 2 2\n1 1\n1 100000000000000000000000001\n",
     ],
 )
-def test_parse_rejects_malformed_files(text):
+def test_parse_rejects_malformed_files(tmp_path, text):
     with pytest.raises(GraphFileError):
-        parse_graph_text(text)
+        read_text(tmp_path, text)
     try:
         grid, r = parse_graph_raw(text.encode("utf-8"))
     except GraphFileError:
@@ -183,13 +190,9 @@ def test_renumbering_rejects_what_the_parser_lets_through(tmp_path, text, messag
     assert grid.min() <= 0 or len(np.unique(grid)) != r
     path = tmp_path / "graph.wlg"
     path.write_text(text)
-    for read, source in (
-        (parse_graph_text, text),
-        (read_graph_file, path),
-        (read_graph_by_value, path),
-    ):
+    for read in (read_graph_file, read_graph_by_value):
         with pytest.raises(GraphFileError, match=re.escape(message)):
-            read(source)
+            read(path)
 
 
 def test_parse_errors_name_rows_past_the_first_block():
@@ -218,12 +221,12 @@ def test_parse_refuses_a_grid_past_the_cell_limit(monkeypatch):
         parse_graph_raw(text)
 
 
-def test_parse_accepts_ids_up_to_int64_max():
+def test_parse_accepts_ids_up_to_int64_max(tmp_path):
     text = f"wlgraph 2 2\n{INT64_MAX} 1\n1 000000000000000000000000{INT64_MAX}\n"
     raw, r = parse_graph_raw(text)
     assert raw.dtype == np.int64 and r == 2
     assert raw.tolist() == [[INT64_MAX, 1], [1, INT64_MAX]]
-    assert parse_graph_text(text).cells.tolist() == [[1, 2], [2, 1]]
+    assert read_text(tmp_path, text).cells.tolist() == [[1, 2], [2, 1]]
 
 
 def _wide_grid(rng, n, digits):

@@ -153,7 +153,7 @@ def test_product_halves_need_one_gemm_each(monkeypatch):
     rng = np.random.default_rng(7)
     x = validate(random_grid(rng, n, 5))
     left, right = (np.append(0, m - rng.integers(0, 1000, x.r)) for _ in range(2))
-    sub = RandomSubstitution(m, left.astype(np.float64), right.astype(np.float64))
+    sub = RandomSubstitution(m, left.astype(np.uint32), right.astype(np.uint32))
     gemms = []
     real = probabilistic._gemm_into
     monkeypatch.setattr(probabilistic, "_gemm_into", lambda *a: gemms.append(1) or real(*a))

@@ -63,7 +63,8 @@ def test_draw_substitution_is_reproducible_and_ordered():
     expected_left = replay.integers(1, 101, size=3, dtype=np.int64)
     expected_right = replay.integers(1, 101, size=3, dtype=np.int64)
     # color c gets the c-th value of each draw; entry 0 is unused
-    assert sub.left.dtype == sub.right.dtype == np.float64
+    assert sub.left.dtype == sub.right.dtype == np.uint32
+    assert sub.left[0] == sub.right[0] == 0
     assert np.array_equal(sub.left[1:], expected_left)
     assert np.array_equal(sub.right[1:], expected_right)
     assert sub.m == 100
@@ -89,6 +90,38 @@ def test_draw_substitution_rejects_bad_arguments():
         draw_substitution(3, 1, rng)
     with pytest.raises(OverflowGuardError):
         draw_substitution(3, 2**63, rng)
+    # the tables are uint32: 2**32 - 1 is the largest m they hold
+    with pytest.raises(OverflowGuardError, match="uint32"):
+        draw_substitution(3, 2**32, rng)
+    assert draw_substitution(3, 2**32 - 1, rng).m == 2**32 - 1
+
+
+@pytest.mark.parametrize(
+    "seed, r, m, left_head, right_tail, sums",
+    [
+        (
+            7,
+            40_000,
+            2**32 - 1,
+            [3170758588, 4169704180, 2705943172],
+            [3634979588, 639538161, 4265425132],
+            (85854362969609, 85658805956932),
+        ),
+        (11, 5, 10**6, [638814, 744546, 734190], [172779, 548471, 644587], (2731620, 2101377)),
+        (3, 20_000, 3, [1, 1, 1], [1, 2, 1], (39869, 39924)),
+    ],
+)
+def test_stream_substitution_values_are_pinned(seed, r, m, left_head, right_tail, sums):
+    """The draws of three seeds, pinned from the float64 tables the draw
+    filled before it filled uint32 ones: the first left values, the last
+    right values and each table's sum, over several draw blocks at
+    r = 40,000 and m = 2**32 - 1."""
+    sub = draw_substitution(r, m, SplitMix64Stream(seed))
+    assert sub.left.dtype == sub.right.dtype == np.uint32
+    assert sub.left[0] == sub.right[0] == 0
+    assert sub.left[1:4].tolist() == left_head
+    assert sub.right[-3:].tolist() == right_tail
+    assert (int(sub.left.sum(dtype=np.uint64)), int(sub.right.sum(dtype=np.uint64))) == sums
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 17])
@@ -162,8 +195,8 @@ def test_stream_false_accept_rate_within_collision_bound():
 
 def test_numeric_product_frozen_example():
     x = ColorMatrix(np.array([[2, 1], [1, 2]]), 2)
-    sub_left = np.array([0, 3, 5], dtype=np.float64)
-    sub_right = np.array([0, 2, 7], dtype=np.float64)
+    sub_left = np.array([0, 3, 5], dtype=np.uint32)
+    sub_right = np.array([0, 2, 7], dtype=np.uint32)
     product = numeric_product(x, RandomSubstitution(10, sub_left, sub_right))
     assert product.tolist() == [[41, 31], [31, 41]]
     assert product.dtype == np.int64
@@ -171,7 +204,7 @@ def test_numeric_product_frozen_example():
 
 def test_numeric_product_uniform_is_constant():
     x = validate([[1] * 3] * 3)
-    left, right = np.array([0, 4], dtype=np.float64), np.array([0, 9], dtype=np.float64)
+    left, right = np.array([0, 4], dtype=np.uint32), np.array([0, 9], dtype=np.uint32)
     product = numeric_product(x, RandomSubstitution(10, left, right))
     assert (product == 3 * 4 * 9).all()
 
@@ -201,14 +234,14 @@ def test_numeric_product_backends_bit_identical():
 def test_numeric_product_overflow_guard():
     x = validate(random_grid(np.random.default_rng(4), 4, 2))
     m = 2**32
-    table = np.array([0, 1, 1], dtype=np.float64)
+    table = np.array([0, 1, 1], dtype=np.uint32)
     with pytest.raises(OverflowGuardError):
         numeric_product(x, RandomSubstitution(m, table, table))
 
 
 def test_numeric_product_rejects_short_substitution():
     x = validate([[1, 2], [2, 1]])
-    one = np.array([0, 5], dtype=np.float64)
+    one = np.array([0, 5], dtype=np.uint32)
     with pytest.raises(InputError):
         numeric_product(x, RandomSubstitution(10, one, one))
 
@@ -544,6 +577,28 @@ def test_closure_overflow_propagates():
         probabilistic_closure(x, RunParams(2**32, StoppingPolicy.practical(3), 0))
 
 
+@pytest.mark.parametrize("entry", ["probabilistic_closure", "paired_closure", "check_coherent"])
+def test_product_bound_is_refused_before_preprocessing_and_the_first_draw(monkeypatch, entry):
+    """An ``m`` whose product bound ``n * m**2`` exceeds int64 is refused with
+    the bound's int64 message before rainbow preprocessing and the first
+    draw, whose uint32 tables would refuse it with another message."""
+    x = rainbow_refine(validate(random_grid(np.random.default_rng(9), 4, 2)))
+    params = RunParams(2**32, StoppingPolicy.practical(3), 0)
+    run = {
+        "probabilistic_closure": lambda: probabilistic_closure(x, params),
+        "paired_closure": lambda: paired_closure(x, x, params),
+        "check_coherent": lambda: check_coherent(x, 2**32, 3, SplitMix64Stream(0)),
+    }[entry]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("ran before the product bound was checked")
+
+    monkeypatch.setattr(probabilistic, "rainbow_refine", fail)
+    monkeypatch.setattr(probabilistic, "draw_substitution", fail)
+    with pytest.raises(OverflowGuardError, match="exceeds int64 max"):
+        run()
+
+
 def _traced_peak(run) -> int:
     gc.collect()
     tracemalloc.start()
@@ -595,11 +650,12 @@ def test_paired_step_holds_one_product_at_a_time():
 
 
 def test_step_peak_near_a_discrete_coloring_is_within_the_guard():
-    """At r = n**2 - 1 each substitution table has one entry per cell, and
-    the step's largest phase, the constancy check, holds both tables, the
-    product and its per-class table: the traced peak of one step stays
-    within ``_STEP_CELL_BYTES`` plus the uint32 next cells, with 1 MiB for
-    block temporaries (33.0 bytes a cell measured at n = 512)."""
+    """At r = n**2 - 1 each uint32 substitution table has one entry per
+    cell, and the step's largest phase, the constancy check, holds both
+    tables, the product and its per-class table: the traced peak of one
+    step stays within ``_STEP_CELL_BYTES`` plus the uint32 next cells, with
+    1 MiB for block temporaries (28.0 bytes a cell measured at n = 512;
+    36.0 with float64 tables)."""
     n = 512
     grid = np.arange(1, n * n + 1).reshape(n, n)
     grid[0, 2] = grid[0, 1]
@@ -613,9 +669,9 @@ def test_step_peak_near_a_discrete_coloring_is_within_the_guard():
 def test_exact_step_peak_near_a_discrete_coloring_is_within_the_guard():
     """The exact twin of the test above: the product step under the hashed
     substitution, whose values are mixed a block of colors at a time, stays
-    within the same bound (31.3 bytes a cell measured at n = 512; 40.0 when
-    all ``2 * r`` states were mixed at once, their shifted temporaries
-    beside the tables)."""
+    within the same bound (23.3 bytes a cell measured at n = 512; 31.3 with
+    float64 tables, 40.0 when all ``2 * r`` states were also mixed at once,
+    their shifted temporaries beside the tables)."""
     n = 512
     grid = np.arange(1, n * n + 1).reshape(n, n)
     grid[0, 2] = grid[0, 1]
@@ -638,6 +694,18 @@ def test_product_gathers_from_the_substitution_tables():
     sub = draw_substitution(x.r, 10**6, np.random.default_rng(2))
     peak = _traced_peak(lambda: numeric_product(x, sub))
     assert peak <= 16 * n * n, f"{peak / n / n:.2f} B/cell"
+
+
+def test_draw_peak_is_its_uint32_tables():
+    """At r = 2**18 a draw holds its two uint32 tables, one family's values
+    before they are copied into their table and the stream's blocks: at most
+    14 bytes a color traced (13.6 measured; 25.6 with float64 tables filled
+    from int64 draws)."""
+    r = 2**18
+    rng = SplitMix64Stream(1)
+    draw_substitution(r, 10**6, rng)  # one-time allocations are not the draw's
+    peak = _traced_peak(lambda: draw_substitution(r, 10**6, rng))
+    assert peak <= 14 * r, f"{peak / r:.2f} B/color"
 
 
 def test_monte_carlo_closure_peak_is_about_two_matrices():
@@ -691,3 +759,17 @@ def test_monte_carlo_guard_refuses_runs_over_budget(monkeypatch):
     monkeypatch.setattr(probabilistic, "_memory_budget", lambda: None)
     assert probabilistic_closure(x, params).stopping_reason == "stable"
     assert check_coherent(x, 10**6, 3, np.random.default_rng(1))
+
+
+def test_monte_carlo_guard_admits_sizes_by_its_cell_bytes(monkeypatch):
+    """A step budgets 24 bytes a cell: two uint32 tables, the int64 product
+    and the constancy check's per-class int64 table.  With three uint32 id
+    arrays per coloring, a 4,014.8 MiB budget, half of an 8 GB machine's
+    memory, admits n = 10,813 for one coloring and 9,365 for a pair (9,781
+    and 8,670 at 32 bytes a step cell)."""
+    assert probabilistic._STEP_CELL_BYTES == 24
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: 4_209_827_840)
+    for colorings, largest in ((1, 10_813), (2, 9_365)):
+        probabilistic._guard_monte_carlo(largest, colorings)
+        with pytest.raises(probabilistic.ResourceGuardError, match=f"at n={largest + 1}"):
+            probabilistic._guard_monte_carlo(largest + 1, colorings)
