@@ -4,22 +4,29 @@ One refinement step gives every cell ``(u, v)`` the multiset of color pairs
 ``{(c(u, w), c(w, v)) : w}`` -- its fingerprint -- and splits classes whose
 cells disagree.  Iterating until no class splits yields the coherent closure.
 
-:func:`classical_closure` runs Monte Carlo steps under one fixed
-substitution, :func:`_exact_substitution`, whose values are a hash of the
-color id, until a step is quiet, and then checks the result once.  Equal
-fingerprints always give equal products, so the exact closure refines every
-iterate.  :func:`row_mismatches` checks whether the quiet coloring P is
-stable under the exact step: each cell's row, its ``n`` pair codes
+:func:`classical_closure` runs Monte Carlo steps,
+:func:`~wlclosure.probabilistic.probabilistic_step`, on one stream with a
+fixed seed and the largest ``m`` for which ``n * m**2 <= 2**53``, so every
+row block of the product is one exact GEMM.  Equal fingerprints always give
+equal products, so the exact closure refines every iterate.  A quiet step
+counts as quiet only when :func:`row_mismatches` finds its coloring P stable
+under the exact step: each cell's row, its ``n`` pair codes
 ``c(u, w) * (r + 1) + c(w, v)`` sorted, is compared with the row of its
 class's first cell, and equal rows are equal fingerprints.  A differing row
-is a product collision (probability at most ``2/m`` for two fingerprints):
-only its class is ranked by its rows and split, and the run steps on.  A
-passing check makes P coherent, and P refines the closure, the coarsest
-coherent refinement of the input, so P is the closure.  The answer is always
-exact; only the time is random (a Las Vegas algorithm).  Products and rows
-move with the vertices, so the ids are canonical under vertex permutation.
-:func:`classical_step` is one product step with its check; the same kernel
-checks coherence axiom (c) in :func:`wlclosure.coherence.verify_coherent`.
+means the draw hid a split: two cells' products differ by a nonzero
+polynomial of degree 2 in the drawn values, which a draw zeroes with
+probability at most ``2/m`` (Schwartz-Zippel), and ``m`` is at least
+440,000 at every admitted ``n``.  The step then draws again from the same
+stream until it splits, and the run steps on.  A passing check makes P
+coherent, and P refines the closure, the coarsest coherent refinement of
+the input, so P is the closure.  The answer is always exact; only the time
+is random (a Las Vegas algorithm).  The stream's position depends only on
+the class counts drawn so far, and products and rows move with the
+vertices, so the ids are deterministic and canonical under vertex
+permutation.  :func:`classical_step` is one exact step: its product
+candidate, refined by further products of the same coloring until the rows
+agree.  The same kernel checks coherence axiom (c) in
+:func:`wlclosure.coherence.verify_coherent`.
 
 Before a run or step allocates, its working set -- a Monte Carlo step's,
 which covers the check's copies of the ids, plus the kernel's blocks -- is
@@ -34,16 +41,15 @@ from math import isqrt
 
 import numpy as np
 
-from .graph import ColorMatrix, RefinementOutcome, first_positions, id_dtype, refine_by
+from .graph import ColorMatrix, RefinementOutcome, first_positions, refine_by
 from .probabilistic import (
-    _DRAW_BLOCK,
-    _TABLE_DTYPE,
-    RandomSubstitution,
+    SplitMix64Stream,
     WlResult,
-    _splitmix64,
+    draw_substitution,
     guard_memory,
     monte_carlo_bytes,
     numeric_product,
+    probabilistic_step,
     refine_lockstep,
 )
 
@@ -52,6 +58,9 @@ _BLOCK_BYTES = 2**20
 # bytes :func:`row_mismatches` holds at its peak: blocks of the first cells'
 # rows gathered to the cells', the cells' rows and a temporary, and indexes
 KERNEL_BYTES = 4 * _BLOCK_BYTES
+# the seed of every exact run's and step's stream; any seed gives the same
+# partitions, a fixed one the same ids
+_SEED = 0
 
 
 def _row_dtype(r: int) -> np.dtype:
@@ -77,12 +86,6 @@ def _sorted_codes(cells, mirror, batch, base) -> np.ndarray:
     return codes
 
 
-def _narrow(x: ColorMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of ``x`` and their transpose, in the row dtype."""
-    cells = x.cells.astype(_row_dtype(x.r))
-    return cells, np.ascontiguousarray(cells.T)
-
-
 def row_mismatches(x: ColorMatrix, classes: np.ndarray, first: np.ndarray):
     """Yield, block by block in row-major order, the cells whose row in ``x``
     differs from that of their class's first cell, and those first cells.
@@ -91,7 +94,8 @@ def row_mismatches(x: ColorMatrix, classes: np.ndarray, first: np.ndarray):
     of class ``c``; first cells, so all singleton classes, are skipped.
     """
     n, base = x.n, x.r + 1
-    cells, mirror = _narrow(x)
+    cells = x.cells.astype(_row_dtype(x.r))
+    mirror = np.ascontiguousarray(cells.T)
     block = max(1, _BLOCK_BYTES // cells[0].nbytes)  # cells whose rows fill one block
     for s in range(0, n * n, block):
         own = np.arange(s, min(s + block, n * n))
@@ -108,102 +112,61 @@ def row_mismatches(x: ColorMatrix, classes: np.ndarray, first: np.ndarray):
             yield own[differs], ref[differs]
 
 
-def _rank_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row's 0-based dense rank in byte order (equal rows share one)."""
-    keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
-    return np.unique(keys, return_inverse=True)[1]
+def _exact_draws(n: int) -> tuple[int, SplitMix64Stream]:
+    """The exact stream at size ``n``: ``m``, the largest value for which
+    ``n * m**2 <= 2**53``, and a fresh stream seeded with ``_SEED``."""
+    return isqrt(2**53 // n), SplitMix64Stream(_SEED)
 
 
-def _split_collisions(x: ColorMatrix, candidate: ColorMatrix, bad: np.ndarray) -> ColorMatrix:
-    """Split each class ``bad`` of ``candidate`` by its cells' rows in ``x``.
-
-    New ids are the ranks of ``(candidate id, row rank)``: a cell's row rank
-    is the rank of its row within its class in byte order, 0 outside ``bad``.
-    """
-    n = x.n
-    cells, mirror = _narrow(x)
-    flat = candidate.cells.ravel()
-    local = np.zeros(n * n, dtype=id_dtype(n * n))
-    for c in bad:
-        members = np.flatnonzero(flat == c)
-        # two arrays of rows at a time (the rows and a temporary, then the
-        # rows and their sorted copy) and a few index arrays
-        guard_memory(
-            len(members) * (2 * n * cells.itemsize + 40),
-            "exact step",
-            f"to split a class of {len(members)} cells at n={n}",
-        )
-        local[members] = _rank_rows(_sorted_codes(cells, mirror, members, x.r + 1))
-    return refine_by(candidate, local.reshape(n, n)).result
-
-
-def _exact_substitution(n: int, r: int) -> RandomSubstitution:
-    """The exact step's substitution for colors ``1..r``: color ``c`` gets
-    ``1 + splitmix64(2c) % m`` on the left and ``1 + splitmix64(2c + 1) % m``
-    on the right, with the largest ``m`` for which ``n * m**2 <= 2**53``, so
-    every row block of the product is one exact GEMM.  The values, below
-    ``2**27``, are held in the Monte Carlo draw's uint32 tables.
-
-    A fixed function of the color id, so a quiet step repeated on the same
-    coloring stays quiet.  Any values give the same partitions; the mixer is
-    the Monte Carlo stream's, :func:`~wlclosure.probabilistic._splitmix64`.
-    """
-    m = isqrt(2**53 // n)
-    tables = np.zeros((2, r + 1), dtype=_TABLE_DTYPE)
-    for side in (0, 1):
-        # a block of colors at a time, so the mix's temporaries stay small
-        # beside the tables, as in the Monte Carlo stream's draw
-        for lo in range(1, r + 1, _DRAW_BLOCK):
-            hi = min(lo + _DRAW_BLOCK, r + 1)
-            z = _splitmix64(np.arange(2 * lo + side, 2 * hi + side, 2, dtype=np.uint64))
-            z %= np.uint64(m)
-            z += np.uint64(1)
-            tables[side, lo:hi] = z
-    return RandomSubstitution(m, *tables)
+def _rows_agree(x: ColorMatrix, candidate: ColorMatrix) -> bool:
+    """Every class of ``candidate`` has equal rows in ``x``; the check stops
+    at the first block with a mismatch."""
+    classes, r = candidate.cells.ravel(), candidate.r
+    return next(row_mismatches(x, classes, first_positions(classes, r, r)), None) is None
 
 
 def _guard_step(n: int) -> None:
     guard_memory(monte_carlo_bytes(n, 1) + KERNEL_BYTES, "exact step", f"at n={n}")
 
 
-def _product_step(x: ColorMatrix) -> RefinementOutcome:
-    """The Monte Carlo step under :func:`_exact_substitution`: ranks of
-    ``(old color, product)``, not checked."""
-    return refine_by(x, numeric_product(x, _exact_substitution(x.n, x.r)), overwrite_values=True)
-
-
-def _checked(x: ColorMatrix, candidate: ColorMatrix) -> RefinementOutcome:
-    """``candidate``, a step's result on ``x``, with each class whose cells'
-    rows in ``x`` differ split by :func:`_split_collisions`."""
-    classes, r = candidate.cells.ravel(), candidate.r
-    bad = np.zeros(r + 1, dtype=bool)
-    for own, _ in row_mismatches(x, classes, first_positions(classes, r, r)):
-        bad[classes[own]] = True
-    if bad.any():
-        candidate = _split_collisions(x, candidate, np.flatnonzero(bad))
-    return RefinementOutcome(candidate.r > x.r, candidate)
-
-
 def classical_step(x: ColorMatrix) -> RefinementOutcome:
     """Split the classes of ``x`` by exact cell fingerprints.
 
-    New ids are the ranks of ``(old color, product)`` under
-    :func:`_exact_substitution`, a candidate class whose rows differ split
-    by :func:`_split_collisions`.  Over the memory budget,
-    :func:`~wlclosure.probabilistic.guard_memory` raises before allocating.
+    The candidate ranks ``(old color, product)`` under the first draw of
+    the exact stream.  While one of its classes has rows in ``x`` that
+    differ, it is refined by the ranks of ``(candidate id, product)`` under
+    the stream's next draw; the ids are those ranks.  Over the memory
+    budget, :func:`~wlclosure.probabilistic.guard_memory` raises before
+    allocating.
     """
     _guard_step(x.n)
-    return _checked(x, _product_step(x).result)
+    m, rng = _exact_draws(x.n)
+    candidate = x
+    while True:
+        product = numeric_product(x, draw_substitution(x.r, m, rng))
+        candidate = refine_by(candidate, product, overwrite_values=True).result
+        del product
+        if _rows_agree(x, candidate):
+            return RefinementOutcome(candidate.r > x.r, candidate)
 
 
-def _las_vegas_steps(colorings: tuple[ColorMatrix, ...]) -> list[RefinementOutcome]:
-    """A step of the exact run: the product step, checked only when it is
-    quiet, so that a quiet outcome is stable under the exact step.
+def _las_vegas_steps(n: int):
+    """The exact run's driver step: a Monte Carlo step on the exact stream.
+    A quiet step whose coloring's rows differ hid a split, so it draws again
+    until a step splits; one check per coloring suffices.
     :func:`~wlclosure.probabilistic.refine_lockstep` steps no discrete
     coloring, so none is checked."""
-    (x,) = colorings
-    out = _product_step(x)
-    return [out if out.refined else _checked(x, x)]
+    m, rng = _exact_draws(n)
+
+    def step(colorings: tuple[ColorMatrix, ...]) -> list[RefinementOutcome]:
+        (x,) = colorings
+        out = probabilistic_step(x, m, rng)
+        if not out.refined and not _rows_agree(x, x):
+            while not (out := probabilistic_step(x, m, rng)).refined:
+                pass
+        return [out]
+
+    return step
 
 
 def classical_closure(x: ColorMatrix) -> WlResult:
@@ -211,11 +174,12 @@ def classical_closure(x: ColorMatrix) -> WlResult:
 
     The exact mode of :func:`~wlclosure.probabilistic.refine_lockstep`:
     patience 1, no budget, its step guarded before rainbow preprocessing.
-    Product steps run unchecked until one is quiet; that step checks its
-    coloring's rows once, and a check that splits counts as its step's
-    split, after which the run steps on.  A discrete coloring stops the run
-    before another step, since it cannot split.
+    Steps draw from the exact stream, unchecked until one is quiet; that
+    step checks its coloring's rows once.  A failed check draws again until
+    a step splits, which counts as the quiet step's split, and the run steps
+    on.  A discrete coloring stops the run before another step, since it
+    cannot split.
     """
     _guard_step(x.n)
-    (result,), _, _ = refine_lockstep((x,), _las_vegas_steps, patience=1)
+    (result,), _, _ = refine_lockstep((x,), _las_vegas_steps(x.n), patience=1)
     return result

@@ -480,23 +480,16 @@ def refine_by(
     return RefinementOutcome(r_new > x.r, ColorMatrix._ranked(ranks.reshape(x.n, x.n), r_new))
 
 
-def is_refinement(fine: ColorMatrix, coarse: ColorMatrix) -> bool:
-    """True when every class of ``fine`` lies inside a single class of ``coarse``."""
-    if fine.n != coarse.n:
-        raise InputError("colorings have different sizes")
-    # as many distinct (fine, coarse) pairs as fine classes
-    return _lex_rank(fine.cells.ravel(), coarse.cells.ravel())[1] == fine.r
-
-
 def is_same_partition(x: ColorMatrix, y: ColorMatrix) -> bool:
     """True when the two colorings cut the cells into identical classes.
 
-    Color ids are ignored.  Equal class counts and ``x`` refining ``y`` make
+    Color ids are ignored.  Equal class counts and as many distinct
+    ``(x, y)`` pairs as classes of ``x``, so that ``x`` refines ``y``, make
     the classes correspond one to one.
     """
     if x.n != y.n:
         raise InputError("colorings have different sizes")
-    return x.r == y.r and is_refinement(x, y)
+    return x.r == y.r and _lex_rank(x.cells.ravel(), y.cells.ravel())[1] == x.r
 
 
 def is_discrete(x: ColorMatrix) -> bool:

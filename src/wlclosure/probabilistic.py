@@ -20,9 +20,8 @@ take an ``rng`` need only its ``integers(low, high, size, dtype)``, so a
 ``numpy.random.Generator`` serves as well.
 
 Every refinement run, exact ones too (:mod:`wlclosure.classical`, whose
-fixed substitution hashes color ids with the same :func:`_splitmix64`), is
-driven by :func:`refine_lockstep` and sized by the memory guard
-:func:`guard_memory`.
+steps draw from a stream of fixed seed), is driven by
+:func:`refine_lockstep` and sized by the memory guard :func:`guard_memory`.
 """
 
 from __future__ import annotations

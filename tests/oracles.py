@@ -96,7 +96,9 @@ def brute_is_rainbow(grid) -> bool:
 
 
 def brute_is_refinement(fine, coarse) -> bool:
-    """Every class of ``fine`` lies inside one class of ``coarse``."""
+    """Every class of ``fine`` lies inside one class of ``coarse``; each is
+    a grid or a coloring."""
+    fine, coarse = (g.cells.tolist() if hasattr(g, "cells") else g for g in (fine, coarse))
     flat_fine = [c for row in fine for c in row]
     pairs = set(zip(flat_fine, [c for row in coarse for c in row]))
     return len(pairs) == len(set(flat_fine))

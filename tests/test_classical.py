@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import os
 import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -15,14 +16,12 @@ from wlclosure.coherence import make_fixture
 from wlclosure.graph import (
     InputError,
     is_discrete,
-    is_refinement,
     is_same_partition,
     permute_vertices,
     rainbow_refine,
     validate,
 )
 from wlclosure.probabilistic import (
-    RandomSubstitution,
     draw_substitution,
     iteration_budget,
     monte_carlo_bytes,
@@ -30,6 +29,7 @@ from wlclosure.probabilistic import (
 
 from oracles import (
     brute_closure,
+    brute_is_refinement,
     brute_rainbow,
     brute_step,
     fingerprint_step,
@@ -38,6 +38,7 @@ from oracles import (
     python_matmul,
     python_refine_by,
     python_splitmix64,
+    python_stream_integers,
     python_verify_coherent,
     random_grid,
 )
@@ -173,7 +174,7 @@ def test_classical_closure_trace_monotone_and_refining(seed):
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     assert counts[-1] == res.closure.r
     assert res.stopping_reason == ("discrete" if is_discrete(res.closure) else "stable")
-    assert is_refinement(res.closure, start)
+    assert brute_is_refinement(res.closure, start)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -221,17 +222,34 @@ def _assert_canonical(x, out):
     assert moved.cells.tolist() == permute_vertices(out.result, perm).cells.tolist()
 
 
+def _python_exact_ids(x, expected):
+    """The exact step's ids in pure Python: the ranks of ``(old color,
+    product)`` under the reference stream's first draw at the exact ``m``,
+    refined by the ranks of ``(id, product)`` under each next draw until
+    they cut ``expected``'s classes."""
+    m, grid, i = isqrt(2**53 // x.n), x.cells.tolist(), 0
+    ids = grid
+    for _ in range(8):
+        left, i = python_stream_integers(classical._SEED, 1, m + 1, x.r, i)
+        right, i = python_stream_integers(classical._SEED, 1, m + 1, x.r, i)
+        product = python_matmul(
+            [[left[c - 1] for c in row] for row in grid],
+            [[right[c - 1] for c in row] for row in grid],
+        )
+        ids = python_refine_by(ids, product)[1]
+        if partition_of(ids) == partition_of(expected):
+            return ids
+    raise AssertionError("eight draws did not cut the reference's classes")
+
+
 def _assert_matches_fingerprint_reference(x):
-    """The step cuts the reference's classes, with ids ranking ``(old color,
-    product)`` under its own substitution, and is canonical."""
+    """The step cuts the reference's classes, with the ids of
+    :func:`_python_exact_ids`, and is canonical."""
     out = classical_step(x)
     refined, expected = fingerprint_step(x.cells, x.r)
     assert partition_of(out.result.cells) == partition_of(expected)
     assert out.refined == refined
-    sub = classical._exact_substitution(x.n, x.r)
-    left, right = (table[x.cells].tolist() for table in (sub.left, sub.right))
-    grid = x.cells.tolist()
-    assert out.result.cells.tolist() == python_refine_by(grid, python_matmul(left, right))[1]
+    assert out.result.cells.tolist() == _python_exact_ids(x, expected)
     _assert_canonical(x, out)
 
 
@@ -302,35 +320,28 @@ def test_row_dtype_is_the_narrowest_that_holds_every_code():
     assert classical._row_dtype(46340) == np.int64
 
 
-def test_exact_substitution_is_a_pinned_hash():
-    """Color ``c`` gets splitmix64(2c) and splitmix64(2c + 1) reduced to
-    ``1..m``: pinned values at n = 256, the same prefix for fewer colors,
-    the values of a Python-integer SplitMix64, and its published first
-    outputs seeded with 1234567.  The tables are uint32 with entry 0 equal
-    to 0; the values at r = 40,000, over several mixed blocks, are pinned
-    from the float64 tables the hash filled before."""
-    sub = classical._exact_substitution(256, 8)
-    assert sub.m == 5931641  # isqrt(2**53 // 256)
+def test_exact_draws_are_pinned():
+    """The exact stream at n = 256 has ``m = isqrt(2**53 // 256)``.  Its
+    first draw's uint32 tables, entry 0 equal to 0, hold the reference
+    stream's values, the left family first, and are pinned; the next draw,
+    40,000 colors over several of the stream's blocks, continues the
+    reference stream.  The mixer's published first outputs seeded with
+    1234567 are pinned too."""
+    m, rng = classical._exact_draws(256)
+    assert m == 5931641
+    sub = draw_substitution(8, m, rng)
     assert sub.left.dtype == sub.right.dtype == np.uint32
     assert sub.left[0] == sub.right[0] == 0
-    assert sub.left[1:].tolist() == [2814809, 1327802, 670932, 159137, 2894799, 3553413, 1894078, 4833637]
-    assert sub.right[1:].tolist() == [4655393, 4229721, 5582721, 2248683, 3538000, 833682, 1429528, 5325465]
-    fewer = classical._exact_substitution(256, 3)
-    assert fewer.left.tolist() == sub.left.tolist()[:4]
-    assert fewer.right.tolist() == sub.right.tolist()[:4]
-    wide = classical._exact_substitution(1000, 300)
-    for side, table in enumerate((wide.left, wide.right)):
-        expected = [1 + python_splitmix64(2 * c + side) % wide.m for c in range(1, 301)]
-        assert table[1:].tolist() == expected
-    many = classical._exact_substitution(1000, 40_000)
-    assert many.left[0] == many.right[0] == 0
-    assert many.left[-3:].tolist() == [804350, 2276350, 2628386]
-    assert many.right[-3:].tolist() == [1174844, 604341, 1315274]
-    assert int(many.left.sum(dtype=np.uint64)) == 59968538429
-    assert int(many.right.sum(dtype=np.uint64)) == 59969107033
+    assert sub.left[1:].tolist() == [5378242, 5081155, 2113140, 1448356, 4533259, 2684528, 5842293, 2923231]
+    assert sub.right[1:].tolist() == [3357941, 2479939, 1998915, 1099164, 2835737, 690425, 1644897, 924370]
+    first, i = python_stream_integers(classical._SEED, 1, m + 1, 16)
+    assert sub.left[1:].tolist() + sub.right[1:].tolist() == first
+    many = draw_substitution(40_000, m, rng)
+    values, _ = python_stream_integers(classical._SEED, 1, m + 1, 80_000, i)
+    assert many.left[1:].tolist() + many.right[1:].tolist() == values
     gamma = 0x9E3779B97F4A7C15
     states = [(1234567 + k * gamma) % 2**64 for k in range(5)]
-    assert [python_splitmix64(z) for z in states] == classical._splitmix64(
+    assert [python_splitmix64(z) for z in states] == probabilistic._splitmix64(
         np.array(states, dtype=np.uint64)
     ).tolist() == [
         6457827717110365317,
@@ -341,21 +352,64 @@ def test_exact_substitution_is_a_pinned_hash():
     ]
 
 
-def _constant_substitution(n, r):
-    """Every color is 1 on both sides: every product is n, so each step is
-    quiet in the product and every split is a collision."""
-    return RandomSubstitution(2, np.ones(r + 1, dtype=np.uint32), np.ones(r + 1, dtype=np.uint32))
+class _ForcedDraws:
+    """The exact stream, with each draw (counted from 0) that ``ones`` picks
+    giving every color 1 on both sides: that draw's product is ``n`` in
+    every cell, so it splits nothing."""
+
+    def __init__(self, stream, ones):
+        self.stream, self.ones, self.calls = stream, ones, 0
+
+    def integers(self, low, high, size, dtype):
+        values = self.stream.integers(low, high, size, dtype)
+        self.calls += 1
+        # a draw is two calls: the left family's, then the right's
+        return np.ones_like(values) if self.ones((self.calls - 1) // 2) else values
 
 
-def _m2_substitution(n, r):
-    return draw_substitution(r, 2, np.random.default_rng(n))
+def _force_draws(monkeypatch, m=None, ones=lambda draw: False):
+    """Make every exact stream a :class:`_ForcedDraws`, at ``m`` if given;
+    returns the list of the streams made."""
+    real, streams = classical._exact_draws, []
+
+    def draws(n):
+        exact_m, stream = real(n)
+        streams.append(_ForcedDraws(stream, ones))
+        return m or exact_m, streams[-1]
+
+    monkeypatch.setattr(classical, "_exact_draws", draws)
+    return streams
+
+
+def _constant_substitution(monkeypatch):
+    """Each exact stream's first draw is all ones, so its first step leaves
+    every split to further draws."""
+    _force_draws(monkeypatch, ones=lambda draw: draw == 0)
+
+
+def _m2_substitution(monkeypatch):
+    """The exact stream reduced to ``m = 2``, where draws often hide splits."""
+    _force_draws(monkeypatch, m=2)
+
+
+def _spy_checks(monkeypatch):
+    """Record the verdict of every row check made."""
+    verdicts = []
+    real = classical._rows_agree
+
+    def spy(x, candidate):
+        verdicts.append(real(x, candidate))
+        return verdicts[-1]
+
+    monkeypatch.setattr(classical, "_rows_agree", spy)
+    return verdicts
 
 
 @pytest.mark.parametrize("block_bytes", [1, 54, 2**20])
 def test_classical_step_blocks_match_fingerprint_reference(monkeypatch, block_bytes):
     """Rows are built and compared in blocks of one row, three rows (int16
     rows of n = 9 entries) and all cells: the step still equals the
-    reference, and so does its split when every product collides."""
+    reference, and so does its split when its first draw splits nothing."""
     path = permute_vertices(make_fixture("path", 9), np.random.default_rng(34).permutation(9))
     x = rainbow_refine(path)
     monkeypatch.setattr(classical, "_BLOCK_BYTES", block_bytes)
@@ -370,7 +424,7 @@ def test_classical_step_blocks_match_fingerprint_reference(monkeypatch, block_by
     _assert_matches_fingerprint_reference(x)
     block = min(max(1, block_bytes // 18), x.n * x.n)
     assert block // 2 < max(sizes) <= block
-    monkeypatch.setattr(classical, "_exact_substitution", _constant_substitution)
+    _constant_substitution(monkeypatch)
     refined, expected = fingerprint_step(x.cells, x.r)
     out = classical_step(x)
     assert refined and out.refined
@@ -380,23 +434,16 @@ def test_classical_step_blocks_match_fingerprint_reference(monkeypatch, block_by
 
 @pytest.mark.parametrize("substitution", [_m2_substitution, _constant_substitution])
 def test_forced_collisions_are_split_by_rows(monkeypatch, substitution):
-    """A substitution under which distinct fingerprints share products: the
-    row check finds the collisions, ``_rank_rows`` splits their classes, and
-    every step equals the reference's partition and is canonical.  Checked
-    on a rainbow random input and on every step of a permuted path(40)."""
-    monkeypatch.setattr(classical, "_exact_substitution", substitution)
-    ranked = []
-    real = classical._rank_rows
-
-    def spy(rows):
-        ranked.append(len(rows))
-        return real(rows)
-
-    monkeypatch.setattr(classical, "_rank_rows", spy)
+    """Draws under which distinct fingerprints share products: the row check
+    finds the collisions, further draws split their classes, and every step
+    equals the reference's partition and is canonical.  Checked on a
+    rainbow random input and on every step of a permuted path(40)."""
+    substitution(monkeypatch)
+    verdicts = _spy_checks(monkeypatch)
     x = rainbow_refine(validate(random_grid(np.random.default_rng(35), 12, 3)))
     path = permute_vertices(make_fixture("path", 40), np.random.default_rng(7).permutation(40))
     for current in (x, rainbow_refine(path)):
-        ranked.clear()
+        verdicts.clear()
         while True:
             out = classical_step(current)
             refined, expected = fingerprint_step(current.cells, current.r)
@@ -406,7 +453,7 @@ def test_forced_collisions_are_split_by_rows(monkeypatch, substitution):
             if current is x or not out.refined:
                 break
             current = out.result
-        assert ranked
+        assert False in verdicts
     assert current.r == 40 * 40 // 2
 
 
@@ -425,41 +472,41 @@ def _oracle_run(grid):
 @pytest.mark.parametrize("substitution", [None, _m2_substitution, _constant_substitution])
 def test_las_vegas_closure_matches_the_oracle(monkeypatch, substitution):
     """The closure is the oracle's on rainbow(random(12, 3)) and permuted
-    paths of 40 and 30 vertices, under the hashed substitution and under
-    forced collisions; under collisions a check splits and the run still
-    ends.  Every product step of the constant substitution is quiet, so
-    each step is a check and every input splits; under ``m = 2`` only
-    path(30) leaves a collision to its check.  The trace is the oracle's
-    under the constant substitution and under the hashed one, which
-    collides on no input."""
+    paths of 40 and 30 vertices, on the exact stream and under forced
+    collisions; under collisions a check fails, further draws split, and the
+    run still ends.  An all-ones first draw makes each run's first step
+    quiet, so every input fails a check; under ``m = 2`` only path(30) fails
+    one.  The trace is the oracle's on the exact stream, which collides on
+    no input, and after an all-ones first draw, whose step splits by the
+    draw after it."""
     if substitution is not None:
-        monkeypatch.setattr(classical, "_exact_substitution", substitution)
-    splits = []
-    real = classical._split_collisions
-
-    def spy(x, candidate, bad):
-        splits.append(len(bad))
-        return real(x, candidate, bad)
-
-    monkeypatch.setattr(classical, "_split_collisions", spy)
+        substitution(monkeypatch)
+    verdicts = _spy_checks(monkeypatch)
     x = rainbow_refine(validate(random_grid(np.random.default_rng(35), 12, 3)))
     paths = [
         permute_vertices(make_fixture("path", n), np.random.default_rng(7).permutation(n))
         for n in (40, 30)
     ]
-    split_inputs = []
+    failed_inputs = []
     for start in (x, *paths):
-        splits.clear()
+        verdicts.clear()
         res = classical_closure(start)
         partition, trace = _oracle_run(start.cells.tolist())
         assert partition_of(res.closure.cells) == partition
+        assert partition == partition_of(brute_closure(start.cells.tolist()))
         assert res.iterations == len(res.trace) and res.trace[-1] == res.closure.r
         assert res.stopping_reason == ("discrete" if res.closure.r == start.n**2 else "stable")
         if substitution is not _m2_substitution:
             assert res.trace == trace
-        split_inputs.append(bool(splits))
+        failed_inputs.append(False in verdicts)
     expected = {None: [False] * 3, _m2_substitution: [False, False, True]}
-    assert split_inputs == expected.get(substitution, [True] * 3)
+    assert failed_inputs == expected.get(substitution, [True] * 3)
+
+
+def _reversal_orbits(n):
+    """The orbit partition of a path's reversal ``v -> n - 1 - v`` on cells."""
+    u, v = np.divmod(np.arange(n * n), n)
+    return validate(np.minimum(u * n + v, (n - 1 - u) * n + n - 1 - v).reshape(n, n) + 1)
 
 
 def test_las_vegas_check_on_a_permuted_path_1024_is_block_bounded(monkeypatch):
@@ -470,10 +517,8 @@ def test_las_vegas_check_on_a_permuted_path_1024_is_block_bounded(monkeypatch):
     n = 1024
     perm = np.random.default_rng(5).permutation(n)
     x = permute_vertices(make_fixture("path", n), perm)
-    u, v = np.divmod(np.arange(n * n), n)
-    orbits = validate(np.minimum(u * n + v, (n - 1 - u) * n + n - 1 - v).reshape(n, n) + 1)
     peaks = []
-    real = classical._checked
+    real = classical._rows_agree
 
     def traced(x, candidate):
         gc.collect()
@@ -485,10 +530,10 @@ def test_las_vegas_check_on_a_permuted_path_1024_is_block_bounded(monkeypatch):
             tracemalloc.stop()
         return out
 
-    monkeypatch.setattr(classical, "_checked", traced)
+    monkeypatch.setattr(classical, "_rows_agree", traced)
     res = classical_closure(x)
     assert res.trace == (12, 48, 192, 768, 3072, 12288, 49152, 196608, 524288, 524288)
-    assert is_same_partition(res.closure, permute_vertices(orbits, perm))
+    assert is_same_partition(res.closure, permute_vertices(_reversal_orbits(n), perm))
     assert len(peaks) == 1
     assert peaks[0] <= min(64 * 2**20, monte_carlo_bytes(n, 1) + classical.KERNEL_BYTES), (
         f"traced peak {peaks[0] / 2**20:.2f} MiB"
@@ -500,13 +545,44 @@ def test_las_vegas_run_is_refused_before_a_product_or_a_check(monkeypatch):
     raises before any product, rank or row is made."""
     x = permute_vertices(make_fixture("path", 12), np.random.default_rng(8).permutation(12))
     made = []
-    for name in ("numeric_product", "refine_by", "row_mismatches"):
-        monkeypatch.setattr(classical, name, lambda *a, name=name, **k: made.append(name))
+    for module, name in (
+        (probabilistic, "numeric_product"),
+        (probabilistic, "refine_by"),
+        (classical, "row_mismatches"),
+    ):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: made.append(name))
     estimate = monte_carlo_bytes(12, 1) + classical.KERNEL_BYTES
     monkeypatch.setattr(probabilistic, "_memory_budget", lambda: estimate - 1)
     with pytest.raises(probabilistic.ResourceGuardError, match="exact step .* at n=12"):
         classical_closure(x)
     assert made == []
+
+
+def test_forced_collision_in_a_class_of_most_cells_stays_within_the_run_estimate(monkeypatch):
+    """Every other draw of the exact stream is all ones, so every step of a
+    permuted path(256) is first quiet, fails its check, and draws again;
+    the first check finds a class of 64,770 of the 65,536 cells.  Under a
+    memory budget of the run's own estimate the run ends, in 15 draws, with
+    the orbit partition of the path's reversal, and its traced peak stays
+    within that estimate.  Ranking that class's rows to split it needed an
+    estimated 66 MiB, which the guard refused."""
+    n = 256
+    perm = np.random.default_rng(5).permutation(n)
+    x = permute_vertices(make_fixture("path", n), perm)
+    estimate = monte_carlo_bytes(n, 1) + classical.KERNEL_BYTES
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: estimate)
+    streams = _force_draws(monkeypatch, ones=lambda draw: draw % 2 == 0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = classical_closure(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert is_same_partition(res.closure, permute_vertices(_reversal_orbits(n), perm))
+    assert res.stopping_reason == "stable"
+    assert [stream.calls for stream in streams] == [2 * 15]
+    assert peak <= estimate, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_classical_step_working_set_is_batch_bounded():

@@ -15,7 +15,6 @@ from wlclosure.graph import (
     InputError,
     is_color_isomorphism,
     is_rainbow,
-    is_refinement,
     is_same_partition,
     normalize_by_value,
     permute_vertices,
@@ -216,7 +215,7 @@ def test_refine_by_splits_and_tracks_parents():
     out = refine_by(x, np.array([[41, 31], [99, 41]]))
     assert out.refined
     assert out.result.cells.tolist() == [[3, 1], [2, 3]]
-    assert is_refinement(out.result, x)
+    assert brute_is_refinement(out.result, x)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -227,7 +226,7 @@ def test_refine_by_never_coarsens(seed):
     values = rng.integers(0, 4, size=(n, n), dtype=np.int64)
     out = refine_by(x, values)
     assert out.result.r >= x.r
-    assert is_refinement(out.result, x)
+    assert brute_is_refinement(out.result, x)
     assert out.refined == (out.result.r > x.r)
 
 
@@ -549,11 +548,15 @@ def test_refine_by_peak_on_a_discrete_step():
 
 
 def test_is_refinement_basic_direction():
+    """Refinement has a direction; two colorings cut the same classes only
+    when each refines the other."""
     coarse = validate([[1, 1], [1, 1]])
     fine = rainbow_refine(coarse)
-    assert is_refinement(fine, coarse)
-    assert not is_refinement(coarse, fine)
-    assert is_refinement(coarse, coarse)
+    assert brute_is_refinement(fine, coarse)
+    assert not brute_is_refinement(coarse, fine)
+    assert brute_is_refinement(coarse, coarse)
+    assert not is_same_partition(fine, coarse) and not is_same_partition(coarse, fine)
+    assert is_same_partition(coarse, coarse)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -563,14 +566,17 @@ def test_is_refinement_transitive_along_chains(seed):
     x = validate(random_grid(rng, n, 2))
     y = refine_by(x, rng.integers(0, 2, size=(n, n), dtype=np.int64)).result
     z = refine_by(y, rng.integers(0, 2, size=(n, n), dtype=np.int64)).result
-    assert is_refinement(y, x) and is_refinement(z, y) and is_refinement(z, x)
-    if is_refinement(x, y):
+    assert brute_is_refinement(y, x) and brute_is_refinement(z, y) and brute_is_refinement(z, x)
+    # a refinement cuts the same classes exactly when it has as many
+    for fine, coarse in ((y, x), (z, y), (z, x)):
+        assert is_same_partition(fine, coarse) == is_same_partition(coarse, fine) == (fine.r == coarse.r)
+    if brute_is_refinement(x, y):
         assert is_same_partition(x, y)
 
 
 def test_is_refinement_size_mismatch():
     with pytest.raises(InputError):
-        is_refinement(validate([[1]]), validate([[1, 2], [2, 1]]))
+        is_same_partition(validate([[1]]), validate([[1, 2], [2, 1]]))
 
 
 def _rainbow_case(kind, seed):
@@ -598,15 +604,17 @@ def test_is_rainbow_matches_set_oracle(kind, seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_is_refinement_matches_set_oracle(seed):
+    """``is_same_partition`` is equal class counts and a refinement, one way
+    round, as the set oracle finds it."""
     rng = np.random.default_rng(500 + seed)
     n = int(rng.integers(1, 10))
     x = validate(random_grid(rng, n, int(rng.integers(1, 4))))
     y = validate(random_grid(rng, n, int(rng.integers(1, 4))))
     finer = refine_by(x, rng.integers(0, 3, size=(n, n), dtype=np.int64)).result
     for fine, coarse in ((finer, x), (x, finer), (x, y), (y, x), (x, x)):
-        expected = brute_is_refinement(fine.cells.tolist(), coarse.cells.tolist())
-        assert is_refinement(fine, coarse) == expected
-    assert is_refinement(finer, x)
+        expected = fine.r == coarse.r and brute_is_refinement(fine, coarse)
+        assert is_same_partition(fine, coarse) == expected
+    assert brute_is_refinement(finer, x)
 
 
 def test_refine_by_quiet_step_returns_its_input(monkeypatch):
