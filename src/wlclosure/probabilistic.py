@@ -61,9 +61,12 @@ _GAMMA_STEPS = np.arange(_DRAW_BLOCK, dtype=np.uint64) * _GOLDEN_GAMMA
 # of the left factor is still held, so the cast's staging adds to the peak
 _CAST_ROWS = 16
 # row blocks per product: each block's half of the left factor is gathered
-# and multiplied on its own, so only an eighth of the left factor is held at
-# a time
+# and multiplied on its own.  A block is a quarter of the rows up to n = 512,
+# 128 rows up to n = 1024 and an eighth from there on (the product at
+# n = 512 took 15 % longer in 64-row blocks), so at most an eighth of the
+# left factor is held at a time
 _PRODUCT_BLOCKS = 4
+_BLOCK_ROWS = 128
 
 # the dtype of both substitution tables: every value is at most m < 2**32
 _TABLE_DTYPE = np.dtype(np.uint32)
@@ -73,10 +76,12 @@ _TABLE_DTYPE = np.dtype(np.uint32)
 # in bytes, shared by paired colorings: the substitution's two uint32 tables
 # (at most one entry per cell each) and the int64 product, plus the most any
 # phase adds: the product's float64 half of the right factor, row block of
-# half the left factor and row block of the second half's products (23 bytes
-# in all); the per-class int64 table of refine_by's constancy check, the
-# largest (24); or the dropped low bits of the rank words (at most 4 bytes),
-# sorted in the product's buffer.
+# half the left factor and row block of the second half's products, each
+# block at most a quarter of the rows (23 bytes in all); the per-class int64
+# table of refine_by's constancy check, the largest (24); or the dropped low
+# bits of the rank words (at most 4 bytes), sorted in the product's buffer.
+# A step frees the tables before the last coloring's rank, but a paired step
+# still holds them through the first coloring's, so they count here.
 _COLORING_ARRAYS = 3
 _STEP_CELL_BYTES = 2 * _TABLE_DTYPE.itemsize + 8 + max(
     8 // 2 + 8 // (2 * _PRODUCT_BLOCKS) + 8 // _PRODUCT_BLOCKS, 8, 4
@@ -428,6 +433,13 @@ def multiply(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> np.ndarra
     return out
 
 
+def _product_block_rows(n: int) -> int:
+    """Rows of the product's row blocks: ``max(ceil(n/8), min(ceil(n/4),
+    128))``, never more than ``ceil(n / _PRODUCT_BLOCKS)``."""
+    quarter = -(-n // _PRODUCT_BLOCKS)
+    return max(-(-n // (2 * _PRODUCT_BLOCKS)), min(quarter, _BLOCK_ROWS))
+
+
 def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     """Exact product of the substituted row and column matrices.
 
@@ -437,38 +449,43 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     wrap.  The factors are gathered straight from the substitution's uint32
     tables, each block widened to float64 in cache by
     :func:`~wlclosure.graph.gather`, so no float64 table or table copy is
-    made.  The sum runs over two halves of ``w``, so only half of the right
-    factor is held at a time: each half's rows of the right factor are
-    gathered once, and the matching columns of the left factor in
-    ``_PRODUCT_BLOCKS`` row blocks.  The first half's products are written
-    into the product, the second half's, from a block temporary, added to
-    them.  Each half is an exact int64 product by :func:`multiply`, and so
-    is their sum, at most ``n * m**2``.
+    made.  Whenever ``m < 2**31``, which the product bound gives at every
+    ``n >= 2``, they are gathered from an int32 view of the tables, whose
+    widening is faster.  The sum runs over two halves of ``w``, so only half
+    of the right factor is held at a time: each half's rows of the right
+    factor are gathered once, and the matching columns of the left factor in
+    row blocks of :func:`_product_block_rows` rows.  The first half's products
+    are written into the product, the second half's, from a block
+    temporary, added to them.  Each half is an exact int64 product by
+    :func:`multiply`, and so is their sum, at most ``n * m**2``.  Each row
+    block is range-checked once its sum is complete, while it is in cache.
     """
     if len(sub.left) <= x.r or len(sub.right) <= x.r:
         raise InputError("substitution covers fewer colors than the input uses")
     n, m = x.n, sub.m
     check_product_bound(n, m)
+    wide = np.int32 if m < 2**31 else _TABLE_DTYPE
+    lefts, rights = sub.left.view(wide), sub.right.view(wide)
     product = np.empty(x.cells.shape, dtype=np.int64)
-    rows = -(-n // _PRODUCT_BLOCKS)
-    half = -(-n // 2)
+    rows, half, bound = _product_block_rows(n), -(-n // 2), n * m**2
     for k0, k1 in ((0, half), (half, n)):
-        right = gather(sub.right, x.cells[k0:k1], np.float64)
+        right = gather(rights, x.cells[k0:k1], np.float64)
         for r0 in range(0, n, rows):
-            block = gather(sub.left, x.cells[r0:r0 + rows, k0:k1], np.float64)
+            block = gather(lefts, x.cells[r0:r0 + rows, k0:k1], np.float64)
             if k0 == 0:
                 multiply(block, right, m, product[r0:r0 + rows])
                 continue
             part = multiply(block, right, m, np.empty_like(product[r0:r0 + rows]))
             del block
-            product[r0:r0 + rows] += part
+            done = product[r0:r0 + rows]
+            done += part
             del part
+            lo, hi = int(done.min()), int(done.max())
+            if lo < n or hi > bound:
+                raise RefinementInvariantError(
+                    f"product entries [{lo}, {hi}] left the guaranteed range"
+                )
         del right
-    lo, hi = int(product.min()), int(product.max())
-    if lo < n or hi > n * m**2:
-        raise RefinementInvariantError(
-            f"product entries [{lo}, {hi}] left the guaranteed range"
-        )
     return product
 
 
@@ -480,8 +497,12 @@ def _substitution_steps(m: int, rng: SplitMix64Stream):
     def step(colorings: tuple[ColorMatrix, ...]) -> list[RefinementOutcome]:
         sub = draw_substitution(max(c.r for c in colorings), m, rng)
         # each product becomes its rank key and is freed before the next
-        # coloring's is made
-        return [refine_by(c, numeric_product(c, sub), overwrite_values=True) for c in colorings]
+        # coloring's is made; the last is ranked after the tables are freed
+        *first, last = colorings
+        outcomes = [refine_by(c, numeric_product(c, sub), overwrite_values=True) for c in first]
+        product = numeric_product(last, sub)
+        del sub
+        return [*outcomes, refine_by(last, product, overwrite_values=True)]
 
     return step
 

@@ -7,11 +7,15 @@ from math import isqrt
 import numpy as np
 import pytest
 
+from wlclosure import probabilistic
 from wlclosure.graph import INT64_MAX, validate
 from wlclosure.probabilistic import (
-    _PRODUCT_BLOCKS,
     FLOAT64_EXACT,
     RandomSubstitution,
+    RefinementInvariantError,
+    SplitMix64Stream,
+    _product_block_rows,
+    check_product_bound,
     draw_substitution,
     multiply,
     numeric_product,
@@ -129,9 +133,9 @@ def test_row_block_is_written_in_place_and_returned(m):
 @pytest.mark.parametrize("n", [1, 3, 13, 70])
 @pytest.mark.parametrize("m", [1000, 2**28 + 5], ids=["one_gemm", "digits"])
 def test_blocked_product_matches_python_oracle(n, m):
-    """``numeric_product`` multiplies ``_PRODUCT_BLOCKS`` row blocks; at n = 13
-    and 70 the last block is short, and n = 1 and 3 have fewer rows than
-    blocks."""
+    """``numeric_product`` multiplies row blocks of a quarter of the rows at
+    these sizes; at n = 13 and 70 the last block is short, and n = 1 and 3
+    have fewer rows than four blocks."""
     rng = np.random.default_rng(n)
     x = validate(random_grid(rng, n, 5))
     sub = draw_substitution(x.r, m, rng)
@@ -146,8 +150,6 @@ def test_product_halves_need_one_gemm_each(monkeypatch):
     and the largest m with 35 * m**2 <= 2**53, values near m put every
     entry past 2**53, yet every block of either half is one GEMM, and the
     int64 sum of the halves matches Python integers."""
-    from wlclosure import probabilistic
-
     n = 70
     m = isqrt(FLOAT64_EXACT // (n // 2))
     rng = np.random.default_rng(7)
@@ -160,4 +162,77 @@ def test_product_halves_need_one_gemm_each(monkeypatch):
     expected = python_matmul(left[x.cells].tolist(), right[x.cells].tolist())
     assert min(map(min, expected)) > FLOAT64_EXACT
     assert numeric_product(x, sub).tolist() == expected
-    assert len(gemms) == 2 * _PRODUCT_BLOCKS
+    assert len(gemms) == 2 * -(-n // _product_block_rows(n))
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    [(1, 1), (3, 1), (70, 18), (512, 128), (513, 128), (1023, 128), (1024, 128), (1031, 129),
+     (2048, 256)],
+)
+def test_product_row_blocks_are_a_quarter_up_to_512_and_an_eighth_from_1024(n, rows):
+    """Blocks of ``max(ceil(n/8), min(ceil(n/4), 128))`` rows: never more than
+    a quarter of the rows, which the step guard counts."""
+    assert _product_block_rows(n) == rows
+    assert rows <= -(-n // 4)
+
+
+def _int64_product(x, sub):
+    """The product of the gathered tables by numpy's integer matmul, an exact
+    loop without BLAS (fast enough here with the right factor in Fortran
+    order)."""
+    left, right = (table.astype(np.int64)[x.cells] for table in (sub.left, sub.right))
+    return np.matmul(left, np.asfortranarray(right))
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1031])
+@pytest.mark.parametrize("m", [10**6, 2**25 + 1], ids=["one_gemm", "digits"])
+def test_product_in_eighth_row_blocks_is_exact(n, m):
+    """From n = 1024 the row blocks are an eighth of the rows: at n = 1023
+    they are 128 rows with a short last block, at 1024 eight full blocks,
+    and at 1031 blocks of 129 rows with a short last one; both the one-GEMM
+    path and the digit path (``n * m**2 > 2**53``) are exact."""
+    assert (n * m * m > FLOAT64_EXACT) == (m > 10**6)
+    rng = np.random.default_rng(n)
+    x = validate(random_grid(rng, n, 1000))
+    sub = draw_substitution(x.r, m, SplitMix64Stream(n))
+    assert np.array_equal(numeric_product(x, sub), _int64_product(x, sub))
+
+
+def test_one_vertex_with_m_above_int32_keeps_uint32_widening():
+    """Only n = 1 admits ``m >= 2**31``, whose table values an int32 view
+    would read as negative: the product is still ``left * right``."""
+    m = isqrt(INT64_MAX)
+    assert m >= 2**31
+    check_product_bound(1, m)
+    x = validate([[1]])
+    for values in ((m, m), (m, 1), (2**31, 2**31 + 1)):
+        left, right = (np.array([0, v], dtype=np.uint32) for v in values)
+        expected = python_matmul([[int(left[1])]], [[int(right[1])]])
+        assert numeric_product(x, RandomSubstitution(m, left, right)).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [70, 1031])
+@pytest.mark.parametrize("m", [1000, 2**25 + 1], ids=["one_gemm", "digits"])
+def test_range_check_covers_the_last_block_of_the_second_half(monkeypatch, n, m):
+    """The range check runs on each row block once its second half is added:
+    a product whose last entry sums to 0, in the last block of the second
+    half, is refused, while its first half alone was in range."""
+    x = validate(random_grid(np.random.default_rng(n), n, 5))
+    sub = draw_substitution(x.r, m, SplitMix64Stream(n))
+    blocks = -(-n // _product_block_rows(n))
+    outs = []
+    real = probabilistic.multiply
+
+    def multiply_last_entry_to_zero(a, b, m, out):
+        outs.append(real(a, b, m, out))
+        if len(outs) == 2 * blocks:
+            first = outs[blocks - 1]
+            assert first[-1, -1] > 0
+            out[-1, -1] = -first[-1, -1]
+        return out
+
+    monkeypatch.setattr(probabilistic, "multiply", multiply_last_entry_to_zero)
+    with pytest.raises(RefinementInvariantError, match=r"\[0, "):
+        numeric_product(x, sub)
+    assert len(outs) == 2 * blocks

@@ -649,37 +649,43 @@ def test_paired_step_holds_one_product_at_a_time():
     assert paired <= single + discrete + 2**16, f"{single / n / n:.2f} {paired / n / n:.2f} B/cell"
 
 
-def test_step_peak_near_a_discrete_coloring_is_within_the_guard():
-    """At r = n**2 - 1 each uint32 substitution table has one entry per
-    cell, and the step's largest phase, the constancy check, holds both
-    tables, the product and its per-class table: the traced peak of one
-    step stays within ``_STEP_CELL_BYTES`` plus the uint32 next cells, with
-    1 MiB for block temporaries (28.0 bytes a cell measured at n = 512;
-    36.0 with float64 tables)."""
-    n = 512
+def _near_discrete(n):
     grid = np.arange(1, n * n + 1).reshape(n, n)
     grid[0, 2] = grid[0, 1]
     x = validate(grid)
     assert x.r == n * n - 1
-    peak = _traced_peak(lambda: probabilistic_step(x, 10**6, np.random.default_rng(1)))
-    bound = n * n * (probabilistic._STEP_CELL_BYTES + 4) + 2**20
-    assert peak <= bound, f"{peak / n / n:.2f} B/cell"
+    return x
+
+
+def test_step_peak_near_a_discrete_coloring_is_within_the_guard():
+    """At r = n**2 - 1 each uint32 substitution table has one entry per
+    cell.  The step frees both tables before it ranks its product, so its
+    largest phases are the product (tables, product and its block
+    temporaries) and the constancy check (product, per-class table and the
+    uint32 next cells): the traced peak of one step stays within
+    ``_STEP_CELL_BYTES`` (23.3 bytes a cell measured at n = 512; 25.0 while
+    the tables were held through the rank)."""
+    n = 512
+    x = _near_discrete(n)
+    step = lambda: probabilistic_step(x, 10**6, np.random.default_rng(1))  # noqa: E731
+    step()  # one-time allocations are not the step's working set
+    peak = _traced_peak(step)
+    assert peak <= n * n * probabilistic._STEP_CELL_BYTES, f"{peak / n / n:.2f} B/cell"
 
 
 def test_exact_step_peak_near_a_discrete_coloring_is_within_the_guard():
     """The exact twin of the test above: the product step on the exact
-    stream, at ``m = isqrt(2**53 // n)``, stays within the same bound (25.0
-    bytes a cell measured at n = 512; 23.3 under a hash of the color id,
-    31.3 with float64 tables, 40.0 when all ``2 * r`` hashed states were
-    also mixed at once, their shifted temporaries beside the tables)."""
+    stream, at ``m = isqrt(2**53 // n)``, stays within the same bound (23.3
+    bytes a cell measured at n = 512; 25.0 while the tables were held
+    through the rank, 31.3 with float64 tables, 40.0 when all ``2 * r``
+    hashed states were also mixed at once, their shifted temporaries beside
+    the tables)."""
     n = 512
-    grid = np.arange(1, n * n + 1).reshape(n, n)
-    grid[0, 2] = grid[0, 1]
-    x = validate(grid)
-    assert x.r == n * n - 1
-    peak = _traced_peak(lambda: probabilistic_step(x, *classical._exact_draws(n)))
-    bound = n * n * (probabilistic._STEP_CELL_BYTES + 4) + 2**20
-    assert peak <= bound, f"{peak / n / n:.2f} B/cell"
+    x = _near_discrete(n)
+    step = lambda: probabilistic_step(x, *classical._exact_draws(n))  # noqa: E731
+    step()
+    peak = _traced_peak(step)
+    assert peak <= n * n * probabilistic._STEP_CELL_BYTES, f"{peak / n / n:.2f} B/cell"
 
 
 def test_product_gathers_from_the_substitution_tables():
@@ -694,6 +700,20 @@ def test_product_gathers_from_the_substitution_tables():
     sub = draw_substitution(x.r, 10**6, np.random.default_rng(2))
     peak = _traced_peak(lambda: numeric_product(x, sub))
     assert peak <= 16 * n * n, f"{peak / n / n:.2f} B/cell"
+
+
+def test_product_peak_at_1024_holds_eighth_row_blocks():
+    """From n = 1024 the product's row blocks are an eighth of the rows:
+    with the product and half of the right factor, a block of half the left
+    factor and one of the second half's products take 1.5 bytes a cell, so
+    the traced peak stays within 14 bytes a cell (13.6 measured; 15.1 with
+    blocks of a quarter of the rows)."""
+    n = 1024
+    x = rainbow_refine(validate(random_grid(np.random.default_rng(3), n, 3)))
+    sub = draw_substitution(x.r, 10**6, np.random.default_rng(2))
+    numeric_product(x, sub)  # one-time allocations are not the product's
+    peak = _traced_peak(lambda: numeric_product(x, sub))
+    assert peak <= 14 * n * n, f"{peak / n / n:.2f} B/cell"
 
 
 def test_draw_peak_is_its_uint32_tables():
@@ -714,8 +734,9 @@ def test_monte_carlo_closure_peak_is_about_two_matrices():
     and one of the second half's products; then it sorts its rank words in
     the product's buffer, beside their dropped low bits, and scatters the
     ranks into the next cells (uint32 once discrete): the traced peak of a
-    closure at n=1024 stays within 2.1 int64 matrices (16.1 MiB measured;
-    21.3 MiB with a whole right factor and a separate words array)."""
+    closure at n=1024 stays within 2.1 int64 matrices (14.6 MiB measured;
+    16.1 MiB with row blocks of a quarter of the rows, 21.3 MiB with a whole
+    right factor and a separate words array)."""
     n = 1024
     x = make_fixture("random", n, 4, 901)
     params = RunParams(10**6, StoppingPolicy.practical(3), 902)
