@@ -9,23 +9,22 @@ cells disagree.  Iterating until no class splits yields the coherent closure.
 fixed seed and the largest ``m`` for which ``n * m**2 <= 2**53``, so every
 row block of the product is one exact GEMM.  Equal fingerprints always give
 equal products, so the exact closure refines every iterate.  A quiet step
-counts as quiet only when :func:`row_mismatches` finds its coloring P stable
-under the exact step: each cell's row, its ``n`` pair codes
-``c(u, w) * (r + 1) + c(w, v)`` sorted, is compared with the row of its
-class's first cell, and equal rows are equal fingerprints.  A differing row
-means the draw hid a split: two cells' products differ by a nonzero
-polynomial of degree 2 in the drawn values, which a draw zeroes with
-probability at most ``2/m`` (Schwartz-Zippel), and ``m`` is at least
-440,000 at every admitted ``n``.  The step then draws again from the same
-stream until it splits, and the run steps on.  A passing check makes P
-coherent, and P refines the closure, the coarsest coherent refinement of
-the input, so P is the closure.  The answer is always exact; only the time
-is random (a Las Vegas algorithm).  The stream's position depends only on
-the class counts drawn so far, and products and rows move with the
+is confirmed by :func:`classical_step`, one exact step, which first checks
+the coloring P stable under the exact step: each cell's row, its ``n`` pair
+codes ``c(u, w) * (r + 1) + c(w, v)`` sorted, is compared with the row of
+its class's first cell (:func:`first_row_mismatch`), and equal rows are
+equal fingerprints.  A passing check makes P coherent, and P refines the
+closure, the coarsest coherent refinement of the input, so P is the
+closure.  A differing row means the draw hid a split: two cells' products
+differ by a nonzero polynomial of degree 2 in the drawn values, which a
+draw zeroes with probability at most ``2/m`` (Schwartz-Zippel), and ``m``
+is at least 440,000 at every admitted ``n``.  The exact step then refines
+its product candidate by further draws of a fresh exact stream until the
+rows agree, and the run steps on.  The answer is always exact; only the
+time is random (a Las Vegas algorithm).  The streams' positions depend only
+on the class counts drawn so far, and products and rows move with the
 vertices, so the ids are deterministic and canonical under vertex
-permutation.  :func:`classical_step` is one exact step: its product
-candidate, refined by further products of the same coloring until the rows
-agree.  The same kernel checks coherence axiom (c) in
+permutation.  The same kernel checks coherence axiom (c) in
 :func:`wlclosure.coherence.verify_coherent`.
 
 Before a run or step allocates, its working set -- a Monte Carlo step's,
@@ -55,7 +54,7 @@ from .probabilistic import (
 
 # rows built or compared at a time
 _BLOCK_BYTES = 2**20
-# bytes :func:`row_mismatches` holds at its peak: blocks of the first cells'
+# bytes :func:`first_row_mismatch` holds at its peak: blocks of the first cells'
 # rows gathered to the cells', the cells' rows and a temporary, and indexes
 KERNEL_BYTES = 4 * _BLOCK_BYTES
 # the seed of every exact run's and step's stream; any seed gives the same
@@ -86,9 +85,10 @@ def _sorted_codes(cells, mirror, batch, base) -> np.ndarray:
     return codes
 
 
-def row_mismatches(x: ColorMatrix, classes: np.ndarray, first: np.ndarray):
-    """Yield, block by block in row-major order, the cells whose row in ``x``
-    differs from that of their class's first cell, and those first cells.
+def first_row_mismatch(x: ColorMatrix, classes: np.ndarray, first: np.ndarray):
+    """The first block, in row-major order, of cells whose row in ``x``
+    differs from that of their class's first cell: those cells and their
+    first cells, or ``None`` when every row agrees.
 
     ``classes`` is a flat class id per cell and ``first[c]`` the first cell
     of class ``c``; first cells, so all singleton classes, are skipped.
@@ -109,7 +109,8 @@ def row_mismatches(x: ColorMatrix, classes: np.ndarray, first: np.ndarray):
         rows = _sorted_codes(cells, mirror, firsts, base)[which]
         differs = (rows != _sorted_codes(cells, mirror, own, base)).any(axis=1)
         if differs.any():
-            yield own[differs], ref[differs]
+            return own[differs], ref[differs]
+    return None
 
 
 def _exact_draws(n: int) -> tuple[int, SplitMix64Stream]:
@@ -122,7 +123,7 @@ def _rows_agree(x: ColorMatrix, candidate: ColorMatrix) -> bool:
     """Every class of ``candidate`` has equal rows in ``x``; the check stops
     at the first block with a mismatch."""
     classes, r = candidate.cells.ravel(), candidate.r
-    return next(row_mismatches(x, classes, first_positions(classes, r, r)), None) is None
+    return first_row_mismatch(x, classes, first_positions(classes, r, r)) is None
 
 
 def _guard_step(n: int) -> None:
@@ -132,28 +133,26 @@ def _guard_step(n: int) -> None:
 def classical_step(x: ColorMatrix) -> RefinementOutcome:
     """Split the classes of ``x`` by exact cell fingerprints.
 
-    The candidate ranks ``(old color, product)`` under the first draw of
-    the exact stream.  While one of its classes has rows in ``x`` that
-    differ, it is refined by the ranks of ``(candidate id, product)`` under
-    the stream's next draw; the ids are those ranks.  Over the memory
-    budget, :func:`~wlclosure.probabilistic.guard_memory` raises before
-    allocating.
+    A coloring whose rows agree is stable: it comes back unchanged after
+    one check and no product.  Otherwise the candidate, first ``x``, is
+    refined by the ranks of ``(candidate id, product)`` under the next draw
+    of a fresh exact stream until its rows in ``x`` agree; the ids are
+    those ranks.  Over the memory budget,
+    :func:`~wlclosure.probabilistic.guard_memory` raises before allocating.
     """
     _guard_step(x.n)
     m, rng = _exact_draws(x.n)
     candidate = x
-    while True:
+    while not _rows_agree(x, candidate):
         product = numeric_product(x, draw_substitution(x.r, m, rng))
         candidate = refine_by(candidate, product, overwrite_values=True).result
         del product
-        if _rows_agree(x, candidate):
-            return RefinementOutcome(candidate.r > x.r, candidate)
+    return RefinementOutcome(candidate.r > x.r, candidate)
 
 
 def _las_vegas_steps(n: int):
-    """The exact run's driver step: a Monte Carlo step on the exact stream.
-    A quiet step whose coloring's rows differ hid a split, so it draws again
-    until a step splits; one check per coloring suffices.
+    """The exact run's driver step: a Monte Carlo step on the exact stream,
+    whose quiet steps :func:`classical_step` confirms or replaces.
     :func:`~wlclosure.probabilistic.refine_lockstep` steps no discrete
     coloring, so none is checked."""
     m, rng = _exact_draws(n)
@@ -161,10 +160,8 @@ def _las_vegas_steps(n: int):
     def step(colorings: tuple[ColorMatrix, ...]) -> list[RefinementOutcome]:
         (x,) = colorings
         out = probabilistic_step(x, m, rng)
-        if not out.refined and not _rows_agree(x, x):
-            while not (out := probabilistic_step(x, m, rng)).refined:
-                pass
-        return [out]
+        # by its global name, which a tracer may rebind
+        return [out if out.refined else classical_step(x)]
 
     return step
 
@@ -175,10 +172,10 @@ def classical_closure(x: ColorMatrix) -> WlResult:
     The exact mode of :func:`~wlclosure.probabilistic.refine_lockstep`:
     patience 1, no budget, its step guarded before rainbow preprocessing.
     Steps draw from the exact stream, unchecked until one is quiet; that
-    step checks its coloring's rows once.  A failed check draws again until
-    a step splits, which counts as the quiet step's split, and the run steps
-    on.  A discrete coloring stops the run before another step, since it
-    cannot split.
+    step is replaced by :func:`classical_step` on the same coloring, which
+    checks its rows once and, on a mismatch, takes the exact step, after
+    which the run steps on.  A discrete coloring stops the run before
+    another step, since it cannot split.
     """
     _guard_step(x.n)
     (result,), _, _ = refine_lockstep((x,), _las_vegas_steps(x.n), patience=1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import KERNEL_BYTES, row_mismatches
+from .classical import KERNEL_BYTES, first_row_mismatch
 from .graph import ColorMatrix, InputError, first_positions, validate
 from .probabilistic import guard_memory
 
@@ -59,7 +59,7 @@ def verify_coherent(x: ColorMatrix) -> CoherenceReport:
 
     Each witness is the first offending cell in row-major order, against
     the first loop of its color (``diagonal_overlap``) or the first cell of
-    its color.  Axiom (c) is :func:`~wlclosure.classical.row_mismatches`,
+    its color.  Axiom (c) is :func:`~wlclosure.classical.first_row_mismatch`,
     with the colors as classes: a row holds the sorted pair codes.  The
     ``pair`` is the smaller code where the two cells' sorted codes first
     differ: the smallest pair whose counts differ.  Above the memory budget
@@ -84,14 +84,15 @@ def verify_coherent(x: ColorMatrix) -> CoherenceReport:
         return _violation("transpose_split", ref[k], k, n)
     del ref, reverse, split
 
-    for own, ref in row_mismatches(x, flat, first):
-        k, f = int(own[0]), int(ref[0])
-        # pair codes reach (r + 1)**2 - 1, so the narrow ids are widened
-        codes = [x.cells[c // n].astype(np.int64) * (r + 1) + x.cells[:, c % n] for c in (f, k)]
-        a, b = np.sort(codes, axis=1)
-        pair = divmod(int(np.minimum(a, b)[np.argmax(a != b)]), r + 1)
-        return _violation("profile_mismatch", f, k, n, pair)
-    return CoherenceReport(True, None)
+    mismatch = first_row_mismatch(x, flat, first)
+    if mismatch is None:
+        return CoherenceReport(True, None)
+    k, f = int(mismatch[0][0]), int(mismatch[1][0])
+    # pair codes reach (r + 1)**2 - 1, so the narrow ids are widened
+    codes = [x.cells[c // n].astype(np.int64) * (r + 1) + x.cells[:, c % n] for c in (f, k)]
+    a, b = np.sort(codes, axis=1)
+    pair = divmod(int(np.minimum(a, b)[np.argmax(a != b)]), r + 1)
+    return _violation("profile_mismatch", f, k, n, pair)
 
 
 def _fixture_trivial(n: int) -> ColorMatrix:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
+import stat
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -299,17 +299,31 @@ def format_graph_text(x: ColorMatrix, canonical: bool = True) -> str:
 
 
 def write_graph_file(path, x: ColorMatrix, canonical: bool = True) -> None:
-    """Write atomically: the file appears complete or not at all.  A path
-    that cannot be written raises :class:`GraphFileError`."""
+    """Write atomically: the file appears complete or not at all.  A new
+    file gets mode ``0o666`` less the umask, and a replaced regular file
+    keeps its mode.  A path that cannot be written raises
+    :class:`GraphFileError`."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
-        handle = tempfile.NamedTemporaryFile("wb", dir=directory, delete=False, suffix=".tmp")
+        while True:  # a fresh name beside the target, so the rename is atomic
+            name = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+            try:
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                pass
         try:
-            with handle:
+            with open(fd, "wb") as handle:
                 handle.writelines(_canonical_chunks(x, canonical))
-            os.replace(handle.name, path)
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                mode = 0
+            if stat.S_ISREG(mode):
+                os.chmod(name, stat.S_IMODE(mode))
+            os.replace(name, path)
         except BaseException:
-            os.unlink(handle.name)
+            os.unlink(name)
             raise
     except OSError as exc:
         raise GraphFileError(f"cannot write {path}: {exc.strerror}") from exc

@@ -503,6 +503,37 @@ def test_las_vegas_closure_matches_the_oracle(monkeypatch, substitution):
     assert failed_inputs == expected.get(substitution, [True] * 3)
 
 
+def test_las_vegas_run_confirms_its_quiet_step_with_classical_step(monkeypatch):
+    """On the exact stream a permuted path(16) splits until its closure, so
+    the run calls :func:`classical_step` once, on its final quiet step, with
+    the closure it returns."""
+    x = permute_vertices(make_fixture("path", 16), np.random.default_rng(9).permutation(16))
+    seen = []
+    real = classical.classical_step
+
+    def spy(current):
+        seen.append(current)
+        return real(current)
+
+    monkeypatch.setattr(classical, "classical_step", spy)
+    res = classical_closure(x)
+    assert partition_of(res.closure.cells) == partition_of(brute_closure(x.cells.tolist()))
+    assert res.stopping_reason == "stable"
+    assert len(seen) == 1
+    assert seen[0].cells.tolist() == res.closure.cells.tolist()
+
+
+@pytest.mark.parametrize("fixture", [("petersen",), ("cyclic", 7)])
+def test_classical_step_checks_a_coherent_coloring_once_without_a_product(monkeypatch, fixture):
+    x = make_fixture(*fixture)
+    products = []
+    monkeypatch.setattr(classical, "numeric_product", lambda *a: products.append(a))
+    verdicts = _spy_checks(monkeypatch)
+    out = classical_step(x)
+    assert not out.refined and out.result is x
+    assert products == [] and verdicts == [True]
+
+
 def _reversal_orbits(n):
     """The orbit partition of a path's reversal ``v -> n - 1 - v`` on cells."""
     u, v = np.divmod(np.arange(n * n), n)
@@ -548,7 +579,7 @@ def test_las_vegas_run_is_refused_before_a_product_or_a_check(monkeypatch):
     for module, name in (
         (probabilistic, "numeric_product"),
         (probabilistic, "refine_by"),
-        (classical, "row_mismatches"),
+        (classical, "first_row_mismatch"),
     ):
         monkeypatch.setattr(module, name, lambda *a, name=name, **k: made.append(name))
     estimate = monte_carlo_bytes(12, 1) + classical.KERNEL_BYTES
@@ -559,13 +590,17 @@ def test_las_vegas_run_is_refused_before_a_product_or_a_check(monkeypatch):
 
 
 def test_forced_collision_in_a_class_of_most_cells_stays_within_the_run_estimate(monkeypatch):
-    """Every other draw of the exact stream is all ones, so every step of a
-    permuted path(256) is first quiet, fails its check, and draws again;
-    the first check finds a class of 64,770 of the 65,536 cells.  Under a
-    memory budget of the run's own estimate the run ends, in 15 draws, with
-    the orbit partition of the path's reversal, and its traced peak stays
-    within that estimate.  Ranking that class's rows to split it needed an
-    estimated 66 MiB, which the guard refused."""
+    """Every other draw of every exact stream is all ones, from the first,
+    so a permuted path(256) alternates quiet draws of the run's stream with
+    splitting ones.  Each quiet draw goes to the confirming exact step,
+    whose check fails and whose fresh stream splits on its second draw; the
+    first check finds a class of 64,770 of the 65,536 cells.  Under a memory
+    budget of the run's own estimate the run ends, in 8 draws of its stream
+    and 2 of each of 4 failed confirmations, with the orbit partition of the
+    path's reversal; the last confirmation passes its check and draws
+    nothing.  The traced peak stays within the estimate.  Ranking that
+    class's rows to split it needed an estimated 66 MiB, which the guard
+    refused."""
     n = 256
     perm = np.random.default_rng(5).permutation(n)
     x = permute_vertices(make_fixture("path", n), perm)
@@ -581,7 +616,7 @@ def test_forced_collision_in_a_class_of_most_cells_stays_within_the_run_estimate
         tracemalloc.stop()
     assert is_same_partition(res.closure, permute_vertices(_reversal_orbits(n), perm))
     assert res.stopping_reason == "stable"
-    assert [stream.calls for stream in streams] == [2 * 15]
+    assert [stream.calls for stream in streams] == [2 * 8, 2 * 2, 2 * 2, 2 * 2, 2 * 2, 0]
     assert peak <= estimate, f"traced peak {peak / 2**20:.2f} MiB"
 
 

@@ -811,6 +811,27 @@ def test_cli_failed_write_keeps_the_old_file(tmp_path, capsys, monkeypatch, comm
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.wl", "old.wl"]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_cli_out_file_mode_follows_the_umask_or_the_replaced_file(tmp_path, capsys, umask):
+    """A new ``--out`` file gets ``0o666`` less the umask, as ``open`` would
+    give it; a replaced regular file keeps its own mode."""
+    source, _ = write_fixture(tmp_path, "path", 5)
+    old = os.umask(umask)
+    try:
+        fresh = tmp_path / "fresh.wl"
+        assert run_cli(capsys, "gen", "path", "5", "--out", str(fresh))[0] == 0
+        assert fresh.stat().st_mode & 0o777 == 0o666 & ~umask
+        for mode in (0o600, 0o640):
+            target = tmp_path / f"old_{mode:o}.wl"
+            target.write_bytes(b"old")
+            target.chmod(mode)
+            assert run_cli(capsys, "close", str(source), "--seed", "1", "--out", str(target))[0] == 0
+            assert target.read_bytes() != b"old"
+            assert target.stat().st_mode & 0o777 == mode
+    finally:
+        os.umask(old)
+
+
 def _check_exact_header(digest):
     return f"input_sha256: {digest}\nm: 1000003\ntrials: 2\nseed: 7\n"
 
