@@ -145,7 +145,7 @@ def classical_step(x: ColorMatrix) -> RefinementOutcome:
     candidate = x
     while not _rows_agree(x, candidate):
         product = numeric_product(x, draw_substitution(x.r, m, rng))
-        candidate = refine_by(candidate, product, overwrite_values=True).result
+        candidate = refine_by(candidate, product).result
         del product
     return RefinementOutcome(candidate.r > x.r, candidate)
 

@@ -8,8 +8,9 @@ closure timings) and ``gen`` (write named fixtures).
 
 Exit codes: 0 success (for ``check``: coherent), 1 ``check`` found the input
 not coherent, 2 malformed input or arguments or an unwritable ``--out``, 3
-overflow guard abort, 4 an input grid past 2**31 cells (n > 46,340), or an
-exact step or check, a Monte Carlo run or a ``gen`` grid over its memory budget.
+overflow guard abort, 4 an input grid past 2**31 cells (n > 46,340), or a
+file read, an exact step or check, a Monte Carlo run or a ``gen`` grid over
+its memory budget.
 """
 
 from __future__ import annotations

@@ -276,39 +276,33 @@ def _add_scaled(key: np.ndarray, primary: np.ndarray, scale: int) -> None:
         )
 
 
-def _lex_rank(
-    primary: np.ndarray, secondary: np.ndarray, key: np.ndarray | None = None
-) -> tuple[np.ndarray, int]:
-    """Rank (primary, secondary) pairs lexicographically, 1-based.
+def _lex_rank(primary: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank (primary, value) pairs lexicographically, 1-based.
 
     Equal pairs get equal ranks; ranks are contiguous 1..count, returned in
-    a fresh array in :func:`id_dtype` of ``count``.  ``key`` is a uint64
-    buffer of the pairs' length that the caller gives up, and may be an
-    8-byte ``secondary`` viewed as uint64; by default a fresh one.
-    ``primary`` holds non-negative color ids no larger than its length, of
-    any integer dtype; ``secondary`` holds any integer values.  Each pair is
-    packed into the single uint64 key ``primary * span + (secondary -
-    min)``, which orders like the pair as long as the key range ``(max
-    primary + 1) * span`` is at most ``2**64`` (``span`` is the secondary's
-    value range).  Otherwise the secondary is first replaced by its dense
-    rank ``1..span``, which keeps its order and shrinks ``span`` to at most
-    the length; the key ``primary * span + rank`` then lies in ``(primary *
-    span, (primary + 1) * span]``, so it still orders like the pair, and the
-    bound on ``primary`` keeps it inside uint64.  When the key range is at
-    most the length (few colors, as in rainbow preprocessing) the keys are
-    ranked through a presence table and its ``cumsum`` instead of a sort.
+    a fresh array in :func:`id_dtype` of ``count``.  ``values`` is a
+    C-contiguous int64 array of the pairs' length that the caller gives up:
+    it becomes the uint64 key.  ``primary`` holds non-negative color ids no
+    larger than its length, of any integer dtype.  Each pair is packed into
+    the single uint64 key ``primary * span + (value - min)``, which orders
+    like the pair as long as the key range ``(max primary + 1) * span`` is
+    at most ``2**64`` (``span`` is the values' range).  Otherwise the values
+    are first replaced by their dense rank ``1..span``, which keeps their
+    order and shrinks ``span`` to at most the length; the key ``primary *
+    span + rank`` then lies in ``(primary * span, (primary + 1) * span]``,
+    so it still orders like the pair, and the bound on ``primary`` keeps it
+    inside uint64.  When the key range is at most the length (few colors,
+    as in rainbow preprocessing) the keys are ranked through a presence
+    table and its ``cumsum`` instead of a sort.
     """
-    lo = int(secondary.min())
-    span = int(secondary.max()) - lo + 1
+    lo = int(values.min())
+    span = int(values.max()) - lo + 1
     key_range = (int(primary.max()) + 1) * span
     # uint64 arithmetic wraps modulo 2**64, which leaves every key in
     # [0, 2**64) exact; a span of 2**64 (read as 0) occurs only with every
-    # primary 0.  An 8-byte secondary is read as uint64 in place (it may be
-    # ``key`` itself); a narrower one is cast by the ufunc's buffer.
-    if key is None:
-        key = np.empty(len(primary), dtype=np.uint64)
-    wide = secondary.view(np.uint64) if secondary.itemsize == 8 else secondary
-    np.subtract(wide, np.uint64(lo % _UINT64_RANGE), out=key, dtype=np.uint64, casting="unsafe")
+    # primary 0
+    key = values.view(np.uint64)
+    key -= np.uint64(lo % _UINT64_RANGE)
     if key_range <= _UINT64_RANGE:
         _add_scaled(key, primary, span % _UINT64_RANGE)
         if key_range <= len(key):
@@ -421,12 +415,11 @@ def rainbow_refine(x: ColorMatrix) -> ColorMatrix:
     color of a loop is the sentinel ``r + 1``; keys are ranked
     lexicographically.  The output satisfies :func:`is_rainbow` and is the
     mandatory preprocessing step before any refinement run.  The reverse
-    colors are a copy in the dtype that holds the sentinel, one wider than
-    the cells' when ``r`` is the largest id theirs holds.
+    colors are an int64 copy, which becomes the rank key.
     """
-    mirror = x.cells.T.astype(id_dtype(x.r + 1))
-    np.fill_diagonal(mirror, x.r + 1)
-    ranks, r_new = _lex_rank(x.cells.ravel(), mirror.ravel())
+    reverse = x.cells.T.astype(np.int64, order="C")
+    np.fill_diagonal(reverse, x.r + 1)
+    ranks, r_new = _lex_rank(x.cells.ravel(), reverse.ravel())
     return ColorMatrix._ranked(ranks.reshape(x.n, x.n), r_new)
 
 
@@ -448,48 +441,44 @@ def _constant_per_class(old: np.ndarray, value: np.ndarray, r: int) -> bool:
     )
 
 
-def refine_by(
-    x: ColorMatrix, values: np.ndarray, *, overwrite_values: bool = False
-) -> RefinementOutcome:
+def refine_by(x: ColorMatrix, values: np.ndarray) -> RefinementOutcome:
     """Split the classes of ``x`` by a matrix of per-cell integer values.
 
     New colors are the lexicographic ranks of ``(old color, value)`` pairs,
     so the result always refines ``x`` and never merges classes.  Cells of
     the same old color with equal values stay together.  ``values`` must be
-    an integer ndarray of the same shape as ``x.cells``.  By default it is
-    not written to, and the rank key is built in a fresh uint64 buffer.
-    With ``overwrite_values`` the caller gives ``values`` up, which must
-    then be a writeable C-contiguous int64 array: the key is built in it.
-    Either way the result's cells are a fresh array of narrow ids.
+    a writeable C-contiguous int64 ndarray of the same shape as ``x.cells``,
+    which the caller gives up: the rank key is built in it.  The result's
+    cells are a fresh array of narrow ids.
     """
-    if not isinstance(values, np.ndarray) or not np.issubdtype(values.dtype, np.integer):
-        raise InputError("values must be an integer ndarray")
+    if not (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.int64
+        and values.flags.c_contiguous
+        and values.flags.writeable
+    ):
+        raise InputError("values must be a writeable C-contiguous int64 ndarray")
     if values.shape != x.cells.shape:
         raise InputError(f"value matrix shape {values.shape} != {x.cells.shape}")
-    if overwrite_values and not (
-        values.dtype == np.int64 and values.flags.c_contiguous and values.flags.writeable
-    ):
-        raise InputError("overwritten values must be a writeable C-contiguous int64 array")
     old = x.cells.ravel()
     value = values.ravel()
     if _constant_per_class(old, value, x.r):
         # the rank of (old, constant) over the ids 1..r is old itself
         return RefinementOutcome(False, x)
-    key = value.view(np.uint64) if overwrite_values else None
-    ranks, r_new = _lex_rank(old, value, key)
+    ranks, r_new = _lex_rank(old, value)
     return RefinementOutcome(r_new > x.r, ColorMatrix._ranked(ranks.reshape(x.n, x.n), r_new))
 
 
 def is_same_partition(x: ColorMatrix, y: ColorMatrix) -> bool:
     """True when the two colorings cut the cells into identical classes.
 
-    Color ids are ignored.  Equal class counts and as many distinct
-    ``(x, y)`` pairs as classes of ``x``, so that ``x`` refines ``y``, make
-    the classes correspond one to one.
+    Color ids are ignored.  Equal class counts and ``y``'s ids splitting no
+    class of ``x``, so that ``x`` refines ``y``, make the classes correspond
+    one to one.
     """
     if x.n != y.n:
         raise InputError("colorings have different sizes")
-    return x.r == y.r and _lex_rank(x.cells.ravel(), y.cells.ravel())[1] == x.r
+    return x.r == y.r and not refine_by(x, y.cells.astype(np.int64, order="C")).refined
 
 
 def is_discrete(x: ColorMatrix) -> bool:
@@ -501,14 +490,10 @@ def is_rainbow(x: ColorMatrix) -> bool:
     """Check the two structural preconditions of a refinement run.
 
     Diagonal (loop) colors must not appear off the diagonal, and the color of
-    ``(u, v)`` must determine the color of ``(v, u)``.
+    ``(u, v)`` must determine the color of ``(v, u)``: exactly when
+    :func:`rainbow_refine` splits no class.
     """
-    is_loop = np.zeros(x.r + 1, dtype=bool)
-    is_loop[x.cells.diagonal()] = True
-    if np.count_nonzero(is_loop[x.cells]) != x.n:  # a loop color off the diagonal
-        return False
-    # as many distinct (color, reverse color) pairs as colors
-    return _lex_rank(x.cells.ravel(), x.cells.T.ravel())[1] == x.r
+    return rainbow_refine(x).r == x.r
 
 
 def color_counts(x: ColorMatrix) -> np.ndarray:

@@ -27,8 +27,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import INT64_MAX, ColorMatrix, InputError, check_size, is_discrete
+from .graph import INT64_MAX, ColorMatrix, InputError, check_size, id_dtype, is_discrete
 from .graph import normalize_by_value, validate
+from .probabilistic import guard_memory
 
 HEADER_TAG = "wlgraph"
 _BLOCK_CELLS = 1 << 15
@@ -129,6 +130,23 @@ def _decode_rows(chunk: bytes, n: int, first_row: int) -> np.ndarray:
     return values
 
 
+def _read_bytes(n: int, r: int, held: int) -> int:
+    """Estimated working set of reading an ``n x n`` grid of ``r`` colors
+    (the header's) from ``held`` bytes of text, ids at most ``n**2``.
+
+    The parse holds the text and the int32 grid.  The renumbering, once the
+    text is released, holds the grid and, in ``validate``, the largest
+    tables: the first position of each id (8 bytes an id up to ``n**2``), a
+    label table and the new ids (``w`` bytes an id or cell, ``w`` the new
+    ids' width) and 24 bytes a color (the present ids, their order by first
+    position and its labels).  Larger ids are renumbered through
+    ``np.unique``, which needs more.
+    """
+    cells = n * n
+    r = min(r, cells)
+    return max(held + 4 * cells, (12 + 2 * id_dtype(r).itemsize) * cells + 24 * r)
+
+
 def parse_graph_raw(text: str | bytes) -> tuple[np.ndarray, int]:
     """Parse to the raw color grid, not renumbered, and the header's ``r``.
 
@@ -136,7 +154,8 @@ def parse_graph_raw(text: str | bytes) -> tuple[np.ndarray, int]:
     its UTF-8 bytes, so a non-ASCII character is an invalid byte.  The text
     is checked here; the ids are neither checked positive nor counted
     against ``r``: the renumbering does both (:func:`_declared`), so the
-    grid is scanned once.
+    grid is scanned once.  Before the grid is allocated, the read's working
+    set (:func:`_read_bytes`) is checked against the memory budget.
     """
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     if b"\r" in data:  # a line end too; "\r\n" then reads as a line end and a blank line
@@ -152,6 +171,9 @@ def parse_graph_raw(text: str | bytes) -> tuple[np.ndarray, int]:
     grid = None
     if sum(e - s for s, e in spans[1:]) >= n * (2 * n - 1):
         check_size(n)
+        # a str is held beside its bytes, and bytes beside their line-end copy
+        held = len(data) if data is text else 2 * len(data)
+        guard_memory(_read_bytes(n, r, held), "graph read", f"at n={n}")
         grid = np.empty((n, n), dtype=np.int32)
     rows = max(1, _BLOCK_CELLS // n)
     for top in range(0, n, rows):
@@ -182,9 +204,12 @@ def _declared(x: ColorMatrix, declared: int) -> ColorMatrix:
 
 def _read_raw(path) -> tuple[np.ndarray, int]:
     """:func:`parse_graph_raw` of a graph file; the file's bytes are
-    released on return, before the grid is renumbered."""
+    released on return, before the grid is renumbered.  A file larger than
+    the memory budget is refused before it is read."""
     try:
         with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            guard_memory(size, "graph read", f"for the {size:,} bytes of {path}")
             data = handle.read()
     except OSError as exc:
         raise GraphFileError(f"cannot read {path}: {exc}") from exc

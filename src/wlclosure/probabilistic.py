@@ -499,10 +499,10 @@ def _substitution_steps(m: int, rng: SplitMix64Stream):
         # each product becomes its rank key and is freed before the next
         # coloring's is made; the last is ranked after the tables are freed
         *first, last = colorings
-        outcomes = [refine_by(c, numeric_product(c, sub), overwrite_values=True) for c in first]
+        outcomes = [refine_by(c, numeric_product(c, sub)) for c in first]
         product = numeric_product(last, sub)
         del sub
-        return [*outcomes, refine_by(last, product, overwrite_values=True)]
+        return [*outcomes, refine_by(last, product)]
 
     return step
 

@@ -287,16 +287,18 @@ def test_criterion_7_isopair_cli_on_permuted_pairs(capsys, tmp_path):
     assert ok
 
 
-def _min_seconds(fns, repetitions: int) -> list[float]:
-    """The fastest of ``repetitions`` timed calls of each function, called in
-    turn: load from other processes can only add time to a call, and taking
-    turns spreads each function's calls over the same stretch of load.  The
-    order reverses every round, so each function also runs right after
-    itself, as it would when timed alone."""
+def _min_seconds(fns, seconds: float) -> list[float]:
+    """The fastest timed call of each function, called in turn for at least
+    ``seconds``: load from other processes can only add time to a call, and
+    taking turns spreads each function's calls over the same stretch of
+    load, long enough to outlast a burst of it.  The order reverses every
+    round, so each function also runs right after itself, as it would when
+    timed alone."""
     gc.collect()
     best = [math.inf] * len(fns)
     order = list(range(len(fns)))
-    for _ in range(repetitions):
+    end = time.perf_counter() + seconds
+    while time.perf_counter() < end:
         for i in order:
             started = time.perf_counter()
             fns[i]()
@@ -310,13 +312,13 @@ def test_criterion_8_per_iteration_timing_and_scaling(capsys):
     x256 = rainbow_refine(make_fixture("random", 256, 2, 802))
     probabilistic_step(x256, MC_PARAMS["m"], np.random.default_rng(0))  # warm-up
 
-    (t_classical_512,) = _min_seconds([lambda: classical_step(x512)], 3)
+    (t_classical_512,) = _min_seconds([lambda: classical_step(x512)], 0.2)
     t_mc_512, t_mc_256 = _min_seconds(
         [
             lambda: probabilistic_step(x512, MC_PARAMS["m"], np.random.default_rng(9)),
             lambda: probabilistic_step(x256, MC_PARAMS["m"], np.random.default_rng(9)),
         ],
-        5,
+        2.0,
     )
     ratio = t_mc_512 / t_mc_256
     faster = t_mc_512 < t_classical_512

@@ -739,6 +739,62 @@ def test_cli_monte_carlo_over_memory_budget_exits_4(tmp_path, capsys, monkeypatc
     assert run_cli(capsys, *argv, "--seed", "1")[0] == 0
 
 
+@pytest.mark.parametrize("command", ["close", "isopair"])
+def test_cli_read_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch, command):
+    """A file larger than the budget is refused before it is read, and one
+    whose parse and renumbering are over it before its grid is allocated:
+    exit 4, the read named, and no n**2 array made.  At a budget of the
+    read's own estimate the read passes and the run is refused."""
+    n = 512
+    path, x = write_fixture(tmp_path, "random", n, 3, 5)
+    size = path.stat().st_size
+    argv = [command, str(path), *([str(path)] if command == "isopair" else []), "--seed", "1"]
+    estimate = wio._read_bytes(n, x.r, size)
+    for budget, detail in ((size - 1, f"for the {size:,} bytes of "), (estimate - 1, f"at n={n},")):
+        monkeypatch.setattr(probabilistic, "_memory_budget", lambda budget=budget: budget)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (4, "")
+        assert err.startswith("error: graph read needs about ") and detail in err
+        assert peak < size + n * n, f"{peak / 2**20:.2f} MiB"  # the int32 grid is 4 bytes a cell
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: estimate)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and err.startswith("error: Monte Carlo run needs about ")
+
+
+@pytest.mark.parametrize("kind", ["few_colors", "half_the_cells"])
+def test_read_traced_peak_is_within_the_guard_estimate(tmp_path, kind):
+    """Either reader of a 1024 x 1024 file of 3 colors, or of about
+    ``n**2 / 2`` (each arc shares its color with its reverse), holds at most
+    the read's estimate: the file's bytes and the grid, then the grid and
+    the renumbering's tables."""
+    n = 1024
+    if kind == "few_colors":
+        x = make_fixture("random", n, 3, 7)
+    else:
+        u, v = np.indices((n, n))
+        x = validate(np.minimum(u * n + v, v * n + u) + 1)
+        assert x.r == n * (n + 1) // 2
+    path = tmp_path / "g.wl"
+    write_graph_file(path, x)
+    estimate = wio._read_bytes(n, x.r, path.stat().st_size)
+    for read in (read_graph_file, read_graph_by_value):
+        read(path)  # the first call traces one-time allocations
+        gc.collect()
+        tracemalloc.start()
+        try:
+            read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate, f"{read.__name__}: {peak / 2**20:.2f} > {estimate / 2**20:.2f} MiB"
+
+
 def test_cli_check_not_rainbow_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch):
     """The guard runs before the rainbow test, so an input that is not
     rainbow is refused over the budget too (it used to exit 1)."""
