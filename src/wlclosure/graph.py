@@ -145,32 +145,28 @@ def _first_occurrence_relabel(flat: np.ndarray) -> tuple[np.ndarray, int]:
     """Renumber values to 1..r in order of first appearance.
 
     Returns the relabeled array, in :func:`id_dtype` of ``r``, and the
-    number ``r`` of distinct values.  Dense ids need no sort of the cells:
-    when every cell is distinct the labels are the positions; otherwise
-    :func:`first_positions` finds each id's first position and one
-    ``argsort`` over the ``r`` distinct ids ranks them.  Sparse ids fall
-    back to ``np.unique``.  Either way the cells gather their labels from a
-    table of narrow labels.
+    number ``r`` of distinct values.  Sparse ids, above the cell count, are
+    first ranked by value (:func:`_rank`), which keeps each id's cells.
+    Dense ids need no sort of the cells: when every cell is distinct the
+    labels are the positions; otherwise :func:`first_positions` finds each
+    id's first position, one ``argsort`` over the ``r`` ids ranks them and
+    the cells gather their labels from a table of narrow labels.
     """
-    size = len(flat)
     seen = _id_presence(flat)
     if seen is None:
-        uniq, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-        r = len(uniq)
-        by_first = np.argsort(first)  # indexes into ``uniq``
-    else:
-        r = int(np.count_nonzero(seen))
-        if r == size:
-            return np.arange(1, size + 1, dtype=id_dtype(r)), r
-        ids = np.flatnonzero(seen)
-        del seen
-        first = first_positions(flat, int(ids[-1]), r)
-        by_first = ids[np.argsort(first[ids])]
-        inverse = flat
+        flat = _rank(flat, int(flat.max()))[0]
+        seen = _id_presence(flat)
+    r = int(np.count_nonzero(seen))
+    if r == len(flat):
+        return np.arange(1, r + 1, dtype=id_dtype(r)), r
+    ids = np.flatnonzero(seen)
+    del seen
+    first = first_positions(flat, int(ids[-1]), r)
+    by_first = ids[np.argsort(first[ids])]
     # entries of absent ids are never read
     labels = np.empty(len(first), dtype=id_dtype(r))
     labels[by_first] = np.arange(1, r + 1)
-    return gather(labels, inverse), r
+    return gather(labels, flat), r
 
 
 def _rank_sorted_words(words: np.ndarray, ib: int) -> int:
@@ -266,60 +262,57 @@ def _dense_rank(key: np.ndarray, top: int) -> tuple[np.ndarray, int]:
     return ranks, count
 
 
-def _add_scaled(key: np.ndarray, primary: np.ndarray, scale: int) -> None:
-    """``key += primary * scale`` in uint64, ``_RANK_BLOCK`` cells at a time
-    (``primary``, narrow ids, is widened one block at a time)."""
-    scale = np.uint64(scale)
-    for s in range(0, len(key), _RANK_BLOCK):
-        key[s : s + _RANK_BLOCK] += np.multiply(
-            primary[s : s + _RANK_BLOCK], scale, dtype=np.uint64, casting="unsafe"
-        )
+def _rank(key: np.ndarray, top: int) -> tuple[np.ndarray, int]:
+    """The 1-based dense rank of each entry of ``key``, non-negative and at
+    most ``top``, and their count, as :func:`_dense_rank` returns them.
+
+    A ``top`` below the key count (dense ids, few pairs) takes a presence
+    table of the keys and its ``cumsum`` and only reads ``key``.
+    Otherwise :func:`_dense_rank` sorts ``key``, which the caller gives up,
+    or a uint64 copy of a key of another dtype.
+    """
+    if top >= len(key):
+        return _dense_rank(key.astype(np.uint64, copy=False), top)
+    index = key.view(np.int64) if key.dtype == np.uint64 else key  # int64 indexes faster
+    seen = np.zeros(top + 1, dtype=bool)
+    seen[index] = True
+    count = int(np.count_nonzero(seen))
+    rank = np.cumsum(seen, dtype=id_dtype(count))  # rank[k]: distinct keys <= k
+    del seen
+    return gather(rank, index), count
 
 
 def _lex_rank(primary: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rank (primary, value) pairs lexicographically, 1-based.
+    """Rank (primary, value) pairs lexicographically, 1-based, as
+    :func:`_rank` ranks keys: ranks and their count.
 
-    Equal pairs get equal ranks; ranks are contiguous 1..count, returned in
-    a fresh array in :func:`id_dtype` of ``count``.  ``values`` is a
-    C-contiguous int64 array of the pairs' length that the caller gives up:
-    it becomes the uint64 key.  ``primary`` holds non-negative color ids no
-    larger than its length, of any integer dtype.  Each pair is packed into
-    the single uint64 key ``primary * span + (value - min)``, which orders
-    like the pair as long as the key range ``(max primary + 1) * span`` is
-    at most ``2**64`` (``span`` is the values' range).  Otherwise the values
-    are first replaced by their dense rank ``1..span``, which keeps their
-    order and shrinks ``span`` to at most the length; the key ``primary *
-    span + rank`` then lies in ``(primary * span, (primary + 1) * span]``,
-    so it still orders like the pair, and the bound on ``primary`` keeps it
-    inside uint64.  When the key range is at most the length (few colors,
-    as in rainbow preprocessing) the keys are ranked through a presence
-    table and its ``cumsum`` instead of a sort.
+    ``values`` is a C-contiguous int64 array of the pairs' length that the
+    caller gives up: it becomes the uint64 key.  ``primary`` holds
+    non-negative color ids no larger than its length, of any integer dtype.
+    With the values shifted to start at 0, each pair is packed into the key
+    ``primary * span + value``, which orders like the pair while the key
+    range ``(max primary + 1) * span`` is at most ``2**64`` (``span``: the
+    values' range).  Otherwise the values are first replaced by their dense
+    rank from 0, which keeps their order and makes ``span`` at most the
+    length, so the bound on ``primary`` keeps the key range in uint64.
     """
     lo = int(values.min())
     span = int(values.max()) - lo + 1
-    key_range = (int(primary.max()) + 1) * span
-    # uint64 arithmetic wraps modulo 2**64, which leaves every key in
-    # [0, 2**64) exact; a span of 2**64 (read as 0) occurs only with every
-    # primary 0
+    top_primary = int(primary.max())
+    # uint64 arithmetic wraps modulo 2**64, which leaves every key in [0, 2**64)
+    # exact; a span of 2**64 (read as 0) occurs only with every primary 0
     key = values.view(np.uint64)
     key -= np.uint64(lo % _UINT64_RANGE)
-    if key_range <= _UINT64_RANGE:
-        _add_scaled(key, primary, span % _UINT64_RANGE)
-        if key_range <= len(key):
-            seen = np.zeros(key_range, dtype=bool)
-            seen[key.view(np.int64)] = True  # keys below the length index as int64
-            count = int(np.count_nonzero(seen))
-            rank = np.cumsum(seen, dtype=id_dtype(count))  # rank[k]: distinct keys <= k
-            del seen
-            return gather(rank, key.view(np.int64)), count
-        top = key_range - 1
-    else:
+    if (top_primary + 1) * span > _UINT64_RANGE:
         ranks, span = _dense_rank(key, span - 1)
-        key[...] = ranks
+        np.subtract(ranks, np.uint64(1), out=key)
         del ranks
-        _add_scaled(key, primary, span)
-        top = (int(primary.max()) + 1) * span
-    return _dense_rank(key, top)
+    scale = np.uint64(span % _UINT64_RANGE)
+    for s in range(0, len(key), _RANK_BLOCK):  # narrow ids widened a block at a time
+        key[s : s + _RANK_BLOCK] += np.multiply(
+            primary[s : s + _RANK_BLOCK], scale, dtype=np.uint64, casting="unsafe"
+        )
+    return _rank(key, (top_primary + 1) * span - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,20 +385,18 @@ def normalize_by_value(raw) -> tuple[ColorMatrix, np.ndarray]:
 
     Two grids that use the same vocabulary of original ids map to the same
     new ids, regardless of where those ids first occur.  Paired runs rely on
-    this to keep color ids aligned across two inputs.  Returns the coloring
-    and ``ids``, the sorted distinct original ids (the vocabulary), read off
-    the table that renumbers them: id ``ids[k]`` becomes color ``k + 1``.
+    this to keep color ids aligned across two inputs.  Returns the coloring,
+    the ids' ranks (:func:`_rank`), and ``ids``, the sorted distinct ids
+    (the vocabulary) scattered from the cells: ``ids[k]`` becomes ``k + 1``.
     """
     arr = _as_grid(raw)
     flat = arr.ravel()
-    seen = _id_presence(flat)
-    if seen is None:
-        ids, inverse = np.unique(flat, return_inverse=True)
-        labels = np.arange(1, len(ids) + 1, dtype=id_dtype(len(ids)))
-        return ColorMatrix._ranked(gather(labels, inverse).reshape(arr.shape), len(ids)), ids
-    ids = np.flatnonzero(seen)
-    rank = np.cumsum(seen, dtype=id_dtype(len(ids)))  # rank[i]: distinct ids <= i
-    return ColorMatrix._ranked(gather(rank, arr), len(ids)), ids
+    ranks, r = _rank(flat, int(flat.max()))
+    # each id scattered to its rank, a block of ranks cast to intp at a time
+    ids = np.empty(r + 1, dtype=np.int64)
+    for s in range(0, len(flat), _RANK_BLOCK):
+        ids[ranks[s : s + _RANK_BLOCK].astype(np.intp)] = flat[s : s + _RANK_BLOCK]
+    return ColorMatrix._ranked(ranks.reshape(arr.shape), r), ids[1:]
 
 
 def rainbow_refine(x: ColorMatrix) -> ColorMatrix:

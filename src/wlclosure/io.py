@@ -33,6 +33,7 @@ from .probabilistic import guard_memory
 
 HEADER_TAG = "wlgraph"
 _BLOCK_CELLS = 1 << 15
+_DECODE_BYTES = 160 * _BLOCK_CELLS  # most that decoding a block of 19-digit ids holds
 _INT32_MAX = 2**31 - 1
 _MAX_DIGITS = len(str(INT64_MAX))  # 19
 
@@ -130,21 +131,27 @@ def _decode_rows(chunk: bytes, n: int, first_row: int) -> np.ndarray:
     return values
 
 
-def _read_bytes(n: int, r: int, held: int) -> int:
+def _read_bytes(n: int, r: int, held: int, sparse: bool = False) -> int:
     """Estimated working set of reading an ``n x n`` grid of ``r`` colors
-    (the header's) from ``held`` bytes of text, ids at most ``n**2``.
+    (the header's) from ``held`` bytes of text, with ids at most ``n**2``
+    or, ``sparse``, any up to ``2**63 - 1``; ``w`` is the new ids' width.
 
-    The parse holds the text and the int32 grid.  The renumbering, once the
-    text is released, holds the grid and, in ``validate``, the largest
-    tables: the first position of each id (8 bytes an id up to ``n**2``), a
-    label table and the new ids (``w`` bytes an id or cell, ``w`` the new
-    ids' width) and 24 bytes a color (the present ids, their order by first
-    position and its labels).  Larger ids are renumbered through
-    ``np.unique``, which needs more.
+    Dense ids: the text and the int32 grid while it parses, then the grid
+    and ``validate``'s tables: a first position an id (8 bytes), a label an
+    id and a new id a cell (``w`` each), and 24 bytes a color (the present
+    ids, their order by first position and its labels).  Sparse ids count
+    an int64 grid: the text, a block's decoding (``_DECODE_BYTES``, 154
+    bytes a cell traced) and both grids as it widens; the grid, a
+    uint64 key copy, the key's low bits and a sort buffer as they are ranked
+    by value (24 bytes a cell); then the grid, the ranks, the new ids and
+    32 + w bytes a color.
     """
     cells = n * n
     r = min(r, cells)
-    return max(held + 4 * cells, (12 + 2 * id_dtype(r).itemsize) * cells + 24 * r)
+    w = id_dtype(r).itemsize
+    if sparse:
+        return max(held + 12 * cells + _DECODE_BYTES, 24 * cells, (8 + 2 * w) * cells + (32 + w) * r)
+    return max(held + 4 * cells, (12 + 2 * w) * cells + 24 * r)
 
 
 def parse_graph_raw(text: str | bytes) -> tuple[np.ndarray, int]:
@@ -154,8 +161,9 @@ def parse_graph_raw(text: str | bytes) -> tuple[np.ndarray, int]:
     its UTF-8 bytes, so a non-ASCII character is an invalid byte.  The text
     is checked here; the ids are neither checked positive nor counted
     against ``r``: the renumbering does both (:func:`_declared`), so the
-    grid is scanned once.  Before the grid is allocated, the read's working
-    set (:func:`_read_bytes`) is checked against the memory budget.
+    grid is scanned once.  Before the grid is allocated, and at the first
+    id above ``n**2``, the read's working set (:func:`_read_bytes`) is
+    checked against the memory budget.
     """
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     if b"\r" in data:  # a line end too; "\r\n" then reads as a line end and a blank line
@@ -181,8 +189,9 @@ def parse_graph_raw(text: str | bytes) -> tuple[np.ndarray, int]:
         values = _decode_rows(b"\n".join([data[s:e] for s, e in block]), n, top)
         if grid is None:
             continue
-        if grid.dtype == np.int32 and values.max() > _INT32_MAX:
-            grid = grid.astype(np.int64)
+        if grid.dtype == np.int32 and (hi := int(values.max())) > n * n:  # before an int64 grid
+            guard_memory(_read_bytes(n, r, held, True), "graph read", f"at n={n}, ids above n^2")
+            grid = grid if hi <= _INT32_MAX else grid.astype(np.int64)
         grid[top : top + len(block)] = values.reshape(len(block), n)
     return grid, r
 

@@ -184,6 +184,13 @@ def python_first_occurrence_relabel(flat) -> tuple[list[int], int]:
     return [label[int(value)] for value in flat], len(label)
 
 
+def python_normalize_by_value(flat) -> tuple[list[int], list[int]]:
+    """Labels 1..r by sorted distinct id, and those ids (the vocabulary)."""
+    ids = sorted({int(value) for value in flat})
+    label = {value: k + 1 for k, value in enumerate(ids)}
+    return [label[int(value)] for value in flat], ids
+
+
 def python_first_positions(flat, top: int) -> list[int]:
     """Each id ``0..top``'s first position in ``flat`` from a scan of every
     entry, ``len(flat)`` for an absent id."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from oracles import (
     python_color_counts,
     python_first_occurrence_relabel,
     python_first_positions,
+    python_normalize_by_value,
     python_refine_by,
     random_grid,
     sorted_tuple_ranks,
@@ -731,6 +733,15 @@ def _relabel_case(name):
         return rng.permutation(400) // 2 + 1
     if name == "sparse_near_2_62":
         return rng.integers(2**62 - 50, 2**62 + 50, 300)
+    if name == "sparse_int64_extremes":  # ids 1 and 2**63 - 1 in one grid
+        return rng.choice(np.array([1, 2**63 - 1]), 300)
+    if name == "sparse_past_blocks":  # sparse ids over several rank blocks, two first seen late
+        flat = rng.choice(rng.integers(10**6, 2**62, 1000), 3 * graph._RANK_BLOCK + 5)
+        flat[2 * graph._RANK_BLOCK + 7] = 2**62 + 9
+        flat[2 * graph._RANK_BLOCK + 9] = 5 * 10**5
+        return flat
+    if name == "sparse_fits_int32":  # ids times 1000
+        return ((rng.permutation(400) // 2 + 1) * 1000).astype(np.int32)
     if name == "few_ids_past_a_block":  # several rank blocks of a few ids
         return rng.integers(1, 4, 3 * graph._RANK_BLOCK + 5)
     if name == "ids_first_past_a_block":  # late first occurrences, the larger id first
@@ -741,28 +752,45 @@ def _relabel_case(name):
     raise AssertionError(name)
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "dense_small_ids",
-        "dense_small_ids_int32",
-        "all_distinct",
-        "half_merged",
-        "sparse_near_2_62",
-        "few_ids_past_a_block",
-        "ids_first_past_a_block",
-    ],
-)
+_RELABEL_CASES = [
+    "dense_small_ids",
+    "dense_small_ids_int32",
+    "all_distinct",
+    "half_merged",
+    "sparse_near_2_62",
+    "sparse_int64_extremes",
+    "sparse_past_blocks",
+    "sparse_fits_int32",
+    "few_ids_past_a_block",
+    "ids_first_past_a_block",
+]
+
+
+@pytest.mark.parametrize("name", _RELABEL_CASES)
 def test_first_occurrence_relabel_matches_sorted_dict_oracle(name):
     flat = _relabel_case(name)
     labels, r = graph._first_occurrence_relabel(flat)
     expected, expected_r = python_first_occurrence_relabel(flat.tolist())
     assert labels.dtype == np.min_scalar_type(r)
     assert labels.tolist() == expected and r == expected_r
-    # sparse ids take the np.unique path; every other case a presence table
-    assert (graph._id_presence(flat) is None) == (name == "sparse_near_2_62")
+    # sparse ids, above the cell count, are ranked by value first; every
+    # other case takes a presence table at once
+    assert (graph._id_presence(flat) is None) == name.startswith("sparse")
     if name == "all_distinct":
         assert labels.tolist() == list(range(1, len(flat) + 1))
+
+
+@pytest.mark.parametrize("name", _RELABEL_CASES)
+def test_normalize_by_value_matches_sorted_ids_oracle(name):
+    """The largest square grid of each relabel case's first cells, ranked
+    by value through a presence table or, for sparse ids, a sort."""
+    flat = _relabel_case(name)
+    k = isqrt(len(flat))
+    x, ids = normalize_by_value(flat[: k * k].reshape(k, k))
+    expected, expected_ids = python_normalize_by_value(flat[: k * k].tolist())
+    assert x.cells.dtype == np.min_scalar_type(x.r)
+    assert x.cells.ravel().tolist() == expected and x.r == len(expected_ids)
+    assert ids.tolist() == expected_ids
 
 
 def _first_positions_case(name):

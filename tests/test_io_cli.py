@@ -739,12 +739,31 @@ def test_cli_monte_carlo_over_memory_budget_exits_4(tmp_path, capsys, monkeypatc
     assert run_cli(capsys, *argv, "--seed", "1")[0] == 0
 
 
+def _traced_run(capsys, argv):
+    """``run_cli`` of ``argv`` and its traced peak."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        return (*run_cli(capsys, *argv), tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+
+
+def _scale_ids(path, zeros: int) -> None:
+    """Rewrite a graph file with every id times ``10**zeros``."""
+    header, body = path.read_bytes().split(b"\n", 1)
+    pad = b"0" * zeros
+    path.write_bytes(header + b"\n" + body.replace(b" ", pad + b" ").replace(b"\n", pad + b"\n"))
+
+
 @pytest.mark.parametrize("command", ["close", "isopair"])
 def test_cli_read_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch, command):
     """A file larger than the budget is refused before it is read, and one
     whose parse and renumbering are over it before its grid is allocated:
     exit 4, the read named, and no n**2 array made.  At a budget of the
-    read's own estimate the read passes and the run is refused."""
+    read's own estimate the read passes and the run is refused.  A file of
+    ids times 10**12 is refused at its first block, once the int32 grid is
+    made but before it is widened to int64."""
     n = 512
     path, x = write_fixture(tmp_path, "random", n, 3, 5)
     size = path.stat().st_size
@@ -752,13 +771,7 @@ def test_cli_read_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch, comm
     estimate = wio._read_bytes(n, x.r, size)
     for budget, detail in ((size - 1, f"for the {size:,} bytes of "), (estimate - 1, f"at n={n},")):
         monkeypatch.setattr(probabilistic, "_memory_budget", lambda budget=budget: budget)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(capsys, *argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, out, err, peak = _traced_run(capsys, argv)
         assert (code, out) == (4, "")
         assert err.startswith("error: graph read needs about ") and detail in err
         assert peak < size + n * n, f"{peak / 2**20:.2f} MiB"  # the int32 grid is 4 bytes a cell
@@ -766,15 +779,39 @@ def test_cli_read_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch, comm
     code, out, err = run_cli(capsys, *argv)
     assert code == 4 and err.startswith("error: Monte Carlo run needs about ")
 
+    n = 1024
+    path, x = write_fixture(tmp_path, "random", n, 3, 7, filename="sparse.wl")
+    _scale_ids(path, 12)
+    size = path.stat().st_size
+    argv = [command, str(path), *([str(path)] if command == "isopair" else []), "--seed", "1"]
+    sparse = wio._read_bytes(n, x.r, size, sparse=True)
+    assert sparse > wio._read_bytes(n, x.r, size)
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: sparse - 1)
+    code, out, err, peak = _traced_run(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: graph read needs about ") and f"at n={n}, ids above n^2" in err
+    # the text, the int32 grid and a block's decoding; an int64 grid is 8 bytes a cell
+    assert peak < size + 4 * n * n + wio._DECODE_BYTES, f"{peak / 2**20:.2f} MiB"
 
-@pytest.mark.parametrize("kind", ["few_colors", "half_the_cells"])
+
+# each id of the file times 10**zeros
+_SPARSE_KINDS = {
+    "few_colors_times_10_12": 12,
+    "half_the_cells_times_1000": 3,
+    "half_the_cells_times_10_10": 10,
+}
+
+
+@pytest.mark.parametrize("kind", ["few_colors", "half_the_cells", *_SPARSE_KINDS])
 def test_read_traced_peak_is_within_the_guard_estimate(tmp_path, kind):
     """Either reader of a 1024 x 1024 file of 3 colors, or of about
     ``n**2 / 2`` (each arc shares its color with its reverse), holds at most
-    the read's estimate: the file's bytes and the grid, then the grid and
-    the renumbering's tables."""
+    the largest estimate the read's guards check: the file's bytes and the
+    grid, then the grid and the renumbering's tables.  The sparse kinds
+    scale every id by a power of 10: ids times 1000 still fit the int32
+    grid, the others widen it."""
     n = 1024
-    if kind == "few_colors":
+    if kind.startswith("few_colors"):
         x = make_fixture("random", n, 3, 7)
     else:
         u, v = np.indices((n, n))
@@ -782,7 +819,11 @@ def test_read_traced_peak_is_within_the_guard_estimate(tmp_path, kind):
         assert x.r == n * (n + 1) // 2
     path = tmp_path / "g.wl"
     write_graph_file(path, x)
-    estimate = wio._read_bytes(n, x.r, path.stat().st_size)
+    sparse = kind in _SPARSE_KINDS
+    if sparse:
+        _scale_ids(path, _SPARSE_KINDS[kind])
+    size = path.stat().st_size
+    estimate = max(wio._read_bytes(n, x.r, size), wio._read_bytes(n, x.r, size, sparse))
     for read in (read_graph_file, read_graph_by_value):
         read(path)  # the first call traces one-time allocations
         gc.collect()
@@ -995,7 +1036,7 @@ def test_cli_isopair_vocabulary_mismatch_diverges_up_front(tmp_path, capsys):
         ([1, 2], [1, 2, 3], (2, 3)),
         ([1, 4], [4, 1], None),  # a presence table per side
         ([1, 2], [1, 10**12], (2, 2)),  # dense against sparse
-        ([10**12, 5], [5, 10**12], None),  # both sparse: np.unique
+        ([10**12, 5], [5, 10**12], None),  # both sparse: ranked by value
         ([10**12, 5], [5, 10**12 + 1], (2, 2)),
         ([10**12, 5, 6], [5, 10**12], (3, 2)),
     ],
