@@ -10,7 +10,9 @@ first-occurrence order, single spaces, ``\n`` line ends, no comments -- so a
 parse/write round trip is bit-stable after one canonicalization.
 
 Both directions are vectorized over blocks of rows of about
-``_BLOCK_CELLS`` cells, so their working set stays a few MiB at any n.
+``_BLOCK_CELLS`` cells, the reader's also of at most ``_BLOCK_BYTES`` bytes
+of text unless one row is longer, so their working set stays a few MiB at
+any n.
 
 Run reports are ``key: value`` lines in a fixed order.  Wall-time keys are
 prefixed ``wall_`` and grouped last; everything above them is byte-identical
@@ -33,7 +35,7 @@ from .probabilistic import guard_memory
 
 HEADER_TAG = "wlgraph"
 _BLOCK_CELLS = 1 << 15
-_DECODE_BYTES = 160 * _BLOCK_CELLS  # most that decoding a block of 19-digit ids holds
+_BLOCK_BYTES = 20 * _BLOCK_CELLS  # the text of a block of 19-digit ids
 _INT32_MAX = 2**31 - 1
 _MAX_DIGITS = len(str(INT64_MAX))  # 19
 
@@ -88,14 +90,19 @@ def _decode_rows(chunk: bytes, n: int, first_row: int) -> np.ndarray:
     """
     buf = np.frombuffer(chunk, dtype=np.uint8)
     digits = buf - np.uint8(ord("0"))  # wraps for bytes below '0'
-    row_end = buf == ord("\n")
-    in_entry = ~((buf == ord(" ")) | (buf == ord("\t")) | row_end)
+    # at most four arrays a byte wide at a time, ``digits`` among them
+    in_entry = buf == ord("\n")
+    row_ends = np.flatnonzero(in_entry)
+    in_entry |= buf == ord(" ")
+    in_entry |= buf == ord("\t")
+    np.invert(in_entry, out=in_entry)
     bounds = np.flatnonzero(np.diff(in_entry, prepend=False, append=False))
     starts, ends = bounds[0::2], bounds[1::2]
-    row_ends = np.flatnonzero(row_end)
     counts = np.diff(np.searchsorted(starts, row_ends), prepend=0, append=len(starts))
     bad_count = np.flatnonzero(counts != n)
-    bad_byte = np.flatnonzero(in_entry & (digits > 9))
+    in_entry &= digits > 9
+    bad_byte = np.flatnonzero(in_entry)
+    del in_entry
     count_row = int(bad_count[0]) if len(bad_count) else None
     byte_row = int(np.searchsorted(row_ends, bad_byte[0])) if len(bad_byte) else None
     if count_row is not None and (byte_row is None or count_row <= byte_row):
@@ -121,8 +128,10 @@ def _decode_rows(chunk: bytes, n: int, first_row: int) -> np.ndarray:
         big = values > INT64_MAX
         longer = np.flatnonzero(lengths > _MAX_DIGITS)
         if len(longer):
-            nonzero = np.concatenate(([0], np.cumsum(digits != 0)))
-            big[longer] |= nonzero[ends[longer] - _MAX_DIGITS] > nonzero[starts[longer]]
+            # the largest digit before an entry's last 19, from the even
+            # segments of the interleaved bounds
+            heads = np.stack((starts[longer], ends[longer] - _MAX_DIGITS), axis=1).ravel()
+            big[longer] |= np.maximum.reduceat(digits, heads)[0::2] > 0
         big = np.flatnonzero(big)
         if len(big):
             raise GraphFileError(
@@ -131,27 +140,44 @@ def _decode_rows(chunk: bytes, n: int, first_row: int) -> np.ndarray:
     return values
 
 
-def _read_bytes(n: int, r: int, held: int, sparse: bool = False) -> int:
-    """Estimated working set of reading an ``n x n`` grid of ``r`` colors
-    (the header's) from ``held`` bytes of text, with ids at most ``n**2``
-    or, ``sparse``, any up to ``2**63 - 1``; ``w`` is the new ids' width.
+def _decode_bytes(n: int, longest: int) -> int:
+    """Most that decoding one block of rows holds, rows of at most
+    ``longest`` bytes with their line ends: 6 bytes a byte of its text (the
+    text and 4.0 traced beside it) and 64 bytes a cell (at most 35 traced)."""
+    rows = _decode_rows_per_block(n, longest)
+    return 6 * rows * longest + 64 * rows * n
 
-    Dense ids: the text and the int32 grid while it parses, then the grid
-    and ``validate``'s tables: a first position an id (8 bytes), a label an
-    id and a new id a cell (``w`` each), and 24 bytes a color (the present
+
+def _decode_rows_per_block(n: int, longest: int) -> int:
+    """Rows decoded at a time: at most ``_BLOCK_CELLS`` cells and, rows of
+    at most ``longest`` bytes, ``_BLOCK_BYTES`` bytes of text; at least one
+    and at most ``n``."""
+    return max(1, min(n, _BLOCK_CELLS // n, _BLOCK_BYTES // longest))
+
+
+def _read_bytes(n: int, r: int, held: int, longest: int, sparse: bool = False) -> int:
+    """Estimated working set of reading an ``n x n`` grid of ``r`` colors
+    (the header's) from ``held`` bytes of text, rows of at most ``longest``
+    bytes with their line ends, with ids at most ``n**2`` or, ``sparse``,
+    any up to ``2**63 - 1``; ``w`` is the new ids' width.
+
+    Dense ids: the text, the int32 grid and a block's decoding
+    (:func:`_decode_bytes`) while it parses, then the grid and
+    ``validate``'s tables: a first position an id (8 bytes), a label an id
+    and a new id a cell (``w`` each), and 24 bytes a color (the present
     ids, their order by first position and its labels).  Sparse ids count
-    an int64 grid: the text, a block's decoding (``_DECODE_BYTES``, 154
-    bytes a cell traced) and both grids as it widens; the grid, a
-    uint64 key copy, the key's low bits and a sort buffer as they are ranked
-    by value (24 bytes a cell); then the grid, the ranks, the new ids and
-    32 + w bytes a color.
+    an int64 grid: the text, a block's decoding and both grids as it
+    widens; the grid, a uint64 key copy, the key's low bits and a sort
+    buffer as they are ranked by value (24 bytes a cell); then the grid,
+    the ranks, the new ids and 32 + w bytes a color.
     """
     cells = n * n
     r = min(r, cells)
     w = id_dtype(r).itemsize
+    parse = held + 4 * cells + _decode_bytes(n, longest)
     if sparse:
-        return max(held + 12 * cells + _DECODE_BYTES, 24 * cells, (8 + 2 * w) * cells + (32 + w) * r)
-    return max(held + 4 * cells, (12 + 2 * w) * cells + 24 * r)
+        return max(parse + 8 * cells, 24 * cells, (8 + 2 * w) * cells + (32 + w) * r)
+    return max(parse, (12 + 2 * w) * cells + 24 * r)
 
 
 def parse_graph_raw(text: str | bytes) -> tuple[np.ndarray, int]:
@@ -177,20 +203,22 @@ def parse_graph_raw(text: str | bytes) -> tuple[np.ndarray, int]:
     # a row of n entries spans at least 2n - 1 bytes; a body too short for
     # that has a short row, which decoding names before any grid is needed
     grid = None
+    longest = max(e - s for s, e in spans[1:]) + 1
     if sum(e - s for s, e in spans[1:]) >= n * (2 * n - 1):
         check_size(n)
         # a str is held beside its bytes, and bytes beside their line-end copy
         held = len(data) if data is text else 2 * len(data)
-        guard_memory(_read_bytes(n, r, held), "graph read", f"at n={n}")
+        guard_memory(_read_bytes(n, r, held, longest), "graph read", f"at n={n}")
         grid = np.empty((n, n), dtype=np.int32)
-    rows = max(1, _BLOCK_CELLS // n)
+    rows = _decode_rows_per_block(n, longest)
     for top in range(0, n, rows):
         block = spans[1 + top : 1 + top + rows]
         values = _decode_rows(b"\n".join([data[s:e] for s, e in block]), n, top)
         if grid is None:
             continue
         if grid.dtype == np.int32 and (hi := int(values.max())) > n * n:  # before an int64 grid
-            guard_memory(_read_bytes(n, r, held, True), "graph read", f"at n={n}, ids above n^2")
+            estimate = _read_bytes(n, r, held, longest, True)
+            guard_memory(estimate, "graph read", f"at n={n}, ids above n^2")
             grid = grid if hi <= _INT32_MAX else grid.astype(np.int64)
         grid[top : top + len(block)] = values.reshape(len(block), n)
     return grid, r

@@ -57,16 +57,20 @@ _MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 # cache; and the offsets ``i * gamma`` mod 2**64 of a block's states
 _DRAW_BLOCK = 2**14
 _GAMMA_STEPS = np.arange(_DRAW_BLOCK, dtype=np.uint64) * _GOLDEN_GAMMA
-# rows cast at a time: the second half's products are cast while its block
-# of the left factor is still held, so the cast's staging adds to the peak
+# rows cast at a time: an int64 panel's products are cast while its block of
+# the left factor is still held, so the cast's staging adds to the peak
 _CAST_ROWS = 16
-# row blocks per product: each block's half of the left factor is gathered
+# row blocks per product: each block's panel of the left factor is gathered
 # and multiplied on its own.  A block is a quarter of the rows up to n = 512,
 # 128 rows up to n = 1024 and an eighth from there on (the product at
 # n = 512 took 15 % longer in 64-row blocks), so at most an eighth of the
 # left factor is held at a time
 _PRODUCT_BLOCKS = 4
 _BLOCK_ROWS = 128
+# the product sums over w in panels: halves below n = 1024 and quarters
+# from there on, where the row blocks are an eighth of the rows, so at most
+# a quarter of the right factor is held at a time
+_QUARTER_PANELS_FROM = 1024
 
 # the dtype of both substitution tables: every value is at most m < 2**32
 _TABLE_DTYPE = np.dtype(np.uint32)
@@ -75,9 +79,10 @@ _TABLE_DTYPE = np.dtype(np.uint32)
 # and next cells, each as wide as the ids of a discrete coloring.  Per step,
 # in bytes, shared by paired colorings: the substitution's two uint32 tables
 # (at most one entry per cell each) and the int64 product, plus the most any
-# phase adds: the product's float64 half of the right factor, row block of
-# half the left factor and row block of the second half's products, each
-# block at most a quarter of the rows (23 bytes in all); the per-class int64
+# phase adds: the product's float64 panel of the right factor (at most half
+# of it), row block of that panel of the left factor and row block of a
+# later panel's products, each block at most a quarter of the rows (23 bytes
+# in all, below n = 1024 where the panels are halves); the per-class int64
 # table of refine_by's constancy check, the largest (24); or the dropped low
 # bits of the rank words (at most 4 bytes), sorted in the product's buffer.
 # A step frees the tables before the last coloring's rank, but a paired step
@@ -381,18 +386,19 @@ def draw_substitution(r: int, m: int, rng: SplitMix64Stream) -> RandomSubstituti
 
 
 def _gemm_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``a @ b`` of integer-valued float64 factors into the int64 array
-    ``out`` and return it.
+    """Write ``a @ b`` of integer-valued float64 factors into ``out``, a
+    float64 or int64 array, and return it.
 
-    The GEMM writes into ``out`` viewed as float64, which is then cast in
+    An int64 ``out`` is written viewed as float64, which is then cast in
     place.  ``copyto`` stages an overlapping source through a temporary, so
     casting ``_CAST_ROWS`` rows at a time needs that many rows of extra
     memory.
     """
     c = out.view(np.float64)
     np.matmul(a, b, out=c)
-    for r0 in range(0, len(c), _CAST_ROWS):
-        np.copyto(out[r0:r0 + _CAST_ROWS], c[r0:r0 + _CAST_ROWS], casting="unsafe")
+    if out.dtype == np.int64:
+        for r0 in range(0, len(c), _CAST_ROWS):
+            np.copyto(out[r0:r0 + _CAST_ROWS], c[r0:r0 + _CAST_ROWS], casting="unsafe")
     return out
 
 
@@ -405,10 +411,12 @@ def _digit(a: np.ndarray, width: int, i: int) -> np.ndarray:
 
 def multiply(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
     """Write the exact product of float64 factors of integers in ``1..m``
-    into the int64 array ``out`` and return it.
+    into ``out`` and return it.
 
     ``a`` is ``k x n``, ``b`` is ``n x l`` and ``out`` is ``k x l``; the
-    caller has checked ``n * m**2 <= 2**63 - 1``.  Why a float64 GEMM is
+    caller has checked ``n * m**2 <= 2**63 - 1``.  ``out`` is int64, or
+    float64 when ``n * m**2 <= 2**53``: then the product is left in float64,
+    each entry an integer that float64 holds exactly.  Why a float64 GEMM is
     exact: every integer of magnitude at most ``2**53`` is a float64.  When
     ``n * m**2 <= 2**53``, every product of two entries and every partial sum
     is such an integer, so each floating-point operation is exact -- in any
@@ -433,11 +441,16 @@ def multiply(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> np.ndarra
     return out
 
 
-def _product_block_rows(n: int) -> int:
-    """Rows of the product's row blocks: ``max(ceil(n/8), min(ceil(n/4),
-    128))``, never more than ``ceil(n / _PRODUCT_BLOCKS)``."""
+def _product_layout(n: int) -> tuple[int, list[tuple[int, int]]]:
+    """The blocking of the product at ``n``: the rows of its row blocks,
+    ``max(ceil(n/8), min(ceil(n/4), 128))``, never more than
+    ``ceil(n / _PRODUCT_BLOCKS)``; and the bounds of its panels of ``w``,
+    of ``ceil(n/2)`` columns below ``_QUARTER_PANELS_FROM`` and ``ceil(n/4)``
+    from there on, the last one short when they do not divide ``n``."""
     quarter = -(-n // _PRODUCT_BLOCKS)
-    return max(-(-n // (2 * _PRODUCT_BLOCKS)), min(quarter, _BLOCK_ROWS))
+    rows = max(-(-n // (2 * _PRODUCT_BLOCKS)), min(quarter, _BLOCK_ROWS))
+    width = quarter if n >= _QUARTER_PANELS_FROM else -(-n // 2)
+    return rows, [(k0, min(k0 + width, n)) for k0 in range(0, n, width)]
 
 
 def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
@@ -451,14 +464,24 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     :func:`~wlclosure.graph.gather`, so no float64 table or table copy is
     made.  Whenever ``m < 2**31``, which the product bound gives at every
     ``n >= 2``, they are gathered from an int32 view of the tables, whose
-    widening is faster.  The sum runs over two halves of ``w``, so only half
-    of the right factor is held at a time: each half's rows of the right
-    factor are gathered once, and the matching columns of the left factor in
-    row blocks of :func:`_product_block_rows` rows.  The first half's products
-    are written into the product, the second half's, from a block
-    temporary, added to them.  Each half is an exact int64 product by
-    :func:`multiply`, and so is their sum, at most ``n * m**2``.  Each row
-    block is range-checked once its sum is complete, while it is in cache.
+    widening is faster.  The sum runs over panels of ``w`` laid out by
+    :func:`_product_layout` -- halves below n = 1024, quarters from there
+    on -- so only one panel of the right factor is held at a time: each
+    panel's rows of the right factor are gathered once, and the matching
+    columns of the left factor in row blocks.  The first panel's products
+    are written into the product, each later panel's, from a block
+    temporary, added to them.
+
+    Each panel is a product by :func:`multiply`.  When ``n * m**2 <=
+    2**53`` the panels are summed in float64, in the product's rows viewed
+    as float64, and each row block is cast to int64 once, as its last panel
+    is added.  That sum is exact: every entry of the factors is an integer in
+    ``1..m``, so every partial sum, within a panel's GEMM or across panels,
+    is an integer of at most ``n * m**2 <= 2**53``, which float64 holds, and
+    every addition is exact in any order.  Otherwise each panel is an exact
+    int64 product (digits when the panel's own bound is past ``2**53``), and
+    so is their int64 sum, at most ``n * m**2``.  Each row block is
+    range-checked once its sum is complete, while it is in cache.
     """
     if len(sub.left) <= x.r or len(sub.right) <= x.r:
         raise InputError("substitution covers fewer colors than the input uses")
@@ -467,19 +490,30 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     wide = np.int32 if m < 2**31 else _TABLE_DTYPE
     lefts, rights = sub.left.view(wide), sub.right.view(wide)
     product = np.empty(x.cells.shape, dtype=np.int64)
-    rows, half, bound = _product_block_rows(n), -(-n // 2), n * m**2
-    for k0, k1 in ((0, half), (half, n)):
+    (rows, panels), bound = _product_layout(n), n * m**2
+    in_float = bound <= FLOAT64_EXACT
+    for k0, k1 in panels:
         right = gather(rights, x.cells[k0:k1], np.float64)
         for r0 in range(0, n, rows):
             block = gather(lefts, x.cells[r0:r0 + rows, k0:k1], np.float64)
-            if k0 == 0:
-                multiply(block, right, m, product[r0:r0 + rows])
-                continue
-            part = multiply(block, right, m, np.empty_like(product[r0:r0 + rows]))
-            del block
             done = product[r0:r0 + rows]
-            done += part
-            del part
+            sums = done.view(np.float64) if in_float else done
+            if k0 == 0:
+                # a product of one panel (n = 1) is cast by multiply itself
+                multiply(block, right, m, sums if k1 < n else done)
+            else:
+                part = multiply(block, right, m, np.empty_like(sums))
+                del block
+                if in_float and k1 == n:
+                    # the last panel's sum is made in its block temporary,
+                    # from which the rows are cast, with no staging
+                    part += sums
+                    np.copyto(done, part, casting="unsafe")
+                else:
+                    sums += part
+                del part
+            if k1 < n:
+                continue
             lo, hi = int(done.min()), int(done.max())
             if lo < n or hi > bound:
                 raise RefinementInvariantError(

@@ -714,9 +714,17 @@ def test_cli_close_overflow_exits_3(tmp_path, capsys):
     assert "int64" in err
 
 
+def _guard_the_run_only(monkeypatch, budget: int) -> None:
+    """A memory budget of ``budget`` bytes for the run, with the read left
+    unguarded: on grids this small the read's estimate, which counts its
+    decoding block at 64 bytes a cell, is above the run's."""
+    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: budget)
+    monkeypatch.setattr(wio, "guard_memory", lambda *args: None)
+
+
 def test_cli_close_exact_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch):
     path, _ = write_fixture(tmp_path, "path", 6)
-    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: 1000)
+    _guard_the_run_only(monkeypatch, 1000)
     code, out, err = run_cli(capsys, "close", str(path), "--mode", "exact")
     assert code == 4
     assert out == ""
@@ -729,7 +737,7 @@ def test_cli_monte_carlo_over_memory_budget_exits_4(tmp_path, capsys, monkeypatc
     argv = [command, str(path)]
     if command == "isopair":
         argv.append(str(path))
-    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: 1000)
+    _guard_the_run_only(monkeypatch, 1000)
     code, out, err = run_cli(capsys, *argv, "--seed", "1")
     assert code == 4
     assert err.startswith("error: Monte Carlo run needs about ") and "at n=7," in err
@@ -747,6 +755,11 @@ def _traced_run(capsys, argv):
         return (*run_cli(capsys, *argv), tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
+
+
+def _longest_row(path) -> int:
+    """Bytes of a graph file's longest row with its line end."""
+    return max(map(len, path.read_bytes().split(b"\n")[1:])) + 1
 
 
 def _scale_ids(path, zeros: int) -> None:
@@ -768,7 +781,7 @@ def test_cli_read_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch, comm
     path, x = write_fixture(tmp_path, "random", n, 3, 5)
     size = path.stat().st_size
     argv = [command, str(path), *([str(path)] if command == "isopair" else []), "--seed", "1"]
-    estimate = wio._read_bytes(n, x.r, size)
+    estimate = wio._read_bytes(n, x.r, size, _longest_row(path))
     for budget, detail in ((size - 1, f"for the {size:,} bytes of "), (estimate - 1, f"at n={n},")):
         monkeypatch.setattr(probabilistic, "_memory_budget", lambda budget=budget: budget)
         code, out, err, peak = _traced_run(capsys, argv)
@@ -784,14 +797,15 @@ def test_cli_read_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch, comm
     _scale_ids(path, 12)
     size = path.stat().st_size
     argv = [command, str(path), *([str(path)] if command == "isopair" else []), "--seed", "1"]
-    sparse = wio._read_bytes(n, x.r, size, sparse=True)
-    assert sparse > wio._read_bytes(n, x.r, size)
+    longest = _longest_row(path)
+    sparse = wio._read_bytes(n, x.r, size, longest, sparse=True)
+    assert sparse > wio._read_bytes(n, x.r, size, longest)
     monkeypatch.setattr(probabilistic, "_memory_budget", lambda: sparse - 1)
     code, out, err, peak = _traced_run(capsys, argv)
     assert (code, out) == (4, "")
     assert err.startswith("error: graph read needs about ") and f"at n={n}, ids above n^2" in err
     # the text, the int32 grid and a block's decoding; an int64 grid is 8 bytes a cell
-    assert peak < size + 4 * n * n + wio._DECODE_BYTES, f"{peak / 2**20:.2f} MiB"
+    assert peak < size + 4 * n * n + wio._decode_bytes(n, longest), f"{peak / 2**20:.2f} MiB"
 
 
 # each id of the file times 10**zeros
@@ -823,7 +837,8 @@ def test_read_traced_peak_is_within_the_guard_estimate(tmp_path, kind):
     if sparse:
         _scale_ids(path, _SPARSE_KINDS[kind])
     size = path.stat().st_size
-    estimate = max(wio._read_bytes(n, x.r, size), wio._read_bytes(n, x.r, size, sparse))
+    longest = _longest_row(path)
+    estimate = max(wio._read_bytes(n, x.r, size, longest), wio._read_bytes(n, x.r, size, longest, sparse))
     for read in (read_graph_file, read_graph_by_value):
         read(path)  # the first call traces one-time allocations
         gc.collect()
@@ -836,12 +851,40 @@ def test_read_traced_peak_is_within_the_guard_estimate(tmp_path, kind):
         assert peak <= estimate, f"{read.__name__}: {peak / 2**20:.2f} > {estimate / 2**20:.2f} MiB"
 
 
+@pytest.mark.parametrize("n", [64, 128])
+def test_parse_of_long_zero_padded_ids_is_within_the_guard_estimate(n):
+    """A file of ids zero-padded to 201 digits decodes in blocks bounded by
+    their text as well as their cells, and checks an id's digits before its
+    last 19 with no table a byte wide: the parse's traced peak stays within
+    the read's estimate: 4.1 MB against 5.8 MB at n = 64, and 6.7 against
+    10.8 MB at n = 128, where a block of 32K cells would be the whole
+    3.3 MB text.  With blocks bounded by cells alone, an int64 count of
+    nonzero digits for every byte and no decoding block in the estimate,
+    they traced 18.5 MB against 1.7 MB and 73.9 MB against 6.7 MB."""
+    x = make_fixture("random", n, 3, 7)
+    text = f"wlgraph {n} {x.r}\n" + "".join(
+        " ".join(f"{v:0201d}" for v in row) + "\n" for row in x.cells.tolist()
+    )
+    longest = len(text.split("\n")[1]) + 1
+    estimate = wio._read_bytes(n, x.r, 2 * len(text), longest)  # the str and its bytes
+    parse_graph_raw(text)  # the first call traces one-time allocations
+    gc.collect()
+    tracemalloc.start()
+    try:
+        grid, r = parse_graph_raw(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (grid.tolist(), r) == (x.cells.tolist(), x.r)
+    assert peak <= estimate, f"{peak / 1e6:.2f} > {estimate / 1e6:.2f} MB"
+
+
 def test_cli_check_not_rainbow_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch):
     """The guard runs before the rainbow test, so an input that is not
     rainbow is refused over the budget too (it used to exit 1)."""
     path, x = write_fixture(tmp_path, "random", 7, 3, 5)
     assert not is_rainbow(x)
-    monkeypatch.setattr(probabilistic, "_memory_budget", lambda: 1000)
+    _guard_the_run_only(monkeypatch, 1000)
     code, out, err = run_cli(capsys, "check", str(path), "--seed", "1")
     assert (code, out) == (4, "")
     assert err.startswith("error: Monte Carlo run needs about ")

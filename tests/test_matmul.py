@@ -14,7 +14,7 @@ from wlclosure.probabilistic import (
     RandomSubstitution,
     RefinementInvariantError,
     SplitMix64Stream,
-    _product_block_rows,
+    _product_layout,
     check_product_bound,
     draw_substitution,
     multiply,
@@ -162,7 +162,9 @@ def test_product_halves_need_one_gemm_each(monkeypatch):
     expected = python_matmul(left[x.cells].tolist(), right[x.cells].tolist())
     assert min(map(min, expected)) > FLOAT64_EXACT
     assert numeric_product(x, sub).tolist() == expected
-    assert len(gemms) == 2 * -(-n // _product_block_rows(n))
+    rows, panels = _product_layout(n)
+    assert len(panels) == 2
+    assert len(gemms) == len(panels) * -(-n // rows)
 
 
 @pytest.mark.parametrize(
@@ -173,8 +175,28 @@ def test_product_halves_need_one_gemm_each(monkeypatch):
 def test_product_row_blocks_are_a_quarter_up_to_512_and_an_eighth_from_1024(n, rows):
     """Blocks of ``max(ceil(n/8), min(ceil(n/4), 128))`` rows: never more than
     a quarter of the rows, which the step guard counts."""
-    assert _product_block_rows(n) == rows
+    assert _product_layout(n)[0] == rows
     assert rows <= -(-n // 4)
+
+
+@pytest.mark.parametrize(
+    "n, panels",
+    [
+        (1, [(0, 1)]),
+        (3, [(0, 2), (2, 3)]),
+        (70, [(0, 35), (35, 70)]),
+        (512, [(0, 256), (256, 512)]),
+        (1023, [(0, 512), (512, 1023)]),
+        (1024, [(0, 256), (256, 512), (512, 768), (768, 1024)]),
+        (1031, [(0, 258), (258, 516), (516, 774), (774, 1031)]),
+        (2048, [(0, 512), (512, 1024), (1024, 1536), (1536, 2048)]),
+    ],
+)
+def test_product_panels_are_halves_below_1024_and_quarters_from_there(n, panels):
+    """The panels of ``w`` cover ``0..n`` in order, the last one short when
+    they do not divide ``n``; at n = 1 there is one panel, with no empty
+    second one."""
+    assert _product_layout(n)[1] == panels
 
 
 def _int64_product(x, sub):
@@ -185,18 +207,46 @@ def _int64_product(x, sub):
     return np.matmul(left, np.asfortranarray(right))
 
 
+def _near_m_substitution(rng, r, m):
+    """Tables of values within 1% of ``m`` and each equal to it at color 1,
+    so the product's partial sums grow all the way to ``n * m**2``."""
+    left, right = (np.append([0, m], m - rng.integers(0, m // 100, r - 1)) for _ in range(2))
+    return RandomSubstitution(m, left.astype(np.uint32), right.astype(np.uint32))
+
+
 @pytest.mark.parametrize("n", [1023, 1024, 1031])
-@pytest.mark.parametrize("m", [10**6, 2**25 + 1], ids=["one_gemm", "digits"])
-def test_product_in_eighth_row_blocks_is_exact(n, m):
-    """From n = 1024 the row blocks are an eighth of the rows: at n = 1023
-    they are 128 rows with a short last block, at 1024 eight full blocks,
-    and at 1031 blocks of 129 rows with a short last one; both the one-GEMM
-    path and the digit path (``n * m**2 > 2**53``) are exact."""
-    assert (n * m * m > FLOAT64_EXACT) == (m > 10**6)
+@pytest.mark.parametrize("regime", ["one_gemm", "int64_panels", "digits"])
+def test_product_in_eighth_row_blocks_is_exact(monkeypatch, n, regime):
+    """From n = 1024 the row blocks are an eighth of the rows and the panels
+    a quarter of ``w``: at n = 1023 the blocks are 128 rows with a short
+    last block and the panels halves, at 1024 eight full blocks, and at 1031
+    blocks of 129 rows and panels of 258 columns, each with a short last
+    one.  In each of the three regimes the product is exact: at ``m =
+    isqrt(2**53 // n)`` the panels are one GEMM each, summed in float64; at
+    ``m = 2**22``, where ``n * m**2 > 2**53 >= n / 2 * m**2``, each panel is
+    one GEMM cast to int64 and the panels are summed in int64; and at ``m =
+    2**25 + 1`` each panel splits the left factor into digits."""
+    m = {"one_gemm": isqrt(FLOAT64_EXACT // n), "int64_panels": 2**22, "digits": 2**25 + 1}[regime]
+    rows, panels = _product_layout(n)
+    widest = panels[0][1]
+    assert (n * m * m <= FLOAT64_EXACT) == (regime == "one_gemm")
+    assert (widest * m * m <= FLOAT64_EXACT) == (regime != "digits")
     rng = np.random.default_rng(n)
     x = validate(random_grid(rng, n, 1000))
-    sub = draw_substitution(x.r, m, SplitMix64Stream(n))
+    sub = _near_m_substitution(rng, x.r, m)
+    sums, gemms = [], []
+    real_multiply, real_gemm = probabilistic.multiply, probabilistic._gemm_into
+
+    def multiply(a, b, m, out):
+        sums.append(out.dtype)
+        return real_multiply(a, b, m, out)
+
+    monkeypatch.setattr(probabilistic, "multiply", multiply)
+    monkeypatch.setattr(probabilistic, "_gemm_into", lambda *a: gemms.append(1) or real_gemm(*a))
     assert np.array_equal(numeric_product(x, sub), _int64_product(x, sub))
+    calls = len(panels) * -(-n // rows)
+    assert sums == [np.dtype(np.float64 if regime == "one_gemm" else np.int64)] * calls
+    assert (len(gemms) == calls) == (regime != "digits")
 
 
 def test_one_vertex_with_m_above_int32_keeps_uint32_widening():
@@ -212,27 +262,32 @@ def test_one_vertex_with_m_above_int32_keeps_uint32_widening():
         assert numeric_product(x, RandomSubstitution(m, left, right)).tolist() == expected
 
 
-@pytest.mark.parametrize("n", [70, 1031])
+@pytest.mark.parametrize("n", [1, 70, 1031])
 @pytest.mark.parametrize("m", [1000, 2**25 + 1], ids=["one_gemm", "digits"])
 def test_range_check_covers_the_last_block_of_the_second_half(monkeypatch, n, m):
-    """The range check runs on each row block once its second half is added:
-    a product whose last entry sums to 0, in the last block of the second
-    half, is refused, while its first half alone was in range."""
+    """The range check runs on each row block once its last panel is added:
+    a product whose last entry sums to 0, in the last block of the last
+    panel (the second half at n = 70, the fourth quarter at n = 1031), is
+    refused, while the panels before it alone were in range.  At n = 1 the
+    one panel is also the last (and both m are one GEMM)."""
     x = validate(random_grid(np.random.default_rng(n), n, 5))
     sub = draw_substitution(x.r, m, SplitMix64Stream(n))
-    blocks = -(-n // _product_block_rows(n))
+    rows, panels = _product_layout(n)
+    blocks = -(-n // rows)
     outs = []
     real = probabilistic.multiply
 
     def multiply_last_entry_to_zero(a, b, m, out):
         outs.append(real(a, b, m, out))
-        if len(outs) == 2 * blocks:
+        if len(outs) == len(panels) * blocks:
+            # the first panel wrote the last block's rows of the product,
+            # which now hold the sum of the panels before this one
             first = outs[blocks - 1]
             assert first[-1, -1] > 0
-            out[-1, -1] = -first[-1, -1]
+            out[-1, -1] = 0 if first is out else -first[-1, -1]
         return out
 
     monkeypatch.setattr(probabilistic, "multiply", multiply_last_entry_to_zero)
     with pytest.raises(RefinementInvariantError, match=r"\[0, "):
         numeric_product(x, sub)
-    assert len(outs) == 2 * blocks
+    assert len(outs) == len(panels) * blocks

@@ -691,8 +691,9 @@ def test_exact_step_peak_near_a_discrete_coloring_is_within_the_guard():
 def test_product_gathers_from_the_substitution_tables():
     """On the largest-r step of a permuted path(512), r = n**2 / 2, the
     product holds itself, half of the right factor and its row blocks, and
-    no copy of a table: at most 16 bytes a cell traced (15.3 measured; 19.3
-    with a float64 copy of each table made per half)."""
+    no copy of a table: at most 16 bytes a cell traced (15.0 measured; 19.3
+    with a float64 copy of each table made per half, 17.0 with each block's
+    products of the second half held until the next block's are made)."""
     n = 512
     path = permute_vertices(make_fixture("path", n), np.random.default_rng(5).permutation(n))
     x = probabilistic_closure(path, RunParams(10**6, StoppingPolicy.practical(3), 1)).closure
@@ -703,17 +704,18 @@ def test_product_gathers_from_the_substitution_tables():
 
 
 def test_product_peak_at_1024_holds_eighth_row_blocks():
-    """From n = 1024 the product's row blocks are an eighth of the rows:
-    with the product and half of the right factor, a block of half the left
-    factor and one of the second half's products take 1.5 bytes a cell, so
-    the traced peak stays within 14 bytes a cell (13.6 measured; 15.1 with
+    """From n = 1024 the product's row blocks are an eighth of the rows and
+    its panels a quarter of ``w``: with the product and a quarter of the
+    right factor, a block of a quarter of the left factor and one of a later
+    panel's products take 1.25 bytes a cell, so the traced peak stays within
+    12 bytes a cell (11.3 measured; 13.6 with halves, 15.1 with halves and
     blocks of a quarter of the rows)."""
     n = 1024
     x = rainbow_refine(validate(random_grid(np.random.default_rng(3), n, 3)))
     sub = draw_substitution(x.r, 10**6, np.random.default_rng(2))
     numeric_product(x, sub)  # one-time allocations are not the product's
     peak = _traced_peak(lambda: numeric_product(x, sub))
-    assert peak <= 14 * n * n, f"{peak / n / n:.2f} B/cell"
+    assert peak <= 12 * n * n, f"{peak / n / n:.2f} B/cell"
 
 
 def test_draw_peak_is_its_uint32_tables():
@@ -730,18 +732,19 @@ def test_draw_peak_is_its_uint32_tables():
 
 def test_monte_carlo_closure_peak_is_about_two_matrices():
     """A step holds the current cells (one byte each here), the int64
-    product, half of the right factor, a row block of half the left factor
-    and one of the second half's products; then it sorts its rank words in
-    the product's buffer, beside their dropped low bits, and scatters the
-    ranks into the next cells (uint32 once discrete): the traced peak of a
-    closure at n=1024 stays within 2.1 int64 matrices (14.6 MiB measured;
-    16.1 MiB with row blocks of a quarter of the rows, 21.3 MiB with a whole
-    right factor and a separate words array)."""
+    product, a quarter of the right factor, a row block of a quarter of the
+    left factor and one of a later panel's products; then it sorts its rank
+    words in the product's buffer, beside their dropped low bits, and
+    scatters the ranks into the next cells (uint32 once discrete): the
+    traced peak of a closure at n=1024 stays within 1.75 int64 matrices
+    (13.2 MiB measured; 14.6 MiB with halves of ``w``, 16.1 MiB with halves
+    and row blocks of a quarter of the rows, 21.3 MiB with a whole right
+    factor and a separate words array)."""
     n = 1024
     x = make_fixture("random", n, 4, 901)
     params = RunParams(10**6, StoppingPolicy.practical(3), 902)
     peak = _traced_peak(lambda: probabilistic_closure(x, params))
-    assert peak <= 2.1 * 8 * n * n, f"{peak / 2**20:.1f} MiB"
+    assert peak <= 1.75 * 8 * n * n, f"{peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("entry", ["check_coherent", "classical_closure", "probabilistic_closure"])
