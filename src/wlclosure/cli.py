@@ -34,7 +34,6 @@ from .graph import (
 )
 from .io import (
     GraphFileError,
-    RunReport,
     format_graph_text,
     input_digest,
     read_graph_by_value,
@@ -113,33 +112,33 @@ def cmd_close(args) -> int:
             error_note = ("miss_probability_per_refinement", f"{miss:.6e}")
     timings.append(("closure", (time.perf_counter() - started) * 1000.0))
 
-    closure_text = None
     if args.out is not None:
         started = time.perf_counter()
         write_graph_file(args.out, result.closure)
         timings.append(("write", (time.perf_counter() - started) * 1000.0))
-    if args.print_closure:
-        closure_text = format_graph_text(result.closure)
 
-    report = RunReport(
-        command="close",
-        input_digest=input_digest(x),
-        n=x.n,
-        colors_in=x.r,
-        mode=args.mode,
-        policy=policy_desc,
-        m=probabilistic_m,
-        seed=seed if args.mode == "mc" else None,
-        iterations=result.iterations,
-        stopping_reason=result.stopping_reason,
-        classes_out=result.closure.r,
-        trace=result.trace,
-        error_note=error_note,
-        notes=notes,
-        timings=tuple(timings),
-        closure_text=closure_text,
-    )
-    sys.stdout.write(report.to_text())
+    print("command: close")
+    print(f"input_sha256: {input_digest(x)}")
+    print(f"n: {x.n}")
+    print(f"colors_in: {x.r}")
+    print(f"mode: {args.mode}")
+    print(f"policy: {policy_desc}")
+    print(f"m: {'-' if probabilistic_m is None else probabilistic_m}")
+    print(f"seed: {'-' if seed is None else seed}")
+    print(f"iterations: {result.iterations}")
+    print(f"stopping_reason: {result.stopping_reason}")
+    print(f"classes_out: {result.closure.r}")
+    print(f"trace: {','.join(str(t) for t in result.trace)}")
+    if error_note is not None:
+        print(f"{error_note[0]}: {error_note[1]}")
+    for note in notes:
+        print(f"note: {note}")
+    for key, ms in timings:
+        print(f"wall_{key}_ms: {ms:.3f}")
+    if args.print_closure:
+        print("closure:")
+        for line in format_graph_text(result.closure).rstrip("\n").split("\n"):
+            print("  " + line)
     return 0
 
 
@@ -368,9 +367,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OverflowGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -71,17 +71,12 @@ def _as_grid(raw) -> np.ndarray:
     return arr
 
 
-def _id_presence(flat: np.ndarray) -> np.ndarray | None:
-    """Table ``seen`` with ``seen[i]`` true when id ``i`` occurs in ``flat``.
-
-    Built for dense ids only -- positive (see :func:`_as_grid`) and at most
-    ``len(flat)``, so one byte per entry at most; ``None`` for sparse ids.
-    """
-    hi = int(flat.max())
-    if hi > len(flat):
-        return None
-    seen = np.zeros(hi + 1, dtype=bool)
-    seen[flat] = True
+def _id_presence(flat: np.ndarray, top: int) -> np.ndarray:
+    """Table ``seen`` with ``seen[i]`` true when id ``i`` occurs in ``flat``,
+    whose ids are non-negative and at most ``top``."""
+    seen = np.zeros(top + 1, dtype=bool)
+    for s in range(0, len(flat), _RANK_BLOCK):  # a block of ids cast to intp scatters faster
+        seen[flat[s : s + _RANK_BLOCK].astype(np.intp, copy=False)] = True
     return seen
 
 
@@ -141,32 +136,52 @@ def first_positions(flat: np.ndarray, top: int, present: int) -> np.ndarray:
     return first
 
 
+def _in_first_occurrence_order(flat: np.ndarray, r: int) -> bool:
+    """True when the positive ids of ``flat``, at most ``r``, are the
+    canonical ``1..r`` by first occurrence: the first cell is 1, each cell
+    exceeds the running maximum of the cells before it by at most one, and
+    that maximum reaches ``r``.  Checked one ``_RANK_BLOCK`` at a time, and
+    only until the running maximum is ``r``: no later cell can exceed it."""
+    top = 0
+    for s in range(0, len(flat), _RANK_BLOCK):
+        if top == r:
+            break
+        block = flat[s : s + _RANK_BLOCK]
+        bound = np.maximum.accumulate(block)
+        np.maximum(bound, top, out=bound)
+        # ids are at least 1, so ``block - 1`` cannot wrap where ``bound + 1`` could
+        if block[0] > top + 1 or (block[1:] - 1 > bound[:-1]).any():
+            return False
+        top = int(bound[-1])
+    return top == r
+
+
 def _first_occurrence_relabel(flat: np.ndarray) -> tuple[np.ndarray, int]:
-    """Renumber values to 1..r in order of first appearance.
+    """Renumber positive values to 1..r in order of first appearance.
 
     Returns the relabeled array, in :func:`id_dtype` of ``r``, and the
     number ``r`` of distinct values.  Sparse ids, above the cell count, are
     first ranked by value (:func:`_rank`), which keeps each id's cells.
-    Dense ids need no sort of the cells: when every cell is distinct the
-    labels are the positions; otherwise :func:`first_positions` finds each
-    id's first position, one ``argsort`` over the ``r`` ids ranks them and
-    the cells gather their labels from a table of narrow labels.
+    Ids already in that order (:func:`_in_first_occurrence_order`) are only
+    narrowed, and not copied when they have that dtype.  Otherwise, when
+    every cell is distinct the labels are the positions; else the labels
+    are the ranks (:func:`_dense_rank`) of the ids' first positions
+    (:func:`first_positions`), absent ids sharing the last rank ``r + 1``,
+    gathered into the cells in :func:`id_dtype` of ``r``.
     """
-    seen = _id_presence(flat)
-    if seen is None:
-        flat = _rank(flat, int(flat.max()))[0]
-        seen = _id_presence(flat)
+    top = int(flat.max())
+    if top > len(flat):
+        flat, top = _rank(flat, top)
+    if _in_first_occurrence_order(flat, top):
+        return flat.astype(id_dtype(top), copy=False), top
+    seen = _id_presence(flat, top)
     r = int(np.count_nonzero(seen))
+    del seen
     if r == len(flat):
         return np.arange(1, r + 1, dtype=id_dtype(r)), r
-    ids = np.flatnonzero(seen)
-    del seen
-    first = first_positions(flat, int(ids[-1]), r)
-    by_first = ids[np.argsort(first[ids])]
-    # entries of absent ids are never read
-    labels = np.empty(len(first), dtype=id_dtype(r))
-    labels[by_first] = np.arange(1, r + 1)
-    return gather(labels, flat), r
+    # a sort, not _rank's presence table: the key has up to one entry a cell
+    labels = _dense_rank(first_positions(flat, top, r).view(np.uint64), len(flat))[0]
+    return gather(labels, flat, id_dtype(r)), r
 
 
 def _rank_sorted_words(words: np.ndarray, ib: int) -> int:
@@ -335,8 +350,9 @@ class ColorMatrix:
         if not isinstance(self.cells, np.ndarray):
             raise InputError("cells must be an ndarray")
         cells = _as_grid(self.cells)
-        seen = _id_presence(cells.ravel())  # None: more ids than cells
-        if seen is None or len(seen) != self.r + 1 or np.count_nonzero(seen) != self.r:
+        flat = cells.ravel()
+        top = int(flat.max())  # a presence table only for ids up to the cell count
+        if top != self.r or top > len(flat) or np.count_nonzero(_id_presence(flat, top)) != top:
             raise InputError(f"colors must be exactly 1..{self.r}, all used")
         # ids are checked before the cast, which would wrap larger ones
         cells = cells.astype(id_dtype(self.r), copy=False)
@@ -373,10 +389,16 @@ def validate(raw) -> ColorMatrix:
 
     Entries must be positive integers; they are renumbered to ``1..r`` in
     order of first appearance (row-major), so e.g. ``[[5, 9], [9, 5]]``
-    becomes ``[[1, 2], [2, 1]]``.
+    becomes ``[[1, 2], [2, 1]]``.  Ids already so numbered pass through,
+    narrowed to :func:`id_dtype` of ``r``; a contiguous grid already in
+    that dtype is not copied, and the coloring takes ownership of it, as
+    :class:`ColorMatrix` does.  Other ids are ranked by their first
+    position (:func:`_first_occurrence_relabel`).
     """
     arr = _as_grid(raw)
     flat, r = _first_occurrence_relabel(arr.ravel())
+    if np.may_share_memory(flat, arr):  # ids passed through: the grid is frozen too
+        arr.setflags(write=False)
     return ColorMatrix._ranked(flat.reshape(arr.shape), r)
 
 

@@ -1,4 +1,4 @@
-"""Graph file format and run reports.
+"""Graph file format.
 
 A graph file is ASCII text: a header line ``wlgraph <n> <r>``, then ``n``
 rows of ``n`` color ids.  An id is a run of ASCII digits with a value from 1
@@ -13,10 +13,6 @@ Both directions are vectorized over blocks of rows of about
 ``_BLOCK_CELLS`` cells, the reader's also of at most ``_BLOCK_BYTES`` bytes
 of text unless one row is longer, so their working set stays a few MiB at
 any n.
-
-Run reports are ``key: value`` lines in a fixed order.  Wall-time keys are
-prefixed ``wall_`` and grouped last; everything above them is byte-identical
-across runs with the same inputs and seed.
 """
 
 from __future__ import annotations
@@ -24,13 +20,12 @@ from __future__ import annotations
 import os
 import re
 import stat
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .graph import INT64_MAX, ColorMatrix, InputError, check_size, id_dtype, is_discrete
-from .graph import normalize_by_value, validate
+from .graph import _in_first_occurrence_order, normalize_by_value, validate
 from .probabilistic import guard_memory
 
 HEADER_TAG = "wlgraph"
@@ -159,25 +154,26 @@ def _read_bytes(n: int, r: int, held: int, longest: int, sparse: bool = False) -
     """Estimated working set of reading an ``n x n`` grid of ``r`` colors
     (the header's) from ``held`` bytes of text, rows of at most ``longest``
     bytes with their line ends, with ids at most ``n**2`` or, ``sparse``,
-    any up to ``2**63 - 1``; ``w`` is the new ids' width.
+    any up to ``2**63 - 1``; ``w`` is the new ids' width and ``v`` that of
+    the ranks of the ids' first positions, whose count is ``r + 1``.
 
     Dense ids: the text, the int32 grid and a block's decoding
     (:func:`_decode_bytes`) while it parses, then the grid and
-    ``validate``'s tables: a first position an id (8 bytes), a label an id
-    and a new id a cell (``w`` each), and 24 bytes a color (the present
-    ids, their order by first position and its labels).  Sparse ids count
-    an int64 grid: the text, a block's decoding and both grids as it
+    ``validate``'s relabel: a first position and a rank an id, up to one a
+    cell (8 and ``v`` bytes), and a new id a cell (``w``).  Sparse ids
+    count an int64 grid: the text, a block's decoding and both grids as it
     widens; the grid, a uint64 key copy, the key's low bits and a sort
     buffer as they are ranked by value (24 bytes a cell); then the grid,
-    the ranks, the new ids and 32 + w bytes a color.
+    the ranks, the new ids and a first position and a rank a color.
     """
     cells = n * n
     r = min(r, cells)
     w = id_dtype(r).itemsize
+    v = id_dtype(r + 1).itemsize
     parse = held + 4 * cells + _decode_bytes(n, longest)
     if sparse:
-        return max(parse + 8 * cells, 24 * cells, (8 + 2 * w) * cells + (32 + w) * r)
-    return max(parse, (12 + 2 * w) * cells + 24 * r)
+        return max(parse + 8 * cells, 24 * cells, (8 + 2 * w) * cells + (8 + v) * r)
+    return max(parse, (12 + w + v) * cells)
 
 
 def parse_graph_raw(text: str | bytes) -> tuple[np.ndarray, int]:
@@ -268,27 +264,6 @@ def read_graph_by_value(path) -> tuple[ColorMatrix, np.ndarray]:
     return _declared(x, declared), ids
 
 
-def _in_first_occurrence_order(x: ColorMatrix) -> bool:
-    """True when the colors already are the canonical ``1..r`` by first
-    occurrence: the first cell is 1 and each cell exceeds the running maximum
-    of the cells before it by at most one.  Much cheaper than renumbering;
-    checked a block at a time, and only until the running maximum is ``r``:
-    no later cell, at most ``r``, can exceed it."""
-    flat = x.cells.ravel()
-    top = 0
-    for start in range(0, len(flat), _BLOCK_CELLS):
-        if top == x.r:
-            break
-        block = flat[start : start + _BLOCK_CELLS]
-        bound = np.maximum.accumulate(block)
-        np.maximum(bound, top, out=bound)
-        # ids are at least 1, so ``block - 1`` cannot wrap where ``bound + 1`` could
-        if block[0] > top + 1 or (block[1:] - 1 > bound[:-1]).any():
-            return False
-        top = int(bound[-1])
-    return True
-
-
 def _encode_rows(rows: np.ndarray) -> np.ndarray:
     """ASCII text of a block of rows of positive ids, as a uint8 array.
 
@@ -331,12 +306,14 @@ def _canonical_chunks(x: ColorMatrix, canonical: bool = True) -> Iterator[bytes 
 
     With ``canonical`` (the default) colors are first renumbered ``1..r``
     in first-occurrence order -- for a discrete coloring, whose cells all
-    differ, that numbers the cells in order, with no scan of them; the
-    chunks are bytes-like, for a binary file, a hash or ``b"".join``.
+    differ, that numbers the cells in order, with no scan of them; ids
+    that already pass graph's order test, as a read input's do, are
+    written as they are.  The chunks are bytes-like, for a binary file, a
+    hash or ``b"".join``.
     """
     n, cells = x.n, x.cells
     positions = canonical and is_discrete(x)
-    if canonical and not positions and not _in_first_occurrence_order(x):
+    if canonical and not positions and not _in_first_occurrence_order(cells.ravel(), x.r):
         cells = validate(cells).cells
     yield f"{HEADER_TAG} {n} {x.r}\n".encode("ascii")
     rows = max(1, _BLOCK_CELLS // n)
@@ -412,49 +389,3 @@ def input_digest(x: ColorMatrix) -> str:
     for chunk in _canonical_chunks(x):
         digest.update(chunk)
     return digest.hexdigest()
-
-
-@dataclass
-class RunReport:
-    """Fixed-order textual summary of one CLI run."""
-
-    command: str
-    input_digest: str
-    n: int
-    colors_in: int
-    mode: str
-    policy: str
-    m: int | None
-    seed: int | None
-    iterations: int
-    stopping_reason: str
-    classes_out: int
-    trace: tuple[int, ...]
-    error_note: tuple[str, str] | None = None
-    notes: tuple[str, ...] = ()
-    timings: tuple[tuple[str, float], ...] = ()
-    closure_text: str | None = None
-
-    def to_text(self) -> str:
-        lines = [
-            f"command: {self.command}",
-            f"input_sha256: {self.input_digest}",
-            f"n: {self.n}",
-            f"colors_in: {self.colors_in}",
-            f"mode: {self.mode}",
-            f"policy: {self.policy}",
-            f"m: {'-' if self.m is None else self.m}",
-            f"seed: {'-' if self.seed is None else self.seed}",
-            f"iterations: {self.iterations}",
-            f"stopping_reason: {self.stopping_reason}",
-            f"classes_out: {self.classes_out}",
-            f"trace: {','.join(str(t) for t in self.trace)}",
-        ]
-        if self.error_note is not None:
-            lines.append(f"{self.error_note[0]}: {self.error_note[1]}")
-        lines.extend(f"note: {note}" for note in self.notes)
-        lines.extend(f"wall_{key}_ms: {ms:.3f}" for key, ms in self.timings)
-        if self.closure_text is not None:
-            lines.append("closure:")
-            lines.extend("  " + ln for ln in self.closure_text.rstrip("\n").split("\n"))
-        return "\n".join(lines) + "\n"

@@ -749,6 +749,13 @@ def _relabel_case(name):
         flat[2 * graph._RANK_BLOCK + 7] = 9
         flat[2 * graph._RANK_BLOCK + 9] = 5
         return flat
+    if name == "in_order_past_a_block":  # ids 1..3 in order, a new id 4 past a block
+        flat = rng.integers(1, 4, 3 * graph._RANK_BLOCK + 5)
+        flat[:3] = 1, 2, 3
+        flat[2 * graph._RANK_BLOCK + 7] = 4
+        return flat
+    if name == "sparse_in_order":  # in first-occurrence order once ranked by value
+        return np.repeat(np.arange(1, 201) * 10**12, 2)
     raise AssertionError(name)
 
 
@@ -763,6 +770,8 @@ _RELABEL_CASES = [
     "sparse_fits_int32",
     "few_ids_past_a_block",
     "ids_first_past_a_block",
+    "in_order_past_a_block",
+    "sparse_in_order",
 ]
 
 
@@ -773,9 +782,8 @@ def test_first_occurrence_relabel_matches_sorted_dict_oracle(name):
     expected, expected_r = python_first_occurrence_relabel(flat.tolist())
     assert labels.dtype == np.min_scalar_type(r)
     assert labels.tolist() == expected and r == expected_r
-    # sparse ids, above the cell count, are ranked by value first; every
-    # other case takes a presence table at once
-    assert (graph._id_presence(flat) is None) == name.startswith("sparse")
+    # sparse ids, above the cell count, are ranked by value first
+    assert (int(flat.max()) > len(flat)) == name.startswith("sparse")
     if name == "all_distinct":
         assert labels.tolist() == list(range(1, len(flat) + 1))
 
@@ -791,6 +799,57 @@ def test_normalize_by_value_matches_sorted_ids_oracle(name):
     assert x.cells.dtype == np.min_scalar_type(x.r)
     assert x.cells.ravel().tolist() == expected and x.r == len(expected_ids)
     assert ids.tolist() == expected_ids
+
+
+def test_validate_passes_canonical_ids_through(monkeypatch):
+    """Ids already ``1..r`` in first-occurrence order, in one block or over
+    several, are only narrowed: no first positions and no rank.  A grid
+    already in the id dtype is not copied."""
+
+    def refuse(*args):
+        raise AssertionError("canonical ids were relabeled")
+
+    n = 200  # 40,000 cells, past two rank blocks
+    u, v = np.indices((n, n))
+    near_discrete = u * n + v + 1
+    near_discrete[-1, -1] = 1
+    grids = (
+        np.array([[1, 2, 1], [3, 1, 2], [2, 3, 1]], dtype=np.int32),
+        validate(np.minimum(u * n + v, v * n + u) + 1).cells.astype(np.int64),
+        near_discrete,
+    )
+    for name in ("first_positions", "_rank", "_dense_rank"):
+        monkeypatch.setattr(graph, name, refuse)
+    for grid in grids:
+        x = validate(grid)
+        assert x.cells.dtype == np.min_scalar_type(x.r) and x.r == grid.max()
+        assert x.cells.tolist() == grid.tolist()
+        own = x.cells.copy()
+        assert np.shares_memory(validate(own).cells, own) and not own.flags.writeable
+
+
+def test_validate_of_a_near_discrete_grid_with_permuted_ids_traces_at_most_17_bytes_a_cell():
+    """An int32 grid of ``n**2 - 1`` ids permuted out of first-occurrence
+    order, the largest of them ``n**2``: the relabel holds a first
+    position and a rank a color, then the new ids, 12.2 bytes a cell at
+    n = 1024 beside the grid.  With an ``argsort`` over the present ids,
+    its order and an int64 label table it traced 36."""
+    n = 1024
+    canonical = np.arange(n * n).reshape(n, n)
+    canonical[-1, -1] = 0
+    ids = np.random.default_rng(17).permutation(n * n) + 1
+    grid = ids[canonical].astype(np.int32)
+    assert grid.max() == n * n
+    validate(grid)  # the first call traces one-time allocations
+    gc.collect()
+    tracemalloc.start()
+    try:
+        x = validate(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.r == n * n - 1 and np.array_equal(x.cells, canonical + 1)
+    assert peak <= 17 * n * n, f"{peak / (n * n):.2f} bytes a cell"
 
 
 def _first_positions_case(name):

@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wlclosure import io as wio
+from wlclosure import graph
 from wlclosure.classical import classical_step
 from wlclosure.coherence import make_fixture, verify_coherent
 from wlclosure.graph import (
@@ -93,6 +93,24 @@ def test_validate_and_normalize_by_value_at_the_boundary(name):
     assert ids.tolist() == sorted(set(raw.ravel().tolist()))
 
 
+@pytest.mark.parametrize("r", [255, 65535])
+def test_relabel_of_ids_with_absent_ids_at_the_boundary(r):
+    """``r`` ids up to ``n**2``, some below the largest absent, out of
+    first-occurrence order: the ranks of their first positions count
+    ``r + 1``, absent ids sharing the last, which leaves the id dtype of
+    ``r``; the labels are gathered back into it."""
+    n = 16 if r == 255 else 256
+    rng = np.random.default_rng(r)
+    ids = rng.permutation(n * n)[:r] + 1
+    flat = rng.permutation(np.concatenate((ids, rng.choice(ids, n * n - r))))
+    assert ids.max() > r and flat[0] != 1
+    x = validate(flat.reshape(n, n))
+    expected, expected_r = python_first_occurrence_relabel(flat.tolist())
+    assert x.r == expected_r == r and x.cells.dtype == np.min_scalar_type(r)
+    assert x.cells.ravel().tolist() == expected
+    assert_color_matrix_invariant(x)
+
+
 @pytest.mark.parametrize("r", [255, 256, 65535, 65536])
 def test_color_matrix_converts_to_the_id_dtype_after_checking_the_ids(r):
     n = 16 if r <= 256 else 256
@@ -147,7 +165,7 @@ def test_write_and_digest_at_the_boundary(name):
     _, x = _case(name)
     # validated ids already run 1..r in first-occurrence order; with one
     # merge a cell follows the largest id the dtype holds
-    assert wio._in_first_occurrence_order(x)
+    assert graph._in_first_occurrence_order(x.cells.ravel(), x.r)
     relabel = np.random.default_rng(3).permutation(x.r) + 1
     shuffled = ColorMatrix(relabel[x.cells.astype(np.int64) - 1], x.r)
     for y in (x, rainbow_refine(x), shuffled):

@@ -97,8 +97,8 @@ def test_first_occurrence_check_reads_until_every_id_has_occurred(late):
     cells[0, :2] = 1, 2
     cells[n - 1, n - 2 :] = (4, 3) if late else (3, 4)
     x = ColorMatrix(cells, 4)
-    assert wio._in_first_occurrence_order(x) == (not late)
-    assert wio._in_first_occurrence_order(validate(cells))
+    assert graph._in_first_occurrence_order(x.cells.ravel(), x.r) == (not late)
+    assert graph._in_first_occurrence_order(validate(cells).cells.ravel(), x.r)
     assert format_graph_text(x) == python_format_graph_text(cells)
 
 
@@ -813,26 +813,46 @@ _SPARSE_KINDS = {
     "few_colors_times_10_12": 12,
     "half_the_cells_times_1000": 3,
     "half_the_cells_times_10_10": 10,
+    "near_discrete_times_1000": 3,
+    "near_discrete_times_10_10": 10,
 }
 
 
-@pytest.mark.parametrize("kind", ["few_colors", "half_the_cells", *_SPARSE_KINDS])
+def _near_discrete(n: int) -> np.ndarray:
+    """The cells' positions 1..n**2, the last cell merged into the first:
+    ``n**2 - 1`` colors in first-occurrence order."""
+    cells = np.arange(1, n * n + 1, dtype=np.int64).reshape(n, n)
+    cells[-1, -1] = 1
+    return cells
+
+
+@pytest.mark.parametrize(
+    "kind", ["few_colors", "half_the_cells", "near_discrete", "near_discrete_permuted_ids", *_SPARSE_KINDS]
+)
 def test_read_traced_peak_is_within_the_guard_estimate(tmp_path, kind):
-    """Either reader of a 1024 x 1024 file of 3 colors, or of about
-    ``n**2 / 2`` (each arc shares its color with its reverse), holds at most
-    the largest estimate the read's guards check: the file's bytes and the
-    grid, then the grid and the renumbering's tables.  The sparse kinds
-    scale every id by a power of 10: ids times 1000 still fit the int32
-    grid, the others widen it."""
+    """Either reader of a 1024 x 1024 file of 3 colors, of about ``n**2 /
+    2`` (each arc shares its color with its reverse) or of ``n**2 - 1``,
+    holds at most the largest estimate the read's guards check: the file's
+    bytes and the grid, then the grid and the renumbering's tables.  The
+    near-discrete file with permuted ids is the one whose relabel ranks a
+    first position an id.  The sparse kinds scale every id by a power of
+    10: ids times 1000 still fit the int32 grid, the others widen it."""
     n = 1024
     if kind.startswith("few_colors"):
         x = make_fixture("random", n, 3, 7)
+    elif kind.startswith("near_discrete"):
+        x = validate(_near_discrete(n))
+        assert x.r == n * n - 1
     else:
         u, v = np.indices((n, n))
         x = validate(np.minimum(u * n + v, v * n + u) + 1)
         assert x.r == n * (n + 1) // 2
     path = tmp_path / "g.wl"
-    write_graph_file(path, x)
+    if kind == "near_discrete_permuted_ids":
+        ids = np.random.default_rng(11).permutation(x.r) + 1
+        write_graph_file(path, ColorMatrix(ids[x.cells - 1], x.r), canonical=False)
+    else:
+        write_graph_file(path, x)
     sparse = kind in _SPARSE_KINDS
     if sparse:
         _scale_ids(path, _SPARSE_KINDS[kind])
@@ -849,6 +869,41 @@ def test_read_traced_peak_is_within_the_guard_estimate(tmp_path, kind):
         finally:
             tracemalloc.stop()
         assert peak <= estimate, f"{read.__name__}: {peak / 2**20:.2f} > {estimate / 2**20:.2f} MiB"
+
+
+def _digits(lo: int, hi: int) -> int:
+    """Decimal digits of the integers ``lo..hi`` together."""
+    total, d = 0, 1
+    while 10 ** (d - 1) <= hi:
+        total += d * max(0, min(hi, 10**d - 1) - max(lo, 10 ** (d - 1)) + 1)
+        d += 1
+    return total
+
+
+def _near_discrete_file_bytes(n: int) -> tuple[int, int]:
+    """Bytes of the canonical file of :func:`_near_discrete` and of its
+    longest row with its line end: each row's ids, a space or ``\n`` after
+    each."""
+    rows = [n + _digits(i * n + 1, i * n + n) for i in range(max(0, n - 2), n)]
+    rows[-1] -= len(str(n * n)) - 1  # the last id is 1
+    header = len(f"wlgraph {n} {n * n - 1}\n")
+    return header + n * n + _digits(1, n * n - 1) + 1, max(rows)
+
+
+def test_read_estimate_of_a_near_discrete_file_is_within_a_run(tmp_path):
+    """A canonical file of ``n**2 - 1`` colors (ids up to ``n**2``, ``\n``
+    line ends) is admitted by the read wherever a Monte Carlo run over it
+    is: from n = 1024 to 10,813, the largest n a single run admits on an
+    8 GB box, the read's estimate stays within the run's.  Before the
+    relabel ranked first positions, 24 bytes a color made the estimate
+    44 bytes a cell there, and the read refused from n = 9,780."""
+    path = tmp_path / "g.wl"
+    for n in (2, 9, 40):  # the counted bytes are the writer's
+        write_graph_file(path, validate(_near_discrete(n)))
+        assert _near_discrete_file_bytes(n) == (path.stat().st_size, _longest_row(path)), n
+    for n in range(1024, 10_814):
+        held, longest = _near_discrete_file_bytes(n)
+        assert wio._read_bytes(n, n * n - 1, held, longest) <= probabilistic.monte_carlo_bytes(n, 1), n
 
 
 @pytest.mark.parametrize("n", [64, 128])
