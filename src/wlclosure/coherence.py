@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import KERNEL_BYTES, first_row_mismatch
-from .graph import ColorMatrix, InputError, first_positions, validate
+from .graph import ColorMatrix, InputError, check_size, first_positions, validate
 from .probabilistic import guard_memory
 
 # bytes per cell at the peak, beside two arrays of ids: the reverse colors and
@@ -158,7 +158,9 @@ def make_fixture(name: str, *params: int) -> ColorMatrix:
     ``trivial(n)`` and ``cyclic(n)`` are coherent for every n, as are the
     two strongly regular examples ``cycle5`` and ``petersen`` (loop/edge/
     non-edge colorings); ``path(n)`` is rainbow but not coherent for n >= 3;
-    ``random(n, r, seed)`` is an arbitrary seeded coloring.
+    ``random(n, r, seed)`` is an arbitrary seeded coloring.  An ``n`` past
+    the cell limit (:func:`~wlclosure.graph.check_size`) is refused before
+    any grid is built.
     """
     if name not in _FIXTURES:
         raise InputError(f"unknown fixture {name!r}, expected one of {sorted(_FIXTURES)}")
@@ -166,4 +168,6 @@ def make_fixture(name: str, *params: int) -> ColorMatrix:
     if len(params) != len(arity):
         wanted = ", ".join(arity) if arity else "no parameters"
         raise InputError(f"fixture {name!r} takes {wanted}, got {len(params)} values")
+    if arity[:1] == ("n",) and params[0] > 0:
+        check_size(params[0])
     return builder(*params)

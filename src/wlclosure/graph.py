@@ -282,38 +282,38 @@ def _rank(key: np.ndarray, top: int) -> tuple[np.ndarray, int]:
     most ``top``, and their count, as :func:`_dense_rank` returns them.
 
     A ``top`` below the key count (dense ids, few pairs) takes a presence
-    table of the keys and its ``cumsum`` and only reads ``key``.
+    table of the keys (:func:`_id_presence`) and its ``cumsum`` and only
+    reads ``key``.
     Otherwise :func:`_dense_rank` sorts ``key``, which the caller gives up,
     or a uint64 copy of a key of another dtype.
     """
     if top >= len(key):
         return _dense_rank(key.astype(np.uint64, copy=False), top)
     index = key.view(np.int64) if key.dtype == np.uint64 else key  # int64 indexes faster
-    seen = np.zeros(top + 1, dtype=bool)
-    seen[index] = True
+    seen = _id_presence(index, top)
     count = int(np.count_nonzero(seen))
     rank = np.cumsum(seen, dtype=id_dtype(count))  # rank[k]: distinct keys <= k
     del seen
     return gather(rank, index), count
 
 
-def _lex_rank(primary: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, int]:
+def _lex_rank(primary: np.ndarray, values: np.ndarray, top_primary: int) -> tuple[np.ndarray, int]:
     """Rank (primary, value) pairs lexicographically, 1-based, as
     :func:`_rank` ranks keys: ranks and their count.
 
     ``values`` is a C-contiguous int64 array of the pairs' length that the
     caller gives up: it becomes the uint64 key.  ``primary`` holds
-    non-negative color ids no larger than its length, of any integer dtype.
+    non-negative color ids no larger than its length, of any integer dtype,
+    whose largest, ``top_primary``, the caller knows (a coloring's ``r``).
     With the values shifted to start at 0, each pair is packed into the key
     ``primary * span + value``, which orders like the pair while the key
-    range ``(max primary + 1) * span`` is at most ``2**64`` (``span``: the
+    range ``(top_primary + 1) * span`` is at most ``2**64`` (``span``: the
     values' range).  Otherwise the values are first replaced by their dense
     rank from 0, which keeps their order and makes ``span`` at most the
     length, so the bound on ``primary`` keeps the key range in uint64.
     """
     lo = int(values.min())
     span = int(values.max()) - lo + 1
-    top_primary = int(primary.max())
     # uint64 arithmetic wraps modulo 2**64, which leaves every key in [0, 2**64)
     # exact; a span of 2**64 (read as 0) occurs only with every primary 0
     key = values.view(np.uint64)
@@ -432,7 +432,7 @@ def rainbow_refine(x: ColorMatrix) -> ColorMatrix:
     """
     reverse = x.cells.T.astype(np.int64, order="C")
     np.fill_diagonal(reverse, x.r + 1)
-    ranks, r_new = _lex_rank(x.cells.ravel(), reverse.ravel())
+    ranks, r_new = _lex_rank(x.cells.ravel(), reverse.ravel(), x.r)
     return ColorMatrix._ranked(ranks.reshape(x.n, x.n), r_new)
 
 
@@ -478,7 +478,7 @@ def refine_by(x: ColorMatrix, values: np.ndarray) -> RefinementOutcome:
     if _constant_per_class(old, value, x.r):
         # the rank of (old, constant) over the ids 1..r is old itself
         return RefinementOutcome(False, x)
-    ranks, r_new = _lex_rank(old, value)
+    ranks, r_new = _lex_rank(old, value, x.r)
     return RefinementOutcome(r_new > x.r, ColorMatrix._ranked(ranks.reshape(x.n, x.n), r_new))
 
 

@@ -60,24 +60,21 @@ _GAMMA_STEPS = np.arange(_DRAW_BLOCK, dtype=np.uint64) * _GOLDEN_GAMMA
 # rows cast at a time: an int64 panel's products are cast while its block of
 # the left factor is still held, so the cast's staging adds to the peak
 _CAST_ROWS = 16
-# row blocks per product: each block's panel of the left factor is gathered
-# and multiplied on its own.  A block is a quarter of the rows up to n = 512,
-# 128 rows up to n = 1024 and an eighth from there on (the product at
-# n = 512 took 15 % longer in 64-row blocks), so at most an eighth of the
-# left factor is held at a time
+# row blocks per product below n = 1024: each block's panel of the left
+# factor is gathered and multiplied on its own, and the product sums over w
+# in half as many panels, so at most a quarter of the left factor and half of
+# the right factor are held at a time.  From n = 1024 both counts double (the
+# product at n = 512 took 15 % longer in 64-row blocks)
 _PRODUCT_BLOCKS = 4
-_BLOCK_ROWS = 128
-# the product sums over w in panels: halves below n = 1024 and quarters
-# from there on, where the row blocks are an eighth of the rows, so at most
-# a quarter of the right factor is held at a time
-_QUARTER_PANELS_FROM = 1024
+_FINER_BLOCKS_FROM = 1024
 
-# the dtype of both substitution tables: every value is at most m < 2**32
-_TABLE_DTYPE = np.dtype(np.uint32)
+# the dtype of both substitution tables: every value is at most m < 2**31,
+# and int32 widens to float64 faster than uint32
+_TABLE_DTYPE = np.dtype(np.int32)
 
 # What a Monte Carlo run may hold per cell.  Per coloring: its input, current
 # and next cells, each as wide as the ids of a discrete coloring.  Per step,
-# in bytes, shared by paired colorings: the substitution's two uint32 tables
+# in bytes, shared by paired colorings: the substitution's two int32 tables
 # (at most one entry per cell each) and the int64 product, plus the most any
 # phase adds: the product's float64 panel of the right factor (at most half
 # of it), row block of that panel of the left factor and row block of a
@@ -248,9 +245,9 @@ def check_product_bound(n: int, m: int) -> None:
 @dataclass(frozen=True)
 class RandomSubstitution:
     """One iteration's random color values: ``left[c]``/``right[c]`` for
-    color ``c``, in uint32 tables with entry 0 unused (0), which the product
+    color ``c``, in int32 tables with entry 0 unused (0), which the product
     gathers from, widening them to float64 a block at a time.  Values are at
-    most ``m``, which the product bound keeps below ``2**32``."""
+    most ``m``, which :func:`draw_substitution` keeps below ``2**31``."""
 
     m: int
     left: np.ndarray
@@ -373,12 +370,14 @@ def draw_substitution(r: int, m: int, rng: SplitMix64Stream) -> RandomSubstituti
     color ``c`` gets the ``c``-th value of each draw, the left one first.
     ``rng`` is the run's :class:`SplitMix64Stream` or anything with its
     ``integers``, such as a ``numpy.random.Generator``.  The values go into
-    uint32 tables, so ``m`` must be below ``2**32``."""
+    int32 tables, so ``m`` must be below ``2**31``: the product bound gives
+    that at every ``n >= 2``, and a 1-vertex coloring is discrete before
+    any draw."""
     if r < 1:
         raise InputError(f"color count must be >= 1, got {r}")
     _check_m(m)
-    if m >= 2**32:
-        raise OverflowGuardError(f"m {m} exceeds the uint32 range of the substitution tables")
+    if m >= 2**31:
+        raise OverflowGuardError(f"m {m} exceeds the int32 range of the substitution tables")
     left, right = np.zeros((2, r + 1), dtype=_TABLE_DTYPE)
     left[1:] = rng.integers(1, m + 1, size=r, dtype=_TABLE_DTYPE)
     right[1:] = rng.integers(1, m + 1, size=r, dtype=_TABLE_DTYPE)
@@ -442,14 +441,13 @@ def multiply(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> np.ndarra
 
 
 def _product_layout(n: int) -> tuple[int, list[tuple[int, int]]]:
-    """The blocking of the product at ``n``: the rows of its row blocks,
-    ``max(ceil(n/8), min(ceil(n/4), 128))``, never more than
-    ``ceil(n / _PRODUCT_BLOCKS)``; and the bounds of its panels of ``w``,
-    of ``ceil(n/2)`` columns below ``_QUARTER_PANELS_FROM`` and ``ceil(n/4)``
-    from there on, the last one short when they do not divide ``n``."""
-    quarter = -(-n // _PRODUCT_BLOCKS)
-    rows = max(-(-n // (2 * _PRODUCT_BLOCKS)), min(quarter, _BLOCK_ROWS))
-    width = quarter if n >= _QUARTER_PANELS_FROM else -(-n // 2)
+    """The blocking of the product at ``n``: the rows of its row blocks and
+    the bounds of its panels of ``w``.  Below ``_FINER_BLOCKS_FROM`` a block
+    is ``ceil(n/4)`` rows and a panel ``ceil(n/2)`` columns; from there on
+    ``ceil(n/8)`` and ``ceil(n/4)``.  The last panel is short when they do
+    not divide ``n``."""
+    blocks = 2 * _PRODUCT_BLOCKS if n >= _FINER_BLOCKS_FROM else _PRODUCT_BLOCKS
+    rows, width = -(-n // blocks), -(-n // (blocks // 2))
     return rows, [(k0, min(k0 + width, n)) for k0 in range(0, n, width)]
 
 
@@ -459,12 +457,10 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     Entry ``(u, v)`` is the sum over ``w`` of ``left[c(u, w)] * right[c(w, v)]``,
     a number in ``[n, n * m**2]``, returned as an int64 matrix; the bound is
     checked up front against the int64 range and the run aborts rather than
-    wrap.  The factors are gathered straight from the substitution's uint32
+    wrap.  The factors are gathered straight from the substitution's int32
     tables, each block widened to float64 in cache by
     :func:`~wlclosure.graph.gather`, so no float64 table or table copy is
-    made.  Whenever ``m < 2**31``, which the product bound gives at every
-    ``n >= 2``, they are gathered from an int32 view of the tables, whose
-    widening is faster.  The sum runs over panels of ``w`` laid out by
+    made.  The sum runs over panels of ``w`` laid out by
     :func:`_product_layout` -- halves below n = 1024, quarters from there
     on -- so only one panel of the right factor is held at a time: each
     panel's rows of the right factor are gathered once, and the matching
@@ -487,15 +483,13 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
         raise InputError("substitution covers fewer colors than the input uses")
     n, m = x.n, sub.m
     check_product_bound(n, m)
-    wide = np.int32 if m < 2**31 else _TABLE_DTYPE
-    lefts, rights = sub.left.view(wide), sub.right.view(wide)
     product = np.empty(x.cells.shape, dtype=np.int64)
     (rows, panels), bound = _product_layout(n), n * m**2
     in_float = bound <= FLOAT64_EXACT
     for k0, k1 in panels:
-        right = gather(rights, x.cells[k0:k1], np.float64)
+        right = gather(sub.right, x.cells[k0:k1], np.float64)
         for r0 in range(0, n, rows):
-            block = gather(lefts, x.cells[r0:r0 + rows, k0:k1], np.float64)
+            block = gather(sub.left, x.cells[r0:r0 + rows, k0:k1], np.float64)
             done = product[r0:r0 + rows]
             sums = done.view(np.float64) if in_float else done
             if k0 == 0:

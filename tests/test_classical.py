@@ -322,7 +322,7 @@ def test_row_dtype_is_the_narrowest_that_holds_every_code():
 
 def test_exact_draws_are_pinned():
     """The exact stream at n = 256 has ``m = isqrt(2**53 // 256)``.  Its
-    first draw's uint32 tables, entry 0 equal to 0, hold the reference
+    first draw's int32 tables, entry 0 equal to 0, hold the reference
     stream's values, the left family first, and are pinned; the next draw,
     40,000 colors over several of the stream's blocks, continues the
     reference stream.  The mixer's published first outputs seeded with
@@ -330,7 +330,7 @@ def test_exact_draws_are_pinned():
     m, rng = classical._exact_draws(256)
     assert m == 5931641
     sub = draw_substitution(8, m, rng)
-    assert sub.left.dtype == sub.right.dtype == np.uint32
+    assert sub.left.dtype == sub.right.dtype == np.int32
     assert sub.left[0] == sub.right[0] == 0
     assert sub.left[1:].tolist() == [5378242, 5081155, 2113140, 1448356, 4533259, 2684528, 5842293, 2923231]
     assert sub.right[1:].tolist() == [3357941, 2479939, 1998915, 1099164, 2835737, 690425, 1644897, 924370]

@@ -375,7 +375,7 @@ def test_lex_rank_matches_sorted_tuple_ranks(name, monkeypatch):
     monkeypatch.setattr(
         graph, "_dense_rank", lambda key, top: calls.append(1) or real(key, top)
     )
-    ranks, count = graph._lex_rank(primary, secondary.copy())
+    ranks, count = graph._lex_rank(primary, secondary.copy(), int(primary.max()))
     expected = sorted_tuple_ranks(list(zip(primary.tolist(), secondary.tolist())))
     assert ranks.dtype == np.min_scalar_type(count)
     assert ranks.tolist() == expected
@@ -391,7 +391,7 @@ def test_lex_rank_builds_key_and_ranks_in_the_secondary(name):
     primary, secondary, _ = _rank_case(name)
     primary, secondary = primary.astype(np.int64), secondary.astype(np.int64)
     expected = sorted_tuple_ranks(list(zip(primary.tolist(), secondary.tolist())))
-    ranks, count = graph._lex_rank(primary, secondary)
+    ranks, count = graph._lex_rank(primary, secondary, int(primary.max()))
     assert ranks.dtype == np.min_scalar_type(count)
     assert not np.shares_memory(ranks, secondary)
     assert ranks.tolist() == expected

@@ -11,12 +11,13 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wlclosure import cli, graph, probabilistic
+from wlclosure import classical, cli, coherence, graph, probabilistic
 from wlclosure import io as wio
 from wlclosure.classical import classical_closure
 from wlclosure.coherence import make_fixture
@@ -714,6 +715,31 @@ def test_cli_close_overflow_exits_3(tmp_path, capsys):
     assert "int64" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["close"], ["close", "--policy", "theoretical"], ["close", "--mode", "exact"], ["check"],
+        ["isopair"],
+    ],
+    ids=["practical", "theoretical", "exact", "check", "isopair"],
+)
+def test_cli_one_vertex_with_m_past_int32_draws_nothing(tmp_path, capsys, monkeypatch, argv):
+    """Only n = 1 admits an ``m`` past the int32 substitution tables, its
+    product bound being ``m**2``; a 1-vertex coloring is discrete before any
+    draw, so every command exits 0 without one."""
+    path, _ = write_fixture(tmp_path, "trivial", 1)
+    m = isqrt(INT64_MAX)
+    assert m >= 2**31
+
+    def fail(*args):
+        pytest.fail("drew a substitution")
+
+    monkeypatch.setattr(probabilistic, "draw_substitution", fail)
+    monkeypatch.setattr(classical, "draw_substitution", fail)
+    inputs = [str(path)] * (2 if argv[0] == "isopair" else 1)
+    assert run_cli(capsys, argv[0], *inputs, *argv[1:], "--m", str(m), "--seed", "1")[0] == 0
+
+
 def _guard_the_run_only(monkeypatch, budget: int) -> None:
     """A memory budget of ``budget`` bytes for the run, with the read left
     unguarded: on grids this small the read's estimate, which counts its
@@ -949,24 +975,32 @@ def test_cli_check_not_rainbow_over_memory_budget_exits_4(tmp_path, capsys, monk
 
 @pytest.mark.parametrize(
     "argv, code",
-    [(["close"], 0), (["close", "--mode", "exact"], 0), (["check"], 1), (["isopair"], 0)],
-    ids=["close", "close_exact", "check", "isopair"],
+    [
+        (["close"], 0), (["close", "--mode", "exact"], 0), (["check"], 1), (["isopair"], 0),
+        (["gen"], 0),
+    ],
+    ids=["close", "close_exact", "check", "isopair", "gen"],
 )
 def test_cli_refuses_a_grid_past_the_cell_limit(tmp_path, capsys, monkeypatch, argv, code):
     """With the limit lowered to 100 cells, path(11)'s 121 exit 4 with one
-    error line and no output; path(10)'s 100 run."""
-    small, _ = write_fixture(tmp_path, "path", 10, filename="p10.wl")
-    large, _ = write_fixture(tmp_path, "path", 11, filename="p11.wl")
+    error line and no output; path(10)'s 100 run.  ``gen`` refuses path(11)
+    before it builds the grid: the fixture's ``validate`` is never reached."""
+    for n in (10, 11):
+        write_fixture(tmp_path, "path", n, filename=f"p{n}.wl")
     monkeypatch.setattr(graph, "MAX_CELLS", 100)
 
-    def args(path):
-        inputs = [str(path)] * (2 if argv[0] == "isopair" else 1)
+    def args(n):
+        if argv[0] == "gen":
+            return ["gen", "path", str(n)]
+        inputs = [str(tmp_path / f"p{n}.wl")] * (2 if argv[0] == "isopair" else 1)
         return [argv[0], *inputs, *argv[1:], "--seed", "1"]
 
-    assert run_cli(capsys, *args(large)) == (
-        4, "", "error: a grid at n=11 is over the size limit, n <= 10\n"
-    )
-    assert run_cli(capsys, *args(small))[0] == code
+    with monkeypatch.context() as patch:
+        patch.setattr(coherence, "validate", lambda raw: pytest.fail("built a grid past the limit"))
+        assert run_cli(capsys, *args(11)) == (
+            4, "", "error: a grid at n=11 is over the size limit, n <= 10\n"
+        )
+    assert run_cli(capsys, *args(10))[0] == code
 
 
 @pytest.mark.parametrize("command", ["close", "gen"])

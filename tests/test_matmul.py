@@ -155,7 +155,7 @@ def test_product_halves_need_one_gemm_each(monkeypatch):
     rng = np.random.default_rng(7)
     x = validate(random_grid(rng, n, 5))
     left, right = (np.append(0, m - rng.integers(0, 1000, x.r)) for _ in range(2))
-    sub = RandomSubstitution(m, left.astype(np.uint32), right.astype(np.uint32))
+    sub = RandomSubstitution(m, left.astype(np.int32), right.astype(np.int32))
     gemms = []
     real = probabilistic._gemm_into
     monkeypatch.setattr(probabilistic, "_gemm_into", lambda *a: gemms.append(1) or real(*a))
@@ -169,12 +169,13 @@ def test_product_halves_need_one_gemm_each(monkeypatch):
 
 @pytest.mark.parametrize(
     "n, rows",
-    [(1, 1), (3, 1), (70, 18), (512, 128), (513, 128), (1023, 128), (1024, 128), (1031, 129),
+    [(1, 1), (3, 1), (70, 18), (512, 128), (513, 129), (1023, 256), (1024, 128), (1031, 129),
      (2048, 256)],
 )
 def test_product_row_blocks_are_a_quarter_up_to_512_and_an_eighth_from_1024(n, rows):
-    """Blocks of ``max(ceil(n/8), min(ceil(n/4), 128))`` rows: never more than
-    a quarter of the rows, which the step guard counts."""
+    """Blocks of ``ceil(n/4)`` rows below n = 1024 and ``ceil(n/8)`` from
+    there on: never more than a quarter of the rows, which the step guard
+    counts."""
     assert _product_layout(n)[0] == rows
     assert rows <= -(-n // 4)
 
@@ -211,17 +212,18 @@ def _near_m_substitution(rng, r, m):
     """Tables of values within 1% of ``m`` and each equal to it at color 1,
     so the product's partial sums grow all the way to ``n * m**2``."""
     left, right = (np.append([0, m], m - rng.integers(0, m // 100, r - 1)) for _ in range(2))
-    return RandomSubstitution(m, left.astype(np.uint32), right.astype(np.uint32))
+    return RandomSubstitution(m, left.astype(np.int32), right.astype(np.int32))
 
 
-@pytest.mark.parametrize("n", [1023, 1024, 1031])
+@pytest.mark.parametrize("n", [768, 1023, 1024, 1031])
 @pytest.mark.parametrize("regime", ["one_gemm", "int64_panels", "digits"])
 def test_product_in_eighth_row_blocks_is_exact(monkeypatch, n, regime):
     """From n = 1024 the row blocks are an eighth of the rows and the panels
-    a quarter of ``w``: at n = 1023 the blocks are 128 rows with a short
-    last block and the panels halves, at 1024 eight full blocks, and at 1031
-    blocks of 129 rows and panels of 258 columns, each with a short last
-    one.  In each of the three regimes the product is exact: at ``m =
+    a quarter of ``w``, below it a quarter and halves: at n = 768 four full
+    blocks of 192 rows, at n = 1023 blocks of 256 rows with a short last
+    block, at 1024 eight full blocks, and at 1031 blocks of 129 rows and
+    panels of 258 columns, each with a short last one.  In each of the
+    three regimes the product is exact: at ``m =
     isqrt(2**53 // n)`` the panels are one GEMM each, summed in float64; at
     ``m = 2**22``, where ``n * m**2 > 2**53 >= n / 2 * m**2``, each panel is
     one GEMM cast to int64 and the panels are summed in int64; and at ``m =
@@ -250,8 +252,11 @@ def test_product_in_eighth_row_blocks_is_exact(monkeypatch, n, regime):
 
 
 def test_one_vertex_with_m_above_int32_keeps_uint32_widening():
-    """Only n = 1 admits ``m >= 2**31``, whose table values an int32 view
-    would read as negative: the product is still ``left * right``."""
+    """Only n = 1 admits ``m >= 2**31``, past the int32 tables that
+    :func:`draw_substitution` fills (a 1-vertex run is discrete before any
+    draw).  The product gathers the tables it is given as they are, so
+    uint32 tables built by hand, with values an int32 reading would make
+    negative, still give ``left * right``."""
     m = isqrt(INT64_MAX)
     assert m >= 2**31
     check_product_bound(1, m)

@@ -63,7 +63,7 @@ def test_draw_substitution_is_reproducible_and_ordered():
     expected_left = replay.integers(1, 101, size=3, dtype=np.int64)
     expected_right = replay.integers(1, 101, size=3, dtype=np.int64)
     # color c gets the c-th value of each draw; entry 0 is unused
-    assert sub.left.dtype == sub.right.dtype == np.uint32
+    assert sub.left.dtype == sub.right.dtype == np.int32
     assert sub.left[0] == sub.right[0] == 0
     assert np.array_equal(sub.left[1:], expected_left)
     assert np.array_equal(sub.right[1:], expected_right)
@@ -90,10 +90,11 @@ def test_draw_substitution_rejects_bad_arguments():
         draw_substitution(3, 1, rng)
     with pytest.raises(OverflowGuardError):
         draw_substitution(3, 2**63, rng)
-    # the tables are uint32: 2**32 - 1 is the largest m they hold
-    with pytest.raises(OverflowGuardError, match="uint32"):
-        draw_substitution(3, 2**32, rng)
-    assert draw_substitution(3, 2**32 - 1, rng).m == 2**32 - 1
+    # the tables are int32: 2**31 - 1 is the largest m they hold
+    with pytest.raises(OverflowGuardError, match="int32"):
+        draw_substitution(3, 2**31, rng)
+    sub = draw_substitution(3, 2**31 - 1, rng)
+    assert sub.m == 2**31 - 1 and min(sub.left[1:].min(), sub.right[1:].min()) >= 1
 
 
 @pytest.mark.parametrize(
@@ -113,15 +114,22 @@ def test_draw_substitution_rejects_bad_arguments():
 )
 def test_stream_substitution_values_are_pinned(seed, r, m, left_head, right_tail, sums):
     """The draws of three seeds, pinned from the float64 tables the draw
-    filled before it filled uint32 ones: the first left values, the last
-    right values and each table's sum, over several draw blocks at
-    r = 40,000 and m = 2**32 - 1."""
-    sub = draw_substitution(r, m, SplitMix64Stream(seed))
-    assert sub.left.dtype == sub.right.dtype == np.uint32
-    assert sub.left[0] == sub.right[0] == 0
-    assert sub.left[1:4].tolist() == left_head
-    assert sub.right[-3:].tolist() == right_tail
-    assert (int(sub.left.sum(dtype=np.uint64)), int(sub.right.sum(dtype=np.uint64))) == sums
+    filled before it filled integer ones: the first left values, the last
+    right values and each family's sum, over several draw blocks at
+    r = 40,000 and m = 2**32 - 1.  That m is past the int32 tables of
+    :func:`draw_substitution`, so its families are drawn from the stream
+    directly, in the draw's order."""
+    rng = SplitMix64Stream(seed)
+    if m < 2**31:
+        sub = draw_substitution(r, m, rng)
+        assert sub.left.dtype == sub.right.dtype == np.int32
+        assert sub.left[0] == sub.right[0] == 0
+        left, right = sub.left[1:], sub.right[1:]
+    else:
+        left, right = (rng.integers(1, m + 1, size=r, dtype=np.uint32) for _ in range(2))
+    assert left[:3].tolist() == left_head
+    assert right[-3:].tolist() == right_tail
+    assert (int(left.sum(dtype=np.uint64)), int(right.sum(dtype=np.uint64))) == sums
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 17])
@@ -195,8 +203,8 @@ def test_stream_false_accept_rate_within_collision_bound():
 
 def test_numeric_product_frozen_example():
     x = ColorMatrix(np.array([[2, 1], [1, 2]]), 2)
-    sub_left = np.array([0, 3, 5], dtype=np.uint32)
-    sub_right = np.array([0, 2, 7], dtype=np.uint32)
+    sub_left = np.array([0, 3, 5], dtype=np.int32)
+    sub_right = np.array([0, 2, 7], dtype=np.int32)
     product = numeric_product(x, RandomSubstitution(10, sub_left, sub_right))
     assert product.tolist() == [[41, 31], [31, 41]]
     assert product.dtype == np.int64
@@ -204,7 +212,7 @@ def test_numeric_product_frozen_example():
 
 def test_numeric_product_uniform_is_constant():
     x = validate([[1] * 3] * 3)
-    left, right = np.array([0, 4], dtype=np.uint32), np.array([0, 9], dtype=np.uint32)
+    left, right = np.array([0, 4], dtype=np.int32), np.array([0, 9], dtype=np.int32)
     product = numeric_product(x, RandomSubstitution(10, left, right))
     assert (product == 3 * 4 * 9).all()
 
@@ -234,14 +242,14 @@ def test_numeric_product_backends_bit_identical():
 def test_numeric_product_overflow_guard():
     x = validate(random_grid(np.random.default_rng(4), 4, 2))
     m = 2**32
-    table = np.array([0, 1, 1], dtype=np.uint32)
+    table = np.array([0, 1, 1], dtype=np.int32)
     with pytest.raises(OverflowGuardError):
         numeric_product(x, RandomSubstitution(m, table, table))
 
 
 def test_numeric_product_rejects_short_substitution():
     x = validate([[1, 2], [2, 1]])
-    one = np.array([0, 5], dtype=np.uint32)
+    one = np.array([0, 5], dtype=np.int32)
     with pytest.raises(InputError):
         numeric_product(x, RandomSubstitution(10, one, one))
 
@@ -581,7 +589,7 @@ def test_closure_overflow_propagates():
 def test_product_bound_is_refused_before_preprocessing_and_the_first_draw(monkeypatch, entry):
     """An ``m`` whose product bound ``n * m**2`` exceeds int64 is refused with
     the bound's int64 message before rainbow preprocessing and the first
-    draw, whose uint32 tables would refuse it with another message."""
+    draw, whose int32 tables would refuse it with another message."""
     x = rainbow_refine(validate(random_grid(np.random.default_rng(9), 4, 2)))
     params = RunParams(2**32, StoppingPolicy.practical(3), 0)
     run = {
@@ -658,7 +666,7 @@ def _near_discrete(n):
 
 
 def test_step_peak_near_a_discrete_coloring_is_within_the_guard():
-    """At r = n**2 - 1 each uint32 substitution table has one entry per
+    """At r = n**2 - 1 each int32 substitution table has one entry per
     cell.  The step frees both tables before it ranks its product, so its
     largest phases are the product (tables, product and its block
     temporaries) and the constancy check (product, per-class table and the
@@ -718,8 +726,8 @@ def test_product_peak_at_1024_holds_eighth_row_blocks():
     assert peak <= 12 * n * n, f"{peak / n / n:.2f} B/cell"
 
 
-def test_draw_peak_is_its_uint32_tables():
-    """At r = 2**18 a draw holds its two uint32 tables, one family's values
+def test_draw_peak_is_its_int32_tables():
+    """At r = 2**18 a draw holds its two int32 tables, one family's values
     before they are copied into their table and the stream's blocks: at most
     14 bytes a color traced (13.6 measured; 25.6 with float64 tables filled
     from int64 draws)."""
@@ -786,7 +794,7 @@ def test_monte_carlo_guard_refuses_runs_over_budget(monkeypatch):
 
 
 def test_monte_carlo_guard_admits_sizes_by_its_cell_bytes(monkeypatch):
-    """A step budgets 24 bytes a cell: two uint32 tables, the int64 product
+    """A step budgets 24 bytes a cell: two int32 tables, the int64 product
     and the constancy check's per-class int64 table.  With three uint32 id
     arrays per coloring, a 4,014.8 MiB budget, half of an 8 GB machine's
     memory, admits n = 10,813 for one coloring and 9,365 for a pair (9,781
