@@ -9,10 +9,11 @@ writer always emits the canonical form -- colors renumbered ``1..r`` in
 first-occurrence order, single spaces, ``\n`` line ends, no comments -- so a
 parse/write round trip is bit-stable after one canonicalization.
 
-Both directions are vectorized over blocks of rows of about
-``_BLOCK_CELLS`` cells, the reader's also of at most ``_BLOCK_BYTES`` bytes
-of text unless one row is longer, so their working set stays a few MiB at
-any n.
+Both directions are vectorized over blocks of rows, so their working set
+stays a few MiB at any n: the reader's of about ``_BLOCK_CELLS`` cells and
+at most ``_BLOCK_BYTES`` bytes of text unless one row is longer, the
+writer's of about ``_WRITE_CELLS`` cells, whose two uint32 buffers then
+stay in cache.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .probabilistic import guard_memory
 HEADER_TAG = "wlgraph"
 _BLOCK_CELLS = 1 << 15
 _BLOCK_BYTES = 20 * _BLOCK_CELLS  # the text of a block of 19-digit ids
+_WRITE_CELLS = 1 << 14
 _INT32_MAX = 2**31 - 1
 _MAX_DIGITS = len(str(INT64_MAX))  # 19
 
@@ -267,35 +269,34 @@ def read_graph_by_value(path) -> tuple[ColorMatrix, np.ndarray]:
 def _encode_rows(rows: np.ndarray) -> np.ndarray:
     """ASCII text of a block of rows of positive ids, as a uint8 array.
 
-    Each id is cut into a right-aligned column of decimal digits by
-    unsigned ``floor_divide`` by 10 on uint32, which numpy vectorises where
-    it does not ``divmod``; the ids, a coloring's or cell positions, are at
-    most the cell count, at most ``MAX_CELLS`` = 2**31.  Ids are separated
-    by one space and each row ends in ``\n``.  The uniform-width rule: when
-    the block's smallest and largest ids have the same digit count, so do
-    all its ids, no column is pad and the padded text is the text.
-    Otherwise a column before an id's first digit is pad, masked out and
-    compressed away.
+    Each id is cut into a right-aligned column of decimal digits on
+    uint32: the ids, a coloring's or cell positions, are at most the cell
+    count, at most ``MAX_CELLS`` = 2**31.  A column costs one unsigned
+    ``floor_divide`` by 10 into a second buffer (numpy vectorises it where
+    it does not ``divmod``), the digit and its ASCII offset in the
+    quotient's own buffer, and one store into the text; the two buffers
+    then swap roles.  Ids are separated by one space and each row ends in
+    ``\n``.  The uniform-width rule: when the block's smallest and largest
+    ids have the same digit count, so do all its ids, no column is pad and
+    the padded text is the text.  Otherwise a column before an id's first
+    digit is pad, masked out and compressed away.
     """
     hi = int(rows.max())
     width = len(str(hi))
     quotient = rows.astype(np.uint32)
-    high, low = np.empty_like(quotient), np.empty_like(quotient)
+    high = np.empty_like(quotient)
     text = np.empty(rows.shape + (width + 1,), dtype=np.uint8)
     keep = np.ones(text.shape, dtype=bool) if len(str(int(rows.min()))) < width else None
     for column in range(width - 1, -1, -1):
         # ids are positive: the last column is never pad
         if keep is not None and column < width - 1:
             np.not_equal(quotient, 0, out=keep[..., column])
-        if column:
+        if column:  # else the quotient is the first digit
             np.floor_divide(quotient, 10, out=high)
-            np.multiply(high, 10, out=low)
-            np.subtract(quotient, low, out=low)  # the digit
-            text[..., column] = low
-            quotient, high = high, quotient
-        else:  # the last quotient is the first digit
-            text[..., 0] = quotient
-    text[..., :width] += ord("0")
+            quotient -= high * 10
+        quotient += ord("0")
+        text[..., column] = quotient
+        quotient, high = high, quotient
     text[..., width] = ord(" ")
     text[:, -1, width] = ord("\n")
     return text.ravel() if keep is None else text[keep]
@@ -316,11 +317,11 @@ def _canonical_chunks(x: ColorMatrix, canonical: bool = True) -> Iterator[bytes 
     if canonical and not positions and not _in_first_occurrence_order(cells.ravel(), x.r):
         cells = validate(cells).cells
     yield f"{HEADER_TAG} {n} {x.r}\n".encode("ascii")
-    rows = max(1, _BLOCK_CELLS // n)
+    rows = max(1, _WRITE_CELLS // n)
     for top in range(0, n, rows):
         end = min(top + rows, n)
         if positions:  # the ids 1..n**2 in row-major order, a block at a time
-            block = np.arange(top * n + 1, end * n + 1, dtype=np.int64).reshape(end - top, n)
+            block = np.arange(top * n + 1, end * n + 1, dtype=np.uint32).reshape(end - top, n)
         else:
             block = cells[top:end]
         yield _encode_rows(block)

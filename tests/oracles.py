@@ -3,9 +3,9 @@
 Everything here sticks to plain Python containers -- Counters, dicts,
 nested lists -- and shares no logic with the package (only its result
 dataclasses), so agreement between the two is meaningful evidence rather
-than a tautology.  The one exception is :func:`divmod_encode_rows`, the
-package's former vectorised encoder, kept as a byte-for-byte reference for
-the current one.
+than a tautology.  The one exception is :func:`divmod_encode_rows`, an
+earlier vectorised encoder of the package, kept as a byte-for-byte
+reference for the current one.
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ def python_format_graph_text(grid, canonical: bool = True) -> str:
 
 
 def divmod_encode_rows(rows: np.ndarray) -> np.ndarray:
-    """The former ``wlclosure.io._encode_rows``: ASCII text of a block of
+    """An earlier ``wlclosure.io._encode_rows``: ASCII text of a block of
     rows of positive ids as uint8, digits by signed ``divmod`` on every
     column and the pad columns always compressed away by a keep mask."""
     hi = int(rows.max())

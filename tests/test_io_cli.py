@@ -302,11 +302,44 @@ def test_written_blocks_match_the_divmod_encoder(n, canonical, classes):
     x = ColorMatrix((y.r + 1 - y.cells).copy(), y.r)  # not first-occurrence order
     chunks = list(wio._canonical_chunks(x, canonical))
     cells = validate(x.cells).cells if canonical else x.cells
-    rows = max(1, wio._BLOCK_CELLS // n)
+    rows = max(1, wio._WRITE_CELLS // n)
     blocks = [cells[top : top + rows] for top in range(0, n, rows)]
     assert len(chunks) == 1 + len(blocks)
     for chunk, block in zip(chunks[1:], blocks):
         assert chunk.tobytes() == divmod_encode_rows(block).tobytes()
+
+
+@pytest.mark.parametrize("n, edge", [(317, 10**5), (1001, 10**6)])
+def test_discrete_block_across_a_digit_width_matches_the_divmod_encoder(n, edge):
+    """A discrete closure's text is its cell positions; at these n one write
+    block holds positions on both sides of ``edge``, of two digit counts."""
+    x = validate(np.random.default_rng(n).permutation(n * n).reshape(n, n) + 1)
+    chunks = list(wio._canonical_chunks(x))
+    ids = np.arange(1, n * n + 1, dtype=np.int64).reshape(n, n)
+    rows = max(1, wio._WRITE_CELLS // n)
+    blocks = [ids[top : top + rows] for top in range(0, n, rows)]
+    assert len(chunks) == 1 + len(blocks)
+    assert any(block.min() < edge <= block.max() for block in blocks)
+    for chunk, block in zip(chunks[1:], blocks):
+        assert chunk.tobytes() == divmod_encode_rows(block).tobytes()
+
+
+@pytest.mark.parametrize("n, classes", [(256, "discrete"), (1024, "discrete"), (1024, "pairs")])
+def test_writer_working_set_is_within_three_quarters_of_a_mib(n, classes):
+    """Encoding a canonical coloring's text traces at most 0.75 MiB: a
+    write block's two uint32 buffers, text and keep mask, and the chunk
+    before it, which its consumer still holds."""
+    order = np.random.default_rng(n).permutation(n * n) // (1 if classes == "discrete" else 2)
+    x = validate(order.reshape(n, n) + 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in wio._canonical_chunks(x):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 2**20, f"traced peak {peak / 2**10:.0f} KiB"
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 300])
@@ -321,7 +354,7 @@ def test_format_matches_row_join_oracle(n, kind):
         y = validate(random_grid(rng, n, 5))
         x = ColorMatrix((y.r + 1 - y.cells).copy(), y.r)
     if n == 300:  # rows per text block do not divide n
-        assert n % max(1, wio._BLOCK_CELLS // n)
+        assert n % max(1, wio._WRITE_CELLS // n)
     for canonical in (True, False):
         expected = python_format_graph_text(x.cells, canonical=canonical)
         assert format_graph_text(x, canonical=canonical) == expected
