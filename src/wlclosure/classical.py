@@ -18,14 +18,15 @@ closure, the coarsest coherent refinement of the input, so P is the
 closure.  A differing row means the draw hid a split: two cells' products
 differ by a nonzero polynomial of degree 2 in the drawn values, which a
 draw zeroes with probability at most ``2/m`` (Schwartz-Zippel), and ``m``
-is at least 440,000 at every admitted ``n``.  The exact step then refines
+is at least 440,876 at every admitted ``n``.  The exact step then refines
 its product candidate by further draws of a fresh exact stream until the
-rows agree, and the run steps on.  The answer is always exact; only the
-time is random (a Las Vegas algorithm).  The streams' positions depend only
-on the class counts drawn so far, and products and rows move with the
-vertices, so the ids are deterministic and canonical under vertex
-permutation.  The same kernel checks coherence axiom (c) in
-:func:`wlclosure.coherence.verify_coherent`.
+rows agree, and the run steps on; it raises :class:`RefinementInvariantError`
+after four draws in a row that split nothing (``_QUIET_DRAWS``, below
+``2**-71`` likely).  An answer is always exact; only the time is random (a
+Las Vegas algorithm).  The streams' positions depend only on the class
+counts drawn so far, and products and rows move with the vertices, so the
+ids are deterministic and canonical under vertex permutation.  The same
+kernel checks axiom (c) in :func:`wlclosure.coherence.verify_coherent`.
 
 Before a run or step allocates, its working set -- a Monte Carlo step's,
 which covers the check's copies of the ids, plus the kernel's blocks -- is
@@ -42,6 +43,8 @@ import numpy as np
 
 from .graph import ColorMatrix, RefinementOutcome, first_positions, refine_by
 from .probabilistic import (
+    FLOAT64_EXACT,
+    RefinementInvariantError,
     SplitMix64Stream,
     WlResult,
     draw_substitution,
@@ -60,6 +63,10 @@ KERNEL_BYTES = 4 * _BLOCK_BYTES
 # the seed of every exact run's and step's stream; any seed gives the same
 # partitions, a fixed one the same ids
 _SEED = 0
+# quiet draws in a row after which an exact step raises: while rows disagree a
+# draw splits with probability at least 1 - 2/m, and m >= 440,876 (n <= 46,340),
+# so a valid step makes this many in a row with probability (2/m)**4 < 2**-71
+_QUIET_DRAWS = 4
 
 
 def _row_dtype(r: int) -> np.dtype:
@@ -86,9 +93,10 @@ def _sorted_codes(cells, mirror, batch, base) -> np.ndarray:
 
 
 def first_row_mismatch(x: ColorMatrix, classes: np.ndarray, first: np.ndarray):
-    """The first block, in row-major order, of cells whose row in ``x``
-    differs from that of their class's first cell: those cells and their
-    first cells, or ``None`` when every row agrees.
+    """The first cell, in row-major order, whose row in ``x`` differs from
+    that of its class's first cell: that cell, its first cell and the two
+    rows, each the ``n`` pair codes ``x(u, w) * (x.r + 1) + x(w, v)``
+    sorted, or ``None`` when every row agrees.
 
     ``classes`` is a flat class id per cell and ``first[c]`` the first cell
     of class ``c``; first cells, so all singleton classes, are skipped.
@@ -107,21 +115,22 @@ def first_row_mismatch(x: ColorMatrix, classes: np.ndarray, first: np.ndarray):
         # each first cell's row is built once per block
         firsts, which = np.unique(ref, return_inverse=True)
         rows = _sorted_codes(cells, mirror, firsts, base)[which]
-        differs = (rows != _sorted_codes(cells, mirror, own, base)).any(axis=1)
+        own_rows = _sorted_codes(cells, mirror, own, base)
+        differs = (rows != own_rows).any(axis=1)
         if differs.any():
-            return own[differs], ref[differs]
+            i = int(np.argmax(differs))
+            return int(own[i]), int(ref[i]), own_rows[i], rows[i]
     return None
 
 
 def _exact_draws(n: int) -> tuple[int, SplitMix64Stream]:
     """The exact stream at size ``n``: ``m``, the largest value for which
     ``n * m**2 <= 2**53``, and a fresh stream seeded with ``_SEED``."""
-    return isqrt(2**53 // n), SplitMix64Stream(_SEED)
+    return isqrt(FLOAT64_EXACT // n), SplitMix64Stream(_SEED)
 
 
 def _rows_agree(x: ColorMatrix, candidate: ColorMatrix) -> bool:
-    """Every class of ``candidate`` has equal rows in ``x``; the check stops
-    at the first block with a mismatch."""
+    """Every class of ``candidate`` has equal rows in ``x``."""
     classes, r = candidate.cells.ravel(), candidate.r
     return first_row_mismatch(x, classes, first_positions(classes, r, r)) is None
 
@@ -137,16 +146,20 @@ def classical_step(x: ColorMatrix) -> RefinementOutcome:
     one check and no product.  Otherwise the candidate, first ``x``, is
     refined by the ranks of ``(candidate id, product)`` under the next draw
     of a fresh exact stream until its rows in ``x`` agree; the ids are
-    those ranks.  Over the memory budget,
-    :func:`~wlclosure.probabilistic.guard_memory` raises before allocating.
+    those ranks.  A check that fails after ``_QUIET_DRAWS`` draws in a row
+    that split nothing raises :class:`RefinementInvariantError`.  Over the
+    memory budget, :func:`~wlclosure.probabilistic.guard_memory` raises
+    before allocating.
     """
     _guard_step(x.n)
     m, rng = _exact_draws(x.n)
-    candidate = x
+    candidate, quiet = x, 0
     while not _rows_agree(x, candidate):
-        product = numeric_product(x, draw_substitution(x.r, m, rng))
-        candidate = refine_by(candidate, product).result
-        del product
+        if quiet == _QUIET_DRAWS:
+            raise RefinementInvariantError(f"{quiet} exact draws in a row split nothing")
+        # the product is freed as refine_by returns, before the next check
+        out = refine_by(candidate, numeric_product(x, draw_substitution(x.r, m, rng)))
+        candidate, quiet = out.result, 0 if out.refined else quiet + 1
     return RefinementOutcome(candidate.r > x.r, candidate)
 
 
@@ -173,9 +186,8 @@ def classical_closure(x: ColorMatrix) -> WlResult:
     patience 1, no budget, its step guarded before rainbow preprocessing.
     Steps draw from the exact stream, unchecked until one is quiet; that
     step is replaced by :func:`classical_step` on the same coloring, which
-    checks its rows once and, on a mismatch, takes the exact step, after
-    which the run steps on.  A discrete coloring stops the run before
-    another step, since it cannot split.
+    checks its rows once and, on a mismatch, takes the exact step, and the
+    run steps on.  A discrete coloring stops the run, since it cannot split.
     """
     _guard_step(x.n)
     (result,), _, _ = refine_lockstep((x,), _las_vegas_steps(x.n), patience=1)

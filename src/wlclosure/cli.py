@@ -71,32 +71,22 @@ def _seed(args) -> int:
     return args.seed
 
 
-def _policy_from_args(args) -> StoppingPolicy:
-    if args.policy == "practical":
-        return StoppingPolicy.practical(args.k)
-    return StoppingPolicy.theoretical(args.C)
-
-
-def _read_input(path):
-    started = time.perf_counter()
-    x = read_graph_file(path)
-    return x, (time.perf_counter() - started) * 1000.0
-
-
 def cmd_close(args) -> int:
-    x, parse_ms = _read_input(args.input)
-    timings = [("parse", parse_ms)]
+    started = time.perf_counter()
+    x = read_graph_file(args.input)
+    timings = [("parse", (time.perf_counter() - started) * 1000.0)]
     notes: tuple[str, ...] = ()
+    seed = probabilistic_m = error_note = None
     started = time.perf_counter()
     if args.mode == "exact":
         result = classical_closure(x)
         policy_desc = "exact"
-        error_note = None
-        probabilistic_m = None
-        seed = None
     else:
         seed = _seed(args)
-        policy = _policy_from_args(args)
+        if args.policy == "practical":
+            policy = StoppingPolicy.practical(args.k)
+        else:
+            policy = StoppingPolicy.theoretical(args.C)
         result = probabilistic_closure(x, RunParams(args.m, policy, seed))
         probabilistic_m = args.m
         # a discrete closure is exact: no split can have been missed
@@ -143,7 +133,7 @@ def cmd_close(args) -> int:
 
 
 def cmd_check(args) -> int:
-    x, _ = _read_input(args.input)
+    x = read_graph_file(args.input)
     seed = _seed(args)
     verdict = check_coherent(x, args.m, args.trials, SplitMix64Stream(seed))
     report = verify_coherent(x) if args.exact else None

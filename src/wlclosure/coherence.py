@@ -60,8 +60,8 @@ def verify_coherent(x: ColorMatrix) -> CoherenceReport:
     Each witness is the first offending cell in row-major order, against
     the first loop of its color (``diagonal_overlap``) or the first cell of
     its color.  Axiom (c) is :func:`~wlclosure.classical.first_row_mismatch`,
-    with the colors as classes: a row holds the sorted pair codes.  The
-    ``pair`` is the smaller code where the two cells' sorted codes first
+    with the colors as classes, which returns both cells' rows of sorted
+    pair codes.  The ``pair`` is the smaller code where those rows first
     differ: the smallest pair whose counts differ.  Above the memory budget
     :func:`~wlclosure.probabilistic.guard_memory` raises first.
     """
@@ -87,10 +87,7 @@ def verify_coherent(x: ColorMatrix) -> CoherenceReport:
     mismatch = first_row_mismatch(x, flat, first)
     if mismatch is None:
         return CoherenceReport(True, None)
-    k, f = int(mismatch[0][0]), int(mismatch[1][0])
-    # pair codes reach (r + 1)**2 - 1, so the narrow ids are widened
-    codes = [x.cells[c // n].astype(np.int64) * (r + 1) + x.cells[:, c % n] for c in (f, k)]
-    a, b = np.sort(codes, axis=1)
+    k, f, a, b = mismatch
     pair = divmod(int(np.minimum(a, b)[np.argmax(a != b)]), r + 1)
     return _violation("profile_mismatch", f, k, n, pair)
 

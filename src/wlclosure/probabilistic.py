@@ -376,7 +376,7 @@ def draw_substitution(r: int, m: int, rng: SplitMix64Stream) -> RandomSubstituti
     if r < 1:
         raise InputError(f"color count must be >= 1, got {r}")
     _check_m(m)
-    if m >= 2**31:
+    if m > np.iinfo(_TABLE_DTYPE).max:
         raise OverflowGuardError(f"m {m} exceeds the int32 range of the substitution tables")
     left, right = np.zeros((2, r + 1), dtype=_TABLE_DTYPE)
     left[1:] = rng.integers(1, m + 1, size=r, dtype=_TABLE_DTYPE)

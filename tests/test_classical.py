@@ -457,6 +457,30 @@ def test_forced_collisions_are_split_by_rows(monkeypatch, substitution):
     assert current.r == 40 * 40 // 2
 
 
+def test_exact_redraws_that_split_nothing_end(monkeypatch):
+    """Every exact draw all ones, so no draw splits: the step on a rainbow
+    permuted path(8), whose rows disagree, raises after exactly
+    ``_QUIET_DRAWS`` draws, and so does the run, whose first Monte Carlo
+    step is quiet.  A step that kept drawing would fail the stream's own
+    guard at its 1,000th draw instead of hanging."""
+
+    def ones(draw):
+        assert draw < 1000, "the exact step drew 1,000 times"
+        return True
+
+    streams = _force_draws(monkeypatch, ones=ones)
+    path = permute_vertices(make_fixture("path", 8), np.random.default_rng(9).permutation(8))
+    x = rainbow_refine(path)
+    with pytest.raises(probabilistic.RefinementInvariantError, match="split nothing"):
+        classical_step(x)
+    assert classical._QUIET_DRAWS == 4
+    assert [stream.calls for stream in streams] == [2 * 4]
+    streams.clear()
+    with pytest.raises(probabilistic.RefinementInvariantError, match="split nothing"):
+        classical_closure(x)
+    assert [stream.calls for stream in streams] == [2, 2 * 4]
+
+
 def _oracle_run(grid):
     """The brute-force exact run's partition and class count per step,
     stopped before a step on a discrete coloring, as the package's is."""
@@ -669,6 +693,14 @@ def test_resource_guard_refuses_a_batch_over_budget(monkeypatch):
     assert classical_closure(x).stopping_reason == "stable"
 
 
-def test_memory_budget_is_half_of_physical_memory():
+def test_memory_budget_is_half_of_physical_memory(monkeypatch):
     budget = probabilistic._memory_budget()
     assert budget is None or budget == os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    # where the platform reports no page count there is no budget to exceed
+    monkeypatch.setattr(os, "sysconf", unknown)
+    assert probabilistic._memory_budget() is None
+    probabilistic.guard_memory(2**80, "a run", "at any n")

@@ -242,6 +242,8 @@ def test_fixture_catalog_and_arity_errors():
 def test_fixture_parameter_validation():
     with pytest.raises(InputError):
         make_fixture("trivial", 0)
+    with pytest.raises(InputError, match="cyclic fixture needs n >= 1"):
+        make_fixture("cyclic", 0)
     with pytest.raises(InputError):
         make_fixture("path", 1)
     with pytest.raises(InputError):

@@ -97,6 +97,8 @@ def test_colormatrix_requires_contiguous_colors():
     for cells in (np.array([[1.5, 2.0], [2.0, 1.0]]), np.array([["1", "2"], ["2", "1"]])):
         with pytest.raises(InputError):
             ColorMatrix(cells, 2)
+    with pytest.raises(InputError, match="cells must be an ndarray"):
+        ColorMatrix([[4, 2], [3, 1]], 4)
     assert ColorMatrix(np.array([[4, 2], [3, 1]]), 4).r == 4
 
 
@@ -1009,6 +1011,8 @@ def test_is_color_isomorphism_rejects_non_permutation():
     x = validate([[1, 2], [2, 1]])
     with pytest.raises(InputError):
         is_color_isomorphism(x, x, [0, 0])
+    with pytest.raises(InputError, match="different sizes"):
+        is_color_isomorphism(x, make_fixture("path", 3), [0, 1])
 
 
 def _acceptance_inputs():

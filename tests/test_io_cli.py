@@ -211,6 +211,16 @@ def test_parse_names_a_short_row_before_allocating_the_header_size():
         parse_graph_raw(text)
 
 
+def test_parse_names_a_short_row_past_the_first_block_of_a_short_body():
+    """A body one entry short allocates no grid, and decoding still reads
+    past the first block (163 rows at n = 200) to name the short row."""
+    n = 200
+    rows = [" ".join(["1"] * n)] * n
+    rows[170] = " ".join(["1"] * (n - 1))
+    with pytest.raises(GraphFileError, match="row 170 has 199 entries, expected 200"):
+        parse_graph_raw(f"wlgraph {n} 1\n" + "\n".join(rows) + "\n")
+
+
 def test_parse_refuses_a_grid_past_the_cell_limit(monkeypatch):
     """The parser checks the limit itself, before it allocates a grid and
     before any renumbering."""
@@ -438,6 +448,20 @@ def test_write_and_read_file(tmp_path):
     write_graph_file(path, make_fixture("trivial", 3))
     assert read_graph_file(path).n == 3
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_write_passes_over_a_temporary_name_already_taken(tmp_path, monkeypatch):
+    """The first temporary name drawn exists: the writer draws another and
+    leaves the existing file alone."""
+    names = iter([b"\x00" * 6, b"\x00" * 6, b"\x01" * 6])
+    monkeypatch.setattr(os, "urandom", lambda size: next(names))
+    taken = tmp_path / f"tmp{'00' * 6}.tmp"
+    taken.write_text("taken")
+    x = make_fixture("path", 4)
+    write_graph_file(tmp_path / "p.wl", x)
+    assert read_graph_file(tmp_path / "p.wl").cells.tolist() == x.cells.tolist()
+    assert taken.read_text() == "taken"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.wl", taken.name]
 
 
 def test_read_missing_file_raises():
@@ -1313,6 +1337,9 @@ def test_cli_gen_random_echoes_seed(tmp_path, capsys):
     assert "seed: 9" in out
     run_cli(capsys, "gen", "random", "6", "2", "--seed", "9", "--out", str(t2))
     assert t1.read_text() == t2.read_text()
+    # without --out the graph alone goes to stdout, the seed to stderr
+    code, out, err = run_cli(capsys, "gen", "random", "6", "2", "--seed", "9")
+    assert (code, out, err) == (0, t1.read_text(), "seed: 9\n")
 
 
 def test_cli_gen_errors_exit_2(tmp_path, capsys):
@@ -1391,6 +1418,8 @@ def test_cli_bench_rejects_bad_sizes(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "bench", "--sizes", "nope")
     assert code == 2
+    code, out, err = run_cli(capsys, "bench", "--sizes", ",")
+    assert (code, out) == (2, "") and "no sizes given" in err
 
 
 @pytest.mark.parametrize("command", ["close", "check", "isopair", "bench", "gen"])

@@ -18,6 +18,7 @@ from wlclosure.coherence import make_fixture
 from wlclosure.graph import (
     ColorMatrix,
     InputError,
+    RefinementOutcome,
     id_dtype,
     is_color_isomorphism,
     is_same_partition,
@@ -28,6 +29,7 @@ from wlclosure.graph import (
 from wlclosure.probabilistic import (
     OverflowGuardError,
     RandomSubstitution,
+    RefinementInvariantError,
     RunParams,
     SplitMix64Stream,
     StoppingPolicy,
@@ -561,6 +563,33 @@ def test_paired_closure_no_mapping_when_closure_not_discrete():
     run = paired_closure(x, x, RunParams(10**6, StoppingPolicy.practical(2), 5))
     assert run.mapping is None
     assert run.first.closure.r == 2
+
+
+def test_loop_mapping_needs_the_same_loop_colors():
+    """Discrete colorings whose loop colors differ as sets give no mapping;
+    a permuted copy gives the permutation."""
+    a = ColorMatrix(np.arange(1, 10).reshape(3, 3), 9)
+    b = ColorMatrix(np.array([[1, 2, 3], [4, 5, 6], [7, 9, 8]]), 9)
+    assert probabilistic._loop_mapping(a, b) is None
+    assert probabilistic._loop_mapping(a, permute_vertices(a, [2, 0, 1])) == (2, 0, 1)
+
+
+def test_refine_lockstep_raises_past_its_structural_cap():
+    """A step that reports a split forever without making one: a 2-vertex
+    run of patience 1 has a cap of 2**2 steps and raises at the fifth.  The
+    step fails on its own at the 100th call, so a run without the cap fails
+    instead of hanging."""
+    x = validate([[1, 2], [2, 1]])
+    calls = []
+
+    def step(colorings):
+        calls.append(len(colorings))
+        assert len(calls) < 100, "the run stepped 100 times"
+        return [RefinementOutcome(True, c) for c in colorings]
+
+    with pytest.raises(RefinementInvariantError, match="structural cap"):
+        probabilistic.refine_lockstep((x,), step, patience=1)
+    assert calls == [1] * 5
 
 
 def test_paired_closure_rejects_size_mismatch():
