@@ -60,13 +60,12 @@ _GAMMA_STEPS = np.arange(_DRAW_BLOCK, dtype=np.uint64) * _GOLDEN_GAMMA
 # rows cast at a time: an int64 panel's products are cast while its block of
 # the left factor is still held, so the cast's staging adds to the peak
 _CAST_ROWS = 16
-# row blocks per product below n = 1024: each block's panel of the left
-# factor is gathered and multiplied on its own, and the product sums over w
-# in half as many panels, so at most a quarter of the left factor and half of
-# the right factor are held at a time.  From n = 1024 both counts double (the
-# product at n = 512 took 15 % longer in 64-row blocks)
-_PRODUCT_BLOCKS = 4
-_FINER_BLOCKS_FROM = 1024
+# row blocks per product: each block's panel of the left factor is gathered
+# and multiplied on its own, and the product sums over w in half as many
+# panels, so at most a quarter of the right factor, a thirty-second of the
+# left factor and an eighth of the rows of a later panel's products are held
+# at a time
+_PRODUCT_BLOCKS = 8
 
 # the dtype of both substitution tables: every value is at most m < 2**31,
 # and int32 widens to float64 faster than uint32
@@ -76,17 +75,17 @@ _TABLE_DTYPE = np.dtype(np.int32)
 # and next cells, each as wide as the ids of a discrete coloring.  Per step,
 # in bytes, shared by paired colorings: the substitution's two int32 tables
 # (at most one entry per cell each) and the int64 product, plus the most any
-# phase adds: the product's float64 panel of the right factor (at most half
-# of it), row block of that panel of the left factor and row block of a
-# later panel's products, each block at most a quarter of the rows (23 bytes
-# in all, below n = 1024 where the panels are halves); the per-class int64
-# table of refine_by's constancy check, the largest (24); or the dropped low
-# bits of the rank words (at most 4 bytes), sorted in the product's buffer.
+# phase adds: the product's float64 panel of the right factor, row block of
+# that panel of the left factor and row block of a later panel's products, a
+# quarter, a thirty-second and an eighth of 8 bytes (19.25 bytes in all); the
+# per-class int64 table of refine_by's constancy check, the largest (24); or
+# the dropped low bits of the rank words (at most 4 bytes), sorted in the
+# product's buffer.
 # A step frees the tables before the last coloring's rank, but a paired step
 # still holds them through the first coloring's, so they count here.
 _COLORING_ARRAYS = 3
 _STEP_CELL_BYTES = 2 * _TABLE_DTYPE.itemsize + 8 + max(
-    8 // 2 + 8 // (2 * _PRODUCT_BLOCKS) + 8 // _PRODUCT_BLOCKS, 8, 4
+    16 / _PRODUCT_BLOCKS + 16 / _PRODUCT_BLOCKS**2 + 8 / _PRODUCT_BLOCKS, 8, 4
 )
 
 
@@ -441,13 +440,11 @@ def multiply(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray) -> np.ndarra
 
 
 def _product_layout(n: int) -> tuple[int, list[tuple[int, int]]]:
-    """The blocking of the product at ``n``: the rows of its row blocks and
-    the bounds of its panels of ``w``.  Below ``_FINER_BLOCKS_FROM`` a block
-    is ``ceil(n/4)`` rows and a panel ``ceil(n/2)`` columns; from there on
-    ``ceil(n/8)`` and ``ceil(n/4)``.  The last panel is short when they do
-    not divide ``n``."""
-    blocks = 2 * _PRODUCT_BLOCKS if n >= _FINER_BLOCKS_FROM else _PRODUCT_BLOCKS
-    rows, width = -(-n // blocks), -(-n // (blocks // 2))
+    """The blocking of the product at ``n``: the rows of its row blocks,
+    ``ceil(n/8)``, and the bounds of its panels of ``w``, ``ceil(n/4)``
+    columns each.  The last block and panel are short when they do not
+    divide ``n``."""
+    rows, width = -(-n // _PRODUCT_BLOCKS), -(-n // (_PRODUCT_BLOCKS // 2))
     return rows, [(k0, min(k0 + width, n)) for k0 in range(0, n, width)]
 
 
@@ -461,11 +458,11 @@ def numeric_product(x: ColorMatrix, sub: RandomSubstitution) -> np.ndarray:
     tables, each block widened to float64 in cache by
     :func:`~wlclosure.graph.gather`, so no float64 table or table copy is
     made.  The sum runs over panels of ``w`` laid out by
-    :func:`_product_layout` -- halves below n = 1024, quarters from there
-    on -- so only one panel of the right factor is held at a time: each
-    panel's rows of the right factor are gathered once, and the matching
-    columns of the left factor in row blocks.  The first panel's products
-    are written into the product, each later panel's, from a block
+    :func:`_product_layout`, quarters of ``w`` in row blocks of an eighth
+    of the rows, so only one panel of the right factor is held at a time:
+    each panel's rows of the right factor are gathered once, and the
+    matching columns of the left factor in row blocks.  The first panel's
+    products are written into the product, each later panel's, from a block
     temporary, added to them.
 
     Each panel is a product by :func:`multiply`.  When ``n * m**2 <=

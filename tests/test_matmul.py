@@ -133,9 +133,10 @@ def test_row_block_is_written_in_place_and_returned(m):
 @pytest.mark.parametrize("n", [1, 3, 13, 70])
 @pytest.mark.parametrize("m", [1000, 2**28 + 5], ids=["one_gemm", "digits"])
 def test_blocked_product_matches_python_oracle(n, m):
-    """``numeric_product`` multiplies row blocks of a quarter of the rows at
-    these sizes; at n = 13 and 70 the last block is short, and n = 1 and 3
-    have fewer rows than four blocks."""
+    """``numeric_product`` multiplies row blocks of an eighth of the rows
+    by panels of a quarter of ``w``: at n = 13 and 70 the last block and the
+    last panel are short, and n = 1 and 3 have fewer rows than eight blocks
+    and fewer columns than four panels."""
     rng = np.random.default_rng(n)
     x = validate(random_grid(rng, n, 5))
     sub = draw_substitution(x.r, m, rng)
@@ -146,12 +147,13 @@ def test_blocked_product_matches_python_oracle(n, m):
 
 
 def test_product_halves_need_one_gemm_each(monkeypatch):
-    """Each half of the inner dimension is its own exact product: at n = 70
-    and the largest m with 35 * m**2 <= 2**53, values near m put every
-    entry past 2**53, yet every block of either half is one GEMM, and the
-    int64 sum of the halves matches Python integers."""
+    """Each quarter of the inner dimension is its own exact product: at
+    n = 70, whose widest quarter is 18 columns, and the largest m with
+    18 * m**2 <= 2**53, values near m put every entry past 2**53, yet every
+    block of each quarter is one GEMM, and the int64 sum of the quarters
+    matches Python integers."""
     n = 70
-    m = isqrt(FLOAT64_EXACT // (n // 2))
+    m = isqrt(FLOAT64_EXACT // 18)
     rng = np.random.default_rng(7)
     x = validate(random_grid(rng, n, 5))
     left, right = (np.append(0, m - rng.integers(0, 1000, x.r)) for _ in range(2))
@@ -163,41 +165,31 @@ def test_product_halves_need_one_gemm_each(monkeypatch):
     assert min(map(min, expected)) > FLOAT64_EXACT
     assert numeric_product(x, sub).tolist() == expected
     rows, panels = _product_layout(n)
-    assert len(panels) == 2
+    assert len(panels) == 4 and panels[0] == (0, 18)
     assert len(gemms) == len(panels) * -(-n // rows)
 
 
 @pytest.mark.parametrize(
-    "n, rows",
-    [(1, 1), (3, 1), (70, 18), (512, 128), (513, 129), (1023, 256), (1024, 128), (1031, 129),
-     (2048, 256)],
-)
-def test_product_row_blocks_are_a_quarter_up_to_512_and_an_eighth_from_1024(n, rows):
-    """Blocks of ``ceil(n/4)`` rows below n = 1024 and ``ceil(n/8)`` from
-    there on: never more than a quarter of the rows, which the step guard
-    counts."""
-    assert _product_layout(n)[0] == rows
-    assert rows <= -(-n // 4)
-
-
-@pytest.mark.parametrize(
-    "n, panels",
+    "n, rows, panels",
     [
-        (1, [(0, 1)]),
-        (3, [(0, 2), (2, 3)]),
-        (70, [(0, 35), (35, 70)]),
-        (512, [(0, 256), (256, 512)]),
-        (1023, [(0, 512), (512, 1023)]),
-        (1024, [(0, 256), (256, 512), (512, 768), (768, 1024)]),
-        (1031, [(0, 258), (258, 516), (516, 774), (774, 1031)]),
-        (2048, [(0, 512), (512, 1024), (1024, 1536), (1536, 2048)]),
+        (1, 1, [(0, 1)]),
+        (3, 1, [(0, 1), (1, 2), (2, 3)]),
+        (70, 9, [(0, 18), (18, 36), (36, 54), (54, 70)]),
+        (512, 64, [(0, 128), (128, 256), (256, 384), (384, 512)]),
+        (513, 65, [(0, 129), (129, 258), (258, 387), (387, 513)]),
+        (1023, 128, [(0, 256), (256, 512), (512, 768), (768, 1023)]),
+        (1024, 128, [(0, 256), (256, 512), (512, 768), (768, 1024)]),
+        (1031, 129, [(0, 258), (258, 516), (516, 774), (774, 1031)]),
+        (2048, 256, [(0, 512), (512, 1024), (1024, 1536), (1536, 2048)]),
     ],
 )
-def test_product_panels_are_halves_below_1024_and_quarters_from_there(n, panels):
-    """The panels of ``w`` cover ``0..n`` in order, the last one short when
-    they do not divide ``n``; at n = 1 there is one panel, with no empty
-    second one."""
-    assert _product_layout(n)[1] == panels
+def test_product_blocks_are_an_eighth_of_the_rows_and_panels_a_quarter_of_w(n, rows, panels):
+    """One layout at every n: blocks of ``ceil(n/8)`` rows and panels of
+    ``ceil(n/4)`` columns of ``w``, never more than the step guard counts.
+    The panels cover ``0..n`` in order, the last one short when they do not
+    divide ``n``; below n = 4 there are fewer than four, with no empty one."""
+    assert _product_layout(n) == (rows, panels)
+    assert rows <= -(-n // 8) and panels[0][1] <= -(-n // 4)
 
 
 def _int64_product(x, sub):
@@ -218,16 +210,16 @@ def _near_m_substitution(rng, r, m):
 @pytest.mark.parametrize("n", [768, 1023, 1024, 1031])
 @pytest.mark.parametrize("regime", ["one_gemm", "int64_panels", "digits"])
 def test_product_in_eighth_row_blocks_is_exact(monkeypatch, n, regime):
-    """From n = 1024 the row blocks are an eighth of the rows and the panels
-    a quarter of ``w``, below it a quarter and halves: at n = 768 four full
-    blocks of 192 rows, at n = 1023 blocks of 256 rows with a short last
-    block, at 1024 eight full blocks, and at 1031 blocks of 129 rows and
-    panels of 258 columns, each with a short last one.  In each of the
-    three regimes the product is exact: at ``m =
-    isqrt(2**53 // n)`` the panels are one GEMM each, summed in float64; at
-    ``m = 2**22``, where ``n * m**2 > 2**53 >= n / 2 * m**2``, each panel is
-    one GEMM cast to int64 and the panels are summed in int64; and at ``m =
-    2**25 + 1`` each panel splits the left factor into digits."""
+    """The row blocks are an eighth of the rows and the panels a quarter of
+    ``w``: at n = 768 eight full blocks of 96 rows and four full panels of
+    192 columns, at n = 1023 blocks of 128 rows and panels of 256 columns,
+    at 1024 eight full blocks, and at 1031 blocks of 129 rows and panels of
+    258 columns, the last block and panel short at 1023 and 1031.  In each
+    of the three regimes the product is exact: at ``m = isqrt(2**53 // n)``
+    the panels are one GEMM each, summed in float64; at ``m = 2**22``, where
+    ``n * m**2 > 2**53 >= ceil(n/4) * m**2``, each panel is one GEMM cast to
+    int64 and the panels are summed in int64; and at ``m = 2**25 + 1`` each
+    panel splits the left factor into digits."""
     m = {"one_gemm": isqrt(FLOAT64_EXACT // n), "int64_panels": 2**22, "digits": 2**25 + 1}[regime]
     rows, panels = _product_layout(n)
     widest = panels[0][1]
@@ -272,9 +264,9 @@ def test_one_vertex_with_m_above_int32_keeps_uint32_widening():
 def test_range_check_covers_the_last_block_of_the_second_half(monkeypatch, n, m):
     """The range check runs on each row block once its last panel is added:
     a product whose last entry sums to 0, in the last block of the last
-    panel (the second half at n = 70, the fourth quarter at n = 1031), is
-    refused, while the panels before it alone were in range.  At n = 1 the
-    one panel is also the last (and both m are one GEMM)."""
+    panel (the fourth quarter at n = 70 and 1031), is refused, while the
+    panels before it alone were in range.  At n = 1 the one panel is also
+    the last (and both m are one GEMM)."""
     x = validate(random_grid(np.random.default_rng(n), n, 5))
     sub = draw_substitution(x.r, m, SplitMix64Stream(n))
     rows, panels = _product_layout(n)

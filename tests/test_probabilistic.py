@@ -700,8 +700,9 @@ def test_step_peak_near_a_discrete_coloring_is_within_the_guard():
     largest phases are the product (tables, product and its block
     temporaries) and the constancy check (product, per-class table and the
     uint32 next cells): the traced peak of one step stays within
-    ``_STEP_CELL_BYTES`` (23.3 bytes a cell measured at n = 512; 25.0 while
-    the tables were held through the rank)."""
+    ``_STEP_CELL_BYTES`` (19.3 bytes a cell measured at n = 512; 23.0 with
+    halves of ``w`` in row blocks of a quarter of the rows, 25.0 while the
+    tables were held through the rank)."""
     n = 512
     x = _near_discrete(n)
     step = lambda: probabilistic_step(x, 10**6, np.random.default_rng(1))  # noqa: E731
@@ -712,11 +713,11 @@ def test_step_peak_near_a_discrete_coloring_is_within_the_guard():
 
 def test_exact_step_peak_near_a_discrete_coloring_is_within_the_guard():
     """The exact twin of the test above: the product step on the exact
-    stream, at ``m = isqrt(2**53 // n)``, stays within the same bound (23.3
-    bytes a cell measured at n = 512; 25.0 while the tables were held
-    through the rank, 31.3 with float64 tables, 40.0 when all ``2 * r``
-    hashed states were also mixed at once, their shifted temporaries beside
-    the tables)."""
+    stream, at ``m = isqrt(2**53 // n)``, stays within the same bound (19.3
+    bytes a cell measured at n = 512; 23.0 with halves of ``w``, 25.0 while
+    the tables were held through the rank, 31.3 with float64 tables, 40.0
+    when all ``2 * r`` hashed states were also mixed at once, their shifted
+    temporaries beside the tables)."""
     n = 512
     x = _near_discrete(n)
     step = lambda: probabilistic_step(x, *classical._exact_draws(n))  # noqa: E731
@@ -727,8 +728,9 @@ def test_exact_step_peak_near_a_discrete_coloring_is_within_the_guard():
 
 def test_product_gathers_from_the_substitution_tables():
     """On the largest-r step of a permuted path(512), r = n**2 / 2, the
-    product holds itself, half of the right factor and its row blocks, and
-    no copy of a table: at most 16 bytes a cell traced (15.0 measured; 19.3
+    product holds itself, a quarter of the right factor and its row blocks,
+    and no copy of a table: at most 12 bytes a cell traced (11.3 measured;
+    15.0 with halves of ``w`` in row blocks of a quarter of the rows, 19.3
     with a float64 copy of each table made per half, 17.0 with each block's
     products of the second half held until the next block's are made)."""
     n = 512
@@ -737,7 +739,7 @@ def test_product_gathers_from_the_substitution_tables():
     assert x.r == n * n // 2
     sub = draw_substitution(x.r, 10**6, np.random.default_rng(2))
     peak = _traced_peak(lambda: numeric_product(x, sub))
-    assert peak <= 16 * n * n, f"{peak / n / n:.2f} B/cell"
+    assert peak <= 12 * n * n, f"{peak / n / n:.2f} B/cell"
 
 
 def test_product_peak_at_1024_holds_eighth_row_blocks():
@@ -753,6 +755,21 @@ def test_product_peak_at_1024_holds_eighth_row_blocks():
     numeric_product(x, sub)  # one-time allocations are not the product's
     peak = _traced_peak(lambda: numeric_product(x, sub))
     assert peak <= 12 * n * n, f"{peak / n / n:.2f} B/cell"
+
+
+@pytest.mark.parametrize("n, cell_bytes", [(256, 14), (768, 12)])
+def test_product_peak_below_1024_holds_eighth_row_blocks(n, cell_bytes):
+    """Below n = 1024 too the product holds a quarter of the right factor
+    and blocks of an eighth of the rows, 3.25 bytes a cell beside the
+    product: the traced peak stays within 14 bytes a cell at n = 256 (13.3
+    measured; a gather's fixed-size scratch is 2 of them there) and 12 at
+    n = 768 (11.3; 16.0 and 15.0 with halves of ``w`` in blocks of a quarter
+    of the rows)."""
+    x = rainbow_refine(validate(random_grid(np.random.default_rng(3), n, 3)))
+    sub = draw_substitution(x.r, 10**6, np.random.default_rng(2))
+    numeric_product(x, sub)  # one-time allocations are not the product's
+    peak = _traced_peak(lambda: numeric_product(x, sub))
+    assert peak <= cell_bytes * n * n, f"{peak / n / n:.2f} B/cell"
 
 
 def test_draw_peak_is_its_int32_tables():
