@@ -192,6 +192,48 @@ def test_product_blocks_are_an_eighth_of_the_rows_and_panels_a_quarter_of_w(n, r
     assert rows <= -(-n // 8) and panels[0][1] <= -(-n // 4)
 
 
+@pytest.mark.parametrize(
+    "n, rows",
+    [(1, 1), (3, 1), (70, 18), (512, 128), (513, 129), (1023, 256), (1024, 128), (1031, 129),
+     (2048, 256)],
+)
+def test_product_row_blocks_are_a_quarter_up_to_512_and_an_eighth_from_1024(n, rows):
+    """The one layout's row blocks are never taller than those of the
+    two-layout rule it replaced, given here (``ceil(n/4)`` rows below
+    n = 1024 and ``ceil(n/8)`` from there on), so never more than a quarter
+    of the rows, which the step guard counts; from n = 1024, where that
+    rule already took eighths, they are its blocks."""
+    blocks = _product_layout(n)[0]
+    assert blocks <= rows <= -(-n // 4)
+    assert blocks == rows or n < 1024
+
+
+@pytest.mark.parametrize(
+    "n, panels",
+    [
+        (1, [(0, 1)]),
+        (3, [(0, 2), (2, 3)]),
+        (70, [(0, 35), (35, 70)]),
+        (512, [(0, 256), (256, 512)]),
+        (1023, [(0, 512), (512, 1023)]),
+        (1024, [(0, 256), (256, 512), (512, 768), (768, 1024)]),
+        (1031, [(0, 258), (258, 516), (516, 774), (774, 1031)]),
+        (2048, [(0, 512), (512, 1024), (1024, 1536), (1536, 2048)]),
+    ],
+)
+def test_product_panels_are_halves_below_1024_and_quarters_from_there(n, panels):
+    """The one layout's panels of ``w`` are never wider than those of the
+    two-layout rule it replaced, given here (halves below n = 1024 and
+    quarters from there on): they cover ``0..n`` in order with no empty
+    one, and from n = 1024, where that rule already took quarters, they
+    are its panels."""
+    layout = _product_layout(n)[1]
+    assert [0] + [stop for _, stop in layout] == [start for start, _ in layout] + [n]
+    assert all(start < stop for start, stop in layout)
+    assert max(stop - start for start, stop in layout) <= panels[0][1]
+    assert layout == panels or n < 1024
+
+
 def _int64_product(x, sub):
     """The product of the gathered tables by numpy's integer matmul, an exact
     loop without BLAS (fast enough here with the right factor in Fortran
